@@ -1,0 +1,140 @@
+"""Golden report bytes.
+
+SHA-256 digests of the canonical output of every CLI subcommand at small
+sizes (seed 7), and of the reports that no subcommand emits.  Any change
+to a report's bytes, however small, shows up here; a refactor of the
+serializers must leave every digest as it is.
+"""
+
+import hashlib
+
+import pytest
+
+from weyl_lab import cli
+from weyl_lab._rng import counter_angle
+from weyl_lab.contfrac import angle_from_cf, construct_f_member
+from weyl_lab.experiments import b_density_gap, find_mn, tail_measure
+from weyl_lab.renorm import b_level_measure, u_measure_lower
+from weyl_lab.reporting import render_json
+
+# a cf whose level q = 17 is the whole schedule, so resume and box stay cheap
+_WITNESS = ["--theta", "2,8,200000", "--eps", "1", "--delta", "0.5", "--candidates", "512", "--seed", "7"]
+
+# subcommand -> (argv, {format: sha256 of the output bytes})
+CLI_GOLDEN = {
+    "cf": (
+        ["cf", "--theta", "golden", "--depth", "10"],
+        {"json": "50105bef5177f1e1a087bc01b9763da15acc1fae4589c59cc636c1db6bbcac4b"},
+    ),
+    "construct": (
+        ["construct", "--eps", "0.5", "--levels", "3"],
+        {"json": "34a30ca3dcbf774ea317c931f131f6b6f348c48a4729cffe74ecf16491c5e557"},
+    ),
+    "sum": (
+        ["sum", "--theta", "golden", "--x", "0.25", "--n", "1000"],
+        {"json": "18158a4e8cd055e0b81730d1e290b4a65e5bb52fb43b17583b934dfce3645325"},
+    ),
+    "traj": (
+        ["traj", "--theta", "golden", "--x", "0.25", "--n", "200", "--stride", "7"],
+        {
+            "json": "10cddffe6bad431beb2b6a5cfd32d492c10c7ce38e88839b10da3db372702b65",
+            "csv": "77a4f716a8edaef118350dcff4f31d641a415048f3baffeb1e0cdb07f910ee40",
+        },
+    ),
+    "parseval": (
+        ["parseval", "--theta", "construct:0.5,4", "--q", "17", "--samples", "2000", "--seed", "7"],
+        {
+            "json": "db9e5dce8e2941c9b2b779c48599b78242437aff811170c28842fd17cc82712d",
+            "csv": "2a67d2faf6c58f8767089958717f2012448baa1dfe43522c96a5747768c81bf8",
+        },
+    ),
+    "renorm": (
+        ["renorm", "--theta", "0.3137", "--x", "0.42", "--k", "1000", "--depth", "3"],
+        {
+            "json": "ba82133a081acecde6bf1d02a1c09eacf3ef2c73d8377fcc252b3aab3fb26a7a",
+            "csv": "dbbd5bf1589cc503f1adbcdfb7fc6b94861a018c547cc69be47b5054ae75e335",
+        },
+    ),
+    "schedule": (
+        ["schedule", "--theta", "construct:0.5,4"],
+        {
+            "json": "68f4365495aa919bad639ff8a956ff285c5dce317d7dd54e0eb02c24e0276717",
+            "csv": "bfd11fa80c5af26e2abbef15b3a4f4c6e820c8eef4fc369522c1363479c930e4",
+        },
+    ),
+    "resume": (
+        ["resume", *_WITNESS],
+        {
+            "json": "92071327d06a19cbcee3fa78931b588ca92943e10dc3cb5ce07f9daf0158636c",
+            "csv": "0028d80313316905a125cb5cb17bb0b8cab862c312de1b78089f735bed092f6a",
+        },
+    ),
+    "box": (
+        ["box", *_WITNESS, "--samples", "2000"],
+        {
+            "json": "35f8085b46aa0d0fc683c7cdf57c55a65db1d0ff84e2aaa1987de658297fffbc",
+            "csv": "762be8be6c81c08a9baa01e85d6cf76beaf00250df9f570678467e927f5329f8",
+        },
+    ),
+    "density": (
+        ["density", "--theta", "golden", "--x", "0.3", "--n", "5000"],
+        {
+            "json": "717a3358ca3fb4cc54d812d13a4e1124a42b4388695bf41aceaeb842b7d19dd8",
+            "csv": "dea96715caadda87cd39d529504648ad5fb8aedc747d45253d6438a8638f57d0",
+        },
+    ),
+    "growth": (
+        ["growth", "--theta", "golden", "--schedule", "10,100,1000", "--grid", "16"],
+        {
+            "json": "e8c247e8427e2ac5010dc4b2b727e99326203d8fb1c7d87702967343d19406f5",
+            "csv": "408d5b0145578430ee54a00675bd28a53e903bf0dbdee6a8d0f33d027c194cd5",
+        },
+    ),
+}
+
+CLI_CASES = [
+    (name, fmt, argv, digest)
+    for name, (argv, digests) in CLI_GOLDEN.items()
+    for fmt, digest in digests.items()
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    [(argv, fmt, digest) for _, fmt, argv, digest in CLI_CASES],
+    ids=[f"{name}-{fmt}" for name, fmt, _, _ in CLI_CASES],
+)
+def test_cli_golden_bytes(tmp_path, argv, fmt, digest):
+    out = tmp_path / f"report.{fmt}"
+    assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
+
+
+def _library_reports():
+    theta = angle_from_cf(construct_f_member(0.5, 4)[0])
+    x = counter_angle(7, 1, "golden")
+    return {
+        "tail_measure": tail_measure(theta, 17, 0.5, 1000, 7),
+        "b_density_gap": b_density_gap(theta, 83523, x),
+        "find_mn": find_mn(theta, 83523, x),
+        "u_measure_lower": u_measure_lower(theta, 2, 0.1, 500, 7),
+        "b_level_measure": b_level_measure(theta, 2, 1.0, 500, 7),
+    }
+
+
+LIBRARY_GOLDEN = {
+    "tail_measure": "5f0884f35d0528d8a85e195cc3f48af2e7ac3583e2ca56a9c07b6bcdd4ef9437",
+    "b_density_gap": "b663db3b1f811d06191264fdd9a3a72bca5409e153f9ccba682b8302eb1da559",
+    "find_mn": "464d2b750f1e2cdeed09e48c4591e9f4ade4d5666eb073baf96a85e091ebb0e1",
+    "u_measure_lower": "f2492d3f03535148058720a8bfede1114073ba87a3eb5d0cde70c4a2bd68fafb",
+    "b_level_measure": "bd080a6b14267c85e7b2e7351043a94e995dcf210582966d9b4889f045bf1130",
+}
+
+
+def test_library_report_golden_bytes():
+    digests = {name: _sha(render_json(rep).encode()) for name, rep in _library_reports().items()}
+    assert digests == LIBRARY_GOLDEN
