@@ -13,7 +13,7 @@ inside uint64.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -152,9 +152,3 @@ def poly_eval_unit_circle(
         acc *= rho_big
         acc += giant[:, jb]
     return acc
-
-
-def pairwise_sum(values: Sequence[complex]) -> complex:
-    """Deterministic pairwise reduction used by small scalar paths."""
-    arr = np.asarray(values, dtype=np.complex128)
-    return complex(np.sum(arr))

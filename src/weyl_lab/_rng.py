@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from .exactangle import Angle
 
 
@@ -31,11 +29,3 @@ def counter_angle(seed: int, index: int, stream: str = "") -> Angle:
 def counter_unit(seed: int, index: int, stream: str = "") -> float:
     """Uniform double in [0, 1) from the top 53 bits of the digest."""
     return (_digest_int(stream, seed, index) >> 203) * 2.0 ** -53
-
-
-def counter_angles(seed: int, count: int, stream: str = "") -> list[Angle]:
-    return [counter_angle(seed, i, stream) for i in range(count)]
-
-
-def counter_units(seed: int, count: int, stream: str = "") -> np.ndarray:
-    return np.array([counter_unit(seed, i, stream) for i in range(count)])

@@ -39,7 +39,7 @@ from .experiments import (
     growth_report,
     resume_witness,
 )
-from .reporting import render_json
+from .reporting import render_json, report_dict
 from .weylsum import (
     SkewPoint,
     dirichlet_b,
@@ -72,7 +72,7 @@ def _result(cid, description, passed, t0, details) -> CriterionResult:
         cid=cid,
         description=description,
         passed=bool(passed),
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=details,
         report_bytes=render_json(report).encode(),
     )
@@ -95,7 +95,7 @@ _E1_SINGULAR_OFFSETS = [
 def run_e1(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Direct and closed-form geometric sums agree to 1e-9 for 10^4
     random (x, m <= 10^4), near-singular x included."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     n_sing = 0
     for i in range(10_000):
@@ -132,7 +132,7 @@ def run_e1(seed: int = DEFAULT_SEED) -> CriterionResult:
 def run_e2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Cocycle identity a(x,y,n+m) = a(x,y,n) + a(T^n(x,y), m) to a
     relative 1e-12 over 100 random instances, n, m <= 10^4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for i in range(100):
         theta = counter_angle(seed, i, "e2-theta")
@@ -161,7 +161,7 @@ def run_e2(seed: int = DEFAULT_SEED) -> CriterionResult:
 def run_e3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Monte Carlo mean of |a(x,q)|^2 within 5 standard errors of q for
     q in {13, 17, 83523}, 10^5 samples each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     theta = angle_from_cf(construct_f_member(0.5, 4)[0])
     per_q = {}
     passed = True
@@ -201,7 +201,7 @@ def run_e4(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Closed-form skew iterate equals step-by-step iteration exactly
     (grid equality): 100 random starts with n <= 10^4 plus three runs
     to n = 10^6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     all_equal = True
     checked = []
     for i in range(100):
@@ -239,7 +239,7 @@ def run_e5(seed: int = DEFAULT_SEED) -> CriterionResult:
     The sweep is pinned to the calibration seed; the gate's own seed
     plays no role here.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     calib = load_calibration()["fe_residual"]
     sweep = run_fe_sweep(seed=calib["seed"])
     r_max = calib["max_residual"]
@@ -265,7 +265,7 @@ def run_e6(seed: int = DEFAULT_SEED) -> CriterionResult:
     constant on n in {1e2..1e5}; sup |a|/n strictly decreasing;
     |a(0,n)|/sqrt(n) reaches 0.5 by n = 10^4; the theta = 0 control has
     sup |a|/n identically 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     calib = load_calibration()["growth_golden"]
     rep = growth_report(GOLDEN, [100, 1000, 10_000, 100_000], 512)
     c_g = calib["sup_sqrt_max"]
@@ -300,7 +300,7 @@ def run_e7(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Product-approximation inequality: seeded sweep max within 1.5x the
     calibrated constant; on scheduled levels with the side conditions in
     force, the raw error stays below C_cal * q^(-eps/8)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     calib = load_calibration()["approx_ratio"]
     sweep = run_approx_sweep(seed=calib["seed"])
     c_cal = calib["max_ratio"]
@@ -355,7 +355,7 @@ def run_e8(seed: int = DEFAULT_SEED) -> CriterionResult:
     standard construction: witness product within 0.05 of 1/2, exact
     checks (i) and (iii) inside their bounds, box experiment with
     symmetric difference at most 0.1 and modulus fraction at least 0.9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cf, _ = construct_f_member(0.5, 4)
     theta = angle_from_cf(cf)
     witness = resume_witness(theta, cf, x_candidates=256, seed=seed)
@@ -381,8 +381,8 @@ def run_e8(seed: int = DEFAULT_SEED) -> CriterionResult:
         t0,
         {
             "seed": seed,
-            "witness": witness.as_dict(),
-            "box": box.as_dict(),
+            "witness": report_dict(witness),
+            "box": report_dict(box),
             "product_within_0.05": product_ok,
             "symdiff_le_0.1": sym_ok,
             "modulus_fraction_ge_0.9": mod_ok,
@@ -397,7 +397,7 @@ def run_e9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Density echo: partial sums over the depth-4 construction cover at
     least 95% of the radius-2 disk at cell 0.25 within 10^7 terms; the
     theta = 0 control covers less than 20%."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     theta = angle_from_cf(construct_f_member(0.5, 4)[0])
     x = counter_angle(seed, 0, "density")
     rep = density_probe(theta, x, 10_000_000, 2.0, 0.25)
@@ -423,21 +423,17 @@ def run_e9(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def run_e10(seed: int = DEFAULT_SEED, first_pass: dict[str, bytes] | None = None) -> CriterionResult:
     """Re-running the seeded gates reproduces byte-identical reports."""
-    t0 = time.time()
-    runners = {"E3": run_e3, "E5": run_e5, "E7": run_e7, "E8": run_e8, "E9": run_e9}
+    t0 = time.perf_counter()
     if first_pass is None:
-        first_pass = {cid: fn(seed).report_bytes for cid, fn in runners.items()}
-    mismatches = []
-    for cid, fn in runners.items():
-        if fn(seed).report_bytes != first_pass[cid]:
-            mismatches.append(cid)
+        first_pass = {cid: RUNNERS[cid](seed).report_bytes for cid in SEEDED}
+    mismatches = [cid for cid in SEEDED if RUNNERS[cid](seed).report_bytes != first_pass[cid]]
     passed = not mismatches
     return _result(
         "E10",
         "reports are byte-identical across reruns with the same seed",
         passed,
         t0,
-        {"seed": seed, "compared": sorted(runners), "mismatches": mismatches},
+        {"seed": seed, "compared": list(SEEDED), "mismatches": mismatches},
     )
 
 
@@ -453,19 +449,15 @@ RUNNERS = {
     "E9": run_e9,
 }
 
+# the seeded gates whose reports E10 reproduces
+SEEDED = ("E3", "E5", "E7", "E8", "E9")
+
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:
     """Run every gate in order, then the determinism gate against the
     first-pass bytes; optionally write each report to out_dir."""
-    results: list[CriterionResult] = []
-    first_bytes: dict[str, bytes] = {}
-    for cid, fn in RUNNERS.items():
-        res = fn(seed)
-        results.append(res)
-        first_bytes[cid] = res.report_bytes
-    results.append(
-        run_e10(seed, {k: first_bytes[k] for k in ("E3", "E5", "E7", "E8", "E9")})
-    )
+    results = [fn(seed) for fn in RUNNERS.values()]
+    results.append(run_e10(seed, {res.cid: res.report_bytes for res in results}))
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -11,19 +11,8 @@ an unusable level.
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
-from pathlib import Path
-
-# honor the thread cap before any BLAS-backed work happens
-_threads = os.environ.get("WEYL_LAB_THREADS")
-if _threads:
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(_threads))
-    except Exception:
-        pass
 
 from . import acceptance
 from .contfrac import (
@@ -43,7 +32,7 @@ from .experiments import (
     select_qn,
 )
 from .renorm import renorm_chain
-from .reporting import emit_report, render_json
+from .reporting import emit_report, render_json  # noqa: F401  (kept as weyl_lab.cli.render_json)
 from .weylsum import parseval_estimate, trajectory, weyl_sum
 
 
@@ -77,6 +66,8 @@ def parse_angle(text: str) -> Angle:
 
 
 def _write_or_print(args, report) -> None:
+    if args.format == "csv" and not hasattr(report, "csv_rows"):
+        raise ValueError(f"{args.command} has no CSV form; use --format json")
     payload = emit_report(report, args.out, args.format)
     if not args.out:
         sys.stdout.write(payload.decode())
@@ -198,20 +189,37 @@ def _theta_with_cf(args, depth: int = 20):
     return theta, cf
 
 
+def _config_tokens(args) -> list[str]:
+    """The --config entries as '--key=value' flag tokens.
+
+    Keys must name an option of the subcommand exactly; argparse then
+    checks each value with that option's own type and choices.
+    """
+    with open(args.config, "r", encoding="utf-8") as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise ValueError("--config must hold a JSON object of flag defaults")
+    tokens = []
+    for key, value in entries.items():
+        dest = key.replace("-", "_")
+        if dest in ("command", "config") or dest not in vars(args):
+            raise ValueError(f"{args.command} has no option {key!r} (from --config)")
+        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+            raise ValueError(f"--config value for {key!r} must be a number or a string")
+        tokens.append(f"--{dest.replace('_', '-')}={value}")
+    return tokens
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = ap.parse_args(argv)
         if getattr(args, "config", None):
-            # config supplies defaults only; re-parse so explicit flags win
-            import json
-
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-            ap = build_parser()
-            for action in ap._subparsers._group_actions[0].choices.values():
-                action.set_defaults(**overrides)
-            args = ap.parse_args(argv)
+            # config entries go in right after the subcommand, so explicit
+            # flags, which come later, win
+            at = argv.index(args.command) + 1
+            args = ap.parse_args([*argv[:at], *_config_tokens(args), *argv[at:]])
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (OSError, ValueError) as exc:
@@ -223,30 +231,28 @@ def main(argv: list[str] | None = None) -> int:
             theta, _ = parse_theta(args.theta)
             cf = cf_expand(theta, args.depth)
             report = {
-                "theta": theta.to_hex(),
-                "quotients": list(cf.quotients),
+                "theta": theta,
+                "quotients": cf.quotients,
                 "convergents": [
                     {"l": c.index, "p": str(c.p), "q": str(c.q)}
                     for c in convergents(cf)
                 ],
             }
-            payload = render_json(report)
-            (Path(args.out).write_text(payload) if args.out else sys.stdout.write(payload))
+            _write_or_print(args, report)
         elif args.command == "construct":
             seed_quotients = tuple(int(t) for t in args.seed_quotients.split(","))
             cf, cert = construct_f_member(args.eps, args.levels, seed_quotients)
             report = {
                 "quotients": [str(a) for a in cf.quotients],
-                "theta": angle_from_cf(cf).to_hex(),
-                "cert": cert.as_dict(),
+                "theta": angle_from_cf(cf),
+                "cert": cert,
             }
-            payload = render_json(report)
-            (Path(args.out).write_text(payload) if args.out else sys.stdout.write(payload))
+            _write_or_print(args, report)
         elif args.command == "sum":
             theta, _ = parse_theta(args.theta)
             z = weyl_sum(theta, parse_angle(args.x), parse_angle(args.y), args.n)
             report = {"re": z.real, "im": z.imag, "modulus": abs(z), "n": args.n}
-            _write_or_print(args, _Plain(report))
+            _write_or_print(args, report)
             print(f"a = {z.real:.6f} + {z.imag:.6f}i  |a| = {abs(z):.6f}", file=sys.stderr)
         elif args.command == "traj":
             theta, _ = parse_theta(args.theta)
@@ -332,16 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-class _Plain:
-    """Adapter giving plain dicts the report interface."""
-
-    def __init__(self, data: dict):
-        self._data = data
-
-    def as_dict(self) -> dict:
-        return self._data
 
 
 if __name__ == "__main__":

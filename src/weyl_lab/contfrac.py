@@ -88,16 +88,6 @@ class FClassCert:
     min_witness: float
     finite_expansion: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "depth": self.depth,
-            "partial_sum": self.partial_sum,
-            "witnesses": [[l, w] for l, w in self.witnesses],
-            "min_witness": self.min_witness,
-            "finite_expansion": self.finite_expansion,
-        }
-
 
 def cf_expand(theta: Angle, max_depth: int) -> ContinuedFraction:
     """Partial quotients of theta by exact Euclid on the grid numerator.

@@ -81,11 +81,6 @@ def wrap_add(a: Angle, b: Angle) -> Angle:
     return Angle((a.numerator + b.numerator) & _MASK)
 
 
-def wrap_sub(a: Angle, b: Angle) -> Angle:
-    """(a - b) mod 1, exact."""
-    return Angle((a.numerator - b.numerator) & _MASK)
-
-
 def wrap_neg(a: Angle) -> Angle:
     """(-a) mod 1, exact; the wrap_add inverse."""
     return Angle(-a.numerator & _MASK)

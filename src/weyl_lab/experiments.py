@@ -15,7 +15,7 @@ are bit-identical across runs and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +32,7 @@ from .exactangle import (
     scale_mod1,
     wrap_add,
 )
+from .reporting import BIG_INT
 from .weylsum import dirichlet_b_closed, dirichlet_b_moduli, weyl_sum, weyl_sum_over_x
 
 DEFAULT_EPS = 0.5
@@ -50,32 +51,24 @@ class UnusableLevelError(RuntimeError):
     """No candidate x passed the witness gates at the requested level."""
 
 
-def _as_hex(a: Angle) -> str:
-    return a.to_hex()
+def _level_dicts(levels) -> list[dict]:
+    return [{"l": l, "q": str(q), "witness": w} for l, q, w in levels]
 
 
 @dataclass(frozen=True)
 class QnSchedule:
     """Denominator levels retained for the experiments at a given theta."""
 
+    experiment = "schedule"
+
     theta: Angle
     eps: float
     threshold: float
-    levels: tuple[tuple[int, int, float], ...]  # (level index, q, witness)
+    # (level index, q, witness)
+    levels: tuple[tuple[int, int, float], ...] = field(metadata={"json": _level_dicts})
 
     def q_values(self) -> list[int]:
         return [q for _, q, _ in self.levels]
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "schedule",
-            "theta": _as_hex(self.theta),
-            "eps": self.eps,
-            "threshold": self.threshold,
-            "levels": [
-                {"l": l, "q": str(q), "witness": w} for l, q, w in self.levels
-            ],
-        }
 
     def csv_rows(self):
         for l, q, w in self.levels:
@@ -113,6 +106,8 @@ def select_qn(
 
 @dataclass(frozen=True)
 class TailMeasure:
+    experiment = "tail_measure"
+
     q: int
     eps: float
     threshold: float
@@ -121,22 +116,6 @@ class TailMeasure:
     std_error: float
     samples: int
     seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "tail_measure",
-            "q": self.q,
-            "eps": self.eps,
-            "threshold": self.threshold,
-            "estimate": self.estimate,
-            "bound": self.bound,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-    def csv_rows(self):
-        yield self.q, self.threshold, self.estimate, self.bound, self.std_error
 
 
 def tail_measure(
@@ -165,6 +144,8 @@ def tail_measure(
 
 @dataclass(frozen=True)
 class BDensityGap:
+    experiment = "b_density_gap"
+
     q: int
     eps: float
     alpha: float  # ||2qx||
@@ -172,21 +153,6 @@ class BDensityGap:
     largest_gap: float
     target_gap: float
     degenerate: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "b_density_gap",
-            "q": self.q,
-            "eps": self.eps,
-            "alpha": self.alpha,
-            "m_max": self.m_max,
-            "largest_gap": self.largest_gap,
-            "target_gap": self.target_gap,
-            "degenerate": self.degenerate,
-        }
-
-    def csv_rows(self):
-        yield self.q, self.alpha, self.m_max, self.largest_gap, self.target_gap
 
 
 def b_density_gap(theta: Angle, q: int, x: Angle, eps: float = DEFAULT_EPS) -> BDensityGap:
@@ -225,16 +191,6 @@ class FindMnResult:
     a_modulus: float
     b_modulus: float
     target: float
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "product_value": self.product_value,
-            "status": self.status,
-            "a_modulus": self.a_modulus,
-            "b_modulus": self.b_modulus,
-            "target": self.target,
-        }
 
 
 def _find_mn_from_modulus(
@@ -323,13 +279,15 @@ def derivative_check(
 class ResumeWitness:
     """One usable level of the essential-value construction."""
 
+    experiment = "resume_witness"
+
     level: int
-    q: int
+    q: int = field(metadata=BIG_INT)
     x: Angle
     delta: float
     eps: float
     m_n: int
-    M_n: int
+    M_n: int = field(metadata=BIG_INT)
     product_value: float
     a_modulus: float
     b_modulus: float
@@ -345,33 +303,6 @@ class ResumeWitness:
     grid_deviations: tuple[float, ...]
     seed: int
     candidate_index: int
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "resume_witness",
-            "level": self.level,
-            "q": str(self.q),
-            "x": _as_hex(self.x),
-            "delta": self.delta,
-            "eps": self.eps,
-            "m_n": self.m_n,
-            "M_n": str(self.M_n),
-            "product_value": self.product_value,
-            "a_modulus": self.a_modulus,
-            "b_modulus": self.b_modulus,
-            "r_n": self.r_n,
-            "eps_n": self.eps_n,
-            "value_i": self.value_i,
-            "bound_i": self.bound_i,
-            "check_i": self.check_i,
-            "value_ii": self.value_ii,
-            "check_ii": self.check_ii,
-            "value_iii": self.value_iii,
-            "check_iii": self.check_iii,
-            "grid_deviations": list(self.grid_deviations),
-            "seed": self.seed,
-            "candidate_index": self.candidate_index,
-        }
 
     def csv_rows(self):
         # interval grid deviations, one row per grid point
@@ -516,11 +447,13 @@ def _measure_witness(
 class BoxReport:
     """Monte Carlo audit of the box [x0-r, x0+r] x J under T^-M."""
 
+    experiment = "box"
+
     x0: Angle
     r: float
     j_lo: float
     j_hi: float
-    M_n: int
+    M_n: int = field(metadata=BIG_INT)
     nu: float
     samples: int
     seed: int
@@ -529,24 +462,6 @@ class BoxReport:
     left_fraction: float
     taylor_degree: int
     taylor_tail: float
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "box",
-            "x0": _as_hex(self.x0),
-            "r": self.r,
-            "j_lo": self.j_lo,
-            "j_hi": self.j_hi,
-            "M_n": str(self.M_n),
-            "nu": self.nu,
-            "samples": self.samples,
-            "seed": self.seed,
-            "symdiff_ratio": self.symdiff_ratio,
-            "modulus_fraction": self.modulus_fraction,
-            "left_fraction": self.left_fraction,
-            "taylor_degree": self.taylor_degree,
-            "taylor_tail": self.taylor_tail,
-        }
 
     def csv_rows(self):
         yield (
@@ -656,6 +571,8 @@ def box_experiment(
 class DensityReport:
     """Coverage of the disk of radius R by partial sums of sum e(k^2 theta + kx)."""
 
+    experiment = "density"
+
     theta: Angle
     x: Angle
     N: int
@@ -665,20 +582,6 @@ class DensityReport:
     n_disk_cells: int
     n_visited: int
     first_hits: tuple[tuple[int, int, int], ...]  # (ix, iy, first n)
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "density",
-            "theta": _as_hex(self.theta),
-            "x": _as_hex(self.x),
-            "N": self.N,
-            "radius": self.radius,
-            "cell": self.cell,
-            "covered_fraction": self.covered_fraction,
-            "n_disk_cells": self.n_disk_cells,
-            "n_visited": self.n_visited,
-            "first_hits": [list(t) for t in self.first_hits],
-        }
 
     def csv_rows(self):
         for ix, iy, n in self.first_hits:
@@ -736,6 +639,8 @@ def density_probe(theta: Angle, x: Angle, n_terms: int, radius: float, cell: flo
 class GrowthReport:
     """Growth statistics of sup_x |a(x,n)| along a schedule of n."""
 
+    experiment = "growth"
+
     theta: Angle
     schedule: tuple[int, ...]
     x_grid_size: int
@@ -744,19 +649,6 @@ class GrowthReport:
     a0_ratio_sqrt: tuple[float, ...]  # |a(0,n)| / sqrt(n) at schedule points
     a0_peak_ratio: tuple[float, ...]  # max_{n' <= n} |a(0,n')| / sqrt(n')
     bounded_quotients: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "growth",
-            "theta": _as_hex(self.theta),
-            "schedule": list(self.schedule),
-            "x_grid_size": self.x_grid_size,
-            "sup_ratio_linear": list(self.sup_ratio_linear),
-            "sup_ratio_sqrt": list(self.sup_ratio_sqrt),
-            "a0_ratio_sqrt": list(self.a0_ratio_sqrt),
-            "a0_peak_ratio": list(self.a0_peak_ratio),
-            "bounded_quotients": self.bounded_quotients,
-        }
 
     def csv_rows(self):
         for i, n in enumerate(self.schedule):
@@ -767,23 +659,6 @@ class GrowthReport:
                 self.a0_ratio_sqrt[i],
                 self.a0_peak_ratio[i],
             )
-
-
-def _abs_at_checkpoints(theta: Angle, x: Angle, checkpoints: list[int]) -> list[float]:
-    out = []
-    targets = iter(checkpoints)
-    cur = next(targets)
-    n_max = checkpoints[-1]
-    done = False
-    for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, 0, n_max):
-        while not done and k0 + 1 <= cur <= k0 + len(z):
-            out.append(float(abs(z[cur - k0 - 1])))
-            nxt = next(targets, None)
-            if nxt is None:
-                done = True
-            else:
-                cur = nxt
-    return out
 
 
 def growth_report(
@@ -798,31 +673,27 @@ def growth_report(
         raise ValueError("schedule must be strictly increasing and nonempty")
     if n_schedule[0] < 1:
         raise ValueError("schedule entries must be >= 1")
+    if x_grid_size < 1:
+        raise ValueError("x_grid_size must be >= 1")
     sup_abs = np.zeros(len(n_schedule))
+    a0_vals: list[float] = []
+    a0_peaks: list[float] = []
+    peak = 0.0
     for j in range(x_grid_size):
         x = angle_from_rational(j, x_grid_size)
-        vals = _abs_at_checkpoints(theta, x, list(n_schedule))
+        vals: list[float] = []
+        for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, 0, n_schedule[-1]):
+            at = [n - k0 - 1 for n in n_schedule if k0 < n <= k0 + len(z)]
+            vals.extend(float(abs(z[i])) for i in at)
+            if j == 0:
+                # x = 0 also gives |a(0,n)|/sqrt(n) with its running peak
+                step_ns = np.arange(k0 + 1, k0 + len(z) + 1, dtype=np.float64)
+                ratios = np.abs(z) / np.sqrt(step_ns)
+                run = np.maximum.accumulate(ratios)
+                a0_vals.extend(float(ratios[i]) for i in at)
+                a0_peaks.extend(max(peak, float(run[i])) for i in at)
+                peak = max(peak, float(run[-1]))
         sup_abs = np.maximum(sup_abs, vals)
-    # dedicated x = 0 pass with a running per-step peak of |z_n|/sqrt(n)
-    a0_vals = []
-    a0_peaks = []
-    peak = 0.0
-    targets = iter(n_schedule)
-    cur = next(targets)
-    done = False
-    for k0, z in _engine.qsum_partials(theta.numerator, 0, 0, n_schedule[-1]):
-        step_ns = np.arange(k0 + 1, k0 + len(z) + 1, dtype=np.float64)
-        ratios = np.abs(z) / np.sqrt(step_ns)
-        run = np.maximum.accumulate(ratios)
-        while not done and k0 + 1 <= cur <= k0 + len(z):
-            a0_vals.append(float(ratios[cur - k0 - 1]))
-            a0_peaks.append(max(peak, float(run[cur - k0 - 1])))
-            nxt = next(targets, None)
-            if nxt is None:
-                done = True
-            else:
-                cur = nxt
-        peak = max(peak, float(run[-1]))
     if theta.numerator == 0:
         bounded = False
     else:

@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from ._rng import counter_angle
-from .exactangle import MODULUS, Angle, dist_to_int, wrap_add
+from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, wrap_add
+from .reporting import FLATTEN
 from .weylsum import dirichlet_b, psi
-
-_HALF_TURN = Angle(1 << 255)
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class RenormChain:
     residuals[l] = |sigma[l]*psi(theta,x,k) - psi(theta_l, x_l, k_l)|.
     """
 
+    experiment = "renorm_chain"
+
     depth: int
     thetas: tuple[Angle, ...]
     xs: tuple[Angle, ...]
@@ -54,19 +55,6 @@ class RenormChain:
     sigmas: tuple[float, ...]
     residuals: tuple[float, ...]
     truncated: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "renorm_chain",
-            "depth": self.depth,
-            "thetas": [t.to_hex() for t in self.thetas],
-            "xs": [x.to_hex() for x in self.xs],
-            "k_levels": list(self.k_levels),
-            "sigma": self.sigma,
-            "sigmas": list(self.sigmas),
-            "residuals": list(self.residuals),
-            "truncated": self.truncated,
-        }
 
     def csv_rows(self):
         for l in range(self.depth + 1):
@@ -79,19 +67,11 @@ class RenormChain:
             )
 
 
-def _snap_ratio(num: int, den: int) -> Angle:
-    # nearest grid point to num/den with num < den, ties toward zero
-    quo, rem = divmod(num << 256, den)
-    if 2 * rem > den:
-        quo += 1
-    return Angle(quo % MODULUS)
-
-
 def gauss_map(theta: Angle) -> Angle:
     """S(theta) = {1/theta} on grid numerators, snapped back to the grid."""
     if theta.numerator == 0:
         raise ValueError("Gauss map undefined at theta = 0")
-    return _snap_ratio(MODULUS % theta.numerator, theta.numerator)
+    return angle_from_rational(MODULUS % theta.numerator, theta.numerator)
 
 
 def x_renorm(theta: Angle, x: Angle) -> Angle:
@@ -101,7 +81,7 @@ def x_renorm(theta: Angle, x: Angle) -> Angle:
     rem = x.numerator % theta.numerator
     if rem == 0:
         return Angle(0)
-    return _snap_ratio(theta.numerator - rem, theta.numerator)
+    return angle_from_rational(theta.numerator - rem, theta.numerator)
 
 
 def k_renorm(theta: Angle, k: int) -> int:
@@ -122,7 +102,7 @@ def renorm_step(theta: Angle, x: Angle, k: int) -> RenormStep:
         raise ValueError("renorm_step requires 0 < theta < 1")
     x_next = x_renorm(theta, x)
     if (MODULUS // theta.numerator) % 2 == 1:
-        x_next = wrap_add(x_next, _HALF_TURN)
+        x_next = wrap_add(x_next, HALF)
     return RenormStep(
         theta_next=gauss_map(theta),
         x_next=x_next,
@@ -244,20 +224,8 @@ class MeasureEstimate:
     std_error: float
     samples: int
     seed: int
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-        out.update(self.extras)
-        return out
-
-    def csv_rows(self):
-        yield self.estimate, self.std_error, self.samples, self.seed
+    # experiment tag and parameters, written at the top level of the report
+    extras: dict = field(default_factory=dict, metadata=FLATTEN)
 
 
 def _u_iterate(theta: Angle, x: Angle, m: int) -> Angle:

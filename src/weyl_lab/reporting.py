@@ -3,18 +3,57 @@
 JSON output uses sorted keys and fixed 17-significant-digit float
 formatting so that a report's bytes are a pure function of its values;
 CSV is a flat row form for external plotting.
+
+Report dataclasses serialize field by field: a class-level `experiment`
+tag comes first, Angles become fixed-width hex, and a field's metadata
+may carry a "json" converter (BIG_INT for integers past 2**53) or ask to
+be flattened into the top level (FLATTEN).  A class with an irregular
+shape defines its own as_dict().
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+from .exactangle import Angle
+
+BIG_INT = {"json": str}
+FLATTEN = {"flatten": True}
 
 
 def format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in report")
     return format(float(x), ".17g")
+
+
+def _plain(value):
+    if isinstance(value, Angle):
+        return value.to_hex()
+    if is_dataclass(value):
+        return report_dict(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+def report_dict(report) -> dict:
+    """Plain-data form of a report dataclass, as render_json writes it."""
+    if hasattr(report, "as_dict"):
+        return report.as_dict()
+    out = {"experiment": report.experiment} if hasattr(report, "experiment") else {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.metadata.get("flatten"):
+            out.update(_plain(value))
+        else:
+            rule = f.metadata.get("json")
+            out[f.name] = _plain(rule(value) if rule else value)
+    return out
 
 
 def _render(obj, out: list[str]) -> None:
@@ -53,30 +92,19 @@ def _render(obj, out: list[str]) -> None:
 def render_json(obj) -> str:
     """Canonical JSON text for a report object or plain dict."""
     out: list[str] = []
-    _render(obj.as_dict() if hasattr(obj, "as_dict") else obj, out)
+    _render(_plain(obj), out)
     return "".join(out) + "\n"
 
 
 def render_csv(report) -> str:
-    """Flat CSV for reports exposing csv_rows(); trajectories get the
-    fixed 'n,re,im' header."""
-    from .weylsum import Trajectory
-
-    if isinstance(report, Trajectory):
-        lines = ["n,re,im"]
-        for n, re, im in report.csv_rows():
-            lines.append(f"{n},{format_float(re)},{format_float(im)}")
-        return "\n".join(lines) + "\n"
-    if hasattr(report, "csv_rows"):
-        lines = []
-        for row in report.csv_rows():
-            lines.append(
-                ",".join(
-                    format_float(v) if isinstance(v, float) else str(v) for v in row
-                )
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"report {type(report).__name__} has no CSV form")
+    """Flat CSV, one line per row of the report's csv_rows()."""
+    if not hasattr(report, "csv_rows"):
+        raise ValueError(f"report {type(report).__name__} has no CSV form")
+    lines = [
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+        for row in report.csv_rows()
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report, path: str | None, fmt: str = "json") -> bytes:

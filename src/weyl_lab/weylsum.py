@@ -61,6 +61,7 @@ class Trajectory:
     stride: int
 
     def csv_rows(self):
+        yield "n", "re", "im"
         for n, z in zip(self.ns, self.points):
             yield int(n), float(z.real), float(z.imag)
 
@@ -141,6 +142,18 @@ def _sin_pi_frac(num: int) -> float:
     return math.sin(math.pi * (folded / MODULUS))
 
 
+def _sin_ratios(x: Angle, ms, nx: float) -> list[float]:
+    # sin(pi {m x}) / sin(pi x) per m, with {m x} reduced exactly on
+    # numerators: sin(pi m x) is this times (-1)^floor(m x), and {m x}
+    # folds freely across 1/2.  80-bit floats below _B_LONGDOUBLE_CUTOFF.
+    fracs = [(int(m) * x.numerator) & (MODULUS - 1) for m in ms]
+    if nx < _B_LONGDOUBLE_CUTOFF:
+        den = _sin_pi_frac_ld(x.numerator)
+        return [float(_sin_pi_frac_ld(f) / den) for f in fracs]
+    den = _sin_pi_frac(x.numerator)
+    return [_sin_pi_frac(f) / den for f in fracs]
+
+
 def dirichlet_b_closed(x: Angle, m: int) -> complex:
     """Closed form e((m-1)x/2) * sin(pi m x) / sin(pi x).
 
@@ -158,22 +171,14 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
     nx = dist_to_int(x)
     if nx < _B_SERIES_CUTOFF:
         return dirichlet_b(x, m)
-    # numerator argument reduced exactly: m*x mod 1 and the parity of
-    # floor(m*x) folded into the half-phase below
-    prod = m * x.numerator
-    floor_mx = prod >> 256
-    frac_num = prod & (MODULUS - 1)
+    # the parity of floor(m*x) is folded into the half-phase below
+    floor_mx = (m * x.numerator) >> 256
     # half phase (m-1)x/2 at doubled resolution: ((m-1)*num) / 2**257
     half_num = ((m - 1) * x.numerator) % (1 << 257)
     half_phase = half_num / (1 << 257)
     if floor_mx % 2 == 1:
         half_phase += 0.5
-    # sin(pi m x) = sign * sin(pi {m x}) with sign = (-1)^floor(mx) already
-    # folded into half_phase; {m x} itself folds freely across 1/2
-    if nx < _B_LONGDOUBLE_CUTOFF:
-        ratio = float(_sin_pi_frac_ld(frac_num) / _sin_pi_frac_ld(x.numerator))
-    else:
-        ratio = _sin_pi_frac(frac_num) / _sin_pi_frac(x.numerator)
+    (ratio,) = _sin_ratios(x, (m,), nx)
     ang = _TWO_PI * half_phase
     return complex(math.cos(ang) * ratio, math.sin(ang) * ratio)
 
@@ -185,15 +190,7 @@ def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
     nx = dist_to_int(x)
     if nx < _B_SERIES_CUTOFF:
         return np.array([abs(dirichlet_b(x, int(m))) for m in ms])
-    if nx < _B_LONGDOUBLE_CUTOFF:
-        num = np.array(
-            [_sin_pi_frac_ld((int(m) * x.numerator) & (MODULUS - 1)) for m in ms],
-            dtype=np.longdouble,
-        )
-        den = _sin_pi_frac_ld(x.numerator)
-        return np.abs(num / den).astype(np.float64)
-    num = np.array([_sin_pi_frac((int(m) * x.numerator) & (MODULUS - 1)) for m in ms])
-    return np.abs(num) / _sin_pi_frac(x.numerator)
+    return np.abs(np.array(_sin_ratios(x, ms, nx)))
 
 
 def psi(theta: Angle, x: Angle, k: int) -> float:
@@ -223,27 +220,15 @@ def skew_shift_n(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:
     return SkewPoint(x_n, y_n)
 
 
-def skew_shift(theta: Angle, p: SkewPoint) -> SkewPoint:
-    return skew_shift_n(theta, p, 1)
-
-
 @dataclass(frozen=True)
 class ParsevalEstimate:
+    experiment = "parseval"
+
     q: int
     samples: int
     seed: int
     mean: float
     std_error: float
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": "parseval",
-            "q": self.q,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean": self.mean,
-            "std_error": self.std_error,
-        }
 
     def csv_rows(self):
         yield self.q, self.samples, self.seed, self.mean, self.std_error

@@ -123,6 +123,44 @@ def test_cli_config_merges_under_flags(tmp_path, capsys):
     assert data["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "--theta", "golden"],
+        ["construct", "--levels", "3"],
+        ["sum", "--theta", "golden", "--n", "10"],
+    ],
+    ids=["cf", "construct", "sum"],
+)
+def test_cli_no_csv_form_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} has no CSV form" in captured.err
+    assert cli.main([*argv, "--format", "csv", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"sampels": 3}',  # unknown key
+        '{"sam": 3}',  # abbreviation of --samples
+        '{"samples": 1000.5}',  # --samples takes an int
+        '{"format": "xml"}',  # outside --format's choices
+        '{"seed": null}',
+        '[["samples", 1500]]',  # not an object
+    ],
+)
+def test_cli_config_rejects_bad_entries(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = ["parseval", "--theta", "golden", "--q", "5", "--samples", "20", "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_schedule_and_density(tmp_path, capsys):
     rc = cli.main(["schedule", "--theta", "construct:0.5,4"])
     assert rc == 0

@@ -335,3 +335,5 @@ def test_growth_rejects_bad_schedule():
         growth_report(GOLDEN, [100, 100], 16)
     with pytest.raises(ValueError):
         growth_report(GOLDEN, [], 16)
+    with pytest.raises(ValueError):
+        growth_report(GOLDEN, [100, 1000], 0)
