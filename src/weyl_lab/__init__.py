@@ -7,7 +7,6 @@ from .exactangle import (
     angle_from_fraction,
     angle_from_rational,
     dist_to_int,
-    quad_phase_stream,
     scale_mod1,
     wrap_add,
 )

@@ -11,6 +11,7 @@ an unusable level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -84,11 +85,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix of a flag is an error, not that flag
     ap = argparse.ArgumentParser(
         prog="weyl-lab",
+        allow_abbrev=False,
         description="Quadratic Weyl sums, continued fractions, and skew-product experiments",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("cf", help="continued fraction expansion and convergents")
     p.add_argument("--theta", required=True)

@@ -71,6 +71,19 @@ def test_cli_unknown_subcommand_exits_2(capsys):
     assert cli.main(["sum", "--bogus-flag", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--seed", "3", "--levels", "2"],  # prefix of --seed-quotients
+        ["parseval", "--theta", "golden", "--q", "13", "--sam", "30"],  # of --samples
+    ],
+    ids=["construct", "parseval"],
+)
+def test_cli_abbreviated_flag_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_unwritable_path_exits_2(tmp_path):
     rc = cli.main(
         ["sum", "--theta", "golden", "--n", "10", "--out", str(tmp_path / "nodir" / "x.json")]

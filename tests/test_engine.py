@@ -1,8 +1,16 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weyl_lab
 from weyl_lab import _engine
 from weyl_lab.exactangle import GOLDEN, MODULUS, Angle
 from weyl_lab.weylsum import weyl_sum, weyl_sum_over_x
@@ -94,6 +102,135 @@ def test_qsum_moments_order_zero_matches_qsum():
     w = np.arange(n_small) / n_small
     assert abs(moments_small[1] - np.sum(w * z)) < 1e-9
     assert abs(moments_small[2] - np.sum(w * w * z)) < 1e-9
+
+
+def _sequential_qsum(a, b, c, n, mod_bits):
+    # one thread over phase_chunks: block sums, then one pass over them
+    re, im = [], []
+    for _, ph in _engine.phase_chunks(a, b, c, n, mod_bits):
+        t = ph * (2.0 * np.pi)
+        re.append(float(np.sum(np.cos(t))))
+        im.append(float(np.sum(np.sin(t))))
+    if not re:
+        return 0j
+    return complex(np.sum(np.asarray(re)), np.sum(np.asarray(im)))
+
+
+def _sequential_moments(a, b, c, n, pmax, mod_bits):
+    rows = []
+    for k0, ph in _engine.phase_chunks(a, b, c, n, mod_bits):
+        t = ph * (2.0 * np.pi)
+        z = np.cos(t) + 1j * np.sin(t)
+        w = (k0 + np.arange(len(ph), dtype=np.float64)) * (1.0 / n)
+        row = [np.sum(z)]
+        wp = np.ones_like(w)
+        for _ in range(pmax):
+            wp = wp * w
+            row.append(np.sum(wp * z))
+        rows.append(row)
+    if not rows:
+        return np.zeros(pmax + 1, dtype=np.complex128)
+    return np.sum(np.asarray(rows, dtype=np.complex128), axis=0)
+
+
+class _CountingPool(_engine._Pool):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return super().submit(*args)
+
+
+class _UnusablePool:
+    workers = 1
+
+    def submit(self, *args):
+        raise AssertionError("the engine pool was touched")
+
+
+CHUNK = _engine.CHUNK
+
+
+@pytest.mark.parametrize("mod_bits", [256, 257])
+@pytest.mark.parametrize(
+    "n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK, 5 * CHUNK + 17, 37 * CHUNK - 3]
+)
+def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
+    rng = random.Random(n + mod_bits)
+    a, b, c = (rng.randrange(1 << mod_bits) for _ in range(3))
+    want_sum = _sequential_qsum(a, b, c, n, mod_bits)
+    want_moments = _sequential_moments(a, b, c, n, 3, mod_bits)
+    blocks = -(-n // CHUNK)
+    interval = sys.getswitchinterval()
+    try:
+        # more threads than cores, switching often
+        sys.setswitchinterval(1e-4)
+        for workers in (1, 2, 3):
+            pool = _CountingPool(workers - 1)
+            with monkeypatch.context() as m:
+                m.setattr(_engine, "_POOL", pool)
+                got_sum = _engine.qsum(a, b, c, n, mod_bits)
+                got_moments = _engine.qsum_moments(a, b, c, n, 3, mod_bits)
+            # one submit per run but the caller's, in each of the two calls
+            assert pool.submitted == 2 * max(min(workers, blocks) - 1, 0)
+            assert got_sum == want_sum, workers
+            assert np.array_equal(got_moments, want_moments), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_single_block_calls_start_no_thread(monkeypatch):
+    monkeypatch.setattr(_engine, "_POOL", _UnusablePool())
+    threads = threading.active_count()
+    for n in (1, 7, CHUNK - 1, CHUNK):
+        _engine.qsum(1, 2, 3, n)
+        _engine.qsum_moments(1, 2, 3, n, 2)
+        weyl_sum(GOLDEN, ZERO, ZERO, n)
+    assert threading.active_count() == threads
+
+
+def test_import_starts_no_thread():
+    code = (
+        "import threading\n"
+        "threads = threading.active_count()\n"
+        "import weyl_lab\n"
+        "from weyl_lab import _engine\n"
+        "from weyl_lab.exactangle import GOLDEN, ZERO\n"
+        "weyl_lab.weyl_sum(GOLDEN, ZERO, ZERO, _engine.CHUNK)\n"
+        "assert threading.active_count() == threads, threading.enumerate()\n"
+    )
+    src = str(Path(weyl_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    pool = _CountingPool(1)
+    monkeypatch.setattr(_engine, "_POOL", pool)
+    n = 3 * CHUNK
+    want = _engine.qsum(1, 2, 3, n)
+    assert pool.submitted == 1
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if _engine.qsum(1, 2, 3, n) == want else 1)
+    deadline = time.monotonic() + 60
+    done, status = os.waitpid(pid, os.WNOHANG)
+    while not done:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's threaded sum did not finish")
+        time.sleep(0.01)
+        done, status = os.waitpid(pid, os.WNOHANG)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_poly_eval_matches_direct_horner():

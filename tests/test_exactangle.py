@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from phase_stream import quad_phase_stream
 
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -13,7 +14,6 @@ from weyl_lab.exactangle import (
     angle_from_rational,
     dist_to_int,
     dist_to_int_exact,
-    quad_phase_stream,
     scale_mod1,
     wrap_add,
     wrap_neg,

@@ -50,6 +50,20 @@ def test_weyl_sum_matches_bigint_oracle():
         assert abs(fast - slow) < 1e-10
 
 
+@pytest.mark.parametrize("a", [12345, 699051])
+def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a):
+    # theta = a/2^s lies on the grid and k^2*theta mod 1 has period 2^s, so
+    # a(0, 0, c*2^s) = c*G(a, 2^s) with G(a, 2^s) = (2/a)^s (1 + i^a) 2^(s/2)
+    # for odd a (Berndt-Evans-Williams); i^a from a % 4, since float powers
+    # of 1j drift past the budget
+    s, c = 20, 64
+    n = c << s
+    jacobi_2a = 1 if a % 8 in (1, 7) else -1
+    gauss = jacobi_2a ** s * (1 + (1, 1j, -1, -1j)[a % 4]) * 2.0 ** (s / 2)
+    z = weyl_sum(angle_from_rational(a, 1 << s), ZERO, ZERO, n)
+    assert abs(z - c * gauss) <= n * 2.0 ** -51
+
+
 def test_weyl_sum_trivial_values():
     assert abs(abs(weyl_sum(GOLDEN, Angle(123), Angle(456), 1)) - 1.0) < 1e-15
     assert weyl_sum(ZERO, ZERO, ZERO, 7) == 7.0
