@@ -10,26 +10,27 @@ those bits exact up to a one-sided slack below bit 97, far under the
 Block size is capped at 2**15 so that j*(j-1) times a 32-bit limb stays
 inside uint64.
 
-Threads: qsum and qsum_moments split a sum of more than one block into W
-contiguous runs of whole blocks, W being the number of cores in the
-process's affinity mask.  The calling thread runs the first run itself
-and a module-level pool of W - 1 threads, made on first use, runs the
-others, so at most W threads do engine work; the time goes into numpy
-ufuncs, which release the GIL.  A run is contiguous because handing off
-one block at a time gained nothing on two cores.  Each block's phases
-and sums depend on its own k0 alone, and the per-block results are
-reduced in block order exactly as on one thread, so results do not
-depend on W.  Single-block calls never touch the pool.  qsum_partials
-stays sequential: its callers stream block by block, and a contiguous
-run would buffer 16 bytes per term.  Pool threads call only private
-helpers, never a public function of this module.
+Threads: qsum and qsum_moments split a sum of more than one block into
+runs = min(W, blocks) contiguous runs of whole blocks, W being the number
+of cores in the process's affinity mask.  The calling thread runs the
+first run itself and an executor of runs - 1 threads, opened for that one
+call and joined before it returns, runs the others; the time goes into
+numpy ufuncs, which release the GIL.  No engine thread outlives the call
+that started it, so importing starts none and a forked child starts its
+own.  A run is contiguous because handing off one block at a time gained
+nothing on two cores.  Each block's phases and sums depend on its own k0
+alone, and the per-block results are reduced in block order exactly as on
+one thread, so results do not depend on W.  Single-block calls start no
+thread.  qsum_partials stays sequential: its callers stream block by
+block, and a contiguous run would buffer 16 bytes per term.  Worker
+threads call only private helpers and e_phase, never an entry point such
+as qsum or phase_chunks, so a wrapper on one of those runs in the caller.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -71,17 +72,23 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int, mod_bits: int) -> n
     return top64.astype(np.float64) * _INV_2_64
 
 
-def phase_chunks(
-    a: int, b: int, c: int, n: int, mod_bits: int = 256, start: int = 0
+def _blocks(
+    a: int, b: int, c: int, lo: int, hi: int, mod_bits: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k0, phases) arrays covering k = start .. start+n-1.
+    """(k0, phases) for each block of k = lo .. hi-1, the one block loop."""
+    for k0 in range(lo, hi, CHUNK):
+        yield k0, _phase_block(a, b, c, k0, min(CHUNK, hi - k0), mod_bits)
+
+
+def phase_chunks(
+    a: int, b: int, c: int, n: int, mod_bits: int = 256
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k0, phases) arrays covering k = 0 .. n-1.
 
     Phases are float64 in [0, 1], accurate to 2**-64 * (1 + 2**-34) of the
     exact grid value of (A*k^2 + B*k + C) / 2**mod_bits mod 1.
     """
-    end = start + n
-    for k0 in range(start, end, CHUNK):
-        yield k0, _phase_block(a, b, c, k0, min(CHUNK, end - k0), mod_bits)
+    yield from _blocks(a, b, c, 0, n, mod_bits)
 
 
 def phase_at(a: int, b: int, c: int, k: int, mod_bits: int = 256) -> int:
@@ -89,65 +96,41 @@ def phase_at(a: int, b: int, c: int, k: int, mod_bits: int = 256) -> int:
     return (a * k * k + b * k + c) % (1 << mod_bits)
 
 
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+def e_phase(ph: np.ndarray) -> np.ndarray:
+    """e(phi) = exp(2 pi i phi) per phase, the one complex e(phi) routine."""
+    return np.exp(2j * np.pi * ph)
 
 
-class _Pool:
-    """The worker threads that run all but the first run of a long sum.
-
-    Threads start on first use.  A forked child inherits this object but
-    not the threads, so each process makes its own executor.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._lock = threading.Lock()
-        self._pid = 0
-        self._executor: ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable, *args) -> Future:
-        with self._lock:
-            if self._pid != os.getpid():
-                self._executor = ThreadPoolExecutor(
-                    self.workers, thread_name_prefix="weyl_lab._engine"
-                )
-                self._pid = os.getpid()
-        return self._executor.submit(fn, *args)
-
-
-_POOL = _Pool(_cores() - 1)
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 def _run(
     block: Callable, a: int, b: int, c: int, lo: int, hi: int, mod_bits: int, args: tuple
 ) -> list:
-    return [
-        block(k0, _phase_block(a, b, c, k0, min(CHUNK, hi - k0), mod_bits), *args)
-        for k0 in range(lo, hi, CHUNK)
-    ]
+    return [block(k0, ph, *args) for k0, ph in _blocks(a, b, c, lo, hi, mod_bits)]
 
 
 def _blockwise(
     block: Callable, a: int, b: int, c: int, n: int, mod_bits: int, *args
 ) -> list:
     """[block(k0, phases, *args) for each block of k < n], in block order,
-    over at most _POOL.workers + 1 contiguous runs of blocks (see the module doc)."""
+    over at most _WORKERS contiguous runs of blocks (see the module doc)."""
     blocks = -(-n // CHUNK)
-    runs = min(_POOL.workers + 1, blocks)
+    runs = min(_WORKERS, blocks)
     if runs <= 1:
         return _run(block, a, b, c, 0, n, mod_bits, args)
     cuts = [i * blocks // runs * CHUNK for i in range(runs)] + [n]
-    rest = [
-        _POOL.submit(_run, block, a, b, c, lo, hi, mod_bits, args)
-        for lo, hi in zip(cuts[1:-1], cuts[2:])
-    ]
-    out = _run(block, a, b, c, cuts[0], cuts[1], mod_bits, args)
-    for fut in rest:
-        out += fut.result()
+    with ThreadPoolExecutor(runs - 1) as pool:
+        rest = [
+            pool.submit(_run, block, a, b, c, lo, hi, mod_bits, args)
+            for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
+        out = _run(block, a, b, c, cuts[0], cuts[1], mod_bits, args)
+        for fut in rest:
+            out += fut.result()
     return out
 
 
@@ -175,16 +158,14 @@ def qsum_partials(
     """Yield (k0, z) with z[j] = partial sum through term k0+j (inclusive)."""
     carry = 0.0 + 0.0j
     for k0, ph in phase_chunks(a, b, c, n, mod_bits):
-        t = ph * _TWO_PI
-        z = np.cumsum(np.cos(t) + 1j * np.sin(t))
+        z = np.cumsum(e_phase(ph))
         z += carry
         carry = complex(z[-1])
         yield k0, z
 
 
 def _moment_row(k0: int, ph: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:
-    t = ph * _TWO_PI
-    z = np.cos(t) + 1j * np.sin(t)
+    z = e_phase(ph)
     w = (k0 + np.arange(len(ph), dtype=np.float64)) * inv_n
     row = np.empty(pmax + 1, dtype=np.complex128)
     wp = np.ones_like(w)

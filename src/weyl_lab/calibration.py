@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import counter_unit
-from .exactangle import GOLDEN, Angle, angle_from_fraction
+from .contfrac import angle_from_cf, construct_f_member
+from .exactangle import GOLDEN, Angle, angle_from_fraction, dist_to_int, scale_mod1
+from .experiments import approx_ratio, b_density_gap, growth_report
 from .renorm import fe_residual
 
 FE_SWEEP_SEED = 5
@@ -84,8 +86,6 @@ def run_approx_sweep(
     seed: int = APPROX_SWEEP_SEED, samples: int = APPROX_SWEEP_SAMPLES
 ) -> dict:
     """Max empirical constant of the product-approximation inequality."""
-    from .experiments import approx_ratio
-
     worst = 0.0
     skipped = 0
     for i in range(samples):
@@ -104,8 +104,6 @@ def run_approx_sweep(
 
 def run_growth_calibration() -> dict:
     """Golden-angle growth statistics over the standard schedule."""
-    from .experiments import growth_report
-
     rep = growth_report(GOLDEN, list(GROWTH_SCHEDULE), GROWTH_GRID)
     return {
         "sup_sqrt_max": max(rep.sup_ratio_sqrt),
@@ -117,9 +115,6 @@ def run_growth_calibration() -> dict:
 
 def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict:
     """Success rate of the value-set gap target at the deep level."""
-    from .contfrac import angle_from_cf, construct_f_member
-    from .experiments import b_density_gap
-
     cf, _ = construct_f_member(0.5, 4)
     theta = angle_from_cf(cf)
     q = 83523
@@ -129,8 +124,6 @@ def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict
     while used < draws:
         x = angle_from_fraction(Fraction(counter_unit(seed, i, "bgap-x")))
         i += 1
-        from .exactangle import dist_to_int, scale_mod1
-
         na = dist_to_int(scale_mod1(x, 2 * q))
         if not 0.1 <= na <= 0.2:
             continue

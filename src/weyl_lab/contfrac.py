@@ -197,9 +197,7 @@ def f_witness(cf: ContinuedFraction, eps: float, theta: Angle) -> FClassCert:
             "continued fraction inconsistent with theta: "
             f"given {cf.quotients}, expansion gives {expanded.quotients}"
         )
-    finite = len(expanded.quotients) < len(cf.quotients) or expansion_terminates(
-        theta, len(cf.quotients)
-    )
+    finite = expansion_terminates(theta, len(cf.quotients))
     partial_sum = float(sum(Fraction(1, a) for a in cf.quotients))
     witnesses: list[tuple[int, float]] = []
     for conv in convergents(cf):

@@ -597,6 +597,8 @@ def density_probe(theta: Angle, x: Angle, n_terms: int, radius: float, cell: flo
     here by using the numerator of x directly as the linear coefficient,
     avoiding any half-angle snapping.
     """
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
     if radius <= 0 or cell <= 0:
         raise ValueError("radius and cell must be positive")
     span = int(math.ceil(radius / cell)) + 2

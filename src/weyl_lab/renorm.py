@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ._rng import counter_angle
 from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, wrap_add
@@ -89,6 +90,14 @@ def k_renorm(theta: Angle, k: int) -> int:
     return (k * theta.numerator) >> 256
 
 
+def _x_step(theta: Angle, x: Angle) -> Angle:
+    # {-x/theta + [1/theta]/2}, the one home of the half-turn rule (see renorm_step)
+    x_next = x_renorm(theta, x)
+    if (MODULUS // theta.numerator) % 2 == 1:
+        x_next = wrap_add(x_next, HALF)
+    return x_next
+
+
 def renorm_step(theta: Angle, x: Angle, k: int) -> RenormStep:
     """One application of the rescaling map to (theta, x, k).
 
@@ -100,12 +109,9 @@ def renorm_step(theta: Angle, x: Angle, k: int) -> RenormStep:
     """
     if theta.numerator == 0:
         raise ValueError("renorm_step requires 0 < theta < 1")
-    x_next = x_renorm(theta, x)
-    if (MODULUS // theta.numerator) % 2 == 1:
-        x_next = wrap_add(x_next, HALF)
     return RenormStep(
         theta_next=gauss_map(theta),
-        x_next=x_next,
+        x_next=_x_step(theta, x),
         k_next=k_renorm(theta, k),
         sigma_factor=math.sqrt(theta.to_float()),
     )
@@ -167,6 +173,17 @@ def renorm_chain(theta: Angle, x: Angle, k: int, m: int) -> RenormChain:
     )
 
 
+def _gauss_chain(theta: Angle, m: int) -> list[Angle]:
+    """theta_0 .. theta_{m-1} of the Gauss orbit of theta, all nonzero."""
+    thetas = []
+    for _ in range(m):
+        if theta.numerator == 0:
+            raise ValueError(f"Gauss chain terminates before depth {m} (rational theta)")
+        thetas.append(theta)
+        theta = gauss_map(theta)
+    return thetas
+
+
 @dataclass(frozen=True)
 class KmInversion:
     k: int
@@ -184,19 +201,7 @@ def invert_km(theta: Angle, m: int, target: int) -> KmInversion:
     if m == 0 or target == 0:
         return KmInversion(k=target, achieved=target)
 
-    thetas = [theta]
-    for _ in range(m - 1):
-        if thetas[-1].numerator == 0:
-            raise ValueError(
-                f"chain terminates before depth {m} (rational theta); "
-                f"target {target} unreachable"
-            )
-        thetas.append(gauss_map(thetas[-1]))
-    if any(t.numerator == 0 for t in thetas):
-        raise ValueError(
-            f"chain terminates before depth {m} (rational theta); "
-            f"target {target} unreachable"
-        )
+    thetas = _gauss_chain(theta, m)
 
     def km(k0: int) -> int:
         k = k0
@@ -228,17 +233,22 @@ class MeasureEstimate:
     extras: dict = field(default_factory=dict, metadata=FLATTEN)
 
 
-def _u_iterate(theta: Angle, x: Angle, m: int) -> Angle:
-    # m-fold composition of the renormalized linear slot, parity included
-    cur_theta = theta
-    cur_x = x
-    for _ in range(m):
-        if cur_theta.numerator == 0:
-            raise ValueError("U-map chain terminates before requested depth")
-        step = renorm_step(cur_theta, cur_x, 0)
-        cur_x = step.x_next
-        cur_theta = step.theta_next
-    return cur_x
+def _level_set_fraction(
+    theta: Angle, m: int, samples: int, seed: int, label: str, hit: Callable[[Angle], bool]
+) -> tuple[float, float]:
+    # fraction of seeded x whose m-fold renormalized slot U^(m) x hits, and its SE
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    thetas = _gauss_chain(theta, m)
+    hits = 0
+    for i in range(samples):
+        x = counter_angle(seed, i, label)
+        for t in thetas:
+            x = _x_step(t, x)
+        if hit(x):
+            hits += 1
+    p = hits / samples
+    return p, math.sqrt(max(p * (1 - p), 1e-12) / samples)
 
 
 def u_measure_lower(
@@ -251,16 +261,9 @@ def u_measure_lower(
     """
     if not 0 < eta < 0.5:
         raise ValueError("eta must be in (0, 1/2)")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    hits = 0
-    for i in range(samples):
-        x = counter_angle(seed, i, "umeasure")
-        ux = _u_iterate(theta, x, m)
-        if dist_to_int(ux) < eta:
-            hits += 1
-    p = hits / samples
-    se = math.sqrt(max(p * (1 - p), 1e-12) / samples)
+    p, se = _level_set_fraction(
+        theta, m, samples, seed, "umeasure", lambda ux: dist_to_int(ux) < eta
+    )
     return MeasureEstimate(
         estimate=p / eta,
         std_error=se / eta,
@@ -276,17 +279,10 @@ def b_level_measure(
     """Monte Carlo estimate of lambda{x : |b(U^(m) x, [2 pi C0]+1)| >= C0}."""
     if c0 <= 0:
         raise ValueError("C0 must be positive")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     length = int(2 * math.pi * c0) + 1
-    hits = 0
-    for i in range(samples):
-        x = counter_angle(seed, i, "blevel")
-        ux = _u_iterate(theta, x, m)
-        if abs(dirichlet_b(ux, length)) >= c0:
-            hits += 1
-    p = hits / samples
-    se = math.sqrt(max(p * (1 - p), 1e-12) / samples)
+    p, se = _level_set_fraction(
+        theta, m, samples, seed, "blevel", lambda ux: abs(dirichlet_b(ux, length)) >= c0
+    )
     return MeasureEstimate(
         estimate=p,
         std_error=se,

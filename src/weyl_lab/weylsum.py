@@ -92,12 +92,14 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
     work is one complex matrix product per sample block.  Anchor powers
     rho^L come from exactly reduced phases, not repeated multiplication.
     """
-    if n <= 0:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
         return np.zeros(len(xs), dtype=np.complex128)
     coeff_phases = np.concatenate(
         [ph for _, ph in _engine.phase_chunks(theta.numerator, 0, 0, n)]
     )
-    coeffs = np.exp(2j * np.pi * coeff_phases)
+    coeffs = _engine.e_phase(coeff_phases)
     step = math.isqrt(n - 1) + 1 if n > 1 else 1
     out = np.empty(len(xs), dtype=np.complex128)
     block = 8192
@@ -105,8 +107,8 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
         xs_blk = xs[s0 : s0 + block]
         rho_ph = np.array([scale_mod1(x, 2).to_float() for x in xs_blk])
         big_ph = np.array([scale_mod1(x, 2 * step).to_float() for x in xs_blk])
-        rho = np.exp(2j * np.pi * rho_ph)
-        rho_big = np.exp(2j * np.pi * big_ph)
+        rho = _engine.e_phase(rho_ph)
+        rho_big = _engine.e_phase(big_ph)
         out[s0 : s0 + len(xs_blk)] = _engine.poly_eval_unit_circle(
             coeffs, rho, rho_big, step
         )
@@ -268,7 +270,7 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         idx = np.arange(offset, len(z), stride)
         ns.extend((first + idx).tolist())
         pts.extend(z[idx].tolist())
-    if n % stride != 0 and n > 0 and ns[-1] != n:
+    if n % stride:
         # always include the endpoint
         zn = weyl_sum(theta, x, y, n)
         ns.append(n)

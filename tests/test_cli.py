@@ -84,6 +84,21 @@ def test_cli_abbreviated_flag_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parseval", "--theta", "golden", "--samples", "10", "--q"],
+        ["density", "--theta", "golden", "--n"],
+    ],
+    ids=["parseval", "density"],
+)
+def test_cli_negative_sum_length_exits_2(capsys, argv):
+    assert cli.main([*argv, "-4"]) == 2
+    assert capsys.readouterr().out == ""
+    # the empty sum is valid
+    assert cli.main([*argv, "0"]) == 0
+
+
 def test_cli_unwritable_path_exits_2(tmp_path):
     rc = cli.main(
         ["sum", "--theta", "golden", "--n", "10", "--out", str(tmp_path / "nodir" / "x.json")]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,21 +134,22 @@ def _sequential_moments(a, b, c, n, pmax, mod_bits):
     return np.sum(np.asarray(rows, dtype=np.complex128), axis=0)
 
 
-class _CountingPool(_engine._Pool):
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
+def _count_submits(m):
+    # swap in an executor that records each submit to the returned list
+    submits = []
 
-    def submit(self, *args):
-        self.submitted += 1
-        return super().submit(*args)
+    class Counting(ThreadPoolExecutor):
+        def submit(self, *args):
+            submits.append(args)
+            return super().submit(*args)
+
+    m.setattr(_engine, "ThreadPoolExecutor", Counting)
+    return submits
 
 
-class _UnusablePool:
-    workers = 1
-
-    def submit(self, *args):
-        raise AssertionError("the engine pool was touched")
+class _UnusableExecutor:
+    def __init__(self, *args):
+        raise AssertionError("an engine executor was opened")
 
 
 CHUNK = _engine.CHUNK
@@ -168,13 +170,13 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
         # more threads than cores, switching often
         sys.setswitchinterval(1e-4)
         for workers in (1, 2, 3):
-            pool = _CountingPool(workers - 1)
             with monkeypatch.context() as m:
-                m.setattr(_engine, "_POOL", pool)
+                m.setattr(_engine, "_WORKERS", workers)
+                submits = _count_submits(m)
                 got_sum = _engine.qsum(a, b, c, n, mod_bits)
                 got_moments = _engine.qsum_moments(a, b, c, n, 3, mod_bits)
             # one submit per run but the caller's, in each of the two calls
-            assert pool.submitted == 2 * max(min(workers, blocks) - 1, 0)
+            assert len(submits) == 2 * max(min(workers, blocks) - 1, 0)
             assert got_sum == want_sum, workers
             assert np.array_equal(got_moments, want_moments), workers
     finally:
@@ -182,7 +184,8 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
 
 
 def test_single_block_calls_start_no_thread(monkeypatch):
-    monkeypatch.setattr(_engine, "_POOL", _UnusablePool())
+    monkeypatch.setattr(_engine, "_WORKERS", 2)
+    monkeypatch.setattr(_engine, "ThreadPoolExecutor", _UnusableExecutor)
     threads = threading.active_count()
     for n in (1, 7, CHUNK - 1, CHUNK):
         _engine.qsum(1, 2, 3, n)
@@ -210,14 +213,21 @@ def test_import_starts_no_thread():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_threaded_call_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(_engine, "_WORKERS", 3)
+    threads = threading.active_count()
+    assert _engine.qsum(1, 2, 3, 3 * CHUNK) == _sequential_qsum(1, 2, 3, 3 * CHUNK, 256)
+    assert threading.active_count() == threads, threading.enumerate()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_makes_its_own_pool(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads
-    pool = _CountingPool(1)
-    monkeypatch.setattr(_engine, "_POOL", pool)
+    # the child runs a threaded sum after its parent ran one
+    monkeypatch.setattr(_engine, "_WORKERS", 2)
+    submits = _count_submits(monkeypatch)
     n = 3 * CHUNK
     want = _engine.qsum(1, 2, 3, n)
-    assert pool.submitted == 1
+    assert len(submits) == 1
     pid = os.fork()
     if pid == 0:
         os._exit(0 if _engine.qsum(1, 2, 3, n) == want else 1)
