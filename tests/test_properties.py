@@ -1,7 +1,7 @@
 """Property tests: the cocycle law, the skew-shift group law and the
 continued-fraction round trip, over hypothesis-drawn inputs.
 
-Runs are derandomized, so tier-1 sees the same examples every time.
+Runs are derandomized, so every run of the suite sees the same examples.
 """
 
 from hypothesis import given, settings
