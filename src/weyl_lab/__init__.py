@@ -4,6 +4,7 @@ from .exactangle import (
     GOLDEN,
     Angle,
     angle_from_decimal,
+    angle_from_float,
     angle_from_fraction,
     angle_from_rational,
     dist_to_int,

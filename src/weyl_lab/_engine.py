@@ -10,6 +10,15 @@ those bits exact up to a one-sided slack below bit 97, far under the
 Block size is capped at 2**15 so that j*(j-1) times a 32-bit limb stays
 inside uint64.
 
+Rows: qsum_rows evaluates one sum per linear coefficient B of a list, at
+shared A, C and n.  The same phase kernel takes the list, its limbs as
+(rows, 1) columns, and gives a (rows, blen) block of phases.  Each row is
+reduced in qsum's order: np.sum along the row per block, then one pairwise
+pass over that row's block partials laid out contiguously.  np.sum along
+the last axis of a C-contiguous array takes the order it takes for one
+contiguous 1-D array, so every row equals its qsum bit for bit.  Rows go
+through in batches of at most 2**20 phases, which bounds the temporaries.
+
 Threads: qsum and qsum_moments split a sum of more than one block into
 runs = min(W, blocks) contiguous runs of whole blocks, W being the number
 of cores in the process's affinity mask.  The calling thread runs the
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,23 +50,45 @@ _SH32 = np.uint64(32)
 _TWO_PI = 2.0 * np.pi
 _INV_2_64 = 2.0 ** -64
 
+# phases per block of rows in qsum_rows, which bounds its temporaries
+_ROW_PHASES = 1 << 20
+
 _J_FULL = np.arange(CHUNK, dtype=np.uint64)
 _JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
 
 
-def _limbs(value: int) -> list[np.uint64]:
+def _limbs(value: int | list[int]) -> list:
+    """The four low 32-bit limbs of an int as uint64 scalars, or of each
+    int of a list as (len, 1) uint64 columns."""
+    if isinstance(value, list):
+        return [
+            np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in value], dtype=np.uint64)[:, None]
+            for i in range(4)
+        ]
     return [np.uint64((value >> (32 * i)) & 0xFFFFFFFF) for i in range(4)]
 
 
-def _phase_block(a: int, b: int, c: int, k0: int, blen: int, mod_bits: int) -> np.ndarray:
-    """Phases of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase kernel."""
+def _phase_block(
+    a: int, b: int | list[int], c: int, k0: int, blen: int, mod_bits: int
+) -> np.ndarray:
+    """Phases of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase kernel.
+
+    For a list b the result has one row of blen phases per entry of b.
+    """
     mod = 1 << mod_bits
     shift = mod_bits - 128
     a %= mod
-    n0 = (a * k0 * k0 + b * k0 + c) % mod
-    d0 = (a * (2 * k0 + 1) + b) % mod
-    nl = _limbs(n0 >> shift)
-    dl = _limbs(d0 >> shift)
+    # N_k0 and the first difference N_k0+1 - N_k0, less their B terms
+    n_ac = a * k0 * k0 + c
+    d_a = a * (2 * k0 + 1)
+    if isinstance(b, list):
+        n0 = [(n_ac + bi * k0) % mod >> shift for bi in b]
+        d0 = [(d_a + bi) % mod >> shift for bi in b]
+    else:
+        n0 = (n_ac + b * k0) % mod >> shift
+        d0 = (d_a + b) % mod >> shift
+    nl = _limbs(n0)
+    dl = _limbs(d0)
     al = _limbs(a >> shift)
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
@@ -73,7 +104,7 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int, mod_bits: int) -> n
 
 
 def _blocks(
-    a: int, b: int, c: int, lo: int, hi: int, mod_bits: int
+    a: int, b: int | list[int], c: int, lo: int, hi: int, mod_bits: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(k0, phases) for each block of k = lo .. hi-1, the one block loop."""
     for k0 in range(lo, hi, CHUNK):
@@ -108,13 +139,14 @@ except AttributeError:  # no affinity mask on this platform
 
 
 def _run(
-    block: Callable, a: int, b: int, c: int, lo: int, hi: int, mod_bits: int, args: tuple
+    block: Callable, a: int, b: int | list[int], c: int, lo: int, hi: int, mod_bits: int,
+    args: tuple,
 ) -> list:
     return [block(k0, ph, *args) for k0, ph in _blocks(a, b, c, lo, hi, mod_bits)]
 
 
 def _blockwise(
-    block: Callable, a: int, b: int, c: int, n: int, mod_bits: int, *args
+    block: Callable, a: int, b: int | list[int], c: int, n: int, mod_bits: int, *args
 ) -> list:
     """[block(k0, phases, *args) for each block of k < n], in block order,
     over at most _WORKERS contiguous runs of blocks (see the module doc)."""
@@ -134,9 +166,16 @@ def _blockwise(
     return out
 
 
-def _cos_sin_sums(k0: int, ph: np.ndarray) -> tuple[float, float]:
+def _cos_sin_sums(k0: int, ph: np.ndarray) -> tuple:
+    # per row of phases, so one value for a 1-D block
     t = ph * _TWO_PI
-    return float(np.sum(np.cos(t))), float(np.sum(np.sin(t)))
+    return np.sum(np.cos(t), axis=-1), np.sum(np.sin(t), axis=-1)
+
+
+def _block_total(partials: tuple) -> np.ndarray:
+    # one pairwise pass over each row's block partials, laid out
+    # contiguously: a strided reduction would add them in another order
+    return np.sum(np.ascontiguousarray(np.asarray(partials).T), axis=-1)
 
 
 def qsum(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
@@ -149,7 +188,27 @@ def qsum(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
     if not sums:
         return 0j
     partials_r, partials_i = zip(*sums)
-    return complex(np.sum(np.asarray(partials_r)), np.sum(np.asarray(partials_i)))
+    return complex(_block_total(partials_r), _block_total(partials_i))
+
+
+def qsum_rows(a: int, bs: Sequence[int], c: int, n: int, mod_bits: int = 256) -> np.ndarray:
+    """[qsum(a, b, c, n, mod_bits) for b in bs] as one array, bit for bit.
+
+    Each block's phases form one (len(bs), blen) array; each row is
+    reduced in qsum's order, np.sum along the row per block and then one
+    pairwise pass over that row's block partials.
+    """
+    bs = list(bs)
+    out = np.zeros(len(bs), dtype=np.complex128)
+    if n <= 0:
+        return out
+    rows = max(1, _ROW_PHASES // min(n, CHUNK))
+    for r0 in range(0, len(bs), rows):
+        sums = _blockwise(_cos_sin_sums, a, bs[r0 : r0 + rows], c, n, mod_bits)
+        partials_r, partials_i = zip(*sums)
+        out.real[r0 : r0 + rows] = _block_total(partials_r)
+        out.imag[r0 : r0 + rows] = _block_total(partials_i)
+    return out
 
 
 def qsum_partials(

@@ -13,7 +13,6 @@ file in place; sweeps are counter-seeded so the values are reproducible).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._rng import counter_unit
 from .contfrac import angle_from_cf, construct_f_member
-from .exactangle import GOLDEN, Angle, angle_from_fraction, dist_to_int, scale_mod1
+from .exactangle import GOLDEN, Angle, angle_from_float, dist_to_int, scale_mod1
 from .experiments import approx_ratio, b_density_gap, growth_report
 from .renorm import fe_residual
 
@@ -42,8 +41,8 @@ BGAP_DRAWS = 100
 def fe_sweep_instance(seed: int, i: int) -> tuple[Angle, Angle, int]:
     """The i-th (theta, x, k) of the rescaling-residual sweep."""
     lo, hi = FE_K_DECADES
-    theta = angle_from_fraction(Fraction(0.05 + 0.9 * counter_unit(seed, i, "fe-theta")))
-    x = angle_from_fraction(Fraction(counter_unit(seed, i, "fe-x")))
+    theta = angle_from_float(0.05 + 0.9 * counter_unit(seed, i, "fe-theta"))
+    x = angle_from_float(counter_unit(seed, i, "fe-x"))
     k = max(2, round(10 ** (lo + (hi - lo) * counter_unit(seed, i, "fe-k"))))
     return theta, x, k
 
@@ -75,8 +74,8 @@ def run_fe_sweep(seed: int = FE_SWEEP_SEED, samples: int = FE_SWEEP_SAMPLES) -> 
 
 def approx_sweep_instance(seed: int, i: int) -> tuple[Angle, int, int, Angle]:
     """The i-th (theta, l, m, x) of the product-approximation sweep."""
-    theta = angle_from_fraction(Fraction(counter_unit(seed, i, "ap-theta")))
-    x = angle_from_fraction(Fraction(counter_unit(seed, i, "ap-x")))
+    theta = angle_from_float(counter_unit(seed, i, "ap-theta"))
+    x = angle_from_float(counter_unit(seed, i, "ap-x"))
     l = 1 + int(counter_unit(seed, i, "ap-l") * 1000)
     m = 1 + int(counter_unit(seed, i, "ap-m") * 30)
     return theta, l, m, x
@@ -122,7 +121,7 @@ def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict
     used = 0
     i = 0
     while used < draws:
-        x = angle_from_fraction(Fraction(counter_unit(seed, i, "bgap-x")))
+        x = angle_from_float(counter_unit(seed, i, "bgap-x"))
         i += 1
         na = dist_to_int(scale_mod1(x, 2 * q))
         if not 0.1 <= na <= 0.2:

@@ -66,6 +66,12 @@ def parse_angle(text: str) -> Angle:
     return ang
 
 
+DEPTH_HELP = (
+    "quotients of theta's expansion (default 20); only for a theta given "
+    "without its own continued fraction"
+)
+
+
 def _write_or_print(args, report) -> None:
     if args.format == "csv" and not hasattr(report, "csv_rows"):
         raise ValueError(f"{args.command} has no CSV form; use --format json")
@@ -141,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
     p = sub.add_parser("resume", help="essential-value witness at one level")
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, default=256)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
     p = sub.add_parser("box", help="box experiment for a witness")
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--j-lo", type=float, default=0.25)
     p.add_argument("--j-hi", type=float, default=0.75)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
     p = sub.add_parser("density", help="disk coverage of partial sums")
@@ -189,10 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _theta_with_cf(args, depth: int = 20):
+def _theta_with_cf(args):
+    """theta and its continued fraction: the one theta carries, or the
+    expansion to --depth quotients (default 20) of one that carries none."""
     theta, cf = parse_theta(args.theta)
     if cf is None:
-        cf = cf_expand(theta, depth)
+        return theta, cf_expand(theta, 20 if args.depth is None else args.depth)
+    if args.depth is not None:
+        raise ValueError(f"--depth does not apply: theta {args.theta!r} gives its own quotients")
     return theta, cf
 
 
@@ -278,11 +288,11 @@ def main(argv: list[str] | None = None) -> int:
             chain = renorm_chain(theta, parse_angle(args.x), args.k, args.depth)
             _write_or_print(args, chain)
         elif args.command == "schedule":
-            theta, cf = _theta_with_cf(args, args.depth)
+            theta, cf = _theta_with_cf(args)
             sched = select_qn(cf, theta, args.eps, args.threshold)
             _write_or_print(args, sched)
         elif args.command == "resume":
-            theta, cf = _theta_with_cf(args, args.depth)
+            theta, cf = _theta_with_cf(args)
             witness = resume_witness(
                 theta,
                 cf,
@@ -299,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         elif args.command == "box":
-            theta, cf = _theta_with_cf(args, args.depth)
+            theta, cf = _theta_with_cf(args)
             witness = resume_witness(
                 theta,
                 cf,

@@ -71,6 +71,15 @@ def angle_from_fraction(value: Fraction) -> Angle:
     return angle_from_rational(frac.numerator, frac.denominator)
 
 
+def angle_from_float(value: float) -> Angle:
+    """Snap a finite double (mod 1) to the grid, ties toward zero.
+
+    Exact: a double is the rational its integer ratio gives, so this
+    equals angle_from_fraction(Fraction(value)) without building one.
+    """
+    return angle_from_rational(*value.as_integer_ratio())
+
+
 def angle_from_decimal(text: str) -> Angle:
     """Parse a decimal string like '0.4142' exactly and snap to the grid."""
     return angle_from_fraction(Fraction(text))

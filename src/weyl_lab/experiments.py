@@ -21,11 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angle, counter_unit
+from ._rng import counter_angle, counter_units
 from .contfrac import ContinuedFraction, cf_expand, convergents, f_witness
 from .exactangle import (
     MODULUS,
     Angle,
+    angle_from_float,
     angle_from_fraction,
     angle_from_rational,
     dist_to_int,
@@ -262,7 +263,7 @@ def derivative_check(
     if m == 0:
         return 0.0
     h = 1e-3 * q ** -2.5
-    h_angle = angle_from_fraction(Fraction(h))
+    h_angle = angle_from_float(h)
 
     def f(xa: Angle) -> float:
         return abs(weyl_sum(theta, xa, Angle(0), q)) * abs(
@@ -522,29 +523,23 @@ def box_experiment(
     x0 = witness.x
     r = witness.r_n
     big_m = witness.M_n
-    r_num = angle_from_fraction(Fraction(r)).numerator
-    lo_a = angle_from_fraction(Fraction(j_lo))
-    len_num = angle_from_fraction(Fraction((j_hi - j_lo) % 1.0)).numerator
+    r_num = angle_from_float(r).numerator
+    len_num = angle_from_float((j_hi - j_lo) % 1.0).numerator
     if len_num == 0:
         len_num = MODULUS  # full circle
+    # T^-M sends (x0 + u, j_lo + v) to (x0 + u - M theta, j_lo + v - 2M(x0 + u)
+    # + M^2 theta): the image is in the box iff ||u - M theta|| <= r and
+    # v - 2Mu + (M^2 theta - 2M x0) mod 1 lies in [0, len), on numerators
     shift_x = scale_mod1(theta, -big_m).numerator
-    m2_theta = scale_mod1(theta, big_m * big_m).numerator
-
-    offsets = np.empty(samples)
+    shift_y = (scale_mod1(theta, big_m * big_m).numerator - 2 * big_m * x0.numerator) % MODULUS
+    offsets = (2.0 * counter_units(seed, samples, "box-x") - 1.0) * r
+    y_offsets = counter_units(seed, samples, "box-y") * float(len_num)
     left = 0
-    for i in range(samples):
-        u1 = counter_unit(seed, i, "box-x")
-        u2 = counter_unit(seed, i, "box-y")
-        off = (2.0 * u1 - 1.0) * r
-        offsets[i] = off
-        xs_num = (x0.numerator + angle_from_fraction(Fraction(off)).numerator) % MODULUS
-        ys_num = (lo_a.numerator + int(u2 * len_num)) % MODULUS
-        # T^-M: x - M theta, y - 2Mx + M^2 theta
-        xi_num = (xs_num + shift_x) % MODULUS
-        yi_num = (ys_num - 2 * big_m * xs_num + m2_theta) % MODULUS
-        dx = (xi_num - x0.numerator) % MODULUS
+    for off, y_off in zip(offsets.tolist(), y_offsets.tolist()):
+        u = angle_from_float(off).numerator
+        dx = (u + shift_x) % MODULUS
         in_x = min(dx, MODULUS - dx) <= r_num
-        in_y = (yi_num - lo_a.numerator) % MODULUS < len_num
+        in_y = (int(y_off) - 2 * big_m * u + shift_y) % MODULUS < len_num
         if not (in_x and in_y):
             left += 1
     left_fraction = left / samples

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
-from ._rng import counter_angle
+import numpy as np
+
+from ._rng import counter_angles
 from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, wrap_add
 from .reporting import FLATTEN
-from .weylsum import dirichlet_b, psi
+from .weylsum import dirichlet_b_over_x, psi
 
 
 @dataclass(frozen=True)
@@ -234,20 +236,21 @@ class MeasureEstimate:
 
 
 def _level_set_fraction(
-    theta: Angle, m: int, samples: int, seed: int, label: str, hit: Callable[[Angle], bool]
+    theta: Angle,
+    m: int,
+    samples: int,
+    seed: int,
+    label: str,
+    hits: Callable[[list[Angle]], Sequence[bool]],
 ) -> tuple[float, float]:
-    # fraction of seeded x whose m-fold renormalized slot U^(m) x hits, and its SE
+    # fraction of seeded x whose m-fold renormalized slot U^(m) x is a hit,
+    # and its SE; hits maps the list of all the slots to one flag per slot
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    thetas = _gauss_chain(theta, m)
-    hits = 0
-    for i in range(samples):
-        x = counter_angle(seed, i, label)
-        for t in thetas:
-            x = _x_step(t, x)
-        if hit(x):
-            hits += 1
-    p = hits / samples
+    xs = counter_angles(seed, samples, label)
+    for t in _gauss_chain(theta, m):
+        xs = [_x_step(t, x) for x in xs]
+    p = int(np.count_nonzero(hits(xs))) / samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / samples)
 
 
@@ -262,7 +265,8 @@ def u_measure_lower(
     if not 0 < eta < 0.5:
         raise ValueError("eta must be in (0, 1/2)")
     p, se = _level_set_fraction(
-        theta, m, samples, seed, "umeasure", lambda ux: dist_to_int(ux) < eta
+        theta, m, samples, seed, "umeasure",
+        lambda uxs: [dist_to_int(ux) < eta for ux in uxs],
     )
     return MeasureEstimate(
         estimate=p / eta,
@@ -281,7 +285,8 @@ def b_level_measure(
         raise ValueError("C0 must be positive")
     length = int(2 * math.pi * c0) + 1
     p, se = _level_set_fraction(
-        theta, m, samples, seed, "blevel", lambda ux: abs(dirichlet_b(ux, length)) >= c0
+        theta, m, samples, seed, "blevel",
+        lambda uxs: np.abs(dirichlet_b_over_x(uxs, length)) >= c0,
     )
     return MeasureEstimate(
         estimate=p,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angle
+from ._rng import counter_angles
 from .exactangle import (
     MODULUS,
     Angle,
@@ -105,8 +105,9 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
     block = 8192
     for s0 in range(0, len(xs), block):
         xs_blk = xs[s0 : s0 + block]
-        rho_ph = np.array([scale_mod1(x, 2).to_float() for x in xs_blk])
-        big_ph = np.array([scale_mod1(x, 2 * step).to_float() for x in xs_blk])
+        # (2x mod 1) and (2*step*x mod 1) from numerators, as scale_mod1 reduces them
+        rho_ph = np.array([(2 * x.numerator) % MODULUS / MODULUS for x in xs_blk])
+        big_ph = np.array([(2 * step * x.numerator) % MODULUS / MODULUS for x in xs_blk])
         rho = _engine.e_phase(rho_ph)
         rho_big = _engine.e_phase(big_ph)
         out[s0 : s0 + len(xs_blk)] = _engine.poly_eval_unit_circle(
@@ -120,6 +121,13 @@ def dirichlet_b(x: Angle, m: int) -> complex:
     if m < 0:
         raise ValueError("m must be >= 0")
     return _engine.qsum(0, x.numerator, 0, m)
+
+
+def dirichlet_b_over_x(xs: list[Angle], m: int) -> np.ndarray:
+    """[dirichlet_b(x, m) for x in xs], bit for bit, in one engine call."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return _engine.qsum_rows(0, [x.numerator for x in xs], 0, m)
 
 
 def _longdouble_frac(num: int, bits: int = 256) -> np.longdouble:
@@ -245,7 +253,7 @@ def parseval_estimate(theta: Angle, q: int, samples: int, seed: int) -> Parseval
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    xs = [counter_angle(seed, i, "parseval") for i in range(samples)]
+    xs = counter_angles(seed, samples, "parseval")
     vals = np.abs(weyl_sum_over_x(theta, xs, q)) ** 2
     mean = float(np.mean(vals))
     if samples > 1:

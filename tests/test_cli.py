@@ -201,3 +201,27 @@ def test_cli_schedule_and_density(tmp_path, capsys):
     assert rc == 0
     data = json.loads((tmp_path / "d.json").read_text())
     assert 0.0 < data["covered_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("theta", ["2,8,200000,3,5", "construct:0.5,2", "7"])
+@pytest.mark.parametrize("command", ["schedule", "resume", "box"])
+def test_cli_depth_with_own_quotients_exits_2(tmp_path, capsys, command, theta):
+    # such a theta is its own continued fraction, which --depth cannot change
+    assert cli.main([command, "--theta", theta, "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--depth" in captured.err
+    config = tmp_path / "c.json"
+    config.write_text('{"depth": 20}')
+    assert cli.main([command, "--theta", theta, "--config", str(config)]) == 2
+
+
+def test_cli_depth_sets_expansion_of_plain_theta(capsys):
+    # the fraction of the cf 2,8,200000,3,5 carries no quotients: one is too
+    # few for a schedule, two reach q = 17, and the default is 20
+    argv = ["schedule", "--theta", "25600056/54400117"]
+    assert cli.main([*argv, "--depth", "1"]) == 3
+    capsys.readouterr()
+    assert cli.main([*argv, "--depth", "2"]) == 0
+    two = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert json.loads(two)["levels"] == json.loads(capsys.readouterr().out)["levels"]

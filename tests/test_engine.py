@@ -183,6 +183,32 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("mod_bits", [256, 257])
+@pytest.mark.parametrize("n", [0, 1, 7, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, mod_bits):
+    rng = random.Random(3 * n + mod_bits)
+    a, c = (rng.randrange(1 << mod_bits) for _ in range(2))
+    # linear coefficients past 2**256 too: the kernel reduces them mod 2**mod_bits
+    bs = [rng.randrange(1 << 300) for _ in range(5)] + [1 << 256, 0]
+    want = np.array([_engine.qsum(a, b, c, n, mod_bits) for b in bs], dtype=np.complex128)
+    assert _engine.qsum_rows(a, bs, c, n, mod_bits).tobytes() == want.tobytes()
+    # three rows per batch of rows, and two threads over the blocks
+    monkeypatch.setattr(_engine, "_ROW_PHASES", 3 * min(max(n, 1), CHUNK))
+    monkeypatch.setattr(_engine, "_WORKERS", 2)
+    assert _engine.qsum_rows(a, bs, c, n, mod_bits).tobytes() == want.tobytes()
+    assert _engine.qsum_rows(a, [], c, n, mod_bits).shape == (0,)
+
+
+def test_block_total_matches_one_dimensional_sum():
+    # a row's block partials are summed in the order np.sum takes for one
+    # contiguous 1-D array, as qsum sums its own
+    rng = np.random.default_rng(5)
+    for blocks in [*range(1, 300), 1000, 4097, 32768]:
+        partials = rng.standard_normal((blocks, 3)) * 1e3
+        want = np.array([np.sum(np.ascontiguousarray(partials[:, r])) for r in range(3)])
+        assert _engine._block_total(tuple(partials)).tobytes() == want.tobytes()
+
+
 def test_single_block_calls_start_no_thread(monkeypatch):
     monkeypatch.setattr(_engine, "_WORKERS", 2)
     monkeypatch.setattr(_engine, "ThreadPoolExecutor", _UnusableExecutor)

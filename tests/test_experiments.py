@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from box_oracle import box_experiment_loop
 
 from weyl_lab._rng import counter_angle
 from weyl_lab.calibration import load_calibration
@@ -269,6 +270,30 @@ def test_box_full_torus_invariant(constructed):
     wide = replace(w, r_n=0.5)  # x-interval covers the whole circle
     box = box_experiment(theta, wide, j_interval=(0.0, 1.0), samples=2000, seed=1)
     assert box.symdiff_ratio == 0.0
+
+
+@pytest.fixture(scope="module")
+def deep_witness(constructed):
+    cf, theta, _ = constructed
+    return resume_witness(theta, cf, x_candidates=256, seed=7)
+
+
+@pytest.mark.parametrize(
+    "shape, j_interval",
+    [("narrow", (0.25, 0.75)), ("wide-r", (0.25, 0.75)), ("full-circle", (0.0, 1.0)),
+     ("narrow", (0.1, 0.35))],
+)
+def test_box_experiment_equals_per_sample_loop(constructed, deep_witness, shape, j_interval):
+    # the array form takes the same draws and makes the same exact box test
+    # as the per-sample Fraction loop it replaced
+    from dataclasses import replace
+
+    _, theta, _ = constructed
+    w = deep_witness if shape == "narrow" else replace(deep_witness, r_n=0.5)
+    kwargs = {"j_interval": j_interval, "samples": 3000, "seed": 1}
+    box = box_experiment(theta, w, **kwargs)
+    assert box == box_experiment_loop(theta, w, **kwargs)
+    assert 0.0 < box.left_fraction < 1.0 or shape == "full-circle"
 
 
 def test_box_experiment_deep_level(constructed):

@@ -1,14 +1,17 @@
-"""Property tests: the cocycle law, the skew-shift group law and the
-continued-fraction round trip, over hypothesis-drawn inputs.
+"""Property tests: the cocycle law, the skew-shift group law, the
+continued-fraction round trip and the exact snap of doubles, over
+hypothesis-drawn inputs.
 
 Runs are derandomized, so every run of the suite sees the same examples.
 """
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand
-from weyl_lab.exactangle import MODULUS, Angle
+from weyl_lab.exactangle import MODULUS, Angle, angle_from_float, angle_from_fraction
 from weyl_lab.weylsum import SkewPoint, skew_shift_n, weyl_sum
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -48,3 +51,19 @@ continued_fractions = st.builds(
 @given(cf=continued_fractions)
 def test_cf_expand_inverts_angle_from_cf(cf):
     assert cf_expand(angle_from_cf(cf), len(cf.quotients)) == cf
+
+
+@settings(PROPERTY, max_examples=500)
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+@example(v=0.0)
+@example(v=-0.0)
+@example(v=5e-324)  # the smallest subnormal
+@example(v=-2.225073858507201e-308)  # the largest subnormal, negated
+@example(v=2.0 ** -205)
+@example(v=3 * 2.0 ** -257)  # a tie between two grid points
+@example(v=-3 * 2.0 ** -257)
+@example(v=2.0 ** -257)
+@example(v=-0.75)
+@example(v=-1e300)
+def test_angle_from_float_equals_fraction_snap(v):
+    assert angle_from_float(v) == angle_from_fraction(Fraction(v))

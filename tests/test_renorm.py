@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from weyl_lab._rng import counter_angle
 from weyl_lab.calibration import load_calibration
+from weyl_lab.contfrac import angle_from_cf, construct_f_member
 from weyl_lab.exactangle import (
     GOLDEN,
     MODULUS,
     Angle,
     angle_from_decimal,
     angle_from_rational,
+    dist_to_int,
     scale_mod1,
 )
 from weyl_lab.renorm import (
@@ -22,6 +25,7 @@ from weyl_lab.renorm import (
     u_measure_lower,
     x_renorm,
 )
+from weyl_lab.weylsum import dirichlet_b
 
 
 def test_renorm_step_golden_examples():
@@ -203,6 +207,31 @@ def test_b_level_measure_nonincreasing_in_c0():
         for c0 in (0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def _level_set_loop(theta, m, samples, seed, label, hit):
+    # the per-sample form: one draw, m renormalized steps and one test per x
+    hits = 0
+    for i in range(samples):
+        t, x = theta, counter_angle(seed, i, label)
+        for _ in range(m):
+            step = renorm_step(t, x, 1)
+            t, x = step.theta_next, step.x_next
+        hits += bool(hit(x))
+    return hits / samples
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_level_set_measures_equal_per_sample_loop(m):
+    theta = angle_from_cf(construct_f_member(0.5, 4)[0])
+    u = u_measure_lower(theta, m, 0.1, 600, seed=5)
+    b = b_level_measure(theta, m, 1.0, 600, seed=5)
+    assert u.extras["raw_fraction"] == _level_set_loop(
+        theta, m, 600, 5, "umeasure", lambda x: dist_to_int(x) < 0.1
+    )
+    assert b.estimate == _level_set_loop(
+        theta, m, 600, 5, "blevel", lambda x: abs(dirichlet_b(x, 7)) >= 1.0
+    )
 
 
 def test_measure_reports_deterministic():

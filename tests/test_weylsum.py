@@ -20,6 +20,7 @@ from weyl_lab.weylsum import (
     dirichlet_b,
     dirichlet_b_closed,
     dirichlet_b_moduli,
+    dirichlet_b_over_x,
     parseval_estimate,
     psi,
     skew_shift_n,
@@ -50,18 +51,28 @@ def test_weyl_sum_matches_bigint_oracle():
         assert abs(fast - slow) < 1e-10
 
 
-@pytest.mark.parametrize("a", [12345, 699051])
-def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a):
+def _dyadic_gauss_error(a: int, s: int, c: int) -> float:
     # theta = a/2^s lies on the grid and k^2*theta mod 1 has period 2^s, so
     # a(0, 0, c*2^s) = c*G(a, 2^s) with G(a, 2^s) = (2/a)^s (1 + i^a) 2^(s/2)
     # for odd a (Berndt-Evans-Williams); i^a from a % 4, since float powers
     # of 1j drift past the budget
-    s, c = 20, 64
-    n = c << s
     jacobi_2a = 1 if a % 8 in (1, 7) else -1
     gauss = jacobi_2a ** s * (1 + (1, 1j, -1, -1j)[a % 4]) * 2.0 ** (s / 2)
-    z = weyl_sum(angle_from_rational(a, 1 << s), ZERO, ZERO, n)
-    assert abs(z - c * gauss) <= n * 2.0 ** -51
+    z = weyl_sum(angle_from_rational(a, 1 << s), ZERO, ZERO, c << s)
+    return abs(z - c * gauss)
+
+
+@pytest.mark.parametrize("a", [12345, 699051])
+def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a):
+    n = 64 << 20
+    assert _dyadic_gauss_error(a, 20, 64) <= n * 2.0 ** -51
+
+
+@pytest.mark.slow
+def test_weyl_sum_matches_dyadic_gauss_closed_form_at_n_2_30():
+    # the large-n claim at n = 2^30 ~ 1.07e9 terms (about a minute on 2 cores)
+    n = 1024 << 20
+    assert _dyadic_gauss_error(12345, 20, 1024) <= n * 2.0 ** -51
 
 
 def test_weyl_sum_trivial_values():
@@ -133,6 +144,14 @@ def test_dirichlet_closed_near_singular():
         for m in (3, 1000, 10000):
             worst = max(worst, abs(dirichlet_b(x, m) - dirichlet_b_closed(x, m)))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 40_000])
+def test_dirichlet_b_over_x_equals_single_sums(m):
+    rng = random.Random(48 + m)
+    xs = [Angle(rng.randrange(MODULUS)) for _ in range(40)] + [ZERO, angle_from_rational(1, 2)]
+    want = np.array([dirichlet_b(x, m) for x in xs], dtype=np.complex128)
+    assert dirichlet_b_over_x(xs, m).tobytes() == want.tobytes()
 
 
 def test_dirichlet_moduli_batch():
