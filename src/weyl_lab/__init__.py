@@ -61,6 +61,6 @@ from .experiments import (
     select_qn,
     tail_measure,
 )
-from .reporting import emit_report, render_json
+from .reporting import render_csv, render_json
 
 __version__ = "0.1.0"

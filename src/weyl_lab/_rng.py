@@ -14,7 +14,7 @@ for each index, so a draw costs one copy, one update and one digest.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,33 +28,29 @@ def _prefix(stream: str, seed: int):
     return h
 
 
-def _digests(seed: int, n: int, stream: str) -> Iterator[bytes]:
+def _digests(seed: int, indices: Iterable[int], stream: str) -> Iterator[bytes]:
     prefix = _prefix(stream, seed)
-    for index in range(n):
+    for index in indices:
         h = prefix.copy()
         h.update(index.to_bytes(16, "little", signed=True))
         yield h.digest()
 
 
-def _digest_int(stream: str, seed: int, index: int) -> int:
-    h = _prefix(stream, seed)
-    h.update(index.to_bytes(16, "little", signed=True))
-    return int.from_bytes(h.digest(), "big")
-
-
 def counter_angle(seed: int, index: int, stream: str = "") -> Angle:
     """Uniform grid point on R/Z for the given (stream, seed, index)."""
-    return Angle(_digest_int(stream, seed, index))
+    (d,) = _digests(seed, (index,), stream)
+    return Angle(int.from_bytes(d, "big"))
 
 
 def counter_unit(seed: int, index: int, stream: str = "") -> float:
     """Uniform double in [0, 1) from the top 53 bits of the digest."""
-    return (_digest_int(stream, seed, index) >> 203) * 2.0 ** -53
+    (d,) = _digests(seed, (index,), stream)
+    return (int.from_bytes(d[:8], "big") >> 11) * 2.0 ** -53
 
 
 def counter_angles(seed: int, n: int, stream: str = "") -> list[Angle]:
     """[counter_angle(seed, i, stream) for i < n]."""
-    return [Angle(int.from_bytes(d, "big")) for d in _digests(seed, n, stream)]
+    return [Angle(int.from_bytes(d, "big")) for d in _digests(seed, range(n), stream)]
 
 
 def counter_units(seed: int, n: int, stream: str = "") -> np.ndarray:
@@ -65,6 +61,6 @@ def counter_units(seed: int, n: int, stream: str = "") -> np.ndarray:
     by 2**-53 are exact.
     """
     top = bytearray()
-    for d in _digests(seed, n, stream):
+    for d in _digests(seed, range(n), stream):
         top += d[:8]
     return (np.frombuffer(top, dtype=">u8") >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from . import acceptance
 from .contfrac import (
@@ -33,7 +34,7 @@ from .experiments import (
     select_qn,
 )
 from .renorm import renorm_chain
-from .reporting import emit_report, render_json  # noqa: F401  (kept as weyl_lab.cli.render_json)
+from .reporting import render_csv, render_json
 from .weylsum import parseval_estimate, trajectory, weyl_sum
 
 
@@ -75,9 +76,11 @@ DEPTH_HELP = (
 def _write_or_print(args, report) -> None:
     if args.format == "csv" and not hasattr(report, "csv_rows"):
         raise ValueError(f"{args.command} has no CSV form; use --format json")
-    payload = emit_report(report, args.out, args.format)
-    if not args.out:
-        sys.stdout.write(payload.decode())
+    text = render_csv(report) if args.format == "csv" else render_json(report)
+    if args.out:
+        Path(args.out).write_bytes(text.encode())
+    else:
+        sys.stdout.write(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

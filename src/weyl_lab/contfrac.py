@@ -122,12 +122,6 @@ def cf_expand(theta: Angle, max_depth: int) -> ContinuedFraction:
     return ContinuedFraction(tuple(quotients[:max_depth]))
 
 
-def expansion_terminates(theta: Angle, depth: int) -> bool:
-    """True when the expansion ends (rational at grid scale) within depth."""
-    cf = cf_expand(theta, depth + 1)
-    return len(cf.quotients) <= depth
-
-
 def convergents(cf: ContinuedFraction) -> list[Convergent]:
     """Convergent pairs from p_l = a_l p_{l-1} + p_{l-2}, exact integers."""
     out: list[Convergent] = []
@@ -191,13 +185,14 @@ def f_witness(cf: ContinuedFraction, eps: float, theta: Angle) -> FClassCert:
     Levels whose ||q_l theta|| has collapsed to snapping noise (the final
     level of a finite expansion) carry no information and are excluded.
     """
-    expanded = cf_expand(theta, len(cf.quotients))
-    if expanded.quotients != cf.quotients:
+    depth = len(cf.quotients)
+    # one quotient past the depth tells whether the expansion ends within it
+    expanded = cf_expand(theta, depth + 1).quotients
+    if expanded[:depth] != cf.quotients:
         raise ValueError(
             "continued fraction inconsistent with theta: "
-            f"given {cf.quotients}, expansion gives {expanded.quotients}"
+            f"given {cf.quotients}, expansion gives {expanded[:depth]}"
         )
-    finite = expansion_terminates(theta, len(cf.quotients))
     partial_sum = float(sum(Fraction(1, a) for a in cf.quotients))
     witnesses: list[tuple[int, float]] = []
     for conv in convergents(cf):
@@ -209,9 +204,9 @@ def f_witness(cf: ContinuedFraction, eps: float, theta: Angle) -> FClassCert:
     min_witness = min((w for _, w in witnesses), default=float("inf"))
     return FClassCert(
         eps=eps,
-        depth=len(cf.quotients),
+        depth=depth,
         partial_sum=partial_sum,
         witnesses=tuple(witnesses),
         min_witness=min_witness,
-        finite_expansion=finite,
+        finite_expansion=len(expanded) <= depth,
     )

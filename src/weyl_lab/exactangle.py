@@ -35,9 +35,6 @@ class Angle:
         """Nearest double in [0, 1)."""
         return self.numerator / MODULUS
 
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.numerator, MODULUS)
-
     def to_hex(self) -> str:
         return format(self.numerator, "0{}x".format(_HEX_DIGITS))
 

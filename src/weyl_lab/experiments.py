@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angle, counter_units
+from ._rng import counter_angles, counter_units
 from .contfrac import ContinuedFraction, cf_expand, convergents, f_witness
 from .exactangle import (
     MODULUS,
@@ -32,6 +32,7 @@ from .exactangle import (
     dist_to_int,
     scale_mod1,
     wrap_add,
+    wrap_neg,
 )
 from .reporting import BIG_INT
 from .weylsum import dirichlet_b_closed, dirichlet_b_moduli, weyl_sum, weyl_sum_over_x
@@ -41,6 +42,7 @@ DEFAULT_DELTA = 0.2
 DEFAULT_U_MIN = 5.0
 DEFAULT_NU = 0.1
 DEFAULT_SAMPLES = 100_000
+TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
 PRODUCT_TOL = 0.05
 # operational stand-in for the vanishing epsilon_n sequence: the interval
@@ -67,9 +69,6 @@ class QnSchedule:
     threshold: float
     # (level index, q, witness)
     levels: tuple[tuple[int, int, float], ...] = field(metadata={"json": _level_dicts})
-
-    def q_values(self) -> list[int]:
-        return [q for _, q, _ in self.levels]
 
     def csv_rows(self):
         for l, q, w in self.levels:
@@ -127,8 +126,7 @@ def tail_measure(
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     thr = q ** (0.5 + eps / 10.0)
-    xs = [counter_angle(seed, i, "tail") for i in range(samples)]
-    vals = np.abs(weyl_sum_over_x(theta, xs, q))
+    vals = np.abs(weyl_sum_over_x(theta, counter_angles(seed, samples, "tail"), q))
     p = float(np.mean(vals >= thr))
     se = math.sqrt(max(p * (1 - p), 1e-12) / samples)
     return TailMeasure(
@@ -271,7 +269,7 @@ def derivative_check(
         )
 
     hi = f(wrap_add(x, h_angle))
-    lo = f(wrap_add(x, Angle(-h_angle.numerator % MODULUS)))
+    lo = f(wrap_add(x, wrap_neg(h_angle)))
     fd = abs(hi - lo) / (2.0 * h)
     return fd / derivative_bound(q, delta, eps)
 
@@ -330,7 +328,6 @@ def resume_witness(
     level: int | None = None,
     u_min: float = DEFAULT_U_MIN,
     product_tol: float = PRODUCT_TOL,
-    threshold: float = 0.5,
 ) -> ResumeWitness:
     """Scan seeded x for a witness at one schedule level (default: deepest).
 
@@ -345,7 +342,9 @@ def resume_witness(
     value: the smallest epsilon for which this level satisfies the
     construction, measured rather than prescribed.
     """
-    schedule = select_qn(cf, theta, eps, threshold=threshold)
+    if x_candidates < 1:
+        raise ValueError("x_candidates must be >= 1")
+    schedule = select_qn(cf, theta, eps)
     if level is None:
         lvl, q, _ = schedule.levels[-1]
     else:
@@ -356,8 +355,7 @@ def resume_witness(
 
     lo, hi = delta / 2.0, delta
     window: list[tuple[int, Angle]] = []
-    for i in range(x_candidates):
-        x = counter_angle(seed, i, "resume-x")
+    for i, x in enumerate(counter_angles(seed, x_candidates, "resume-x")):
         if lo <= dist_to_int(scale_mod1(x, 2 * q)) <= hi:
             window.append((i, x))
     if not window:
@@ -475,12 +473,8 @@ class BoxReport:
         )
 
 
-def _phase_moments(theta: Angle, x: Angle, n: int, pmax: int) -> np.ndarray:
-    return _engine.qsum_moments(theta.numerator, 2 * x.numerator, 0, n, pmax)
-
-
 def modulus_on_interval(
-    theta: Angle, x0: Angle, big_m: int, offsets: np.ndarray, pmax: int = 4
+    theta: Angle, x0: Angle, big_m: int, offsets: np.ndarray, pmax: int = TAYLOR_DEGREE
 ) -> tuple[np.ndarray, float]:
     """|a(x0+u, M)| for many offsets |u| <= r via one pass of moments.
 
@@ -490,7 +484,7 @@ def modulus_on_interval(
     """
     if big_m == 0:
         return np.zeros(len(offsets)), 0.0
-    moments = _phase_moments(theta, x0, big_m, pmax)
+    moments = _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, pmax)
     w = 4j * math.pi * big_m * offsets
     acc = np.full(len(offsets), moments[0], dtype=np.complex128)
     term = np.ones(len(offsets), dtype=np.complex128)
@@ -520,6 +514,8 @@ def box_experiment(
     j_lo, j_hi = j_interval
     if not 0.0 < j_hi - j_lo <= 1.0 or samples < 1:
         raise ValueError("need a y-interval with 0 < length <= 1 and samples >= 1")
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
     x0 = witness.x
     r = witness.r_n
     big_m = witness.M_n
@@ -557,7 +553,7 @@ def box_experiment(
         symdiff_ratio=2.0 * left_fraction,
         modulus_fraction=modulus_fraction,
         left_fraction=left_fraction,
-        taylor_degree=4,
+        taylor_degree=TAYLOR_DEGREE,
         taylor_tail=tail,
     )
 

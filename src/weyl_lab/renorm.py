@@ -123,17 +123,15 @@ def fe_residual(theta: Angle, x: Angle, k: int) -> float:
     """Residual of the rescaling identity at (theta, x, k).
 
     |sqrt(theta)*psi(theta,x,k) - psi(S theta, x', [k theta])| with x' the
-    parity-corrected slot from renorm_step; both sides by direct
-    summation.  The expected size is O(1) uniformly.
+    parity-corrected slot from renorm_step, i.e. the level-1 residual of
+    the one-step chain; both sides by direct summation.  The expected size
+    is O(1) uniformly.
     """
     if theta.numerator == 0:
         raise ValueError("requires 0 < theta < 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    step = renorm_step(theta, x, k)
-    left = math.sqrt(theta.to_float()) * psi(theta, x, k)
-    right = psi(step.theta_next, step.x_next, step.k_next)
-    return abs(left - right)
+    return renorm_chain(theta, x, k, 1).residuals[1]
 
 
 def renorm_chain(theta: Angle, x: Angle, k: int, m: int) -> RenormChain:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
-from pathlib import Path
 
 from .exactangle import Angle
 
@@ -106,15 +105,3 @@ def render_csv(report) -> str:
     ]
     return "\n".join(lines) + "\n"
 
-
-def emit_report(report, path: str | None, fmt: str = "json") -> bytes:
-    """Serialize a report deterministically; write to path when given."""
-    if fmt == "json":
-        payload = render_json(report).encode()
-    elif fmt == "csv":
-        payload = render_csv(report).encode()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        Path(path).write_bytes(payload)
-    return payload

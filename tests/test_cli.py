@@ -5,7 +5,7 @@ import pytest
 from weyl_lab import cli
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
-from weyl_lab.reporting import emit_report, render_csv, render_json
+from weyl_lab.reporting import render_csv, render_json
 from weyl_lab.weylsum import trajectory
 
 
@@ -32,12 +32,17 @@ def test_render_json_float_17g():
     assert render_json({"v": 1 / 3}) == '{"v":0.33333333333333331}\n'
 
 
-def test_emit_report_stable_bytes(tmp_path):
-    tr = trajectory(GOLDEN, angle_from_rational(1, 8), angle_from_rational(0, 1), 50, 5)
-    p1 = emit_report(tr, str(tmp_path / "a.json"), "json")
-    p2 = emit_report(tr, str(tmp_path / "b.json"), "json")
-    assert p1 == p2
-    assert (tmp_path / "a.json").read_bytes() == p1
+def test_cli_out_file_equals_stdout(tmp_path, capsys):
+    # --out writes exactly the bytes the same run prints, in both formats
+    argv = ["traj", "--theta", "golden", "--x", "1/8", "--n", "50", "--stride", "5"]
+    for fmt in ("json", "csv"):
+        assert cli.main([*argv, "--format", fmt]) == 0
+        printed = capsys.readouterr().out.encode()
+        out = tmp_path / f"t.{fmt}"
+        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed
+        assert printed.startswith(b"{" if fmt == "json" else b"n,re,im\n")
 
 
 def test_trajectory_csv_header(tmp_path):
@@ -97,6 +102,24 @@ def test_cli_negative_sum_length_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
     # the empty sum is valid
     assert cli.main([*argv, "0"]) == 0
+
+
+# a cf whose level q = 17 is the whole schedule, so resume and box stay cheap
+_WITNESS = ["--theta", "2,8,200000", "--eps", "1", "--delta", "0.5", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resume", *_WITNESS, "--candidates", "-5"],
+        ["resume", *_WITNESS, "--candidates", "0"],
+        ["box", *_WITNESS, "--candidates", "512", "--samples", "100", "--nu", "-1"],
+    ],
+    ids=["resume-negative", "resume-zero", "box-negative-nu"],
+)
+def test_cli_out_of_range_count_or_tolerance_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_unwritable_path_exits_2(tmp_path):

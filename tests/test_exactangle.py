@@ -27,7 +27,7 @@ def test_angle_from_rational_dyadic_exact():
 
 def test_angle_from_rational_rounding_contract():
     third = angle_from_rational(1, 3)
-    assert abs(third.to_fraction() - Fraction(1, 3)) <= Fraction(1, 2 ** 257)
+    assert abs(Fraction(third.numerator, MODULUS) - Fraction(1, 3)) <= Fraction(1, 2 ** 257)
 
 
 def test_angle_from_rational_rejects_bad_denominator():

@@ -36,10 +36,18 @@ def constructed():
     return cf, angle_from_cf(cf), cert
 
 
+# the deepest-level witness at seed 7; built once, it serves every test
+# that measures it
+@pytest.fixture(scope="module")
+def deep_witness(constructed):
+    cf, theta, _ = constructed
+    return resume_witness(theta, cf, x_candidates=256, seed=7)
+
+
 def test_select_qn_retains_17_and_83523(constructed):
     cf, theta, _ = constructed
     sched = select_qn(cf, theta, 0.5)
-    assert sched.q_values() == [17, 83523]
+    assert [q for _, q, _ in sched.levels] == [17, 83523]
     witnesses = [w for _, _, w in sched.levels]
     assert witnesses[0] == pytest.approx(0.2425, abs=5e-4)
     assert witnesses[1] < 0.01
@@ -176,10 +184,8 @@ def test_find_mn_warning_when_unreachable(constructed):
     assert 0 <= fm.m <= math.ceil(17 ** 0.625)
 
 
-def test_find_mn_deep_level_hits_half(constructed):
-    _, theta, _ = constructed
-    w = resume_witness(theta, constructed[0], x_candidates=256, seed=7)
-    assert abs(w.product_value - 0.5) <= 0.05
+def test_find_mn_deep_level_hits_half(deep_witness):
+    assert abs(deep_witness.product_value - 0.5) <= 0.05
 
 
 def test_approx_ratio_m1_is_zero(constructed):
@@ -228,9 +234,8 @@ def test_derivative_check_rejects_bad_window():
         derivative_check(GOLDEN, 17, 1, Angle(0))
 
 
-def test_resume_witness_full_run(constructed):
-    cf, theta, _ = constructed
-    w = resume_witness(theta, cf, x_candidates=256, seed=7)
+def test_resume_witness_full_run(deep_witness):
+    w = deep_witness
     assert w.q == 83523
     assert w.m_n <= math.ceil(83523 ** 0.625)
     assert w.M_n == w.m_n * w.q
@@ -251,31 +256,23 @@ def test_resume_witness_unusable_when_no_candidates(constructed):
         resume_witness(theta, cf, x_candidates=1, seed=7)
 
 
-def test_box_identity_map_trivial(constructed):
+def test_box_identity_map_trivial(constructed, deep_witness):
     # M_n = 0 keeps every point in place: nothing leaves the box
-    cf, theta, _ = constructed
-    w = resume_witness(theta, cf, x_candidates=256, seed=7)
+    _, theta, _ = constructed
     from dataclasses import replace
 
-    frozen = replace(w, m_n=0, M_n=0)
+    frozen = replace(deep_witness, m_n=0, M_n=0)
     box = box_experiment(theta, frozen, samples=2000, seed=1)
     assert box.symdiff_ratio == 0.0
 
 
-def test_box_full_torus_invariant(constructed):
-    cf, theta, _ = constructed
-    w = resume_witness(theta, cf, x_candidates=256, seed=7)
+def test_box_full_torus_invariant(constructed, deep_witness):
+    _, theta, _ = constructed
     from dataclasses import replace
 
-    wide = replace(w, r_n=0.5)  # x-interval covers the whole circle
+    wide = replace(deep_witness, r_n=0.5)  # x-interval covers the whole circle
     box = box_experiment(theta, wide, j_interval=(0.0, 1.0), samples=2000, seed=1)
     assert box.symdiff_ratio == 0.0
-
-
-@pytest.fixture(scope="module")
-def deep_witness(constructed):
-    cf, theta, _ = constructed
-    return resume_witness(theta, cf, x_candidates=256, seed=7)
 
 
 @pytest.mark.parametrize(
@@ -296,25 +293,23 @@ def test_box_experiment_equals_per_sample_loop(constructed, deep_witness, shape,
     assert 0.0 < box.left_fraction < 1.0 or shape == "full-circle"
 
 
-def test_box_experiment_deep_level(constructed):
-    cf, theta, _ = constructed
-    w = resume_witness(theta, cf, x_candidates=256, seed=7)
-    box = box_experiment(theta, w, samples=20_000, seed=7)
+def test_box_experiment_deep_level(constructed, deep_witness):
+    _, theta, _ = constructed
+    box = box_experiment(theta, deep_witness, samples=20_000, seed=7)
     assert box.symdiff_ratio <= 0.1
     assert box.modulus_fraction >= 0.9
     assert box.taylor_tail < 1e-12
 
 
-def test_symdiff_decreases_across_levels(constructed):
+def test_symdiff_decreases_across_levels(constructed, deep_witness):
     # the shallow level cannot modulate finely (m <= 6), so its box leaks
     # visibly; the deep level's leak is two orders smaller
     cf, theta, _ = constructed
-    deep = resume_witness(theta, cf, x_candidates=256, seed=7)
     shallow = resume_witness(
         theta, cf, x_candidates=512, seed=7, level=2, u_min=2.0, product_tol=0.45
     )
     box_shallow = box_experiment(theta, shallow, samples=20_000, seed=7)
-    box_deep = box_experiment(theta, deep, samples=20_000, seed=7)
+    box_deep = box_experiment(theta, deep_witness, samples=20_000, seed=7)
     assert box_deep.symdiff_ratio < box_shallow.symdiff_ratio
 
 

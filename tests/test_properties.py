@@ -1,17 +1,25 @@
 """Property tests: the cocycle law, the skew-shift group law, the
-continued-fraction round trip and the exact snap of doubles, over
-hypothesis-drawn inputs.
+continued-fraction round trip, the finite-expansion flag of the class-F
+certificate and the exact snap of doubles, over hypothesis-drawn inputs.
 
 Runs are derandomized, so every run of the suite sees the same examples.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand
-from weyl_lab.exactangle import MODULUS, Angle, angle_from_float, angle_from_fraction
+from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand, f_witness
+from weyl_lab.exactangle import (
+    GOLDEN,
+    MODULUS,
+    Angle,
+    angle_from_float,
+    angle_from_fraction,
+    angle_from_rational,
+)
 from weyl_lab.weylsum import SkewPoint, skew_shift_n, weyl_sum
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -51,6 +59,36 @@ continued_fractions = st.builds(
 @given(cf=continued_fractions)
 def test_cf_expand_inverts_angle_from_cf(cf):
     assert cf_expand(angle_from_cf(cf), len(cf.quotients)) == cf
+
+
+# nonzero thetas of three kinds: grid-random (expansion runs to the noise
+# bound), finite continued fractions, and rationals p/q off the grid
+expandable = st.one_of(
+    st.integers(1, MODULUS - 1).map(Angle),
+    continued_fractions.map(angle_from_cf),
+    st.builds(
+        lambda q, p: angle_from_rational(p % q, q),
+        st.integers(2, 10**12),
+        st.integers(1, 10**12),
+    ).filter(lambda theta: theta.numerator != 0),
+)
+
+
+@PROPERTY
+@given(theta=expandable, depth=st.integers(1, 44), bump=st.integers(0, 43))
+@example(theta=GOLDEN, depth=20, bump=0)
+@example(theta=angle_from_rational(1, 3), depth=5, bump=0)
+def test_f_witness_finite_flag_and_consistency(theta, depth, bump):
+    cf = cf_expand(theta, depth)
+    depth = len(cf.quotients)
+    cert = f_witness(cf, 0.5, theta)
+    # finite means: the expansion asked for one more quotient ends within depth
+    assert cert.finite_expansion == (len(cf_expand(theta, depth + 1).quotients) <= depth)
+    # a perturbed quotient no longer matches theta's expansion
+    quotients = list(cf.quotients)
+    quotients[bump % depth] += 1
+    with pytest.raises(ValueError, match="inconsistent"):
+        f_witness(ContinuedFraction(tuple(quotients)), 0.5, theta)
 
 
 @settings(PROPERTY, max_examples=500)
