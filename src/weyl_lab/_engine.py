@@ -2,16 +2,17 @@
 
 The phase numerator N_k = (A*k^2 + B*k + C) mod 2**mod_bits is computed
 block-wise: block boundaries exactly with Python integers, and inside a
-block with 32-bit limb arithmetic on uint64 numpy arrays.  Only the top
-64 bits of N_k survive into the float phase, and the limb path keeps
-those bits exact up to a one-sided slack below bit 97, far under the
-2**-53 needed by the double conversion.
-
-Block size is capped at 2**15 so that j*(j-1) times a 32-bit limb stays
-inside uint64.
+block as N_k0 + j*D + j*(j-1)*A' on the top 128 bits of each operand,
+each split into three uint64 words: bits 0-31, 32-63 and 64-127.  Bits
+64-127 of that sum become the float phase; the low bits dropped from each
+operand leave a one-sided slack below 2**-97, far under the 2**-53 of the
+double conversion.  The two low words only carry into bit 64, and with
+blen <= CHUNK = 2**15 each of their sums stays below 2**63.  The top word
+is summed in uint64, which wraps mod 2**64, exactly the modulus the phase
+keeps, so the wrap loses nothing.
 
 Rows: qsum_rows evaluates one sum per linear coefficient B of a list, at
-shared A, C and n.  The same phase kernel takes the list, its limbs as
+shared A, C and n.  The same phase kernel takes the list, its words as
 (rows, 1) columns, and gives a (rows, blen) block of phases.  Each row is
 reduced in qsum's order: np.sum along the row per block, then one pairwise
 pass over that row's block partials laid out contiguously.  np.sum along
@@ -45,7 +46,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 CHUNK = 1 << 15
-_M32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _TWO_PI = 2.0 * np.pi
 _INV_2_64 = 2.0 ** -64
@@ -57,15 +57,15 @@ _J_FULL = np.arange(CHUNK, dtype=np.uint64)
 _JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
 
 
-def _limbs(value: int | list[int]) -> list:
-    """The four low 32-bit limbs of an int as uint64 scalars, or of each
-    int of a list as (len, 1) uint64 columns."""
+def _words(value: int | list[int]) -> tuple:
+    """(bits 0-31, bits 32-63, bits 64-127) of a 128-bit int as uint64
+    scalars, or of each int of a list as (len, 1) uint64 columns."""
+    def split(v: int) -> tuple:
+        return v & 0xFFFFFFFF, v >> 32 & 0xFFFFFFFF, v >> 64
+
     if isinstance(value, list):
-        return [
-            np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in value], dtype=np.uint64)[:, None]
-            for i in range(4)
-        ]
-    return [np.uint64((value >> (32 * i)) & 0xFFFFFFFF) for i in range(4)]
+        return tuple(np.array(w, dtype=np.uint64)[:, None] for w in zip(*map(split, value)))
+    return tuple(np.uint64(w) for w in split(value))
 
 
 def _phase_block(
@@ -87,20 +87,20 @@ def _phase_block(
     else:
         n0 = (n_ac + b * k0) % mod >> shift
         d0 = (d_a + b) % mod >> shift
-    nl = _limbs(n0)
-    dl = _limbs(d0)
-    al = _limbs(a >> shift)
+    n_lo, n_mid, n_hi = _words(n0)
+    d_lo, d_mid, d_hi = _words(d0)
+    a_lo, a_mid, a_hi = _words(a >> shift)
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
-    acc0 = nl[0] + j * dl[0] + jj * al[0]
-    acc1 = nl[1] + j * dl[1] + jj * al[1]
-    acc2 = nl[2] + j * dl[2] + jj * al[2]
-    acc3 = nl[3] + j * dl[3] + jj * al[3]
-    acc1 += acc0 >> _SH32
-    acc2 += acc1 >> _SH32
-    acc3 += acc2 >> _SH32
-    top64 = ((acc3 & _M32) << _SH32) | (acc2 & _M32)
-    return top64.astype(np.float64) * _INV_2_64
+    carry = n_lo + j * d_lo + jj * a_lo
+    carry >>= _SH32
+    carry += n_mid + j * d_mid + jj * a_mid
+    carry >>= _SH32
+    top = n_hi + j * d_hi + jj * a_hi
+    top += carry
+    ph = top.astype(np.float64)
+    ph *= _INV_2_64
+    return ph
 
 
 def _blocks(
@@ -123,13 +123,18 @@ def phase_chunks(
 
 
 def phase_at(a: int, b: int, c: int, k: int, mod_bits: int = 256) -> int:
-    """Direct big-integer phase numerator, the reference for the limb path."""
+    """Direct big-integer phase numerator, the reference for the block kernel."""
     return (a * k * k + b * k + c) % (1 << mod_bits)
 
 
 def e_phase(ph: np.ndarray) -> np.ndarray:
-    """e(phi) = exp(2 pi i phi) per phase, the one complex e(phi) routine."""
-    return np.exp(2j * np.pi * ph)
+    """e(phi) = exp(2 pi i phi) per phase, the one complex e(phi) routine:
+    the cos and sin of 2 pi phi that qsum sums, into one complex array."""
+    t = ph * _TWO_PI
+    z = np.empty(ph.shape, dtype=np.complex128)
+    np.cos(t, out=z.real)
+    np.sin(t, out=z.imag)
+    return z
 
 
 try:

@@ -28,6 +28,7 @@ from .exactangle import GOLDEN, Angle, angle_from_decimal, angle_from_rational
 from .experiments import (
     UnusableLevelError,
     box_experiment,
+    check_box_args,
     density_probe,
     growth_report,
     resume_witness,
@@ -312,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         elif args.command == "box":
+            check_box_args((args.j_lo, args.j_hi), args.nu, args.samples)
             theta, cf = _theta_with_cf(args)
             witness = resume_witness(
                 theta,

@@ -88,6 +88,8 @@ def select_qn(
     and levels whose ||q theta|| sits at the snapping floor are already
     excluded by the certificate.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     cert = f_witness(cf, eps, theta)
     qs = {c.index: c.q for c in convergents(cf)}
     levels: list[tuple[int, int, float]] = []
@@ -344,6 +346,8 @@ def resume_witness(
     """
     if x_candidates < 1:
         raise ValueError("x_candidates must be >= 1")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     schedule = select_qn(cf, theta, eps)
     if level is None:
         lvl, q, _ = schedule.levels[-1]
@@ -500,6 +504,16 @@ def modulus_on_interval(
     return np.abs(acc), tail
 
 
+def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> None:
+    """Raise ValueError for box_experiment arguments it cannot run, before
+    any witness is searched for."""
+    j_lo, j_hi = j_interval
+    if not 0.0 < j_hi - j_lo <= 1.0 or samples < 1:
+        raise ValueError("need a y-interval with 0 < length <= 1 and samples >= 1")
+    if not nu >= 0:
+        raise ValueError("nu must be >= 0")
+
+
 def box_experiment(
     theta: Angle,
     witness: ResumeWitness,
@@ -511,11 +525,8 @@ def box_experiment(
     """Sample the box: (a) the fraction whose T^-M image leaves it (doubled,
     an estimator of the relative symmetric difference, since T preserves
     measure) and (b) the fraction where ||a(x, M)| - 1/2| <= nu."""
+    check_box_args(j_interval, nu, samples)
     j_lo, j_hi = j_interval
-    if not 0.0 < j_hi - j_lo <= 1.0 or samples < 1:
-        raise ValueError("need a y-interval with 0 < length <= 1 and samples >= 1")
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
     x0 = witness.x
     r = witness.r_n
     big_m = witness.M_n

@@ -122,6 +122,48 @@ def test_cli_out_of_range_count_or_tolerance_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--theta", "golden", "--eps", "-2"],
+        ["schedule", *_WITNESS[:2], "--eps", "0"],
+        ["schedule", *_WITNESS[:2], "--eps", "nan"],
+        ["resume", "--theta", "construct:0.5,3", "--delta", "-1"],
+        ["resume", *_WITNESS, "--delta", "0"],
+        ["box", *_WITNESS, "--eps", "-1"],
+        ["box", *_WITNESS, "--delta", "-0.5"],
+    ],
+    ids=[
+        "schedule-negative-eps",
+        "schedule-zero-eps",
+        "schedule-nan-eps",
+        "resume-negative-delta",
+        "resume-zero-delta",
+        "box-negative-eps",
+        "box-negative-delta",
+    ],
+)
+def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--nu", "-1"], ["--nu", "nan"], ["--samples", "0"], ["--j-lo", "0.9", "--j-hi", "0.1"]],
+    ids=["negative-nu", "nan-nu", "zero-samples", "empty-interval"],
+)
+def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad):
+    def search(*args, **kwargs):
+        raise AssertionError("resume_witness ran before box checked its arguments")
+
+    monkeypatch.setattr(cli, "resume_witness", search)
+    assert cli.main(["box", "--theta", "construct:0.5,3", *bad]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_unwritable_path_exits_2(tmp_path):
     rc = cli.main(
         ["sum", "--theta", "golden", "--n", "10", "--out", str(tmp_path / "nodir" / "x.json")]

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from limb_oracle import phase_block_limbs
 
 import weyl_lab
 from weyl_lab import _engine
@@ -17,6 +20,7 @@ from weyl_lab.exactangle import GOLDEN, MODULUS, Angle
 from weyl_lab.weylsum import weyl_sum, weyl_sum_over_x
 
 ZERO = Angle(0)
+CHUNK = _engine.CHUNK
 
 
 def _phase_error(a, b, c, n, mod_bits):
@@ -67,6 +71,41 @@ def test_phase_at_wraparound_top():
     c = MODULUS - 1
     (k0, ph), = list(_engine.phase_chunks(a, b, c, 1))
     assert ph[0] == pytest.approx(1.0, abs=2.0 ** -63)
+
+
+@st.composite
+def _kernel_args(draw):
+    # (a, b, c, k0, mod_bits): operands past the modulus, and b as a scalar
+    # or as a list of 1-5 rows.  st.integers favours small values, whose top
+    # 128 bits are zero, so half the operands are uniform over every bit.
+    mod_bits = draw(st.sampled_from([256, 257]))
+    top = 1 << (mod_bits + 8)
+    uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(top + 1))
+    big = st.one_of(st.integers(0, top), uniform)
+    b = draw(st.one_of(big, st.lists(big, min_size=1, max_size=5)))
+    return draw(big), b, draw(big), draw(st.integers(0, 1 << 64)), mod_bits
+
+
+@pytest.mark.parametrize("blen", [1, 2, 7, CHUNK - 1, CHUNK, None], ids=str)
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(args=_kernel_args(), drawn=st.integers(1, CHUNK))
+def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
+    # the three-word kernel gives the four-limb kernel's phases bit for bit
+    a, b, c, k0, mod_bits = args
+    blen = drawn if blen is None else blen
+    got = _engine._phase_block(a, b, c, k0, blen, mod_bits)
+    want = phase_block_limbs(a, b, c, k0, blen, mod_bits)
+    assert got.shape == want.shape == ((len(b), blen) if isinstance(b, list) else (blen,))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_e_phase_equals_complex_exp():
+    # the cos/sin form gives np.exp(2j*pi*phi) bit for bit
+    ph = np.random.default_rng(11).random(1 << 20)
+    ph = np.concatenate([ph, [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]])
+    got = _engine.e_phase(ph)
+    assert got.dtype == np.complex128 and got.shape == ph.shape
+    assert np.array_equal(got.view(np.uint64), np.exp(2j * np.pi * ph).view(np.uint64))
 
 
 def test_qsum_empty_and_single():
@@ -150,9 +189,6 @@ def _count_submits(m):
 class _UnusableExecutor:
     def __init__(self, *args):
         raise AssertionError("an engine executor was opened")
-
-
-CHUNK = _engine.CHUNK
 
 
 @pytest.mark.parametrize("mod_bits", [256, 257])
