@@ -96,11 +96,8 @@ def _phase_block(
     carry >>= _SH32
     carry += n_mid + j * d_mid + jj * a_mid
     carry >>= _SH32
-    top = n_hi + j * d_hi + jj * a_hi
-    top += carry
-    ph = top.astype(np.float64)
-    ph *= _INV_2_64
-    return ph
+    top = n_hi + j * d_hi + jj * a_hi + carry
+    return top.astype(np.float64) * _INV_2_64
 
 
 def _blocks(
