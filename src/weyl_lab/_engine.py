@@ -12,29 +12,32 @@ is summed in uint64, which wraps mod 2**64, exactly the modulus the phase
 keeps, so the wrap loses nothing.
 
 Rows: qsum_rows evaluates one sum per linear coefficient B of a list, at
-shared A, C and n.  The same phase kernel takes the list, its words as
-(rows, 1) columns, and gives a (rows, blen) block of phases.  Each row is
-reduced in qsum's order: np.sum along the row per block, then one pairwise
-pass over that row's block partials laid out contiguously.  np.sum along
-the last axis of a C-contiguous array takes the order it takes for one
-contiguous 1-D array, so every row equals its qsum bit for bit.  Rows go
-through in batches of at most 2**20 phases, which bounds the temporaries.
+shared A, C and n; a single sum (qsum, phase_chunks, qsum_partials,
+qsum_moments) is the one-row case.  The phase kernel takes the list, its
+words as (rows, 1) columns, and gives a (rows, blen) block of phases.
+Each row is reduced on its own: np.sum along the row per block, then one
+pairwise pass over that row's block partials laid out contiguously.
+np.sum along the last axis of a C-contiguous array takes the order it
+takes for one contiguous 1-D array, so a row does not depend on the rows
+beside it.  Rows go through in batches of at most 2**20 phases, which
+bounds the temporaries.
 
-Threads: qsum and qsum_moments split a sum of more than one block into
-runs = min(W, blocks) contiguous runs of whole blocks, W being the number
-of cores in the process's affinity mask.  The calling thread runs the
-first run itself and an executor of runs - 1 threads, opened for that one
-call and joined before it returns, runs the others; the time goes into
-numpy ufuncs, which release the GIL.  No engine thread outlives the call
-that started it, so importing starts none and a forked child starts its
-own.  A run is contiguous because handing off one block at a time gained
-nothing on two cores.  Each block's phases and sums depend on its own k0
-alone, and the per-block results are reduced in block order exactly as on
-one thread, so results do not depend on W.  Single-block calls start no
-thread.  qsum_partials stays sequential: its callers stream block by
-block, and a contiguous run would buffer 16 bytes per term.  Worker
-threads call only private helpers and e_phase, never an entry point such
-as qsum or phase_chunks, so a wrapper on one of those runs in the caller.
+Threads: qsum_rows, and so qsum, and qsum_moments split a sum of more than
+one block into runs = min(W, blocks) contiguous runs of whole blocks, W
+being the number of cores in the process's affinity mask.  The calling
+thread runs the first run itself and an executor of runs - 1 threads,
+opened for that one call and joined before it returns, runs the others;
+the time goes into numpy ufuncs, which release the GIL.  No engine thread
+outlives the call that started it, so importing starts none and a forked
+child starts its own.  A run is contiguous because handing off one block
+at a time gained nothing on two cores.  Each block's phases and sums
+depend on its own k0 alone, and the per-block results are reduced in
+block order exactly as on one thread, so results do not depend on W.
+Single-block calls start no thread.  qsum_partials stays sequential: its
+callers stream block by block, and a contiguous run would buffer 16 bytes
+per term.  Worker threads call only private helpers and e_phase, never an
+entry point such as qsum or phase_chunks, so a wrapper on one of those
+runs in the caller.
 """
 
 from __future__ import annotations
@@ -57,39 +60,28 @@ _J_FULL = np.arange(CHUNK, dtype=np.uint64)
 _JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
 
 
-def _words(value: int | list[int]) -> tuple:
-    """(bits 0-31, bits 32-63, bits 64-127) of a 128-bit int as uint64
-    scalars, or of each int of a list as (len, 1) uint64 columns."""
-    def split(v: int) -> tuple:
-        return v & 0xFFFFFFFF, v >> 32 & 0xFFFFFFFF, v >> 64
-
-    if isinstance(value, list):
-        return tuple(np.array(w, dtype=np.uint64)[:, None] for w in zip(*map(split, value)))
-    return tuple(np.uint64(w) for w in split(value))
+def _words(values: list[int]) -> tuple:
+    """(bits 0-31, bits 32-63, bits 64-127) of each 128-bit int of a list,
+    as (len, 1) uint64 columns."""
+    split = [(v & 0xFFFFFFFF, v >> 32 & 0xFFFFFFFF, v >> 64) for v in values]
+    w = np.array(split, dtype=np.uint64)
+    return w[:, 0:1], w[:, 1:2], w[:, 2:3]
 
 
 def _phase_block(
-    a: int, b: int | list[int], c: int, k0: int, blen: int, mod_bits: int
+    a: int, bs: list[int], c: int, k0: int, blen: int, mod_bits: int
 ) -> np.ndarray:
-    """Phases of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase kernel.
-
-    For a list b the result has one row of blen phases per entry of b.
-    """
+    """Phases of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase kernel:
+    one row of blen phases per linear coefficient of bs."""
     mod = 1 << mod_bits
     shift = mod_bits - 128
     a %= mod
     # N_k0 and the first difference N_k0+1 - N_k0, less their B terms
     n_ac = a * k0 * k0 + c
     d_a = a * (2 * k0 + 1)
-    if isinstance(b, list):
-        n0 = [(n_ac + bi * k0) % mod >> shift for bi in b]
-        d0 = [(d_a + bi) % mod >> shift for bi in b]
-    else:
-        n0 = (n_ac + b * k0) % mod >> shift
-        d0 = (d_a + b) % mod >> shift
-    n_lo, n_mid, n_hi = _words(n0)
-    d_lo, d_mid, d_hi = _words(d0)
-    a_lo, a_mid, a_hi = _words(a >> shift)
+    n_lo, n_mid, n_hi = _words([(n_ac + b * k0) % mod >> shift for b in bs])
+    d_lo, d_mid, d_hi = _words([(d_a + b) % mod >> shift for b in bs])
+    a_lo, a_mid, a_hi = _words([a >> shift])
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
     carry = n_lo + j * d_lo + jj * a_lo
@@ -101,11 +93,11 @@ def _phase_block(
 
 
 def _blocks(
-    a: int, b: int | list[int], c: int, lo: int, hi: int, mod_bits: int
+    a: int, bs: list[int], c: int, lo: int, hi: int, mod_bits: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(k0, phases) for each block of k = lo .. hi-1, the one block loop."""
     for k0 in range(lo, hi, CHUNK):
-        yield k0, _phase_block(a, b, c, k0, min(CHUNK, hi - k0), mod_bits)
+        yield k0, _phase_block(a, bs, c, k0, min(CHUNK, hi - k0), mod_bits)
 
 
 def phase_chunks(
@@ -116,7 +108,8 @@ def phase_chunks(
     Phases are float64 in [0, 1], accurate to 2**-64 * (1 + 2**-34) of the
     exact grid value of (A*k^2 + B*k + C) / 2**mod_bits mod 1.
     """
-    yield from _blocks(a, b, c, 0, n, mod_bits)
+    for k0, ph in _blocks(a, [b], c, 0, n, mod_bits):
+        yield k0, ph[0]
 
 
 def phase_at(a: int, b: int, c: int, k: int, mod_bits: int = 256) -> int:
@@ -141,35 +134,35 @@ except AttributeError:  # no affinity mask on this platform
 
 
 def _run(
-    block: Callable, a: int, b: int | list[int], c: int, lo: int, hi: int, mod_bits: int,
+    block: Callable, a: int, bs: list[int], c: int, lo: int, hi: int, mod_bits: int,
     args: tuple,
 ) -> list:
-    return [block(k0, ph, *args) for k0, ph in _blocks(a, b, c, lo, hi, mod_bits)]
+    return [block(k0, ph, *args) for k0, ph in _blocks(a, bs, c, lo, hi, mod_bits)]
 
 
 def _blockwise(
-    block: Callable, a: int, b: int | list[int], c: int, n: int, mod_bits: int, *args
+    block: Callable, a: int, bs: list[int], c: int, n: int, mod_bits: int, *args
 ) -> list:
     """[block(k0, phases, *args) for each block of k < n], in block order,
     over at most _WORKERS contiguous runs of blocks (see the module doc)."""
     blocks = -(-n // CHUNK)
     runs = min(_WORKERS, blocks)
     if runs <= 1:
-        return _run(block, a, b, c, 0, n, mod_bits, args)
+        return _run(block, a, bs, c, 0, n, mod_bits, args)
     cuts = [i * blocks // runs * CHUNK for i in range(runs)] + [n]
     with ThreadPoolExecutor(runs - 1) as pool:
         rest = [
-            pool.submit(_run, block, a, b, c, lo, hi, mod_bits, args)
+            pool.submit(_run, block, a, bs, c, lo, hi, mod_bits, args)
             for lo, hi in zip(cuts[1:-1], cuts[2:])
         ]
-        out = _run(block, a, b, c, cuts[0], cuts[1], mod_bits, args)
+        out = _run(block, a, bs, c, cuts[0], cuts[1], mod_bits, args)
         for fut in rest:
             out += fut.result()
     return out
 
 
 def _cos_sin_sums(k0: int, ph: np.ndarray) -> tuple:
-    # per row of phases, so one value for a 1-D block
+    # one cos and one sin sum per row of phases
     t = ph * _TWO_PI
     return np.sum(np.cos(t), axis=-1), np.sum(np.sin(t), axis=-1)
 
@@ -181,24 +174,19 @@ def _block_total(partials: tuple) -> np.ndarray:
 
 
 def qsum(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
-    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits).
-
-    Ascending k; numpy's pairwise reduction inside each block and one
-    more pairwise pass over the block sums keep the rounding O(log n).
-    """
-    sums = _blockwise(_cos_sin_sums, a, b, c, n, mod_bits)
-    if not sums:
-        return 0j
-    partials_r, partials_i = zip(*sums)
-    return complex(_block_total(partials_r), _block_total(partials_i))
+    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits), the one-row case of
+    qsum_rows."""
+    return complex(qsum_rows(a, [b], c, n, mod_bits)[0])
 
 
 def qsum_rows(a: int, bs: Sequence[int], c: int, n: int, mod_bits: int = 256) -> np.ndarray:
-    """[qsum(a, b, c, n, mod_bits) for b in bs] as one array, bit for bit.
+    """sum_{k<n} e((A k^2 + b k + C)/2**mod_bits) for each b of bs, as one
+    array; a single sum (qsum) is the one-row case.
 
-    Each block's phases form one (len(bs), blen) array; each row is
-    reduced in qsum's order, np.sum along the row per block and then one
-    pairwise pass over that row's block partials.
+    Each block's phases form one (len(bs), blen) array.  Each row is
+    reduced in ascending k, np.sum along the row per block and then one
+    pairwise pass over that row's block sums, which keeps the rounding
+    O(log n); a row's bits do not depend on the rows beside it.
     """
     bs = list(bs)
     out = np.zeros(len(bs), dtype=np.complex128)
@@ -226,8 +214,9 @@ def qsum_partials(
 
 
 def _moment_row(k0: int, ph: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:
-    z = e_phase(ph)
-    w = (k0 + np.arange(len(ph), dtype=np.float64)) * inv_n
+    # the moments of the block's one row of phases
+    z = e_phase(ph[0])
+    w = (k0 + np.arange(z.size, dtype=np.float64)) * inv_n
     row = np.empty(pmax + 1, dtype=np.complex128)
     wp = np.ones_like(w)
     row[0] = np.sum(z)
@@ -246,7 +235,7 @@ def qsum_moments(
     linear-phase offset; the normalized weight keeps every S_p O(n).
     """
     # with n <= 0 there is no block, so the weight scale is never used
-    rows = _blockwise(_moment_row, a, b, c, n, mod_bits, 1.0 / max(n, 1), pmax)
+    rows = _blockwise(_moment_row, a, [b], c, n, mod_bits, 1.0 / max(n, 1), pmax)
     if not rows:
         return np.zeros(pmax + 1, dtype=np.complex128)
     return np.sum(np.asarray(rows), axis=0)

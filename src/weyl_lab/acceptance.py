@@ -12,7 +12,6 @@ bytes, so no runner may put wall-clock values into its report.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .experiments import (
     box_experiment,
     density_probe,
     growth_report,
+    modulation_cap,
     resume_witness,
 )
 from .reporting import render_json, report_dict
@@ -313,7 +313,7 @@ def run_e7(seed: int = DEFAULT_SEED) -> CriterionResult:
     for q in (17, 83523):
         bound = c_cal * q ** (-eps / 8.0)
         a_cap = 2.0 * q ** (0.5 + eps / 10.0)
-        m_cap = math.ceil(q ** (0.5 + eps / 4.0))
+        m_cap = modulation_cap(q, eps)
         found = 0
         i = 0
         while found < 3 and i < 200:

@@ -26,6 +26,10 @@ from .contfrac import (
 )
 from .exactangle import GOLDEN, Angle, angle_from_decimal, angle_from_rational
 from .experiments import (
+    DEFAULT_DELTA,
+    DEFAULT_EPS,
+    DEFAULT_NU,
+    DEFAULT_SAMPLES,
     UnusableLevelError,
     box_experiment,
     check_box_args,
@@ -94,6 +98,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_witness(p: argparse.ArgumentParser) -> None:
+    # the witness search that resume reports and box starts from
+    p.add_argument("--theta", required=True)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--candidates", type=int, default=256)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False: a prefix of a flag is an error, not that flag
     ap = argparse.ArgumentParser(
@@ -155,26 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("resume", help="essential-value witness at one level")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--candidates", type=int, default=256)
-    p.add_argument("--seed", type=int, default=7)
+    _add_witness(p)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
     p = sub.add_parser("box", help="box experiment for a witness")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--candidates", type=int, default=256)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--nu", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=100_000)
+    _add_witness(p)
+    p.add_argument("--nu", type=float, default=DEFAULT_NU)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--j-lo", type=float, default=0.25)
     p.add_argument("--j-hi", type=float, default=0.75)
-    p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
     p = sub.add_parser("density", help="disk coverage of partial sums")
@@ -208,6 +212,21 @@ def _theta_with_cf(args):
     if args.depth is not None:
         raise ValueError(f"--depth does not apply: theta {args.theta!r} gives its own quotients")
     return theta, cf
+
+
+def _witness(args, level: int | None = None):
+    """theta and the witness the shared flags of resume and box ask for."""
+    theta, cf = _theta_with_cf(args)
+    witness = resume_witness(
+        theta,
+        cf,
+        eps=args.eps,
+        delta=args.delta,
+        x_candidates=args.candidates,
+        seed=args.seed,
+        level=level,
+    )
+    return theta, witness
 
 
 def _config_tokens(args) -> list[str]:
@@ -296,16 +315,7 @@ def main(argv: list[str] | None = None) -> int:
             sched = select_qn(cf, theta, args.eps, args.threshold)
             _write_or_print(args, sched)
         elif args.command == "resume":
-            theta, cf = _theta_with_cf(args)
-            witness = resume_witness(
-                theta,
-                cf,
-                eps=args.eps,
-                delta=args.delta,
-                x_candidates=args.candidates,
-                seed=args.seed,
-                level=args.level,
-            )
+            _, witness = _witness(args, args.level)
             _write_or_print(args, witness)
             print(
                 f"level {witness.level}: q = {witness.q}, m = {witness.m_n}, "
@@ -314,15 +324,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.command == "box":
             check_box_args((args.j_lo, args.j_hi), args.nu, args.samples)
-            theta, cf = _theta_with_cf(args)
-            witness = resume_witness(
-                theta,
-                cf,
-                eps=args.eps,
-                delta=args.delta,
-                x_candidates=args.candidates,
-                seed=args.seed,
-            )
+            theta, witness = _witness(args)
             report = box_experiment(
                 theta,
                 witness,

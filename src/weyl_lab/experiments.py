@@ -166,7 +166,7 @@ def b_density_gap(theta: Angle, q: int, x: Angle, eps: float = DEFAULT_EPS) -> B
     na = dist_to_int(alpha)
     if na == 0.0:
         raise ValueError("||2qx|| must be positive")
-    m_max = math.ceil(q ** (0.5 + eps / 4.0))
+    m_max = modulation_cap(q, eps)
     vals = dirichlet_b_moduli(alpha, np.arange(m_max + 1))
     vals = np.minimum(vals, 1.0)
     vals.sort()
@@ -197,7 +197,7 @@ class FindMnResult:
 def _find_mn_from_modulus(
     a_mod: float, alpha: Angle, q: int, eps: float, target: float
 ) -> FindMnResult:
-    m_max = math.ceil(q ** (0.5 + eps / 4.0))
+    m_max = modulation_cap(q, eps)
     bvals = dirichlet_b_moduli(alpha, np.arange(m_max + 1))
     dist = np.abs(a_mod * bvals - target)
     m_best = int(np.argmin(dist))  # argmin takes the first, i.e. smallest m
@@ -258,7 +258,7 @@ def derivative_check(
     na = dist_to_int(scale_mod1(x, 2 * q))
     if not (delta / 4.0 <= na <= 2.0 * delta):
         raise ValueError(f"||2qx|| = {na} outside [{delta/4}, {2*delta}]")
-    if m > math.ceil(q ** (0.5 + eps / 4.0)):
+    if m > modulation_cap(q, eps):
         raise ValueError("m exceeds q^(1/2+eps/4)")
     if m == 0:
         return 0.0
@@ -310,6 +310,11 @@ class ResumeWitness:
         half = (len(self.grid_deviations) - 1) // 2
         for g, dev in enumerate(self.grid_deviations):
             yield g, (g - half) / half * self.r_n, dev
+
+
+def modulation_cap(q: int, eps: float) -> int:
+    """The largest modulation index m the construction uses, ceil(q^(1/2+eps/4))."""
+    return math.ceil(q ** (0.5 + eps / 4.0))
 
 
 def interval_radius(q: int, eps: float) -> float:

@@ -14,36 +14,28 @@ _M32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 
 
-def limbs(value: int | list[int]) -> list:
-    """The four low 32-bit limbs of an int as uint64 scalars, or of each
-    int of a list as (len, 1) uint64 columns."""
-    if isinstance(value, list):
-        return [
-            np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in value], dtype=np.uint64)[:, None]
-            for i in range(4)
-        ]
-    return [np.uint64((value >> (32 * i)) & 0xFFFFFFFF) for i in range(4)]
+def limbs(values: list[int]) -> list:
+    """The four low 32-bit limbs of each int of a list as (len, 1) uint64
+    columns."""
+    return [
+        np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in values], dtype=np.uint64)[:, None]
+        for i in range(4)
+    ]
 
 
 def phase_block_limbs(
-    a: int, b: int | list[int], c: int, k0: int, blen: int, mod_bits: int
+    a: int, bs: list[int], c: int, k0: int, blen: int, mod_bits: int
 ) -> np.ndarray:
     """Phases of k = k0 .. k0+blen-1 (blen <= 2**15) by four-limb sums; one
-    row of blen phases per entry of a list b."""
+    row of blen phases per entry of bs."""
     mod = 1 << mod_bits
     shift = mod_bits - 128
     a %= mod
     n_ac = a * k0 * k0 + c
     d_a = a * (2 * k0 + 1)
-    if isinstance(b, list):
-        n0 = [(n_ac + bi * k0) % mod >> shift for bi in b]
-        d0 = [(d_a + bi) % mod >> shift for bi in b]
-    else:
-        n0 = (n_ac + b * k0) % mod >> shift
-        d0 = (d_a + b) % mod >> shift
-    nl = limbs(n0)
-    dl = limbs(d0)
-    al = limbs(a >> shift)
+    nl = limbs([(n_ac + b * k0) % mod >> shift for b in bs])
+    dl = limbs([(d_a + b) % mod >> shift for b in bs])
+    al = limbs([a >> shift])
     j = np.arange(blen, dtype=np.uint64)
     jj = j * (j - np.uint64(1))
     acc0 = nl[0] + j * dl[0] + jj * al[0]

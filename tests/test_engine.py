@@ -75,15 +75,15 @@ def test_phase_at_wraparound_top():
 
 @st.composite
 def _kernel_args(draw):
-    # (a, b, c, k0, mod_bits): operands past the modulus, and b as a scalar
-    # or as a list of 1-5 rows.  st.integers favours small values, whose top
-    # 128 bits are zero, so half the operands are uniform over every bit.
+    # (a, bs, c, k0, mod_bits): operands past the modulus, and bs one row or
+    # a list of 1-5 rows.  st.integers favours small values, whose top 128
+    # bits are zero, so half the operands are uniform over every bit.
     mod_bits = draw(st.sampled_from([256, 257]))
     top = 1 << (mod_bits + 8)
     uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(top + 1))
     big = st.one_of(st.integers(0, top), uniform)
-    b = draw(st.one_of(big, st.lists(big, min_size=1, max_size=5)))
-    return draw(big), b, draw(big), draw(st.integers(0, 1 << 64)), mod_bits
+    bs = draw(st.one_of(big.map(lambda b: [b]), st.lists(big, min_size=1, max_size=5)))
+    return draw(big), bs, draw(big), draw(st.integers(0, 1 << 64)), mod_bits
 
 
 @pytest.mark.parametrize("blen", [1, 2, 7, CHUNK - 1, CHUNK, None], ids=str)
@@ -91,11 +91,11 @@ def _kernel_args(draw):
 @given(args=_kernel_args(), drawn=st.integers(1, CHUNK))
 def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
     # the three-word kernel gives the four-limb kernel's phases bit for bit
-    a, b, c, k0, mod_bits = args
+    a, bs, c, k0, mod_bits = args
     blen = drawn if blen is None else blen
-    got = _engine._phase_block(a, b, c, k0, blen, mod_bits)
-    want = phase_block_limbs(a, b, c, k0, blen, mod_bits)
-    assert got.shape == want.shape == ((len(b), blen) if isinstance(b, list) else (blen,))
+    got = _engine._phase_block(a, bs, c, k0, blen, mod_bits)
+    want = phase_block_limbs(a, bs, c, k0, blen, mod_bits)
+    assert got.shape == want.shape == (len(bs), blen)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -226,7 +226,8 @@ def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, mod_bits):
     a, c = (rng.randrange(1 << mod_bits) for _ in range(2))
     # linear coefficients past 2**256 too: the kernel reduces them mod 2**mod_bits
     bs = [rng.randrange(1 << 300) for _ in range(5)] + [1 << 256, 0]
-    want = np.array([_engine.qsum(a, b, c, n, mod_bits) for b in bs], dtype=np.complex128)
+    # the one-thread 1-D reference, not qsum, which is qsum_rows' one-row case
+    want = np.array([_sequential_qsum(a, b, c, n, mod_bits) for b in bs], dtype=np.complex128)
     assert _engine.qsum_rows(a, bs, c, n, mod_bits).tobytes() == want.tobytes()
     # three rows per batch of rows, and two threads over the blocks
     monkeypatch.setattr(_engine, "_ROW_PHASES", 3 * min(max(n, 1), CHUNK))
@@ -237,7 +238,7 @@ def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, mod_bits):
 
 def test_block_total_matches_one_dimensional_sum():
     # a row's block partials are summed in the order np.sum takes for one
-    # contiguous 1-D array, as qsum sums its own
+    # contiguous 1-D array of them
     rng = np.random.default_rng(5)
     for blocks in [*range(1, 300), 1000, 4097, 32768]:
         partials = rng.standard_normal((blocks, 3)) * 1e3

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand, f_witness
 from weyl_lab.exactangle import (
     GOLDEN,
-    MODULUS,
     Angle,
     angle_from_float,
     angle_from_fraction,
@@ -24,7 +23,10 @@ from weyl_lab.weylsum import SkewPoint, skew_shift_n, weyl_sum
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
 
-angles = st.integers(0, MODULUS - 1).map(Angle)
+# the 32 bytes of a numerator: uniform over the grid, where st.integers
+# would draw almost every value near 0
+numerators = st.binary(min_size=32, max_size=32).map(lambda raw: int.from_bytes(raw, "big"))
+angles = numerators.map(Angle)
 points = st.builds(SkewPoint, angles, angles)
 
 
@@ -64,7 +66,7 @@ def test_cf_expand_inverts_angle_from_cf(cf):
 # nonzero thetas of three kinds: grid-random (expansion runs to the noise
 # bound), finite continued fractions, and rationals p/q off the grid
 expandable = st.one_of(
-    st.integers(1, MODULUS - 1).map(Angle),
+    numerators.filter(bool).map(Angle),
     continued_fractions.map(angle_from_cf),
     st.builds(
         lambda q, p: angle_from_rational(p % q, q),

@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weyl_lab
 from weyl_lab.exactangle import (
     GOLDEN,
     MODULUS,
@@ -244,6 +249,30 @@ def test_weyl_sum_over_x_matches_scalar():
     batch = weyl_sum_over_x(GOLDEN, xs, 999)
     scalar = np.array([weyl_sum(GOLDEN, x, ZERO, 999) for x in xs])
     assert np.max(np.abs(batch - scalar)) < 1e-9
+
+
+def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
+    # the matrix product of poly_eval_unit_circle is the one reduction that
+    # OpenBLAS owns; 9000 samples give it a full block of 8192 rows and more
+    code = (
+        "import hashlib, sys\n"
+        "from weyl_lab._rng import counter_angles\n"
+        "from weyl_lab.exactangle import GOLDEN\n"
+        "from weyl_lab.weylsum import weyl_sum_over_x\n"
+        "out = weyl_sum_over_x(GOLDEN, counter_angles(7, 9000, 'blas'), 5000)\n"
+        "sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(weyl_lab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_trajectory_basics():
