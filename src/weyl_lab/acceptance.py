@@ -1,19 +1,21 @@
 """Acceptance gates.
 
-Each gate is a self-contained runner returning a pass/fail verdict, the
-measured quantities, and a canonical report byte string.  Tolerances are
-pinned here: either fixed numbers stated with the gate, or calibrated
-constants read from the packaged calibration file (asserted with the
-slack stated per gate, never loosened at run time).
+Each gate body computes a pass/fail verdict and the measured quantities;
+one runner, `_gate`, times every body and renders its canonical report
+bytes.  Tolerances are pinned here: either fixed numbers stated with the
+gate, or calibrated constants read from the packaged calibration file
+(asserted with the slack stated per gate, never loosened at run time).
+Gates at the reference construction read it from experiments.
 
 The determinism gate (E10) re-runs the seeded gates and compares report
-bytes, so no runner may put wall-clock values into its report.
+bytes, so no body may put wall-clock values into its details.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +25,6 @@ from .calibration import (
     run_approx_sweep,
     run_fe_sweep,
 )
-from .contfrac import angle_from_cf, construct_f_member
 from .exactangle import (
     GOLDEN,
     MODULUS,
@@ -33,6 +34,10 @@ from .exactangle import (
 )
 from .experiments import (
     DEFAULT_EPS,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    REFERENCE_CF,
+    REFERENCE_THETA,
     box_experiment,
     density_probe,
     growth_report,
@@ -49,8 +54,6 @@ from .weylsum import (
     weyl_sum,
 )
 
-DEFAULT_SEED = 7
-
 
 @dataclass
 class CriterionResult:
@@ -58,24 +61,33 @@ class CriterionResult:
     description: str
     passed: bool
     runtime_s: float
-    details: dict = field(default_factory=dict)
-    report_bytes: bytes = b""
+    details: dict
+    report_bytes: bytes
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.cid}: {self.description} ({self.runtime_s:.1f}s)"
 
 
-def _result(cid, description, passed, t0, details) -> CriterionResult:
-    report = {"criterion": cid, "passed": bool(passed), **details}
-    return CriterionResult(
-        cid=cid,
-        description=description,
-        passed=bool(passed),
-        runtime_s=time.perf_counter() - t0,
-        details=details,
-        report_bytes=render_json(report).encode(),
-    )
+def _gate(cid: str, description: str):
+    """Make a gate runner of a body that returns (passed, details): the
+    runner times the body and renders {"criterion", "passed", **details}
+    as the report bytes."""
+
+    def runner(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body(*args, **kwargs)
+            runtime_s = time.perf_counter() - t0
+            report = {"criterion": cid, "passed": bool(passed), **details}
+            return CriterionResult(
+                cid, description, bool(passed), runtime_s, details, render_json(report).encode()
+            )
+
+        return run
+
+    return runner
 
 
 # E1 ---------------------------------------------------------------------
@@ -92,10 +104,10 @@ _E1_SINGULAR_OFFSETS = [
 ]
 
 
-def run_e1(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E1", "closed form of b matches direct summation to 1e-9")
+def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Direct and closed-form geometric sums agree to 1e-9 for 10^4
     random (x, m <= 10^4), near-singular x included."""
-    t0 = time.perf_counter()
     worst = 0.0
     n_sing = 0
     for i in range(10_000):
@@ -110,29 +122,22 @@ def run_e1(seed: int = DEFAULT_SEED) -> CriterionResult:
         m = int(counter_unit(seed, i, "e1-m") * 10_001)
         err = abs(dirichlet_b(x, m) - dirichlet_b_closed(x, m))
         worst = max(worst, err)
-    passed = worst < 1e-9
-    return _result(
-        "E1",
-        "closed form of b matches direct summation to 1e-9",
-        passed,
-        t0,
-        {
-            "seed": seed,
-            "instances": 10_000,
-            "near_singular_instances": n_sing,
-            "max_abs_error": worst,
-            "tolerance": 1e-9,
-        },
-    )
+    return worst < 1e-9, {
+        "seed": seed,
+        "instances": 10_000,
+        "near_singular_instances": n_sing,
+        "max_abs_error": worst,
+        "tolerance": 1e-9,
+    }
 
 
 # E2 ---------------------------------------------------------------------
 
 
-def run_e2(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E2", "cocycle composition law holds to relative 1e-12")
+def run_e2(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Cocycle identity a(x,y,n+m) = a(x,y,n) + a(T^n(x,y), m) to a
     relative 1e-12 over 100 random instances, n, m <= 10^4."""
-    t0 = time.perf_counter()
     worst = 0.0
     for i in range(100):
         theta = counter_angle(seed, i, "e2-theta")
@@ -145,28 +150,25 @@ def run_e2(seed: int = DEFAULT_SEED) -> CriterionResult:
         shifted = skew_shift_n(theta, SkewPoint(x, y), n)
         second = weyl_sum(theta, shifted.x, shifted.y, m)
         worst = max(worst, abs(whole - first - second) / (n + m))
-    passed = worst < 1e-12
-    return _result(
-        "E2",
-        "cocycle composition law holds to relative 1e-12",
-        passed,
-        t0,
-        {"seed": seed, "instances": 100, "max_relative_error": worst, "tolerance": 1e-12},
-    )
+    return worst < 1e-12, {
+        "seed": seed,
+        "instances": 100,
+        "max_relative_error": worst,
+        "tolerance": 1e-12,
+    }
 
 
 # E3 ---------------------------------------------------------------------
 
 
-def run_e3(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E3", "mean square of |a(.,q)| matches q within 5 standard errors")
+def run_e3(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Monte Carlo mean of |a(x,q)|^2 within 5 standard errors of q for
     q in {13, 17, 83523}, 10^5 samples each."""
-    t0 = time.perf_counter()
-    theta = angle_from_cf(construct_f_member(0.5, 4)[0])
     per_q = {}
     passed = True
     for q in (13, 17, 83523):
-        est = parseval_estimate(theta, q, 100_000, seed)
+        est = parseval_estimate(REFERENCE_THETA, q, DEFAULT_SAMPLES, seed)
         ok = abs(est.mean - q) <= 5.0 * est.std_error
         passed = passed and ok
         per_q[str(q)] = {
@@ -175,13 +177,7 @@ def run_e3(seed: int = DEFAULT_SEED) -> CriterionResult:
             "deviation": est.mean - q,
             "within_5se": ok,
         }
-    return _result(
-        "E3",
-        "mean square of |a(.,q)| matches q within 5 standard errors",
-        passed,
-        t0,
-        {"seed": seed, "samples": 100_000, "per_q": per_q},
-    )
+    return passed, {"seed": seed, "samples": DEFAULT_SAMPLES, "per_q": per_q}
 
 
 # E4 ---------------------------------------------------------------------
@@ -197,11 +193,11 @@ def _iterate_skew(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:
     return SkewPoint(Angle(xn), Angle(yn))
 
 
-def run_e4(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E4", "skew-shift closed form equals n-fold iteration exactly")
+def run_e4(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Closed-form skew iterate equals step-by-step iteration exactly
     (grid equality): 100 random starts with n <= 10^4 plus three runs
     to n = 10^6."""
-    t0 = time.perf_counter()
     all_equal = True
     checked = []
     for i in range(100):
@@ -219,19 +215,15 @@ def run_e4(seed: int = DEFAULT_SEED) -> CriterionResult:
             _iterate_skew(theta, p, 10 ** 6) == skew_shift_n(theta, p, 10 ** 6)
         )
         checked.append(10 ** 6)
-    return _result(
-        "E4",
-        "skew-shift closed form equals n-fold iteration exactly",
-        all_equal,
-        t0,
-        {"seed": seed, "starts": 103, "max_n": max(checked), "exact_equality": all_equal},
-    )
+    details = {"seed": seed, "starts": 103, "max_n": max(checked), "exact_equality": all_equal}
+    return all_equal, details
 
 
 # E5 ---------------------------------------------------------------------
 
 
-def run_e5(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E5", "rescaling residual bounded by calibrated max, no growth in k")
+def run_e5(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Rescaling-identity residual: the seeded sweep max stays at the
     calibrated figure and the per-decade maxima show no growth in k
     (slope of decade max against log10 k at most 0.05).
@@ -239,33 +231,26 @@ def run_e5(seed: int = DEFAULT_SEED) -> CriterionResult:
     The sweep is pinned to the calibration seed; the gate's own seed
     plays no role here.
     """
-    t0 = time.perf_counter()
     calib = load_calibration()["fe_residual"]
     sweep = run_fe_sweep(seed=calib["seed"])
     r_max = calib["max_residual"]
     passed = sweep["max_residual"] <= r_max * (1 + 1e-12) and sweep["decade_slope"] <= 0.05
-    return _result(
-        "E5",
-        "rescaling residual bounded by calibrated max, no growth in k",
-        passed,
-        t0,
-        {
-            "sweep": sweep,
-            "calibrated_max": r_max,
-            "slope_tolerance": 0.05,
-        },
-    )
+    return passed, {
+        "sweep": sweep,
+        "calibrated_max": r_max,
+        "slope_tolerance": 0.05,
+    }
 
 
 # E6 ---------------------------------------------------------------------
 
 
-def run_e6(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E6", "growth statistics match the square-root regime for golden theta")
+def run_e6(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Golden-angle growth: sup_x |a|/sqrt(n) within the calibrated
     constant on n in {1e2..1e5}; sup |a|/n strictly decreasing;
     |a(0,n)|/sqrt(n) reaches 0.5 by n = 10^4; the theta = 0 control has
     sup |a|/n identically 1."""
-    t0 = time.perf_counter()
     calib = load_calibration()["growth_golden"]
     rep = growth_report(GOLDEN, calib["schedule"], calib["grid"])
     c_g = calib["sup_sqrt_max"]
@@ -278,36 +263,29 @@ def run_e6(seed: int = DEFAULT_SEED) -> CriterionResult:
     control = growth_report(Angle(0), [100, 1000, 10_000], 64)
     control_ok = all(v == 1.0 for v in control.sup_ratio_linear)
     passed = sqrt_ok and decreasing and peak_ok and control_ok
-    return _result(
-        "E6",
-        "growth statistics match the square-root regime for golden theta",
-        passed,
-        t0,
-        {
-            "sup_ratio_sqrt": list(rep.sup_ratio_sqrt),
-            "calibrated_c_g": c_g,
-            "sup_ratio_linear": list(rep.sup_ratio_linear),
-            "strictly_decreasing": decreasing,
-            "a0_peak_at_1e4": peak_1e4,
-            "control_sup_linear": list(control.sup_ratio_linear),
-        },
-    )
+    return passed, {
+        "sup_ratio_sqrt": list(rep.sup_ratio_sqrt),
+        "calibrated_c_g": c_g,
+        "sup_ratio_linear": list(rep.sup_ratio_linear),
+        "strictly_decreasing": decreasing,
+        "a0_peak_at_1e4": peak_1e4,
+        "control_sup_linear": list(control.sup_ratio_linear),
+    }
 
 
 # E7 ---------------------------------------------------------------------
 
 
-def run_e7(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E7", "product approximation constant calibrated; scheduled raw errors in bound")
+def run_e7(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Product-approximation inequality: seeded sweep max within 1.5x the
     calibrated constant; on scheduled levels with the side conditions in
     force, the raw error stays below C_cal * q^(-eps/8)."""
-    t0 = time.perf_counter()
     calib = load_calibration()["approx_ratio"]
     sweep = run_approx_sweep(seed=calib["seed"])
     c_cal = calib["max_ratio"]
     sweep_ok = sweep["max_ratio"] <= 1.5 * c_cal
     eps = DEFAULT_EPS
-    theta = angle_from_cf(construct_f_member(0.5, 4)[0])
     raw_checks = []
     raw_ok = True
     for q in (17, 83523):
@@ -319,13 +297,13 @@ def run_e7(seed: int = DEFAULT_SEED) -> CriterionResult:
         while found < 3 and i < 200:
             x = counter_angle(seed, i, "e7-x")
             i += 1
-            a_q = weyl_sum(theta, x, Angle(0), q)
+            a_q = weyl_sum(REFERENCE_THETA, x, Angle(0), q)
             if not 0 < abs(a_q) <= a_cap:
                 continue
             found += 1
             for m in (2, min(7, m_cap), min(29, m_cap)):
                 raw = abs(
-                    weyl_sum(theta, x, Angle(0), m * q)
+                    weyl_sum(REFERENCE_THETA, x, Angle(0), m * q)
                     - a_q * dirichlet_b_closed(scale_mod1(x, 2 * q), m)
                 )
                 ok = raw <= bound
@@ -334,33 +312,25 @@ def run_e7(seed: int = DEFAULT_SEED) -> CriterionResult:
                     {"q": q, "m": m, "raw_error": raw, "bound": bound, "ok": ok}
                 )
     passed = sweep_ok and raw_ok and len(raw_checks) >= 12
-    return _result(
-        "E7",
-        "product approximation constant calibrated; scheduled raw errors in bound",
-        passed,
-        t0,
-        {
-            "sweep": sweep,
-            "calibrated_c": c_cal,
-            "sweep_within_slack": sweep_ok,
-            "raw_checks": raw_checks,
-        },
-    )
+    return passed, {
+        "sweep": sweep,
+        "calibrated_c": c_cal,
+        "sweep_within_slack": sweep_ok,
+        "raw_checks": raw_checks,
+    }
 
 
 # E8 ---------------------------------------------------------------------
 
 
-def run_e8(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E8", "essential-value witness and box experiment at q3 = 83523")
+def run_e8(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """End-to-end essential-value echo at level q3 = 83523 of the
     standard construction: witness product within 0.05 of 1/2, exact
     checks (i) and (iii) inside their bounds, box experiment with
     symmetric difference at most 0.1 and modulus fraction at least 0.9."""
-    t0 = time.perf_counter()
-    cf, _ = construct_f_member(0.5, 4)
-    theta = angle_from_cf(cf)
-    witness = resume_witness(theta, cf, x_candidates=256, seed=seed)
-    box = box_experiment(theta, witness, samples=100_000, seed=seed)
+    witness = resume_witness(REFERENCE_THETA, REFERENCE_CF, seed=seed)
+    box = box_experiment(REFERENCE_THETA, witness, seed=seed)
     product_ok = abs(witness.product_value - 0.5) <= 0.05
     eps_ok = witness.eps_n <= 0.1
     sym_ok = box.symdiff_ratio <= 0.1
@@ -375,67 +345,45 @@ def run_e8(seed: int = DEFAULT_SEED) -> CriterionResult:
         and sym_ok
         and mod_ok
     )
-    return _result(
-        "E8",
-        "essential-value witness and box experiment at q3 = 83523",
-        passed,
-        t0,
-        {
-            "seed": seed,
-            "witness": report_dict(witness),
-            "box": report_dict(box),
-            "product_within_0.05": product_ok,
-            "symdiff_le_0.1": sym_ok,
-            "modulus_fraction_ge_0.9": mod_ok,
-        },
-    )
+    return passed, {
+        "seed": seed,
+        "witness": report_dict(witness),
+        "box": report_dict(box),
+        "product_within_0.05": product_ok,
+        "symdiff_le_0.1": sym_ok,
+        "modulus_fraction_ge_0.9": mod_ok,
+    }
 
 
 # E9 ---------------------------------------------------------------------
 
 
-def run_e9(seed: int = DEFAULT_SEED) -> CriterionResult:
+@_gate("E9", "disk coverage of the partial-sum walk vs the degenerate control")
+def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Density echo: partial sums over the depth-4 construction cover at
     least 95% of the radius-2 disk at cell 0.25 within 10^7 terms; the
     theta = 0 control covers less than 20%."""
-    t0 = time.perf_counter()
-    theta = angle_from_cf(construct_f_member(0.5, 4)[0])
     x = counter_angle(seed, 0, "density")
-    rep = density_probe(theta, x, 10_000_000, 2.0, 0.25)
+    rep = density_probe(REFERENCE_THETA, x, 10_000_000, 2.0, 0.25)
     control = density_probe(Angle(0), x, 10_000_000, 2.0, 0.25)
     passed = rep.covered_fraction >= 0.95 and control.covered_fraction < 0.2
-    return _result(
-        "E9",
-        "disk coverage of the partial-sum walk vs the degenerate control",
-        passed,
-        t0,
-        {
-            "seed": seed,
-            "covered_fraction": rep.covered_fraction,
-            "n_visited": rep.n_visited,
-            "n_disk_cells": rep.n_disk_cells,
-            "control_covered_fraction": control.covered_fraction,
-        },
-    )
+    return passed, {
+        "seed": seed,
+        "covered_fraction": rep.covered_fraction,
+        "n_visited": rep.n_visited,
+        "n_disk_cells": rep.n_disk_cells,
+        "control_covered_fraction": control.covered_fraction,
+    }
 
 
 # E10 --------------------------------------------------------------------
 
 
-def run_e10(seed: int = DEFAULT_SEED, first_pass: dict[str, bytes] | None = None) -> CriterionResult:
-    """Re-running the seeded gates reproduces byte-identical reports."""
-    t0 = time.perf_counter()
-    if first_pass is None:
-        first_pass = {cid: RUNNERS[cid](seed).report_bytes for cid in SEEDED}
+@_gate("E10", "reports are byte-identical across reruns with the same seed")
+def run_e10(seed: int, first_pass: dict[str, bytes]) -> tuple[bool, dict]:
+    """Re-running the seeded gates reproduces the first-pass report bytes."""
     mismatches = [cid for cid in SEEDED if RUNNERS[cid](seed).report_bytes != first_pass[cid]]
-    passed = not mismatches
-    return _result(
-        "E10",
-        "reports are byte-identical across reruns with the same seed",
-        passed,
-        t0,
-        {"seed": seed, "compared": list(SEEDED), "mismatches": mismatches},
-    )
+    return not mismatches, {"seed": seed, "compared": list(SEEDED), "mismatches": mismatches}
 
 
 RUNNERS = {

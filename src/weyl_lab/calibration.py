@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import counter_unit
-from .contfrac import angle_from_cf, construct_f_member
 from .exactangle import GOLDEN, Angle, angle_from_float, dist_to_int, scale_mod1
-from .experiments import approx_ratio, b_density_gap, growth_report
+from .experiments import REFERENCE_THETA, approx_ratio, b_density_gap, growth_report
 from .renorm import fe_residual
 
 FE_SWEEP_SEED = 5
@@ -113,9 +112,8 @@ def run_growth_calibration() -> dict:
 
 
 def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict:
-    """Success rate of the value-set gap target at the deep level."""
-    cf, _ = construct_f_member(0.5, 4)
-    theta = angle_from_cf(cf)
+    """Success rate of the value-set gap target at the deep level of the
+    reference construction."""
     q = 83523
     hits = 0
     used = 0
@@ -127,7 +125,7 @@ def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict
         if not 0.1 <= na <= 0.2:
             continue
         used += 1
-        gap = b_density_gap(theta, q, x, 0.5)
+        gap = b_density_gap(REFERENCE_THETA, q, x, 0.5)
         if gap.largest_gap <= gap.target_gap:
             hits += 1
     return {"success_rate": hits / draws, "draws": draws, "seed": seed, "q": q}

@@ -26,10 +26,15 @@ from .contfrac import (
 )
 from .exactangle import GOLDEN, Angle, angle_from_decimal, angle_from_rational
 from .experiments import (
+    DEFAULT_CANDIDATES,
     DEFAULT_DELTA,
     DEFAULT_EPS,
+    DEFAULT_GRID,
+    DEFAULT_J_INTERVAL,
     DEFAULT_NU,
     DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_THRESHOLD,
     UnusableLevelError,
     box_experiment,
     check_box_args,
@@ -72,9 +77,10 @@ def parse_angle(text: str) -> Angle:
     return ang
 
 
+DEFAULT_DEPTH = 20  # quotients of an expansion the user does not size
 DEPTH_HELP = (
-    "quotients of theta's expansion (default 20); only for a theta given "
-    "without its own continued fraction"
+    f"quotients of theta's expansion (default {DEFAULT_DEPTH}); only for a theta "
+    "given without its own continued fraction"
 )
 
 
@@ -103,8 +109,8 @@ def _add_witness(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", required=True)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--candidates", type=int, default=256)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
 
 
@@ -123,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", help="continued fraction expansion and convergents")
     p.add_argument("--theta", required=True)
-    p.add_argument("--depth", type=int, default=20)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     _add_common(p)
 
     p = sub.add_parser("construct", help="build a class-F member and certificate")
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--seed-quotients", default="2")
     _add_common(p)
@@ -150,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parseval", help="Monte Carlo mean of |a(x,q)|^2")
     p.add_argument("--theta", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(p)
 
     p = sub.add_parser("renorm", help="renormalization chain with residuals")
@@ -163,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="retained denominator levels")
     p.add_argument("--theta", required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP)
     _add_common(p)
 
@@ -177,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_witness(p)
     p.add_argument("--nu", type=float, default=DEFAULT_NU)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--j-lo", type=float, default=0.25)
-    p.add_argument("--j-hi", type=float, default=0.75)
+    p.add_argument("--j-lo", type=float, default=DEFAULT_J_INTERVAL[0])
+    p.add_argument("--j-hi", type=float, default=DEFAULT_J_INTERVAL[1])
     _add_common(p)
 
     p = sub.add_parser("density", help="disk coverage of partial sums")
@@ -192,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="growth statistics over an n-schedule")
     p.add_argument("--theta", required=True)
     p.add_argument("--schedule", default="100,1000,10000")
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _add_common(p)
 
     p = sub.add_parser("verify-all", help="run the acceptance gates")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--config", default=None)
 
@@ -205,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _theta_with_cf(args):
     """theta and its continued fraction: the one theta carries, or the
-    expansion to --depth quotients (default 20) of one that carries none."""
+    expansion to --depth (or DEFAULT_DEPTH) quotients of one that carries none."""
     theta, cf = parse_theta(args.theta)
     if cf is None:
-        return theta, cf_expand(theta, 20 if args.depth is None else args.depth)
+        return theta, cf_expand(theta, DEFAULT_DEPTH if args.depth is None else args.depth)
     if args.depth is not None:
         raise ValueError(f"--depth does not apply: theta {args.theta!r} gives its own quotients")
     return theta, cf

@@ -157,8 +157,8 @@ def construct_f_member(
     q^(3+eps) * ||q*theta|| decay like q^-eps, so a finite certificate
     can actually exhibit the decrease.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if levels < 2:
         raise ValueError("levels must be >= 2")
     quotients = list(seed_quotients)
@@ -167,8 +167,13 @@ def construct_f_member(
     cv = convergents(ContinuedFraction(tuple(quotients)))
     q_cur = cv[-1].q
     q_prev = cv[-2].q if len(cv) >= 2 else 1
+    exponent = 2.0 + 2.0 * eps
     while len(quotients) < levels:
-        a_next = _quotient_power(q_cur, 2.0 + 2.0 * eps)
+        # q_next >= a_next >= q_cur**exponent: stop before forming a power
+        # past the bound, whose bit length leaves a bit of margin for the float
+        if exponent * math.log2(q_cur) > Q_CONSTRUCT_BOUND.bit_length():
+            raise ConstructionTruncated(len(quotients), tuple(quotients))
+        a_next = _quotient_power(q_cur, exponent)
         q_next = a_next * q_cur + q_prev
         if q_next > Q_CONSTRUCT_BOUND:
             raise ConstructionTruncated(len(quotients), tuple(quotients))

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import _engine
 from ._rng import counter_angles, counter_units
-from .contfrac import ContinuedFraction, cf_expand, convergents, f_witness
+from .contfrac import (
+    ContinuedFraction,
+    angle_from_cf,
+    cf_expand,
+    construct_f_member,
+    convergents,
+    f_witness,
+)
 from .exactangle import (
     MODULUS,
     Angle,
@@ -37,17 +44,27 @@ from .exactangle import (
 from .reporting import BIG_INT
 from .weylsum import dirichlet_b_closed, dirichlet_b_moduli, weyl_sum, weyl_sum_over_x
 
+DEFAULT_SEED = 7  # of the witness search, the box and the acceptance gates
 DEFAULT_EPS = 0.5
 DEFAULT_DELTA = 0.2
+DEFAULT_THRESHOLD = 0.5
+DEFAULT_CANDIDATES = 256
 DEFAULT_U_MIN = 5.0
 DEFAULT_NU = 0.1
 DEFAULT_SAMPLES = 100_000
+DEFAULT_J_INTERVAL = (0.25, 0.75)
+DEFAULT_GRID = 512
 TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
 PRODUCT_TOL = 0.05
 # operational stand-in for the vanishing epsilon_n sequence: the interval
 # deviation and the torsion ||M^2 theta + 2Mx|| must both stay below this
 EPS_N_BOUND = 0.1
+
+# the standard construction at DEFAULT_EPS, 4 levels: its schedule reaches
+# q3 = 83523, the level the gates and the calibration work at
+REFERENCE_CF, _ = construct_f_member(DEFAULT_EPS, 4)
+REFERENCE_THETA = angle_from_cf(REFERENCE_CF)
 
 
 class UnusableLevelError(RuntimeError):
@@ -79,7 +96,7 @@ def select_qn(
     cf: ContinuedFraction,
     theta: Angle,
     eps: float = DEFAULT_EPS,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> QnSchedule:
     """Retain convergent denominators whose witness q^(3+eps)||q theta||
     is below the threshold and decreasing.
@@ -330,8 +347,8 @@ def resume_witness(
     cf: ContinuedFraction,
     eps: float = DEFAULT_EPS,
     delta: float = DEFAULT_DELTA,
-    x_candidates: int = 256,
-    seed: int = 7,
+    x_candidates: int = DEFAULT_CANDIDATES,
+    seed: int = DEFAULT_SEED,
     level: int | None = None,
     u_min: float = DEFAULT_U_MIN,
     product_tol: float = PRODUCT_TOL,
@@ -522,10 +539,10 @@ def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> 
 def box_experiment(
     theta: Angle,
     witness: ResumeWitness,
-    j_interval: tuple[float, float] = (0.25, 0.75),
+    j_interval: tuple[float, float] = DEFAULT_J_INTERVAL,
     nu: float = DEFAULT_NU,
     samples: int = DEFAULT_SAMPLES,
-    seed: int = 7,
+    seed: int = DEFAULT_SEED,
 ) -> BoxReport:
     """Sample the box: (a) the fraction whose T^-M image leaves it (doubled,
     an estimator of the relative symmetric difference, since T preserves
@@ -606,8 +623,8 @@ def density_probe(theta: Angle, x: Angle, n_terms: int, radius: float, cell: flo
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
-    if radius <= 0 or cell <= 0:
-        raise ValueError("radius and cell must be positive")
+    if not (0 < radius < math.inf and 0 < cell < math.inf):
+        raise ValueError("radius and cell must be positive and finite")
     span = int(math.ceil(radius / cell)) + 2
     width = 2 * span + 1
     idx = np.arange(-span, span + 1)
@@ -615,6 +632,8 @@ def density_probe(theta: Angle, x: Angle, n_terms: int, radius: float, cell: flo
     cy = (idx[None, :] + 0.5) * cell
     in_disk = (cx * cx + cy * cy) <= radius * radius
     n_disk = int(np.sum(in_disk))
+    if n_disk == 0:
+        raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
     first_hit: dict[tuple[int, int], int] = {}
     for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, n_terms):
         sx = np.floor(z.real / cell).astype(np.int64) + span
@@ -671,7 +690,7 @@ class GrowthReport:
 
 
 def growth_report(
-    theta: Angle, n_schedule: list[int], x_grid_size: int = 512
+    theta: Angle, n_schedule: list[int], x_grid_size: int = DEFAULT_GRID
 ) -> GrowthReport:
     """sup over a uniform x-grid of |a(x,n)|/n and |a(x,n)|/sqrt(n), and
     the |a(0,n)|/sqrt(n) series with its running peak, at scheduled n.

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from weyl_lab import acceptance
+from weyl_lab.calibration import load_calibration
 
 SEED = 7
 
@@ -78,6 +79,8 @@ def test_e5_functional_equation_residual(gate):
     res = _check(gate("E5"))
     assert res.details["sweep"]["max_residual"] <= res.details["calibrated_max"] * (1 + 1e-12)
     assert res.details["sweep"]["decade_slope"] <= 0.05
+    # the gate's sweep reproduces the committed calibration record exactly
+    assert res.details["sweep"] == load_calibration()["fe_residual"]
     assert res.runtime_s < 300.0
 
 
@@ -86,6 +89,9 @@ def test_e6_growth_statistics(gate):
     assert res.details["strictly_decreasing"]
     assert res.details["a0_peak_at_1e4"] >= 0.5
     assert all(v == 1.0 for v in res.details["control_sup_linear"])
+    calib = load_calibration()["growth_golden"]
+    assert max(res.details["sup_ratio_sqrt"]) == calib["sup_sqrt_max"]
+    assert res.details["a0_peak_at_1e4"] == calib["a0_peak_1e4"]
     assert res.runtime_s < 120.0
 
 
@@ -93,6 +99,7 @@ def test_e7_product_approximation(gate):
     res = _check(gate("E7"))
     assert res.details["sweep_within_slack"]
     assert all(c["ok"] for c in res.details["raw_checks"])
+    assert res.details["sweep"] == load_calibration()["approx_ratio"]
     assert res.runtime_s < 120.0
 
 

@@ -1,10 +1,12 @@
+import inspect
 import json
 
 import pytest
 
-from weyl_lab import cli
+from weyl_lab import acceptance, cli
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
+from weyl_lab.experiments import box_experiment, growth_report, resume_witness, select_qn
 from weyl_lab.reporting import render_csv, render_json
 from weyl_lab.weylsum import trajectory
 
@@ -162,6 +164,55 @@ def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad
     monkeypatch.setattr(cli, "resume_witness", search)
     assert cli.main(["box", "--theta", "construct:0.5,3", *bad]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--theta", "golden", "--n", "10", "--cell", "10"],
+        ["density", "--theta", "golden", "--n", "10", "--radius", "inf"],
+        ["construct", "--eps", "inf"],
+        ["sum", "--theta", "construct:inf,3", "--n", "10"],
+        ["construct", "--eps", "1e10"],
+    ],
+    ids=["no-cell-in-disk", "inf-radius", "inf-eps", "inf-eps-theta", "huge-eps"],
+)
+def test_cli_uncoverable_disk_or_unbuildable_eps_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _param_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+@pytest.mark.parametrize(
+    "argv, dest, fn, name",
+    [
+        (["resume", "--theta", "golden"], "candidates", resume_witness, "x_candidates"),
+        (["resume", "--theta", "golden"], "seed", resume_witness, "seed"),
+        (["box", "--theta", "golden"], "seed", box_experiment, "seed"),
+        (["verify-all"], "seed", acceptance.run_all, "seed"),
+        (["schedule", "--theta", "golden"], "eps", select_qn, "eps"),
+        (["schedule", "--theta", "golden"], "threshold", select_qn, "threshold"),
+        # parseval_estimate and construct_f_member take no default; their
+        # flags default to the seed and eps the other subcommands use
+        (["parseval", "--theta", "golden", "--q", "3"], "seed", resume_witness, "seed"),
+        (["construct"], "eps", select_qn, "eps"),
+        (["growth", "--theta", "golden"], "grid", growth_report, "x_grid_size"),
+    ],
+)
+def test_cli_defaults_are_the_library_defaults(argv, dest, fn, name):
+    assert getattr(cli.build_parser().parse_args(argv), dest) == _param_default(fn, name)
+
+
+def test_cli_box_interval_and_depth_defaults_have_one_home():
+    args = cli.build_parser().parse_args(["box", "--theta", "golden"])
+    assert (args.j_lo, args.j_hi) == _param_default(box_experiment, "j_interval")
+    assert cli.build_parser().parse_args(["cf", "--theta", "golden"]).depth == cli.DEFAULT_DEPTH
+    assert f"default {cli.DEFAULT_DEPTH})" in cli.DEPTH_HELP
 
 
 def test_cli_unwritable_path_exits_2(tmp_path):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from weyl_lab.contfrac import (
+    Q_CONSTRUCT_BOUND,
     ConstructionTruncated,
     ContinuedFraction,
     angle_from_cf,
@@ -11,6 +13,7 @@ from weyl_lab.contfrac import (
     construct_f_member,
     convergents,
     f_witness,
+    _quotient_power,
 )
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -136,6 +139,47 @@ def test_construct_f_member_truncates_past_q_bound():
     with pytest.raises(ConstructionTruncated) as exc:
         construct_f_member(0.5, 6, (2,))
     assert exc.value.achieved_depth == 4
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.5])
+def test_construct_f_member_rejects_eps_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="positive and finite"):
+        construct_f_member(eps, 3)
+
+
+def test_construct_f_member_huge_eps_truncates_before_the_power():
+    # the next quotient 2**(2 + 2e10) would have 2e10 bits; the bound
+    # check comes before it is formed
+    with pytest.raises(ConstructionTruncated) as exc:
+        construct_f_member(1e10, 3)
+    assert exc.value.achieved_depth == 1
+
+
+def _construct_unchecked(eps, levels, seed):
+    """The construction rule with only the bound check on q_next: the
+    quotients, or the depth at which the next q passes the bound."""
+    quotients = list(seed)
+    qs = [1] + [c.q for c in convergents(ContinuedFraction(seed))]
+    while len(quotients) < levels:
+        a = _quotient_power(qs[-1], 2.0 + 2.0 * eps)
+        if a * qs[-1] + qs[-2] > Q_CONSTRUCT_BOUND:
+            return len(quotients)
+        quotients.append(a)
+        qs.append(a * qs[-1] + qs[-2])
+    return tuple(quotients)
+
+
+@pytest.mark.parametrize("seed", [(1,), (2,), (3, 5), (40,)])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5, 1.0, 1.7, 4.0])
+def test_construct_f_member_early_bound_check_cuts_nothing_that_fits(eps, seed):
+    # 12 levels pass the bound for every case here; the deepest that fits
+    # is built in full
+    depth = _construct_unchecked(eps, 12, seed)
+    with pytest.raises(ConstructionTruncated) as exc:
+        construct_f_member(eps, 12, seed)
+    assert exc.value.achieved_depth == depth
+    cf, _ = construct_f_member(eps, depth, seed)
+    assert cf.quotients == _construct_unchecked(eps, depth, seed)
 
 
 def test_f_witness_golden_diverges():

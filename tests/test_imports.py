@@ -1,8 +1,9 @@
-"""Every name a module of weyl_lab imports is used in that module.
+"""Every name a module of weyl_lab imports is used in that module, and
+every private top-level helper of the package is used somewhere.
 
-No lint tool is a dependency, so the check parses each module with the
-standard library's ast.  The package's __init__ is left out: its imports
-are its exports.
+No lint tool is a dependency, so the checks parse each module with the
+standard library's ast.  The package's __init__ is left out of the first
+check: its imports are its exports.
 """
 
 import ast
@@ -12,9 +13,9 @@ import pytest
 
 import weyl_lab
 
-MODULES = sorted(
-    p for p in Path(weyl_lab.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(weyl_lab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -40,3 +41,43 @@ def test_module_uses_every_import(path):
 def test_guard_sees_an_unused_import():
     source = "import os\nfrom a.b import c, d as e\nimport x.y\nprint(c, x)\n"
     assert _unused_imports(source) == ["line 1: os", "line 2: e"]
+
+
+def _dead_helpers(sources: dict[str, str], package: list[str]) -> list[str]:
+    """Private top-level functions and classes of the package modules that
+    no source names, by a Name, an attribute or an import."""
+    defined = []
+    referenced = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        if path in package:
+            defined += [
+                (path, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [f"{path}: {name}" for path, name in defined if name not in referenced]
+
+
+def test_every_private_helper_is_used():
+    files = {f"{p.parent.name}/{p.name}": p for d in (PACKAGE, TESTS) for p in d.glob("*.py")}
+    sources = {key: p.read_text(encoding="utf-8") for key, p in files.items()}
+    package = [key for key, p in files.items() if p.parent == PACKAGE]
+    assert _dead_helpers(sources, package) == []
+
+
+def test_guard_sees_a_dead_helper():
+    sources = {
+        "m.py": "def _used():\n    pass\n\n\nclass _Dead:\n    pass\n\n\ndef _gone():\n    pass\n",
+        "t.py": "from m import _used\n",
+    }
+    assert _dead_helpers(sources, ["m.py"]) == ["m.py: _Dead", "m.py: _gone"]
