@@ -2,6 +2,7 @@ import inspect
 import json
 
 import pytest
+from test_golden import CLI_GOLDEN
 
 from weyl_lab import acceptance, cli
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
@@ -71,6 +72,29 @@ def test_cli_sum_runs(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["n"] == 100
     assert data["modulus"] > 0
+
+
+# the stderr summary each golden argv prints; "" where a subcommand has none
+CLI_SUMMARY = {
+    "cf": "",
+    "construct": "",
+    "sum": "a = 16.725924 + 21.128004i  |a| = 26.947153\n",
+    "traj": "",
+    "parseval": "mean |a|^2 = 16.9893 (q = 17, se = 0.1393)\n",
+    "renorm": "",
+    "schedule": "",
+    "resume": "level 2: q = 17, m = 2, product = 0.4563, eps_n = 0.2880\n",
+    "box": "symdiff = 0.1200, modulus fraction = 0.4180\n",
+    "density": "covered fraction = 0.0769\n",
+    "growth": "",
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_GOLDEN))
+def test_cli_golden_summary_line(capsys, name):
+    argv, _ = CLI_GOLDEN[name]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == CLI_SUMMARY[name]
 
 
 def test_cli_unknown_subcommand_exits_2(capsys):
