@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import counter_unit
 from .exactangle import GOLDEN, Angle, angle_from_float, dist_to_int, scale_mod1
-from .experiments import REFERENCE_THETA, approx_ratio, b_density_gap, growth_report
+from .experiments import DEFAULT_DELTA, REFERENCE_QS, approx_ratio, b_density_gap, growth_report
 from .renorm import fe_residual
 
 FE_SWEEP_SEED = 5
@@ -114,7 +114,7 @@ def run_growth_calibration() -> dict:
 def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict:
     """Success rate of the value-set gap target at the deep level of the
     reference construction."""
-    q = 83523
+    q = REFERENCE_QS[-1]
     hits = 0
     used = 0
     i = 0
@@ -122,10 +122,10 @@ def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict
         x = angle_from_float(counter_unit(seed, i, "bgap-x"))
         i += 1
         na = dist_to_int(scale_mod1(x, 2 * q))
-        if not 0.1 <= na <= 0.2:
+        if not DEFAULT_DELTA / 2 <= na <= DEFAULT_DELTA:
             continue
         used += 1
-        gap = b_density_gap(REFERENCE_THETA, q, x, 0.5)
+        gap = b_density_gap(q, x)
         if gap.largest_gap <= gap.target_gap:
             hits += 1
     return {"success_rate": hits / draws, "draws": draws, "seed": seed, "q": q}

@@ -27,11 +27,13 @@ from .contfrac import (
 from .exactangle import GOLDEN, Angle, angle_from_decimal, angle_from_rational
 from .experiments import (
     DEFAULT_CANDIDATES,
+    DEFAULT_CELL,
     DEFAULT_DELTA,
     DEFAULT_EPS,
     DEFAULT_GRID,
     DEFAULT_J_INTERVAL,
     DEFAULT_NU,
+    DEFAULT_RADIUS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     DEFAULT_THRESHOLD,
@@ -48,9 +50,16 @@ from .reporting import render_csv, render_json
 from .weylsum import parseval_estimate, trajectory, weyl_sum
 
 
+THETA_FORMS = (
+    "golden, a fraction p/q, a decimal d.ddd, quotients a1,a2,..., "
+    "construct:eps,levels, or an integer a >= 1 meaning 1/a"
+)
+ANGLE_FORMS = f"a 64-digit hex numerator, {THETA_FORMS}"
+
+
 def parse_theta(text: str) -> tuple[Angle, ContinuedFraction | None]:
-    """Accept 'golden', 'construct:eps,levels', a cf string 'a1,a2,...',
-    a fraction 'p/q', or a decimal string."""
+    """An angle in one of THETA_FORMS, with the continued fraction it
+    carries (None for golden, p/q and decimals)."""
     if text == "golden":
         return GOLDEN, None
     if text.startswith("construct:"):
@@ -65,12 +74,13 @@ def parse_theta(text: str) -> tuple[Angle, ContinuedFraction | None]:
         return angle_from_rational(int(p_str), int(q_str)), None
     if "." in text:
         return angle_from_decimal(text), None
-    # a bare integer is a single partial quotient
+    # a bare integer a is the one-quotient continued fraction of 1/a
     cf = ContinuedFraction((int(text),))
     return angle_from_cf(cf), cf
 
 
 def parse_angle(text: str) -> Angle:
+    """An angle in one of ANGLE_FORMS."""
     if len(text) == 64 and all(c in "0123456789abcdef" for c in text):
         return Angle.from_hex(text)
     ang, _ = parse_theta(text)
@@ -97,11 +107,7 @@ def _write_or_print(args, report) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of flag defaults; explicit flags win",
-    )
+    p.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
 
 
 def _add_witness(p: argparse.ArgumentParser) -> None:
@@ -191,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True)
     p.add_argument("--x", default="0.0")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--cell", type=float, default=0.25)
+    p.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
+    p.add_argument("--cell", type=float, default=DEFAULT_CELL)
     _add_common(p)
 
     p = sub.add_parser("growth", help="growth statistics over an n-schedule")
@@ -209,30 +215,72 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _theta_with_cf(args):
-    """theta and its continued fraction: the one theta carries, or the
-    expansion to --depth (or DEFAULT_DEPTH) quotients of one that carries none."""
-    theta, cf = parse_theta(args.theta)
+def _parsed(args, flag: str, parse, forms: str):
+    """parse(the text of flag), with a text it cannot read reported
+    against the flag and the forms the flag takes."""
+    text = getattr(args, flag[2:].replace("-", "_"))
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}; {flag} takes {forms}") from None
+
+
+def _report(args):
+    """The report of one report subcommand and its stderr summary line
+    (None for a subcommand that prints none)."""
+    cmd = args.command
+    if cmd == "construct":
+        seed = _parsed(args, "--seed-quotients", ContinuedFraction.parse, "quotients a1,a2,...")
+        cf, cert = construct_f_member(args.eps, args.levels, seed.quotients)
+        quotients = [str(a) for a in cf.quotients]
+        return {"quotients": quotients, "theta": angle_from_cf(cf), "cert": cert}, None
+    theta, cf = _parsed(args, "--theta", parse_theta, THETA_FORMS)
+    if cmd in ("sum", "traj", "renorm", "density"):
+        x = _parsed(args, "--x", parse_angle, ANGLE_FORMS)
+    if cmd in ("sum", "traj"):
+        y = _parsed(args, "--y", parse_angle, ANGLE_FORMS)
+    if cmd == "cf":
+        cf = cf_expand(theta, args.depth)
+        convs = [{"l": c.index, "p": str(c.p), "q": str(c.q)} for c in convergents(cf)]
+        return {"theta": theta, "quotients": cf.quotients, "convergents": convs}, None
+    if cmd == "sum":
+        z = weyl_sum(theta, x, y, args.n)
+        summary = f"a = {z.real:.6f} + {z.imag:.6f}i  |a| = {abs(z):.6f}"
+        return {"re": z.real, "im": z.imag, "modulus": abs(z), "n": args.n}, summary
+    if cmd == "traj":
+        return trajectory(theta, x, y, args.n, args.stride), None
+    if cmd == "parseval":
+        est = parseval_estimate(theta, args.q, args.samples, args.seed)
+        return est, f"mean |a|^2 = {est.mean:.4f} (q = {args.q}, se = {est.std_error:.4f})"
+    if cmd == "renorm":
+        return renorm_chain(theta, x, args.k, args.depth), None
+    if cmd == "density":
+        rep = density_probe(theta, x, args.n, args.radius, args.cell)
+        return rep, f"covered fraction = {rep.covered_fraction:.4f}"
+    if cmd == "growth":
+        ns = _parsed(args, "--schedule", lambda t: [int(n) for n in t.split(",")], "n1,n2,...")
+        return growth_report(theta, ns, args.grid), None
+    # schedule, resume and box: theta's own quotients, or the expansion to
+    # --depth (default DEFAULT_DEPTH) of a theta that carries none
     if cf is None:
-        return theta, cf_expand(theta, DEFAULT_DEPTH if args.depth is None else args.depth)
-    if args.depth is not None:
+        cf = cf_expand(theta, DEFAULT_DEPTH if args.depth is None else args.depth)
+    elif args.depth is not None:
         raise ValueError(f"--depth does not apply: theta {args.theta!r} gives its own quotients")
-    return theta, cf
-
-
-def _witness(args, level: int | None = None):
-    """theta and the witness the shared flags of resume and box ask for."""
-    theta, cf = _theta_with_cf(args)
+    if cmd == "schedule":
+        return select_qn(cf, theta, args.eps, args.threshold), None
+    if cmd == "box":
+        check_box_args((args.j_lo, args.j_hi), args.nu, args.samples)
     witness = resume_witness(
-        theta,
-        cf,
-        eps=args.eps,
-        delta=args.delta,
-        x_candidates=args.candidates,
-        seed=args.seed,
-        level=level,
+        theta, cf, eps=args.eps, delta=args.delta, x_candidates=args.candidates,
+        seed=args.seed, level=vars(args).get("level"),
     )
-    return theta, witness
+    if cmd == "resume":
+        return witness, (
+            f"level {witness.level}: q = {witness.q}, m = {witness.m_n}, "
+            f"product = {witness.product_value:.4f}, eps_n = {witness.eps_n:.4f}"
+        )
+    box = box_experiment(theta, witness, (args.j_lo, args.j_hi), args.nu, args.samples, args.seed)
+    return box, f"symdiff = {box.symdiff_ratio:.4f}, modulus fraction = {box.modulus_fraction:.4f}"
 
 
 def _config_tokens(args) -> list[str]:
@@ -266,102 +314,18 @@ def main(argv: list[str] | None = None) -> int:
             # flags, which come later, win
             at = argv.index(args.command) + 1
             args = ap.parse_args([*argv[:at], *_config_tokens(args), *argv[at:]])
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "cf":
-            theta, _ = parse_theta(args.theta)
-            cf = cf_expand(theta, args.depth)
-            report = {
-                "theta": theta,
-                "quotients": cf.quotients,
-                "convergents": [
-                    {"l": c.index, "p": str(c.p), "q": str(c.q)}
-                    for c in convergents(cf)
-                ],
-            }
-            _write_or_print(args, report)
-        elif args.command == "construct":
-            seed_quotients = tuple(int(t) for t in args.seed_quotients.split(","))
-            cf, cert = construct_f_member(args.eps, args.levels, seed_quotients)
-            report = {
-                "quotients": [str(a) for a in cf.quotients],
-                "theta": angle_from_cf(cf),
-                "cert": cert,
-            }
-            _write_or_print(args, report)
-        elif args.command == "sum":
-            theta, _ = parse_theta(args.theta)
-            z = weyl_sum(theta, parse_angle(args.x), parse_angle(args.y), args.n)
-            report = {"re": z.real, "im": z.imag, "modulus": abs(z), "n": args.n}
-            _write_or_print(args, report)
-            print(f"a = {z.real:.6f} + {z.imag:.6f}i  |a| = {abs(z):.6f}", file=sys.stderr)
-        elif args.command == "traj":
-            theta, _ = parse_theta(args.theta)
-            tr = trajectory(theta, parse_angle(args.x), parse_angle(args.y), args.n, args.stride)
-            _write_or_print(args, tr)
-        elif args.command == "parseval":
-            theta, _ = parse_theta(args.theta)
-            est = parseval_estimate(theta, args.q, args.samples, args.seed)
-            _write_or_print(args, est)
-            print(
-                f"mean |a|^2 = {est.mean:.4f} (q = {args.q}, se = {est.std_error:.4f})",
-                file=sys.stderr,
-            )
-        elif args.command == "renorm":
-            theta, _ = parse_theta(args.theta)
-            chain = renorm_chain(theta, parse_angle(args.x), args.k, args.depth)
-            _write_or_print(args, chain)
-        elif args.command == "schedule":
-            theta, cf = _theta_with_cf(args)
-            sched = select_qn(cf, theta, args.eps, args.threshold)
-            _write_or_print(args, sched)
-        elif args.command == "resume":
-            _, witness = _witness(args, args.level)
-            _write_or_print(args, witness)
-            print(
-                f"level {witness.level}: q = {witness.q}, m = {witness.m_n}, "
-                f"product = {witness.product_value:.4f}, eps_n = {witness.eps_n:.4f}",
-                file=sys.stderr,
-            )
-        elif args.command == "box":
-            check_box_args((args.j_lo, args.j_hi), args.nu, args.samples)
-            theta, witness = _witness(args)
-            report = box_experiment(
-                theta,
-                witness,
-                j_interval=(args.j_lo, args.j_hi),
-                nu=args.nu,
-                samples=args.samples,
-                seed=args.seed,
-            )
-            _write_or_print(args, report)
-            print(
-                f"symdiff = {report.symdiff_ratio:.4f}, "
-                f"modulus fraction = {report.modulus_fraction:.4f}",
-                file=sys.stderr,
-            )
-        elif args.command == "density":
-            theta, _ = parse_theta(args.theta)
-            rep = density_probe(theta, parse_angle(args.x), args.n, args.radius, args.cell)
-            _write_or_print(args, rep)
-            print(f"covered fraction = {rep.covered_fraction:.4f}", file=sys.stderr)
-        elif args.command == "growth":
-            theta, _ = parse_theta(args.theta)
-            schedule = [int(t) for t in args.schedule.split(",")]
-            rep = growth_report(theta, schedule, args.grid)
-            _write_or_print(args, rep)
-        elif args.command == "verify-all":
+        if args.command == "verify-all":
             results = acceptance.run_all(seed=args.seed, out_dir=args.out_dir)
-            failed = [r for r in results if not r.passed]
             for r in results:
                 print(r.summary_line())
-            return 1 if failed else 0
+            return 0 if all(r.passed for r in results) else 1
+        report, summary = _report(args)
+        _write_or_print(args, report)
+        if summary is not None:
+            print(summary, file=sys.stderr)
         return 0
+    except SystemExit as exc:  # argparse printed its help or a usage error
+        return 2 if exc.code not in (0, None) else 0
     except UnusableLevelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -94,7 +94,7 @@ def wrap_neg(a: Angle) -> Angle:
 
 def scale_mod1(a: Angle, n: int) -> Angle:
     """(n * a) mod 1 by widened integer multiply, exact; n may be negative."""
-    return Angle((n * a.numerator) & _MASK if n >= 0 else (n * a.numerator) % MODULUS)
+    return Angle((n * a.numerator) & _MASK)
 
 
 def dist_to_int(a: Angle) -> float:

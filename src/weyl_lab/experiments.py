@@ -54,18 +54,14 @@ DEFAULT_NU = 0.1
 DEFAULT_SAMPLES = 100_000
 DEFAULT_J_INTERVAL = (0.25, 0.75)
 DEFAULT_GRID = 512
+DEFAULT_RADIUS = 2.0  # the density probe's disk and its cell size
+DEFAULT_CELL = 0.25
 TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
 PRODUCT_TOL = 0.05
 # operational stand-in for the vanishing epsilon_n sequence: the interval
 # deviation and the torsion ||M^2 theta + 2Mx|| must both stay below this
 EPS_N_BOUND = 0.1
-
-# the standard construction at DEFAULT_EPS, 4 levels: its schedule reaches
-# q3 = 83523, the level the gates and the calibration work at
-REFERENCE_CF, _ = construct_f_member(DEFAULT_EPS, 4)
-REFERENCE_THETA = angle_from_cf(REFERENCE_CF)
-
 
 class UnusableLevelError(RuntimeError):
     """No candidate x passed the witness gates at the requested level."""
@@ -123,6 +119,13 @@ def select_qn(
     return QnSchedule(theta=theta, eps=eps, threshold=threshold, levels=tuple(levels))
 
 
+# the standard construction at DEFAULT_EPS, 4 levels, and its schedule's
+# levels q = 17 and q3 = 83523, where the gates and the calibration work
+REFERENCE_CF, _ = construct_f_member(DEFAULT_EPS, 4)
+REFERENCE_THETA = angle_from_cf(REFERENCE_CF)
+REFERENCE_QS = tuple(q for _, q, _ in select_qn(REFERENCE_CF, REFERENCE_THETA).levels)
+
+
 @dataclass(frozen=True)
 class TailMeasure:
     experiment = "tail_measure"
@@ -173,7 +176,7 @@ class BDensityGap:
     degenerate: bool
 
 
-def b_density_gap(theta: Angle, q: int, x: Angle, eps: float = DEFAULT_EPS) -> BDensityGap:
+def b_density_gap(q: int, x: Angle, eps: float = DEFAULT_EPS) -> BDensityGap:
     """Largest gap of {min(|b(2qx,m)|, 1) : 0 <= m <= q^(1/2+eps/4)} in [0,1].
 
     Values above 1 are clipped: the modulation only needs the value set to
@@ -508,8 +511,6 @@ def modulus_on_interval(
     sums; the truncation tail is below M * (4 pi M max|u|)^(p+1)/(p+1)!,
     reported so callers can check it is negligible.
     """
-    if big_m == 0:
-        return np.zeros(len(offsets)), 0.0
     moments = _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, pmax)
     w = 4j * math.pi * big_m * offsets
     acc = np.full(len(offsets), moments[0], dtype=np.complex128)
@@ -612,7 +613,9 @@ class DensityReport:
             yield ix, iy, n
 
 
-def density_probe(theta: Angle, x: Angle, n_terms: int, radius: float, cell: float) -> DensityReport:
+def density_probe(
+    theta: Angle, x: Angle, n_terms: int, radius: float = DEFAULT_RADIUS, cell: float = DEFAULT_CELL
+) -> DensityReport:
     """Mark every cell of the radius-R disk visited by the partial sums
     z_n = sum_{k<n} e(k^2 theta + k x), n = 1..N, recording first-hit times.
 

@@ -130,12 +130,12 @@ def dirichlet_b_over_x(xs: list[Angle], m: int) -> np.ndarray:
     return _engine.qsum_rows(0, [x.numerator for x in xs], 0, m)
 
 
-def _longdouble_frac(num: int, bits: int = 256) -> np.longdouble:
-    # num / 2**bits in 80-bit floats, built from 32-bit limbs so the int
+def _longdouble_frac(num: int) -> np.longdouble:
+    # num / 2**256 in 80-bit floats, built from 32-bit limbs so the int
     # conversion never routes through a 53-bit double
     acc = np.longdouble(0.0)
     for i in range(1, 5):
-        limb = (num >> (bits - 32 * i)) & 0xFFFFFFFF
+        limb = (num >> (256 - 32 * i)) & 0xFFFFFFFF
         acc += np.longdouble(limb) * np.longdouble(2.0) ** (-32 * i)
     return acc
 

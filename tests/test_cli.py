@@ -7,7 +7,13 @@ from test_golden import CLI_GOLDEN
 from weyl_lab import acceptance, cli
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
-from weyl_lab.experiments import box_experiment, growth_report, resume_witness, select_qn
+from weyl_lab.experiments import (
+    box_experiment,
+    density_probe,
+    growth_report,
+    resume_witness,
+    select_qn,
+)
 from weyl_lab.reporting import render_csv, render_json
 from weyl_lab.weylsum import trajectory
 
@@ -208,6 +214,27 @@ def test_cli_uncoverable_disk_or_unbuildable_eps_exits_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, form",
+    [
+        (["sum", "--theta", "construct:0.5", "--n", "5"], "--theta", "construct:eps,levels"),
+        (["sum", "--theta", "1/2/3", "--n", "5"], "--theta", "p/q"),
+        (["sum", "--theta", "2,x", "--n", "5"], "--theta", "a1,a2,..."),
+        (["sum", "--theta", "golden", "--x", "0", "--n", "10"], "--x", "1/a"),
+        (["traj", "--theta", "golden", "--y", "0.x", "--n", "10"], "--y", "hex"),
+        (["construct", "--seed-quotients", "2,x"], "--seed-quotients", "a1,a2,..."),
+        (["growth", "--theta", "golden", "--schedule", "10,x"], "--schedule", "n1,n2,..."),
+    ],
+    ids=["construct-form", "fraction-form", "cf-form", "x-zero", "y-decimal", "seed", "schedule"],
+)
+def test_cli_unreadable_flag_value_names_flag_and_forms(capsys, argv, flag, form):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+    assert f"{flag} takes" in captured.err and form in captured.err
+
+
 def _param_default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
@@ -226,6 +253,8 @@ def _param_default(fn, name):
         (["parseval", "--theta", "golden", "--q", "3"], "seed", resume_witness, "seed"),
         (["construct"], "eps", select_qn, "eps"),
         (["growth", "--theta", "golden"], "grid", growth_report, "x_grid_size"),
+        (["density", "--theta", "golden", "--n", "1"], "radius", density_probe, "radius"),
+        (["density", "--theta", "golden", "--n", "1"], "cell", density_probe, "cell"),
     ],
 )
 def test_cli_defaults_are_the_library_defaults(argv, dest, fn, name):

@@ -63,6 +63,10 @@ def test_scale_mod1():
     q = angle_from_rational(1, 4)
     assert scale_mod1(q, 4) == Angle(0)
     assert scale_mod1(q, -1).to_float() == 0.75
+    rng = random.Random(5)
+    for _ in range(200):
+        a, n = Angle(rng.randrange(MODULUS)), rng.randrange(-(1 << 300), 0)
+        assert scale_mod1(a, n).numerator == (n * a.numerator) % MODULUS
     third = angle_from_rational(1, 3)
     assert dist_to_int_exact(scale_mod1(third, 3)) <= Fraction(3, MODULUS)
 

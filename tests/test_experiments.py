@@ -24,6 +24,7 @@ from weyl_lab.experiments import (
     derivative_check,
     find_mn,
     growth_report,
+    modulus_on_interval,
     resume_witness,
     select_qn,
     tail_measure,
@@ -102,9 +103,8 @@ def test_tail_measure_rejects_small_samples():
 
 def test_b_density_gap_m_range_two():
     # only m in {0, 1}: value set {0, 1}, so the largest gap is 1
-    theta = GOLDEN
     x = angle_from_decimal("0.3")
-    gap = b_density_gap(theta, 1, x, eps=0.5)
+    gap = b_density_gap(1, x, eps=0.5)
     assert gap.m_max == 1
     assert gap.largest_gap == 1.0
 
@@ -112,14 +112,14 @@ def test_b_density_gap_m_range_two():
 def test_b_density_gap_degenerate_half():
     # ||2qx|| = 1/2 exactly: |b| alternates 0, 1
     x = angle_from_rational(1, 4)
-    gap = b_density_gap(GOLDEN, 1, x, eps=0.5)
+    gap = b_density_gap(1, x, eps=0.5)
     assert gap.degenerate
     assert gap.largest_gap == 1.0
 
 
 def test_b_density_gap_rejects_zero_window():
     with pytest.raises(ValueError):
-        b_density_gap(GOLDEN, 2, angle_from_rational(1, 2), eps=0.5)
+        b_density_gap(2, angle_from_rational(1, 2), eps=0.5)
 
 
 def test_b_density_gap_success_rate_calibrated():
@@ -290,6 +290,12 @@ def test_symdiff_decreases_across_levels(constructed, deep_witness):
     box_shallow = box_experiment(theta, shallow, samples=20_000, seed=7)
     box_deep = box_experiment(theta, deep_witness, samples=20_000, seed=7)
     assert box_deep.symdiff_ratio < box_shallow.symdiff_ratio
+
+
+def test_modulus_on_interval_of_the_empty_sum_is_zero():
+    offsets = np.linspace(-1e-6, 1e-6, 5)
+    mods, tail = modulus_on_interval(GOLDEN, angle_from_decimal("0.3"), 0, offsets)
+    assert mods.tolist() == [0.0] * 5 and tail == 0.0
 
 
 def test_density_degenerate_line():

@@ -119,7 +119,7 @@ def _library_reports():
     x = counter_angle(7, 1, "golden")
     return {
         "tail_measure": tail_measure(theta, 17, 0.5, 1000, 7),
-        "b_density_gap": b_density_gap(theta, 83523, x),
+        "b_density_gap": b_density_gap(83523, x),
         "find_mn": find_mn(theta, 83523, x),
         "u_measure_lower": u_measure_lower(theta, 2, 0.1, 500, 7),
         "b_level_measure": b_level_measure(theta, 2, 1.0, 500, 7),
