@@ -93,7 +93,8 @@ def wrap_neg(a: Angle) -> Angle:
 
 
 def scale_mod1(a: Angle, n: int) -> Angle:
-    """(n * a) mod 1 by widened integer multiply, exact; n may be negative."""
+    """(n * a) mod 1 by widened integer multiply, exact; n may be negative
+    (& _MASK reduces a negative product mod 2**256 as % would)."""
     return Angle((n * a.numerator) & _MASK)
 
 
