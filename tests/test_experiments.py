@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from box_oracle import box_experiment_loop
 
+from weyl_lab import _engine
 from weyl_lab._rng import counter_angle
 from weyl_lab.calibration import load_calibration, run_bgap_calibration
 from weyl_lab.contfrac import angle_from_cf, cf_expand, construct_f_member
@@ -329,6 +330,50 @@ def test_density_first_hits_consistent(constructed):
     assert rep.n_visited == len(rep.first_hits)
     assert all(1 <= n <= 50_000 for _, _, n in rep.first_hits)
     assert rep.covered_fraction == rep.n_visited / rep.n_disk_cells
+
+
+def _density_scan(theta, x, n, radius, cell):
+    # first hits read off the engine's partial sums one point at a time
+    first = {}
+    zs = [z for _, blk in _engine.qsum_partials(theta.numerator, x.numerator, 0, n) for z in blk.tolist()]
+    for m, z in enumerate(zs, start=1):
+        ix, iy = math.floor(z.real / cell), math.floor(z.imag / cell)
+        if ((ix + 0.5) * cell) ** 2 + ((iy + 0.5) * cell) ** 2 <= radius * radius:
+            first.setdefault((ix, iy), m)
+    reach = math.ceil(radius / cell) + 1
+    n_disk = sum(
+        ((ix + 0.5) * cell) ** 2 + ((iy + 0.5) * cell) ** 2 <= radius * radius
+        for ix in range(-reach, reach + 1)
+        for iy in range(-reach, reach + 1)
+    )
+    return tuple(sorted((ix, iy, m) for (ix, iy), m in first.items())), n_disk
+
+
+_SCAN_N = _engine.CHUNK + 1000
+
+
+@pytest.mark.parametrize(
+    "theta, x, n, radius, cell",
+    [
+        (Angle(0), counter_angle(7, 0, "density"), _SCAN_N, 2.0, 0.25),
+        (GOLDEN, angle_from_decimal("0.3"), _SCAN_N, 2.0, 0.25),
+        (counter_angle(11, 0, "scan-theta"), counter_angle(11, 0, "scan-x"), _SCAN_N, 2.0, 0.25),
+        (GOLDEN, angle_from_decimal("0.3"), _SCAN_N, 0.5, 0.125),
+        (GOLDEN, angle_from_decimal("0.3"), _SCAN_N, 256.0, 8.0),
+        (GOLDEN, angle_from_decimal("0.3"), 0, 2.0, 0.25),
+    ],
+    ids=["theta-zero", "golden", "random", "small-disk", "second-block", "empty"],
+)
+def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
+    hits, n_disk = _density_scan(theta, x, n, radius, cell)
+    rep = density_probe(theta, x, n, radius, cell)
+    assert rep.first_hits == hits
+    assert rep.n_disk_cells == n_disk
+    assert rep.n_visited == len(hits)
+    assert rep.covered_fraction == len(hits) / n_disk
+    if radius == 256.0:
+        # the walk reaches new cells after the first block
+        assert any(m > _engine.CHUNK for _, _, m in hits)
 
 
 def test_growth_theta_zero_control():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import weyl_lab
+from weyl_lab import _engine
 from weyl_lab.exactangle import (
     GOLDEN,
     MODULUS,
@@ -287,10 +288,26 @@ def test_trajectory_basics():
     strided = trajectory(GOLDEN, Angle(12), Angle(7), 600, 7)
     assert list(strided.ns)[:3] == [0, 7, 14]
     assert strided.ns[-1] == 600  # endpoint always recorded
-    # strided points agree with the dense run
-    dense = {int(n): z for n, z in zip(tr.ns, tr.points)}
-    for n, z in zip(strided.ns, strided.points):
-        assert abs(dense[int(n)] - z) < 1e-9
+    # strided points are the dense run's, bit for bit; the endpoint
+    # (600 % 7 != 0) is weyl_sum's
+    assert strided.points[-1] == weyl_sum(GOLDEN, Angle(12), Angle(7), 600)
+    dense = dict(zip(tr.ns.tolist(), tr.points.tolist()))
+    assert strided.points[:-1].tolist() == [dense[n] for n in strided.ns[:-1].tolist()]
+
+
+@pytest.mark.parametrize("stride", [1, 5, 4096])
+def test_trajectory_strides_across_blocks_are_exact(stride):
+    n = _engine.CHUNK + 1000
+    zs = [z for _, blk in _engine.qsum_partials(GOLDEN.numerator, 24, 7, n) for z in blk.tolist()]
+    tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
+    ns = list(range(0, n + 1, stride))
+    pts = [0j] + [zs[m - 1] for m in ns[1:]]
+    if n % stride:
+        ns.append(n)
+        pts.append(weyl_sum(GOLDEN, Angle(12), Angle(7), n))
+    assert tr.ns.tolist() == ns
+    assert tr.points.tolist() == pts
+    assert tr.ns.dtype == np.int64 and tr.points.dtype == np.complex128
 
 
 def test_trajectory_golden_band():
