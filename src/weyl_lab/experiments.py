@@ -637,31 +637,25 @@ def density_probe(
     n_disk = int(np.sum(in_disk))
     if n_disk == 0:
         raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
-    first_hit: dict[tuple[int, int], int] = {}
+    # first[ix, iy] is the cell's first-hit n; n_terms + 1 marks it unvisited
+    first = np.full((width, width), n_terms + 1, dtype=np.int64)
     for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, n_terms):
         sx = np.floor(z.real / cell).astype(np.int64) + span
         sy = np.floor(z.imag / cell).astype(np.int64) + span
-        ok = (sx >= 0) & (sx < width) & (sy >= 0) & (sy < width)
-        ok[ok] = in_disk[sx[ok], sy[ok]]
-        if not np.any(ok):
-            continue
-        cells = sx[ok] * width + sy[ok]
-        ns = k0 + 1 + np.nonzero(ok)[0]
-        uniq, first_idx = np.unique(cells, return_index=True)
-        for cell_id, pos in zip(uniq.tolist(), first_idx.tolist()):
-            key = (cell_id // width - span, cell_id % width - span)
-            if key not in first_hit:
-                first_hit[key] = int(ns[pos])
-    hits = tuple(sorted((ix, iy, n) for (ix, iy), n in first_hit.items()))
+        j = np.flatnonzero((sx >= 0) & (sx < width) & (sy >= 0) & (sy < width))
+        j = j[first[sx[j], sy[j]] > n_terms]
+        np.minimum.at(first, (sx[j], sy[j]), k0 + 1 + j)
+    ix, iy = np.nonzero(in_disk & (first <= n_terms))
+    hits = tuple(zip((ix - span).tolist(), (iy - span).tolist(), first[ix, iy].tolist()))
     return DensityReport(
         theta=theta,
         x=x,
         N=n_terms,
         radius=radius,
         cell=cell,
-        covered_fraction=len(first_hit) / n_disk,
+        covered_fraction=len(hits) / n_disk,
         n_disk_cells=n_disk,
-        n_visited=len(first_hit),
+        n_visited=len(hits),
         first_hits=hits,
     )
 
@@ -715,6 +709,7 @@ def growth_report(
         vals: list[float] = []
         for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, 0, n_schedule[-1]):
             at = [n - k0 - 1 for n in n_schedule if k0 < n <= k0 + len(z)]
+            # scalar abs: array np.abs differs from it in the last bit, and these bytes are pinned
             vals.extend(float(abs(z[i])) for i in at)
             if j == 0:
                 # x = 0 also gives |a(0,n)|/sqrt(n) with its running peak

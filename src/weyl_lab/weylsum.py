@@ -100,7 +100,7 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
         [ph for _, ph in _engine.phase_chunks(theta.numerator, 0, 0, n)]
     )
     coeffs = _engine.e_phase(coeff_phases)
-    step = math.isqrt(n - 1) + 1 if n > 1 else 1
+    step = math.isqrt(n - 1) + 1
     out = np.empty(len(xs), dtype=np.complex128)
     block = 8192
     for s0 in range(0, len(xs), block):
@@ -269,25 +269,19 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         raise ValueError("stride must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    ns = [0]
-    pts = [0j]
+    pts = [np.zeros(1, dtype=np.complex128)]
     for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, y.numerator, n):
-        # z[j] is the partial sum through term k0+j, i.e. z_{k0+j+1}
-        first = k0 + 1
-        offset = (-first) % stride
-        idx = np.arange(offset, len(z), stride)
-        ns.extend((first + idx).tolist())
-        pts.extend(z[idx].tolist())
+        # z[j] is the partial sum through term k0+j, i.e. z_{k0+j+1}; the
+        # copy lets the block go
+        pts.append(z[(-k0 - 1) % stride :: stride].copy())
     if n % stride:
         # always include the endpoint
-        zn = weyl_sum(theta, x, y, n)
-        ns.append(n)
-        pts.append(zn)
+        pts.append([weyl_sum(theta, x, y, n)])
     return Trajectory(
         theta=theta,
         start=SkewPoint(x, y),
-        ns=np.array(ns, dtype=np.int64),
-        points=np.array(pts, dtype=np.complex128),
+        ns=np.append(np.arange(0, n, stride, dtype=np.int64), n),
+        points=np.concatenate(pts),
         length=n,
         stride=stride,
     )
