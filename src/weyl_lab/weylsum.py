@@ -37,6 +37,9 @@ _TWO_PI = 2.0 * math.pi
 _B_SERIES_CUTOFF = 2.0 ** -20
 _B_LONGDOUBLE_CUTOFF = 2.0 ** -8
 
+# samples per baby-step/giant-step product in weyl_sums_over_x
+_SAMPLE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class SkewPoint:
@@ -85,34 +88,34 @@ def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
 
 
 def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
-    """a(x, 0, n) for many x at once.
+    """a(x, 0, n) for many x at once, the one-n case of weyl_sums_over_x."""
+    return weyl_sums_over_x(theta, xs, [n])[0]
 
-    Writes the sum as the polynomial sum_k e(k^2*theta) * rho^k with
-    rho = e(2x) and evaluates by baby-step/giant-step so the bulk of the
-    work is one complex matrix product per sample block.  Anchor powers
-    rho^L come from exactly reduced phases, not repeated multiplication.
+
+def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray:
+    """a(x, 0, n) for x in xs (columns) and n in ns (rows), with rho = e(2x)
+    built once per sample.
+
+    Writes each sum as the polynomial sum_k e(k^2*theta) * rho^k and
+    evaluates it by baby-step/giant-step, so the bulk of the work is one
+    complex matrix product per sample block.  The anchor powers rho^step
+    come from exactly reduced phases, not repeated multiplication.
     """
-    if n < 0:
+    if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return np.zeros(len(xs), dtype=np.complex128)
-    coeff_phases = np.concatenate(
-        [ph for _, ph in _engine.phase_chunks(theta.numerator, 0, 0, n)]
-    )
-    coeffs = _engine.e_phase(coeff_phases)
-    step = math.isqrt(n - 1) + 1
-    out = np.empty(len(xs), dtype=np.complex128)
-    block = 8192
-    for s0 in range(0, len(xs), block):
-        xs_blk = xs[s0 : s0 + block]
-        # (2x mod 1) and (2*step*x mod 1) from numerators, as scale_mod1 reduces them
-        rho_ph = np.array([(2 * x.numerator) % MODULUS / MODULUS for x in xs_blk])
-        big_ph = np.array([(2 * step * x.numerator) % MODULUS / MODULUS for x in xs_blk])
-        rho = _engine.e_phase(rho_ph)
-        rho_big = _engine.e_phase(big_ph)
-        out[s0 : s0 + len(xs_blk)] = _engine.poly_eval_unit_circle(
-            coeffs, rho, rho_big, step
-        )
+    out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
+    polys = []  # (row, coefficients e(k^2 theta), baby steps) per nonempty sum
+    for row, n in zip(out, ns):
+        if n > 0:
+            phases = np.concatenate([ph for _, ph in _engine.phase_chunks(theta.numerator, 0, 0, n)])
+            polys.append((row, _engine.e_phase(phases), math.isqrt(n - 1) + 1))
+    for s0 in range(0, len(xs), _SAMPLE_BLOCK):
+        # 2x mod 1 on numerators, as scale_mod1 reduces it
+        twice = [(2 * x.numerator) % MODULUS for x in xs[s0 : s0 + _SAMPLE_BLOCK]]
+        rho = _engine.e_phase(np.array([u / MODULUS for u in twice]))
+        for row, coeffs, step in polys:
+            rho_big = _engine.e_phase(np.array([step * u % MODULUS / MODULUS for u in twice]))
+            row[s0 : s0 + len(twice)] = _engine.poly_eval_unit_circle(coeffs, rho, rho_big, step)
     return out
 
 
@@ -245,22 +248,30 @@ class ParsevalEstimate:
 
 
 def parseval_estimate(theta: Angle, q: int, samples: int, seed: int) -> ParsevalEstimate:
-    """Monte Carlo mean of |a(x, q)|^2 over uniform x, with standard error.
+    """Monte Carlo mean of |a(x, q)|^2 over uniform x, with standard error;
+    the one-q case of parseval_estimates.
 
     The exact mean over x is q for every q (the cross terms integrate to
     zero); the estimate is unbiased even on the grid because each grid
     frequency 2(k-l) has full period 2**256.
     """
+    return parseval_estimates(theta, [q], samples, seed)[0]
+
+
+def parseval_estimates(
+    theta: Angle, qs: list[int], samples: int, seed: int
+) -> list[ParsevalEstimate]:
+    """parseval_estimate for each q of qs, all on one draw of the samples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     xs = counter_angles(seed, samples, "parseval")
-    vals = np.abs(weyl_sum_over_x(theta, xs, q)) ** 2
-    mean = float(np.mean(vals))
-    if samples > 1:
-        se = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    else:
-        se = 0.0
-    return ParsevalEstimate(q=q, samples=samples, seed=seed, mean=mean, std_error=se)
+    out = []
+    for q, sums in zip(qs, weyl_sums_over_x(theta, xs, qs)):
+        vals = np.abs(sums) ** 2
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        out.append(ParsevalEstimate(q=q, samples=samples, seed=seed, mean=mean, std_error=se))
+    return out
 
 
 def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Trajectory:
