@@ -27,13 +27,11 @@ from .weylsum import (
     dirichlet_b,
     dirichlet_b_closed,
     parseval_estimate,
-    parseval_estimates,
     psi,
     skew_shift_n,
     trajectory,
     weyl_sum,
     weyl_sum_over_x,
-    weyl_sums_over_x,
 )
 from .renorm import (
     RenormChain,

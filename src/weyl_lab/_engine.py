@@ -3,45 +3,47 @@
 The phase numerator N_k = (A*k^2 + B*k + C) mod 2**mod_bits is computed
 block-wise: block boundaries exactly with Python integers, and inside a
 block as N_k0 + j*D + j*(j-1)*A' on the top 128 bits of each operand,
-each split into three uint64 words: bits 0-31, 32-63 and 64-127.  Bits
-64-127 of that sum become the float phase; the low bits dropped from each
-operand leave a one-sided slack below 2**-97, far under the 2**-53 of the
-double conversion.  The two low words only carry into bit 64, and with
-blen <= CHUNK = 2**15 each of their sums stays below 2**63.  The top word
-is summed in uint64, which wraps mod 2**64, exactly the modulus the phase
-keeps, so the wrap loses nothing.
+each split into three uint64 words: bits 0-31, 32-63 and 64-127.  The two
+low words only carry into bit 64, and with blen <= CHUNK = 2**15 each of
+their sums stays below 2**63.  The top word is summed in uint64, which
+wraps mod 2**64 as the phase does.  It is the phase word w, phase =
+w * 2**-64: the low bits dropped from each operand sum to under 2**-97 of
+a turn, so w is the exact top word or one below it (a one-sided slack).
+
+e(w 2**-64) is e_phase(w) = T1[w >> 48] * T2[(w >> 32) & 0xFFFF] *
+(1 + 2 pi i r), r = (w & 0xFFFFFFFF) * 2**-64, with T1[i] = e(i 2**-16) and
+T2[i] = e(i 2**-32).  Per-term error model: each table component is within
+1 ulp (long-double cos/sin of exact turns); the products and the add round
+each component by about 2**-52 in all; the dropped (2 pi r)**2 / 2 < 2**-59;
+and no float phase is rounded, since the table indices and r come from the
+exact integer word (its slack adds < 2**-61).  Measured against mpmath the
+worst is 0.57 * 2**-51 per term, and a test holds it to 2**-51; cos/sin of
+a float64 phase, the earlier kernel, reached 2.3 * 2**-51.
 
 Rows: qsum_rows evaluates one sum per linear coefficient B of a list, at
 shared A, C and n; a single sum (qsum, phase_chunks, qsum_partials,
-qsum_moments) is the one-row case.  The phase kernel takes the list, its
-words as (rows, 1) columns, and gives a (rows, blen) block of phases.
-Each row is reduced on its own: np.sum along the row per block, then one
-pairwise pass over that row's block partials laid out contiguously.
-np.sum along the last axis of a C-contiguous array takes the order it
-takes for one contiguous 1-D array, so a row does not depend on the rows
-beside it.  Rows go through in batches of at most 2**20 phases, which
-bounds the temporaries.
+qsum_moments) is the one-row case.  The phase kernel gives a (rows, blen)
+block of words.  Each row is reduced on its own by np.sum (never np.dot,
+whose order follows the BLAS thread count): along the row per block, then
+one pairwise pass over the row's block partials laid out contiguously, in
+the order of one contiguous 1-D array, so a row does not depend on the
+rows beside it.  Rows go in batches of at most 2**20 phases.
 
-Threads: qsum_rows, and so qsum, and qsum_moments split a sum of more than
-one block into runs = min(W, blocks) contiguous runs of whole blocks, W
-being the number of cores in the process's affinity mask.  The calling
-thread runs the first run itself and an executor of runs - 1 threads,
-opened for that one call and joined before it returns, runs the others;
-the time goes into numpy ufuncs, which release the GIL.  No engine thread
-outlives the call that started it, so importing starts none and a forked
-child starts its own.  A run is contiguous because handing off one block
-at a time gained nothing on two cores.  Each block's phases and sums
-depend on its own k0 alone, and the per-block results are reduced in
-block order exactly as on one thread, so results do not depend on W.
-Single-block calls start no thread.  qsum_partials stays sequential: its
-callers stream block by block, and a contiguous run would buffer 16 bytes
-per term.  Worker threads call only private helpers and e_phase, never an
-entry point such as qsum or phase_chunks, so a wrapper on one of those
-runs in the caller.
+Threads: a sum of more than one block is split into min(W, blocks)
+contiguous runs of whole blocks, W being the number of cores in the
+process's affinity mask.  The caller runs the first run and an executor
+opened for that one call runs the others in numpy ufuncs, which release
+the GIL; no engine thread outlives its call, so importing starts none and
+a forked child starts its own.  Each block depends on its own k0 alone and
+block results are reduced in block order, so results do not depend on W.
+Single-block calls start no thread, and qsum_partials, streamed block by
+block, none at all.  Worker threads call only private helpers and e_phase,
+never an entry point, so a wrapper on one of those runs in the caller.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
@@ -50,8 +52,8 @@ import numpy as np
 
 CHUNK = 1 << 15
 _SH32 = np.uint64(32)
-_TWO_PI = 2.0 * np.pi
-_INV_2_64 = 2.0 ** -64
+_SH48 = np.uint64(48)
+_TWO_PI_ULP = 2.0 * np.pi * 2.0 ** -64  # radians of the word's last bit
 
 # phases per block of rows in qsum_rows, which bounds its temporaries
 _ROW_PHASES = 1 << 20
@@ -71,8 +73,8 @@ def _words(values: list[int]) -> tuple:
 def _phase_block(
     a: int, bs: list[int], c: int, k0: int, blen: int, mod_bits: int
 ) -> np.ndarray:
-    """Phases of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase kernel:
-    one row of blen phases per linear coefficient of bs."""
+    """Phase words of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase
+    kernel: one row of blen words per linear coefficient of bs."""
     mod = 1 << mod_bits
     shift = mod_bits - 128
     a %= mod
@@ -88,14 +90,13 @@ def _phase_block(
     carry >>= _SH32
     carry += n_mid + j * d_mid + jj * a_mid
     carry >>= _SH32
-    top = n_hi + j * d_hi + jj * a_hi + carry
-    return top.astype(np.float64) * _INV_2_64
+    return n_hi + j * d_hi + jj * a_hi + carry
 
 
 def _blocks(
     a: int, bs: list[int], c: int, lo: int, hi: int, mod_bits: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(k0, phases) for each block of k = lo .. hi-1, the one block loop."""
+    """(k0, words) for each block of k = lo .. hi-1, the one block loop."""
     for k0 in range(lo, hi, CHUNK):
         yield k0, _phase_block(a, bs, c, k0, min(CHUNK, hi - k0), mod_bits)
 
@@ -103,27 +104,43 @@ def _blocks(
 def phase_chunks(
     a: int, b: int, c: int, n: int, mod_bits: int = 256
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k0, phases) arrays covering k = 0 .. n-1.
-
-    Phases are float64 in [0, 1], accurate to 2**-64 * (1 + 2**-34) of the
-    exact grid value of (A*k^2 + B*k + C) / 2**mod_bits mod 1.
-    """
-    for k0, ph in _blocks(a, [b], c, 0, n, mod_bits):
-        yield k0, ph[0]
+    """Yield (k0, words) uint64 arrays covering k = 0 .. n-1: the phase of
+    term k is words[k - k0] * 2**-64, its word (see the module doc)."""
+    for k0, words in _blocks(a, [b], c, 0, n, mod_bits):
+        yield k0, words[0]
 
 
-def phase_at(a: int, b: int, c: int, k: int, mod_bits: int = 256) -> int:
-    """Direct big-integer phase numerator, the reference for the block kernel."""
-    return (a * k * k + b * k + c) % (1 << mod_bits)
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """(T1, T2), T1[i] = e(i 2**-16) and T2[i] = e(i 2**-32) for i < 2**16:
+    2 MB, built on first use.  cos and sin run in long double on exact turns
+    in the first octant; e(1/4 - t) = i conj(e(t)) fills T1's first quadrant
+    and e(t + 1/4) = i e(t) the rest."""
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    t = np.arange(2**13 + 1, dtype=np.longdouble) * (pi / 2**15)
+    c, s = np.cos(t).astype(np.float64), np.sin(t).astype(np.float64)
+    quadrant = np.concatenate([c + 1j * s, s[-2:0:-1] + 1j * c[-2:0:-1]])
+    t1 = np.concatenate([quadrant, 1j * quadrant, -quadrant, -1j * quadrant])
+    t = np.arange(2**16, dtype=np.longdouble) * (pi / 2**31)
+    return t1, np.cos(t).astype(np.float64) + 1j * np.sin(t).astype(np.float64)
 
 
-def e_phase(ph: np.ndarray) -> np.ndarray:
-    """e(phi) = exp(2 pi i phi) per phase, the one complex e(phi) routine:
-    the cos and sin of 2 pi phi that qsum sums, into one complex array."""
-    t = ph * _TWO_PI
-    z = np.empty(ph.shape, dtype=np.complex128)
-    np.cos(t, out=z.real)
-    np.sin(t, out=z.imag)
+def e_phase(words: np.ndarray) -> np.ndarray:
+    """e(w 2**-64) per phase word w, the one e(phi) routine (see the module
+    doc), its temporaries reused in place: one index and one float array."""
+    t1, t2 = _tables()
+    idx = (words >> _SH48).view(np.int64)
+    z = np.take(t1, idx)
+    np.right_shift(words, _SH32, out=idx.view(np.uint64))
+    idx &= 0xFFFF
+    z *= np.take(t2, idx)
+    x = np.bitwise_and(words, 0xFFFFFFFF, out=idx.view(np.uint64)).astype(np.float64)
+    x *= _TWO_PI_ULP  # 2 pi r
+    # z (1 + i x) = (re - x im) + i (im + x re)
+    im_x = z.imag * x
+    x *= z.real
+    z.real -= im_x
+    z.imag += x
     return z
 
 
@@ -133,38 +150,30 @@ except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _run(
-    block: Callable, a: int, bs: list[int], c: int, lo: int, hi: int, mod_bits: int,
-    args: tuple,
-) -> list:
-    return [block(k0, ph, *args) for k0, ph in _blocks(a, bs, c, lo, hi, mod_bits)]
-
-
 def _blockwise(
     block: Callable, a: int, bs: list[int], c: int, n: int, mod_bits: int, *args
 ) -> list:
-    """[block(k0, phases, *args) for each block of k < n], in block order,
+    """[block(k0, words, *args) for each block of k < n], in block order,
     over at most _WORKERS contiguous runs of blocks (see the module doc)."""
+
+    def run(lo: int, hi: int) -> list:
+        return [block(k0, words, *args) for k0, words in _blocks(a, bs, c, lo, hi, mod_bits)]
+
     blocks = -(-n // CHUNK)
     runs = min(_WORKERS, blocks)
     if runs <= 1:
-        return _run(block, a, bs, c, 0, n, mod_bits, args)
+        return run(0, n)
     cuts = [i * blocks // runs * CHUNK for i in range(runs)] + [n]
     with ThreadPoolExecutor(runs - 1) as pool:
-        rest = [
-            pool.submit(_run, block, a, bs, c, lo, hi, mod_bits, args)
-            for lo, hi in zip(cuts[1:-1], cuts[2:])
-        ]
-        out = _run(block, a, bs, c, cuts[0], cuts[1], mod_bits, args)
+        rest = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        out = run(cuts[0], cuts[1])
         for fut in rest:
             out += fut.result()
     return out
 
 
-def _cos_sin_sums(k0: int, ph: np.ndarray) -> tuple:
-    # one cos and one sin sum per row of phases
-    t = ph * _TWO_PI
-    return np.sum(np.cos(t), axis=-1), np.sum(np.sin(t), axis=-1)
+def _row_sums(k0: int, words: np.ndarray) -> np.ndarray:
+    return np.sum(e_phase(words), axis=-1)
 
 
 def _block_total(partials: tuple) -> np.ndarray:
@@ -174,30 +183,22 @@ def _block_total(partials: tuple) -> np.ndarray:
 
 
 def qsum(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
-    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits), the one-row case of
-    qsum_rows."""
+    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits), qsum_rows' one-row case."""
     return complex(qsum_rows(a, [b], c, n, mod_bits)[0])
 
 
 def qsum_rows(a: int, bs: Sequence[int], c: int, n: int, mod_bits: int = 256) -> np.ndarray:
     """sum_{k<n} e((A k^2 + b k + C)/2**mod_bits) for each b of bs, as one
-    array; a single sum (qsum) is the one-row case.
-
-    Each block's phases form one (len(bs), blen) array.  Each row is
-    reduced in ascending k, np.sum along the row per block and then one
-    pairwise pass over that row's block sums, which keeps the rounding
-    O(log n); a row's bits do not depend on the rows beside it.
-    """
+    array, each row reduced on its own (see the module doc); a single sum
+    (qsum) is the one-row case."""
     bs = list(bs)
     out = np.zeros(len(bs), dtype=np.complex128)
     if n <= 0:
         return out
     rows = max(1, _ROW_PHASES // min(n, CHUNK))
     for r0 in range(0, len(bs), rows):
-        sums = _blockwise(_cos_sin_sums, a, bs[r0 : r0 + rows], c, n, mod_bits)
-        partials_r, partials_i = zip(*sums)
-        out.real[r0 : r0 + rows] = _block_total(partials_r)
-        out.imag[r0 : r0 + rows] = _block_total(partials_i)
+        sums = _blockwise(_row_sums, a, bs[r0 : r0 + rows], c, n, mod_bits)
+        out[r0 : r0 + rows] = _block_total(sums)
     return out
 
 
@@ -206,23 +207,21 @@ def qsum_partials(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k0, z) with z[j] = partial sum through term k0+j (inclusive)."""
     carry = 0.0 + 0.0j
-    for k0, ph in phase_chunks(a, b, c, n, mod_bits):
-        z = np.cumsum(e_phase(ph))
+    for k0, words in phase_chunks(a, b, c, n, mod_bits):
+        z = np.cumsum(e_phase(words))
         z += carry
         carry = complex(z[-1])
         yield k0, z
 
 
-def _moment_row(k0: int, ph: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:
-    # the moments of the block's one row of phases
-    z = e_phase(ph[0])
+def _moment_row(k0: int, words: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:
+    # the moments of the block's one row of phase words
+    z = e_phase(words[0])
     w = (k0 + np.arange(z.size, dtype=np.float64)) * inv_n
-    row = np.empty(pmax + 1, dtype=np.complex128)
-    wp = np.ones_like(w)
-    row[0] = np.sum(z)
-    for p in range(1, pmax + 1):
-        wp = wp * w
-        row[p] = np.sum(wp * z)
+    row = [np.sum(z)]
+    for _ in range(pmax):
+        z *= w
+        row.append(np.sum(z))
     return row
 
 
@@ -234,11 +233,9 @@ def qsum_moments(
     Used to evaluate the sum at nearby x via a Taylor expansion in the
     linear-phase offset; the normalized weight keeps every S_p O(n).
     """
-    # with n <= 0 there is no block, so the weight scale is never used
+    # with n <= 0 there is no block, the weight scale goes unused and S_p = 0
     rows = _blockwise(_moment_row, a, [b], c, n, mod_bits, 1.0 / max(n, 1), pmax)
-    if not rows:
-        return np.zeros(pmax + 1, dtype=np.complex128)
-    return np.sum(np.asarray(rows), axis=0)
+    return np.sum(np.array(rows, dtype=np.complex128).reshape(-1, pmax + 1), axis=0)
 
 
 def poly_eval_unit_circle(

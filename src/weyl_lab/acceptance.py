@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from ._rng import counter_angle, counter_unit
 from .calibration import (
     load_calibration,
@@ -121,7 +123,7 @@ def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
         else:
             x = counter_angle(seed, i, "e1-x")
         m = int(counter_unit(seed, i, "e1-m") * 10_001)
-        err = abs(dirichlet_b(x, m) - dirichlet_b_closed(x, m))
+        err = float(np.abs(dirichlet_b(x, m) - dirichlet_b_closed(x, m)))
         worst = max(worst, err)
     return worst < 1e-9, {
         "seed": seed,
@@ -150,7 +152,7 @@ def run_e2(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
         first = weyl_sum(theta, x, y, n)
         shifted = skew_shift_n(theta, SkewPoint(x, y), n)
         second = weyl_sum(theta, shifted.x, shifted.y, m)
-        worst = max(worst, abs(whole - first - second) / (n + m))
+        worst = max(worst, float(np.abs(whole - first - second)) / (n + m))
     return worst < 1e-12, {
         "seed": seed,
         "instances": 100,
@@ -299,14 +301,14 @@ def run_e7(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
             x = counter_angle(seed, i, "e7-x")
             i += 1
             a_q = weyl_sum(REFERENCE_THETA, x, Angle(0), q)
-            if not 0 < abs(a_q) <= a_cap:
+            if not 0 < np.abs(a_q) <= a_cap:
                 continue
             found += 1
             for m in (2, min(7, m_cap), min(29, m_cap)):
-                raw = abs(
+                raw = float(np.abs(
                     weyl_sum(REFERENCE_THETA, x, Angle(0), m * q)
                     - a_q * dirichlet_b_closed(scale_mod1(x, 2 * q), m)
-                )
+                ))
                 ok = raw <= bound
                 raw_ok = raw_ok and ok
                 raw_checks.append(

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import acceptance
 from .contfrac import (
     ContinuedFraction,
@@ -245,8 +247,8 @@ def _report(args):
         return {"theta": theta, "quotients": cf.quotients, "convergents": convs}, None
     if cmd == "sum":
         z = weyl_sum(theta, x, y, args.n)
-        summary = f"a = {z.real:.6f} + {z.imag:.6f}i  |a| = {abs(z):.6f}"
-        return {"re": z.real, "im": z.imag, "modulus": abs(z), "n": args.n}, summary
+        rep = {"re": z.real, "im": z.imag, "modulus": float(np.abs(z)), "n": args.n}
+        return rep, f"a = {z.real:.6f} + {z.imag:.6f}i  |a| = {rep['modulus']:.6f}"
     if cmd == "traj":
         return trajectory(theta, x, y, args.n, args.stride), None
     if cmd == "parseval":

@@ -4,7 +4,7 @@ Every angle (theta, x, y, and all quadratic phases k^2*theta + 2kx + y)
 is a point on the dyadic grid n / 2**256 with n a 256-bit unsigned
 integer.  Addition and integer scaling are closed and exact on the grid,
 so phase recurrences can run to k ~ 10**9 with zero drift; rounding only
-happens once, at the final conversion to a double before cos/sin.
+happens once, in e(phi) of the phase's exact top 64 bits (see _engine).
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ def find_mn(
     """m <= q^(1/2+eps/4) minimizing | |a(x,q) b(2qx,m)| - target |,
     ties broken toward the smallest m; status 'warning' when the best
     value is farther than 0.1 from the target."""
-    a_mod = abs(weyl_sum(theta, x, Angle(0), q))
+    a_mod = float(np.abs(weyl_sum(theta, x, Angle(0), q)))
     return _find_mn_from_modulus(a_mod, scale_mod1(x, 2 * q), q, eps, target)
 
 
@@ -253,12 +253,12 @@ def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
         raise ValueError("l and m must be >= 1")
     a_l = weyl_sum(theta, x, Angle(0), l)
     nl = dist_to_int(scale_mod1(theta, l))
-    den = abs(a_l) * (m ** 3) * l * nl
+    den = float(np.abs(a_l)) * (m ** 3) * l * nl
     if den == 0.0:
         raise ValueError("degenerate instance: zero denominator")
     a_ml = weyl_sum(theta, x, Angle(0), m * l)
     b_m = dirichlet_b_closed(scale_mod1(x, 2 * l), m)
-    return abs(a_ml - a_l * b_m) / den
+    return float(np.abs(a_ml - a_l * b_m)) / den
 
 
 def derivative_bound(q: int, delta: float, eps: float) -> float:
@@ -286,9 +286,8 @@ def derivative_check(
     h_angle = angle_from_float(h)
 
     def f(xa: Angle) -> float:
-        return abs(weyl_sum(theta, xa, Angle(0), q)) * abs(
-            dirichlet_b_closed(scale_mod1(xa, 2 * q), m)
-        )
+        z = weyl_sum(theta, xa, Angle(0), q) * dirichlet_b_closed(scale_mod1(xa, 2 * q), m)
+        return float(np.abs(z))
 
     hi = f(wrap_add(x, h_angle))
     lo = f(wrap_add(x, wrap_neg(h_angle)))
@@ -442,7 +441,7 @@ def _measure_witness(
     for g in range(INTERVAL_GRID):
         off = Fraction(g - half, half) * Fraction(r_n)
         x_tilde = wrap_add(x, angle_from_fraction(off))
-        devs.append(abs(abs(weyl_sum(theta, x_tilde, Angle(0), big_m)) - 0.5))
+        devs.append(abs(float(np.abs(weyl_sum(theta, x_tilde, Angle(0), big_m))) - 0.5))
     value_ii = max(devs)
     eps_n = max(value_ii, value_iii)
     return ResumeWitness(
@@ -709,8 +708,7 @@ def growth_report(
         vals: list[float] = []
         for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, 0, n_schedule[-1]):
             at = [n - k0 - 1 for n in n_schedule if k0 < n <= k0 + len(z)]
-            # scalar abs: array np.abs differs from it in the last bit, and these bytes are pinned
-            vals.extend(float(abs(z[i])) for i in at)
+            vals.extend(np.abs(z[at]).tolist())
             if j == 0:
                 # x = 0 also gives |a(0,n)|/sqrt(n) with its running peak
                 step_ns = np.arange(k0 + 1, k0 + len(z) + 1, dtype=np.float64)

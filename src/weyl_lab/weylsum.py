@@ -6,8 +6,9 @@ Central objects:
     b(x, m)    = sum_{k<m} e(kx)                        (geometric sum)
     psi(theta, x, k) = |sum_{j<k} e(j^2*theta/2 + jx)|  (half-quadratic form)
 
-All phases come from the exact grid engine; e(phi) is evaluated by one
-double conversion per term, so |sum| errors stay below n * 2**-51.
+All phases come from the exact grid engine, and e(phi) from its table
+kernel on the exact top 64 bits of each phase, within 2**-51 per term, so
+|sum| errors stay below n * 2**-51.
 Summation is ascending in k with pairwise accumulation inside each block.
 """
 
@@ -28,17 +29,12 @@ from .exactangle import (
     wrap_add,
 )
 
-_TWO_PI = 2.0 * math.pi
-
 # Below this distance from an integer the sin-ratio closed form for b is
 # replaced by the direct series (catastrophic cancellation in sin(pi*x));
 # below _B_LONGDOUBLE the ratio is formed in 80-bit floats to keep the
 # absolute error under 1e-9 for m up to 1e4.
 _B_SERIES_CUTOFF = 2.0 ** -20
 _B_LONGDOUBLE_CUTOFF = 2.0 ** -8
-
-# samples per baby-step/giant-step product in weyl_sums_over_x
-_SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -93,28 +89,27 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
 
 
 def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray:
-    """a(x, 0, n) for x in xs (columns) and n in ns (rows), with rho = e(2x)
-    built once per sample.
-
-    Writes each sum as the polynomial sum_k e(k^2*theta) * rho^k and
-    evaluates it by baby-step/giant-step, so the bulk of the work is one
-    complex matrix product per sample block.  The anchor powers rho^step
-    come from exactly reduced phases, not repeated multiplication.
-    """
+    """a(x, 0, n) for x in xs (columns) and n in ns (rows): each sum is the
+    polynomial sum_k e(k^2*theta) * rho^k in rho = e(2x), built once per
+    sample, evaluated by baby-step/giant-step, one complex matrix product
+    per sample block.  The anchor powers rho^step come from exactly reduced
+    phases, not repeated multiplication."""
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
     polys = []  # (row, coefficients e(k^2 theta), baby steps) per nonempty sum
     for row, n in zip(out, ns):
         if n > 0:
-            phases = np.concatenate([ph for _, ph in _engine.phase_chunks(theta.numerator, 0, 0, n)])
-            polys.append((row, _engine.e_phase(phases), math.isqrt(n - 1) + 1))
-    for s0 in range(0, len(xs), _SAMPLE_BLOCK):
-        # 2x mod 1 on numerators, as scale_mod1 reduces it
-        twice = [(2 * x.numerator) % MODULUS for x in xs[s0 : s0 + _SAMPLE_BLOCK]]
-        rho = _engine.e_phase(np.array([u / MODULUS for u in twice]))
+            words = np.concatenate([w for _, w in _engine.phase_chunks(theta.numerator, 0, 0, n)])
+            polys.append((row, _engine.e_phase(words), math.isqrt(n - 1) + 1))
+    for s0 in range(0, len(xs), 8192):
+        # 2x mod 1 on numerators, as scale_mod1 reduces it; the phase word
+        # of u / 2**256 is its top 64 bits
+        twice = [(2 * x.numerator) % MODULUS for x in xs[s0 : s0 + 8192]]
+        rho = _engine.e_phase(np.array([u >> 192 for u in twice], dtype=np.uint64))
         for row, coeffs, step in polys:
-            rho_big = _engine.e_phase(np.array([step * u % MODULUS / MODULUS for u in twice]))
+            big = [step * u % MODULUS >> 192 for u in twice]
+            rho_big = _engine.e_phase(np.array(big, dtype=np.uint64))
             row[s0 : s0 + len(twice)] = _engine.poly_eval_unit_circle(coeffs, rho, rho_big, step)
     return out
 
@@ -184,16 +179,11 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
     nx = dist_to_int(x)
     if nx < _B_SERIES_CUTOFF:
         return dirichlet_b(x, m)
-    # the parity of floor(m*x) is folded into the half-phase below
-    floor_mx = (m * x.numerator) >> 256
-    # half phase (m-1)x/2 at doubled resolution: ((m-1)*num) / 2**257
-    half_num = ((m - 1) * x.numerator) % (1 << 257)
-    half_phase = half_num / (1 << 257)
-    if floor_mx % 2 == 1:
-        half_phase += 0.5
+    # the word of the half phase (m-1)x/2, i.e. (m-1)*num / 2**257, turned
+    # by a half when floor(m x) is odd, which folds in the sign of sin(pi m x)
+    word = ((m - 1) * x.numerator >> 193) + (m * x.numerator >> 256 << 63)
     (ratio,) = _sin_ratios(x, (m,), nx)
-    ang = _TWO_PI * half_phase
-    return complex(math.cos(ang) * ratio, math.sin(ang) * ratio)
+    return complex(_engine.e_phase(np.array([word % (1 << 64)], dtype=np.uint64))[0] * ratio)
 
 
 def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
@@ -202,7 +192,7 @@ def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
         return ms.astype(np.float64)
     nx = dist_to_int(x)
     if nx < _B_SERIES_CUTOFF:
-        return np.array([abs(dirichlet_b(x, int(m))) for m in ms])
+        return np.abs(np.array([dirichlet_b(x, int(m)) for m in ms]))
     return np.abs(np.array(_sin_ratios(x, ms, nx)))
 
 
@@ -219,7 +209,7 @@ def psi(theta: Angle, x: Angle, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return abs(_engine.qsum(theta.numerator, 2 * x.numerator, 0, k, mod_bits=257))
+    return float(np.abs(_engine.qsum(theta.numerator, 2 * x.numerator, 0, k, mod_bits=257)))
 
 
 def skew_shift_n(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:
@@ -249,28 +239,27 @@ class ParsevalEstimate:
 
 def parseval_estimate(theta: Angle, q: int, samples: int, seed: int) -> ParsevalEstimate:
     """Monte Carlo mean of |a(x, q)|^2 over uniform x, with standard error;
-    the one-q case of parseval_estimates.
-
-    The exact mean over x is q for every q (the cross terms integrate to
-    zero); the estimate is unbiased even on the grid because each grid
-    frequency 2(k-l) has full period 2**256.
-    """
+    the one-q case of parseval_estimates."""
     return parseval_estimates(theta, [q], samples, seed)[0]
 
 
 def parseval_estimates(
     theta: Angle, qs: list[int], samples: int, seed: int
 ) -> list[ParsevalEstimate]:
-    """parseval_estimate for each q of qs, all on one draw of the samples."""
+    """parseval_estimate for each q of qs, all on one draw of the samples.
+
+    The exact mean over x is q for every q (the cross terms integrate to
+    zero); the estimate is unbiased even on the grid because each grid
+    frequency 2(k-l) has full period 2**256.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     xs = counter_angles(seed, samples, "parseval")
     out = []
     for q, sums in zip(qs, weyl_sums_over_x(theta, xs, qs)):
         vals = np.abs(sums) ** 2
-        mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        out.append(ParsevalEstimate(q=q, samples=samples, seed=seed, mean=mean, std_error=se))
+        out.append(ParsevalEstimate(q, samples, seed, float(np.mean(vals)), se))
     return out
 
 

@@ -8,10 +8,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cos_sin_oracle import EPS_OLD, e_cos_sin, qsum_cos_sin
 from limb_oracle import phase_block_limbs
 
 import weyl_lab
@@ -23,16 +25,22 @@ ZERO = Angle(0)
 CHUNK = _engine.CHUNK
 
 
-def _phase_error(a, b, c, n, mod_bits):
-    mod = 1 << mod_bits
-    worst = 0.0
-    for k0, ph in _engine.phase_chunks(a, b, c, n, mod_bits):
-        for j in (0, len(ph) // 2, len(ph) - 1):
-            k = k0 + j
-            exact = ((a * k * k + b * k + c) % mod) / mod
-            diff = abs(ph[j] - exact)
-            worst = max(worst, min(diff, 1.0 - diff))
-    return worst
+def _phase_at(a, b, c, k, mod_bits=256):
+    # the direct big-integer phase numerator
+    return (a * k * k + b * k + c) % (1 << mod_bits)
+
+
+def _word_slack(a, b, c, n, mod_bits):
+    # exact top word of each phase numerator minus the engine's word, mod
+    # 2**64, at the start, middle and end of each block: the one-sided slack
+    shift = mod_bits - 64
+    slack = set()
+    for k0, words in _engine.phase_chunks(a, b, c, n, mod_bits):
+        assert words.dtype == np.uint64
+        for j in (0, len(words) // 2, len(words) - 1):
+            exact = _phase_at(a, b, c, k0 + j, mod_bits) >> shift
+            slack.add((exact - int(words[j])) % (1 << 64))
+    return slack
 
 
 def test_phase_chunks_exact_at_256_bits():
@@ -40,7 +48,7 @@ def test_phase_chunks_exact_at_256_bits():
     for _ in range(10):
         a, b, c = (rng.randrange(MODULUS) for _ in range(3))
         n = rng.randrange(1, 100_000)
-        assert _phase_error(a, b, c, n, 256) <= 2.0 ** -63
+        assert _word_slack(a, b, c, n, 256) <= {0, 1}
 
 
 def test_phase_chunks_exact_at_257_bits():
@@ -49,7 +57,7 @@ def test_phase_chunks_exact_at_257_bits():
     for _ in range(10):
         a, b, c = (rng.randrange(mod) for _ in range(3))
         n = rng.randrange(1, 100_000)
-        assert _phase_error(a, b, c, n, 257) <= 2.0 ** -63
+        assert _word_slack(a, b, c, n, 257) <= {0, 1}
 
 
 def test_phase_chunks_chunk_boundaries_continuous():
@@ -57,20 +65,19 @@ def test_phase_chunks_chunk_boundaries_continuous():
     rng = random.Random(9)
     a, b, c = (rng.randrange(MODULUS) for _ in range(3))
     n = _engine.CHUNK * 3 + 17
-    phases = np.concatenate([ph for _, ph in _engine.phase_chunks(a, b, c, n)])
+    words = np.concatenate([w for _, w in _engine.phase_chunks(a, b, c, n)])
     ks = [_engine.CHUNK - 1, _engine.CHUNK, _engine.CHUNK + 1, 2 * _engine.CHUNK]
     for k in ks:
-        exact = _engine.phase_at(a, b, c, k) / MODULUS
-        diff = abs(phases[k] - exact)
-        assert min(diff, 1.0 - diff) <= 2.0 ** -63
+        exact = _phase_at(a, b, c, k) >> 192
+        assert (exact - int(words[k])) % (1 << 64) in (0, 1)
 
 
 def test_phase_at_wraparound_top():
-    # phases within one grid unit of 1 must not round into garbage
+    # a phase within one grid unit of 1 gives the top word, not a wrap to 0
     a, b = 0, 0
     c = MODULUS - 1
-    (k0, ph), = list(_engine.phase_chunks(a, b, c, 1))
-    assert ph[0] == pytest.approx(1.0, abs=2.0 ** -63)
+    (k0, words), = list(_engine.phase_chunks(a, b, c, 1))
+    assert int(words[0]) == (1 << 64) - 1
 
 
 @st.composite
@@ -90,22 +97,83 @@ def _kernel_args(draw):
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
 @given(args=_kernel_args(), drawn=st.integers(1, CHUNK))
 def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
-    # the three-word kernel gives the four-limb kernel's phases bit for bit
+    # the three-word kernel's words, as phases w * 2**-64, give the
+    # four-limb kernel's phases bit for bit
     a, bs, c, k0, mod_bits = args
     blen = drawn if blen is None else blen
     got = _engine._phase_block(a, bs, c, k0, blen, mod_bits)
     want = phase_block_limbs(a, bs, c, k0, blen, mod_bits)
+    assert got.dtype == np.uint64
     assert got.shape == want.shape == (len(bs), blen)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    phases = got.astype(np.float64) * 2.0 ** -64
+    assert np.array_equal(phases.view(np.uint64), want.view(np.uint64))
 
 
-def test_e_phase_equals_complex_exp():
-    # the cos/sin form gives np.exp(2j*pi*phi) bit for bit
-    ph = np.random.default_rng(11).random(1 << 20)
-    ph = np.concatenate([ph, [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]])
-    got = _engine.e_phase(ph)
-    assert got.dtype == np.complex128 and got.shape == ph.shape
-    assert np.array_equal(got.view(np.uint64), np.exp(2j * np.pi * ph).view(np.uint64))
+def _mp_error(z, word):
+    # |z - e(word * 2**-64)| in mpmath, the exact value to 80 bits
+    exact = mpmath.expjpi(mpmath.mpf(int(word)) / 2**63)
+    return float(abs(mpmath.mpc(float(z.real), float(z.imag)) - exact))
+
+
+def _mp_component_ulps(z, turns):
+    # each component's error against e(turns), in ulps of the exact value
+    exact = mpmath.expjpi(2 * turns)
+    worst = 0.0
+    for got, want in ((z.real, exact.real), (z.imag, exact.imag)):
+        err = abs(mpmath.mpf(float(got)) - want)
+        if err:
+            worst = max(worst, float(err) / float(np.spacing(abs(float(want)))))
+    return worst
+
+
+def test_tables_within_one_ulp():
+    # a seeded sample of entries plus every octant boundary and its
+    # neighbours, where the symmetry fill meets the long-double values
+    t1, t2 = _engine._tables()
+    assert t1.shape == t2.shape == (1 << 16,)
+    rng = np.random.default_rng(16)
+    edges = {i + d for i in range(0, 1 << 16, 1 << 13) for d in (-1, 0, 1)}
+    sample = set(rng.integers(0, 1 << 16, 1 << 10).tolist()) | edges | {(1 << 16) - 1}
+    worst = 0.0
+    with mpmath.workprec(80):
+        for i in sorted(i for i in sample if 0 <= i < 1 << 16):
+            worst = max(worst, _mp_component_ulps(t1[i], mpmath.mpf(i) / 2**16))
+            worst = max(worst, _mp_component_ulps(t2[i], mpmath.mpf(i) / 2**32))
+    assert worst <= 1.0, worst
+    # the quarter turns are exact
+    assert [complex(t1[i << 14]) for i in range(4)] == [1, 1j, -1, -1j]
+
+
+def test_e_phase_error_per_term():
+    # the table kernel against mpmath within 2**-51 per term, and the kept
+    # cos/sin path within its own bound EPS_OLD, on seeded words and edges
+    rng = np.random.default_rng(14)
+    edges = np.array([0, 2**64 - 1, 2**48 - 1, 2**63], dtype=np.uint64)
+    words = np.concatenate([rng.integers(0, 2**64, 1 << 14, dtype=np.uint64), edges])
+    new = _engine.e_phase(words)
+    old = e_cos_sin(words)
+    assert new.dtype == np.complex128 and new.shape == words.shape
+    worst_new = worst_old = 0.0
+    with mpmath.workprec(80):
+        for z_new, z_old, w in zip(new, old, words):
+            worst_new = max(worst_new, _mp_error(z_new, w))
+            worst_old = max(worst_old, _mp_error(z_old, w))
+    assert worst_new <= 2.0**-51, worst_new / 2.0**-51
+    assert worst_old <= EPS_OLD, worst_old / 2.0**-51
+    # the same words as a 2-D block give the same bits
+    assert _engine.e_phase(words.reshape(2, -1)).tobytes() == new.tobytes()
+
+
+@pytest.mark.parametrize("mod_bits", [256, 257])
+def test_qsum_agrees_with_cos_sin_path(mod_bits):
+    # per-term errors of at most 2**-51 (tables) and EPS_OLD (cos/sin)
+    # bound the distance between the two sums by n * (EPS_OLD + 2**-51)
+    rng = random.Random(mod_bits)
+    for n in (1, 7, 1000, CHUNK + 1, 100_003, 1_000_000, 10_000_000):
+        a, b, c = (rng.randrange(1 << mod_bits) for _ in range(3))
+        new = _engine.qsum(a, b, c, n, mod_bits)
+        old = qsum_cos_sin(a, b, c, n, mod_bits)
+        assert abs(new - old) <= n * (EPS_OLD + 2.0**-51), (n, abs(new - old))
 
 
 def test_qsum_empty_and_single():
@@ -137,8 +205,8 @@ def test_qsum_moments_order_zero_matches_qsum():
     # first moment against a direct weighted oracle on a small case
     n_small = 500
     moments_small = _engine.qsum_moments(a, b, c, n_small, 2)
-    ph = np.concatenate([p for _, p in _engine.phase_chunks(a, b, c, n_small)])
-    z = np.exp(2j * np.pi * ph)
+    words = np.concatenate([w for _, w in _engine.phase_chunks(a, b, c, n_small)])
+    z = _engine.e_phase(words)
     w = np.arange(n_small) / n_small
     assert abs(moments_small[1] - np.sum(w * z)) < 1e-9
     assert abs(moments_small[2] - np.sum(w * w * z)) < 1e-9
@@ -146,27 +214,21 @@ def test_qsum_moments_order_zero_matches_qsum():
 
 def _sequential_qsum(a, b, c, n, mod_bits):
     # one thread over phase_chunks: block sums, then one pass over them
-    re, im = [], []
-    for _, ph in _engine.phase_chunks(a, b, c, n, mod_bits):
-        t = ph * (2.0 * np.pi)
-        re.append(float(np.sum(np.cos(t))))
-        im.append(float(np.sum(np.sin(t))))
-    if not re:
+    partials = [np.sum(_engine.e_phase(words)) for _, words in _engine.phase_chunks(a, b, c, n, mod_bits)]
+    if not partials:
         return 0j
-    return complex(np.sum(np.asarray(re)), np.sum(np.asarray(im)))
+    return complex(np.sum(np.asarray(partials)))
 
 
 def _sequential_moments(a, b, c, n, pmax, mod_bits):
     rows = []
-    for k0, ph in _engine.phase_chunks(a, b, c, n, mod_bits):
-        t = ph * (2.0 * np.pi)
-        z = np.cos(t) + 1j * np.sin(t)
-        w = (k0 + np.arange(len(ph), dtype=np.float64)) * (1.0 / n)
+    for k0, words in _engine.phase_chunks(a, b, c, n, mod_bits):
+        z = _engine.e_phase(words)
+        w = (k0 + np.arange(len(words), dtype=np.float64)) * (1.0 / n)
         row = [np.sum(z)]
-        wp = np.ones_like(w)
         for _ in range(pmax):
-            wp = wp * w
-            row.append(np.sum(wp * z))
+            z = z * w
+            row.append(np.sum(z))
         rows.append(row)
     if not rows:
         return np.zeros(pmax + 1, dtype=np.complex128)

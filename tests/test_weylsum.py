@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import weyl_lab
-from weyl_lab import _engine, weylsum
+from weyl_lab import _engine
 from weyl_lab.exactangle import (
     GOLDEN,
     MODULUS,
@@ -254,13 +254,12 @@ def test_weyl_sum_over_x_matches_scalar():
     assert np.max(np.abs(batch - scalar)) < 1e-9
 
 
-def test_parseval_estimates_share_one_draw(monkeypatch):
-    # one draw of the samples serves every q, rho is built once per sample
-    # block, and each q gives parseval_estimate's bytes
-    monkeypatch.setattr(weylsum, "_SAMPLE_BLOCK", 128)
+def test_parseval_estimates_share_one_draw():
+    # one draw of the samples serves every q, over two sample blocks, and
+    # each q gives parseval_estimate's bytes
     qs = [0, 13, 999, 17]
-    ests = parseval_estimates(GOLDEN, qs, 300, seed=3)
-    assert ests == [parseval_estimate(GOLDEN, q, 300, seed=3) for q in qs]
+    ests = parseval_estimates(GOLDEN, qs, 9000, seed=3)
+    assert ests == [parseval_estimate(GOLDEN, q, 9000, seed=3) for q in qs]
     sums = weyl_sums_over_x(GOLDEN, [Angle(5), Angle(MODULUS - 7)], qs)
     assert sums.shape == (4, 2) and not sums[0].any()
     for row, q in zip(sums, qs):
