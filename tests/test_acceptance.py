@@ -18,14 +18,14 @@ SEED = 7
 # SHA-256 of each gate's report bytes at SEED: a change that moves any
 # report byte, within a run or across versions, shows here
 REPORT_SHA256 = {
-    "E1": "0de071a82da17ad36856d680acf2e1dd23c5cc53d92305084bad51e6249fbba6",
-    "E2": "9571bfa5043562fd9009427d4d110efe6dd6ca25cfc3778c81ae8798ce461013",
-    "E3": "cf32a31a00a6cd237c54482c1bbfb95f617f40fbf278b7fcec570345305dbf8b",
+    "E1": "d4243dfa798e13586df01c054ab6cd26e49868b616b3a548d72649384e00cc78",
+    "E2": "1b1e11281934494c6be8454a819b638fdeb0ab283e4cf3686c42cf10c72041ba",
+    "E3": "0c43f85b49437b934b2724cf1cbce6838e6157717d34724f57bb7e7883191707",
     "E4": "8fc6e13318101549f31c1623b065056ccd1a370ae74a830e5431beb306f403e7",
-    "E5": "d5b18428403a74b7930340be0f52248d5914b3768a7ff6dad2db69564950a7ff",
-    "E6": "452e971eeb1d5e34e082c3885a906dfcc6c400bb9793d7d71efbdf14bf1157a7",
-    "E7": "74773d5504ed36f7f4ba917d64f1274dbb02c95a332ac42ab9be57dfdfebcea0",
-    "E8": "2098e413ff7ad597781530009c41d9c580bb504c786c8af7d463632bddf1167a",
+    "E5": "68d578a72a4d3085ddb2ebd6030c41898acd2d046ebc4e7c4210b68cfa2a80dc",
+    "E6": "cbf0a17ae3fc402137c45131c00b94930d4eb9a3139b4dfe228922bdb742bbbc",
+    "E7": "7e87f4de1762014dcdf6fd384d69db50f41620e9b9e0f4ecd7fb00fa812483e3",
+    "E8": "311872b5c5f6ca744c994c84806db4ce31984d47b84f79854ce41b25c7dc2311",
     "E9": "fd21d2f9fb866d372dcc58d893a99d6a1c051e5382e9a53ad31c04341b523462",
     "E10": "db750007c2d2e179f90dc92c60de451eabcb3d8b04f3aee93a0604d70da1c276",
 }

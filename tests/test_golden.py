@@ -32,27 +32,27 @@ CLI_GOLDEN = {
     ),
     "sum": (
         ["sum", "--theta", "golden", "--x", "0.25", "--n", "1000"],
-        {"json": "18158a4e8cd055e0b81730d1e290b4a65e5bb52fb43b17583b934dfce3645325"},
+        {"json": "8a5b0b0d35c372b3bb86b9f26d70b7db22ce454fc9ec332192413f47cf7bd889"},
     ),
     "traj": (
         ["traj", "--theta", "golden", "--x", "0.25", "--n", "200", "--stride", "7"],
         {
-            "json": "10cddffe6bad431beb2b6a5cfd32d492c10c7ce38e88839b10da3db372702b65",
-            "csv": "77a4f716a8edaef118350dcff4f31d641a415048f3baffeb1e0cdb07f910ee40",
+            "json": "92aa90e1a43908a0472a407fc60a454fe6399e55bbaf57892621b0e6b44f1528",
+            "csv": "ec41111fca1caca5b88f10b1c0d714a8bcc2573e1d4aaea156fab9113a7ad753",
         },
     ),
     "parseval": (
         ["parseval", "--theta", "construct:0.5,4", "--q", "17", "--samples", "2000", "--seed", "7"],
         {
-            "json": "db9e5dce8e2941c9b2b779c48599b78242437aff811170c28842fd17cc82712d",
-            "csv": "2a67d2faf6c58f8767089958717f2012448baa1dfe43522c96a5747768c81bf8",
+            "json": "093364156f10057ff56d8c685046ed871114f003a0c70dc8faf830a65c8890d6",
+            "csv": "2c2796be5c158fa958f918e353dfdbe63eed61e9cd08641248f5ea133b085d28",
         },
     ),
     "renorm": (
         ["renorm", "--theta", "0.3137", "--x", "0.42", "--k", "1000", "--depth", "3"],
         {
-            "json": "ba82133a081acecde6bf1d02a1c09eacf3ef2c73d8377fcc252b3aab3fb26a7a",
-            "csv": "dbbd5bf1589cc503f1adbcdfb7fc6b94861a018c547cc69be47b5054ae75e335",
+            "json": "8792549d981a8919344d4229dfd63cda0ace46cae9b4e689fc8045d6bdee417c",
+            "csv": "4af68015276f68d756c630f9eb5365316af20bf1e2f08ed7c9323326f8d764f4",
         },
     ),
     "schedule": (
@@ -65,8 +65,8 @@ CLI_GOLDEN = {
     "resume": (
         ["resume", *_WITNESS],
         {
-            "json": "92071327d06a19cbcee3fa78931b588ca92943e10dc3cb5ce07f9daf0158636c",
-            "csv": "0028d80313316905a125cb5cb17bb0b8cab862c312de1b78089f735bed092f6a",
+            "json": "3fa5cb5f2581086fe5a56ad20a1de4970277d0a344e8314f99dfaae6d549586d",
+            "csv": "c96d9751bf38f424c3603f7891653e16608c86385489ce79bd415612f7bda4a2",
         },
     ),
     "box": (
@@ -86,8 +86,8 @@ CLI_GOLDEN = {
     "growth": (
         ["growth", "--theta", "golden", "--schedule", "10,100,1000", "--grid", "16"],
         {
-            "json": "e8c247e8427e2ac5010dc4b2b727e99326203d8fb1c7d87702967343d19406f5",
-            "csv": "408d5b0145578430ee54a00675bd28a53e903bf0dbdee6a8d0f33d027c194cd5",
+            "json": "115ac1f64dd7feb6d29425ac585135ea92698021b94a30503490b03911083a8a",
+            "csv": "645d20fdc04afcc1ba39c12602e5e8aa82bb457e3b4d3e83a9fc45bbc0d97380",
         },
     ),
 }
@@ -129,7 +129,7 @@ def _library_reports():
 LIBRARY_GOLDEN = {
     "tail_measure": "5f0884f35d0528d8a85e195cc3f48af2e7ac3583e2ca56a9c07b6bcdd4ef9437",
     "b_density_gap": "b663db3b1f811d06191264fdd9a3a72bca5409e153f9ccba682b8302eb1da559",
-    "find_mn": "464d2b750f1e2cdeed09e48c4591e9f4ade4d5666eb073baf96a85e091ebb0e1",
+    "find_mn": "bdb1016b072c96d90ed1e66793cee1f761a964e88997ef03f2ba7c84cc8b2308",
     "u_measure_lower": "f2492d3f03535148058720a8bfede1114073ba87a3eb5d0cde70c4a2bd68fafb",
     "b_level_measure": "bd080a6b14267c85e7b2e7351043a94e995dcf210582966d9b4889f045bf1130",
 }
