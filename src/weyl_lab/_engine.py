@@ -31,10 +31,11 @@ rows beside it.  Rows go in batches of at most 2**20 phases.
 
 Threads: a sum of more than one block is split into min(W, blocks)
 contiguous runs of whole blocks, W being the number of cores in the
-process's affinity mask.  The caller runs the first run and an executor
-opened for that one call runs the others in numpy ufuncs, which release
-the GIL; no engine thread outlives its call, so importing starts none and
-a forked child starts its own.  Each block depends on its own k0 alone and
+process's affinity mask (handing off one block at a time gained nothing on
+two cores).  The caller runs the first run and an executor opened for that
+one call runs the others in numpy ufuncs, which release the GIL; no engine
+thread outlives its call, so importing starts none and a forked child
+starts its own.  Each block depends on its own k0 alone and
 block results are reduced in block order, so results do not depend on W.
 Single-block calls start no thread, and qsum_partials, streamed block by
 block, none at all.  Worker threads call only private helpers and e_phase,

@@ -305,10 +305,8 @@ def run_e7(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
                 continue
             found += 1
             for m in (2, min(7, m_cap), min(29, m_cap)):
-                raw = float(np.abs(
-                    weyl_sum(REFERENCE_THETA, x, Angle(0), m * q)
-                    - a_q * dirichlet_b_closed(scale_mod1(x, 2 * q), m)
-                ))
+                a_mq = weyl_sum(REFERENCE_THETA, x, Angle(0), m * q)
+                raw = float(np.abs(a_mq - a_q * dirichlet_b_closed(scale_mod1(x, 2 * q), m)))
                 ok = raw <= bound
                 raw_ok = raw_ok and ok
                 raw_checks.append(
