@@ -1,12 +1,13 @@
 """Vectorized evaluation of quadratic exponential sums with exact phases.
 
-The phase numerator N_k = (A*k^2 + B*k + C) mod 2**mod_bits is computed
-block-wise: block boundaries exactly with Python integers, and inside a
-block as N_k0 + j*D + j*(j-1)*A' on the top 128 bits of each operand,
-each split into three uint64 words: bits 0-31, 32-63 and 64-127.  The two
-low words only carry into bit 64, and with blen <= CHUNK = 2**15 each of
-their sums stays below 2**63.  The top word is summed in uint64, which
-wraps mod 2**64 as the phase does.  It is the phase word w, phase =
+Every sum lies on exactangle's 2**-256 grid: the phase numerator
+N_k = (A*k^2 + B*k + C) mod 2**256 is computed block-wise, block
+boundaries exactly with Python integers, and inside a block as
+N_k0 + j*D + j*(j-1)*A' on the top 128 bits of each operand, each split
+into three uint64 words: bits 0-31, 32-63 and 64-127.  The two low words
+only carry into bit 64, and with blen <= CHUNK = 2**15 each of their
+sums stays below 2**63.  The top word is summed in uint64, which wraps
+mod 2**64 as the phase does.  It is the phase word w, phase =
 w * 2**-64: the low bits dropped from each operand sum to under 2**-97 of
 a turn, so w is the exact top word or one below it (a one-sided slack).
 
@@ -27,7 +28,8 @@ block of words.  Each row is reduced on its own by np.sum (never np.dot,
 whose order follows the BLAS thread count): along the row per block, then
 one pairwise pass over the row's block partials laid out contiguously, in
 the order of one contiguous 1-D array, so a row does not depend on the
-rows beside it.  Rows go in batches of at most 2**20 phases.
+rows beside it.  qsum_moments reduces each order's block partials the same
+way, so its S_0 is qsum bit for bit.  Rows go in batches of at most 2**20 phases.
 
 Threads: a sum of more than one block is split into min(W, blocks)
 contiguous runs of whole blocks, W being the number of cores in the
@@ -51,6 +53,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .exactangle import MODULUS
+
 CHUNK = 1 << 15
 _SH32 = np.uint64(32)
 _SH48 = np.uint64(48)
@@ -71,20 +75,16 @@ def _words(values: list[int]) -> tuple:
     return w[:, 0:1], w[:, 1:2], w[:, 2:3]
 
 
-def _phase_block(
-    a: int, bs: list[int], c: int, k0: int, blen: int, mod_bits: int
-) -> np.ndarray:
+def _phase_block(a: int, bs: list[int], c: int, k0: int, blen: int) -> np.ndarray:
     """Phase words of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase
     kernel: one row of blen words per linear coefficient of bs."""
-    mod = 1 << mod_bits
-    shift = mod_bits - 128
-    a %= mod
+    a %= MODULUS
     # N_k0 and the first difference N_k0+1 - N_k0, less their B terms
     n_ac = a * k0 * k0 + c
     d_a = a * (2 * k0 + 1)
-    n_lo, n_mid, n_hi = _words([(n_ac + b * k0) % mod >> shift for b in bs])
-    d_lo, d_mid, d_hi = _words([(d_a + b) % mod >> shift for b in bs])
-    a_lo, a_mid, a_hi = _words([a >> shift])
+    n_lo, n_mid, n_hi = _words([(n_ac + b * k0) % MODULUS >> 128 for b in bs])
+    d_lo, d_mid, d_hi = _words([(d_a + b) % MODULUS >> 128 for b in bs])
+    a_lo, a_mid, a_hi = _words([a >> 128])
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
     carry = n_lo + j * d_lo + jj * a_lo
@@ -94,20 +94,16 @@ def _phase_block(
     return n_hi + j * d_hi + jj * a_hi + carry
 
 
-def _blocks(
-    a: int, bs: list[int], c: int, lo: int, hi: int, mod_bits: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def _blocks(a: int, bs: list[int], c: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """(k0, words) for each block of k = lo .. hi-1, the one block loop."""
     for k0 in range(lo, hi, CHUNK):
-        yield k0, _phase_block(a, bs, c, k0, min(CHUNK, hi - k0), mod_bits)
+        yield k0, _phase_block(a, bs, c, k0, min(CHUNK, hi - k0))
 
 
-def phase_chunks(
-    a: int, b: int, c: int, n: int, mod_bits: int = 256
-) -> Iterator[tuple[int, np.ndarray]]:
+def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k0, words) uint64 arrays covering k = 0 .. n-1: the phase of
     term k is words[k - k0] * 2**-64, its word (see the module doc)."""
-    for k0, words in _blocks(a, [b], c, 0, n, mod_bits):
+    for k0, words in _blocks(a, [b], c, 0, n):
         yield k0, words[0]
 
 
@@ -151,14 +147,12 @@ except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _blockwise(
-    block: Callable, a: int, bs: list[int], c: int, n: int, mod_bits: int, *args
-) -> list:
+def _blockwise(block: Callable, a: int, bs: list[int], c: int, n: int, *args) -> list:
     """[block(k0, words, *args) for each block of k < n], in block order,
     over at most _WORKERS contiguous runs of blocks (see the module doc)."""
 
     def run(lo: int, hi: int) -> list:
-        return [block(k0, words, *args) for k0, words in _blocks(a, bs, c, lo, hi, mod_bits)]
+        return [block(k0, words, *args) for k0, words in _blocks(a, bs, c, lo, hi)]
 
     blocks = -(-n // CHUNK)
     runs = min(_WORKERS, blocks)
@@ -183,13 +177,13 @@ def _block_total(partials: tuple) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.asarray(partials).T), axis=-1)
 
 
-def qsum(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
-    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits), qsum_rows' one-row case."""
-    return complex(qsum_rows(a, [b], c, n, mod_bits)[0])
+def qsum(a: int, b: int, c: int, n: int) -> complex:
+    """sum_{k<n} e((A k^2 + B k + C)/2**256), qsum_rows' one-row case."""
+    return complex(qsum_rows(a, [b], c, n)[0])
 
 
-def qsum_rows(a: int, bs: Sequence[int], c: int, n: int, mod_bits: int = 256) -> np.ndarray:
-    """sum_{k<n} e((A k^2 + b k + C)/2**mod_bits) for each b of bs, as one
+def qsum_rows(a: int, bs: Sequence[int], c: int, n: int) -> np.ndarray:
+    """sum_{k<n} e((A k^2 + b k + C)/2**256) for each b of bs, as one
     array, each row reduced on its own (see the module doc); a single sum
     (qsum) is the one-row case."""
     bs = list(bs)
@@ -198,17 +192,15 @@ def qsum_rows(a: int, bs: Sequence[int], c: int, n: int, mod_bits: int = 256) ->
         return out
     rows = max(1, _ROW_PHASES // min(n, CHUNK))
     for r0 in range(0, len(bs), rows):
-        sums = _blockwise(_row_sums, a, bs[r0 : r0 + rows], c, n, mod_bits)
+        sums = _blockwise(_row_sums, a, bs[r0 : r0 + rows], c, n)
         out[r0 : r0 + rows] = _block_total(sums)
     return out
 
 
-def qsum_partials(
-    a: int, b: int, c: int, n: int, mod_bits: int = 256
-) -> Iterator[tuple[int, np.ndarray]]:
+def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k0, z) with z[j] = partial sum through term k0+j (inclusive)."""
     carry = 0.0 + 0.0j
-    for k0, words in phase_chunks(a, b, c, n, mod_bits):
+    for k0, words in phase_chunks(a, b, c, n):
         z = np.cumsum(e_phase(words))
         z += carry
         carry = complex(z[-1])
@@ -226,17 +218,15 @@ def _moment_row(k0: int, words: np.ndarray, inv_n: float, pmax: int) -> np.ndarr
     return row
 
 
-def qsum_moments(
-    a: int, b: int, c: int, n: int, pmax: int, mod_bits: int = 256
-) -> np.ndarray:
+def qsum_moments(a: int, b: int, c: int, n: int, pmax: int) -> np.ndarray:
     """Weighted sums S_p = sum_{k<n} (k/n)^p e(phase_k) for p = 0..pmax.
 
     Used to evaluate the sum at nearby x via a Taylor expansion in the
     linear-phase offset; the normalized weight keeps every S_p O(n).
     """
-    # with n <= 0 there is no block, the weight scale goes unused and S_p = 0
-    rows = _blockwise(_moment_row, a, [b], c, n, mod_bits, 1.0 / max(n, 1), pmax)
-    return np.sum(np.array(rows, dtype=np.complex128).reshape(-1, pmax + 1), axis=0)
+    if n <= 0:
+        return np.zeros(pmax + 1, dtype=np.complex128)
+    return _block_total(_blockwise(_moment_row, a, [b], c, n, 1.0 / n, pmax))
 
 
 def poly_eval_unit_circle(

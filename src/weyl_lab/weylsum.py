@@ -23,6 +23,7 @@ from . import _engine
 from ._rng import counter_angles
 from .exactangle import (
     MODULUS,
+    ZERO,
     Angle,
     dist_to_int,
     scale_mod1,
@@ -150,6 +151,11 @@ def _sin_pi_frac(num: int) -> float:
     return math.sin(math.pi * (folded / MODULUS))
 
 
+def _e_half_grid(num: int) -> complex:
+    # e(num / 2**257), from the exact top 64 bits of num mod 2**257
+    return complex(_engine.e_phase(np.array([(num >> 193) % (1 << 64)], dtype=np.uint64))[0])
+
+
 def _sin_ratios(x: Angle, ms, nx: float) -> list[float]:
     # sin(pi {m x}) / sin(pi x) per m, with {m x} reduced exactly on
     # numerators: sin(pi m x) is this times (-1)^floor(m x), and {m x}
@@ -179,11 +185,10 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
     nx = dist_to_int(x)
     if nx < _B_SERIES_CUTOFF:
         return dirichlet_b(x, m)
-    # the word of the half phase (m-1)x/2, i.e. (m-1)*num / 2**257, turned
-    # by a half when floor(m x) is odd, which folds in the sign of sin(pi m x)
-    word = ((m - 1) * x.numerator >> 193) + (m * x.numerator >> 256 << 63)
+    # the half phase (m-1)x/2, turned by a half when floor(m x) is odd,
+    # which folds in the sign of sin(pi m x)
     (ratio,) = _sin_ratios(x, (m,), nx)
-    return complex(_engine.e_phase(np.array([word % (1 << 64)], dtype=np.uint64))[0] * ratio)
+    return _e_half_grid((m - 1) * x.numerator + (m * x.numerator >> 256 << 256)) * ratio
 
 
 def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
@@ -200,8 +205,9 @@ def psi(theta: Angle, x: Angle, k: int) -> float:
     """psi(theta, x, k) = |sum_{j<k} e(j^2*theta/2 + jx)|.
 
     The half-angle theta/2 is off the 2**-256 grid when the numerator is
-    odd, so the phase runs at doubled resolution:
-    (j^2*theta + 2jx) / 2**257 with both coefficients exact.
+    odd, so the sum is split exactly by the parity of j into two cocycle
+    sums a2 at 2*theta mod 1 and one constant, from its exact 2**-257 word:
+        psi = |a2(x, 0, ceil(k/2)) + e(theta/2 + x) * a2(theta + x, 0, floor(k/2))|
 
     For theta < 1/2, psi(2*theta, 2x, k) = |a(x, y, k)| for every y; the
     doubling must be taken without reduction mod 1 (for theta >= 1/2 the
@@ -209,7 +215,10 @@ def psi(theta: Angle, x: Angle, k: int) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return float(np.abs(_engine.qsum(theta.numerator, 2 * x.numerator, 0, k, mod_bits=257)))
+    twice = scale_mod1(theta, 2)
+    even = weyl_sum(twice, x, ZERO, -(-k // 2))
+    odd = weyl_sum(twice, wrap_add(theta, x), ZERO, k // 2)
+    return float(np.abs(even + _e_half_grid(theta.numerator + 2 * x.numerator) * odd))
 
 
 def skew_shift_n(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:
@@ -275,8 +284,8 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         # copy lets the block go
         pts.append(z[(-k0 - 1) % stride :: stride].copy())
     if n % stride:
-        # always include the endpoint
-        pts.append([weyl_sum(theta, x, y, n)])
+        # always include the endpoint, the stream's own last partial sum
+        pts.append(z[-1:])
     return Trajectory(
         theta=theta,
         start=SkewPoint(x, y),

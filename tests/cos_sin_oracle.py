@@ -29,11 +29,11 @@ def e_cos_sin(words: np.ndarray) -> np.ndarray:
     return np.cos(t) + 1j * np.sin(t)
 
 
-def qsum_cos_sin(a: int, b: int, c: int, n: int, mod_bits: int = 256) -> complex:
-    """sum_{k<n} e((A k^2 + B k + C)/2**mod_bits) on the cos/sin path, on
-    one thread."""
+def qsum_cos_sin(a: int, b: int, c: int, n: int) -> complex:
+    """sum_{k<n} e((A k^2 + B k + C)/2**256) on the cos/sin path, on one
+    thread."""
     re, im = [], []
-    for _, words in _engine.phase_chunks(a, b, c, n, mod_bits):
+    for _, words in _engine.phase_chunks(a, b, c, n):
         t = _angles(words)
         re.append(np.sum(np.cos(t)))
         im.append(np.sum(np.sin(t)))

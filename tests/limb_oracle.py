@@ -23,19 +23,16 @@ def limbs(values: list[int]) -> list:
     ]
 
 
-def phase_block_limbs(
-    a: int, bs: list[int], c: int, k0: int, blen: int, mod_bits: int
-) -> np.ndarray:
-    """Phases of k = k0 .. k0+blen-1 (blen <= 2**15) by four-limb sums; one
-    row of blen phases per entry of bs."""
-    mod = 1 << mod_bits
-    shift = mod_bits - 128
+def phase_block_limbs(a: int, bs: list[int], c: int, k0: int, blen: int) -> np.ndarray:
+    """Phases of k = k0 .. k0+blen-1 (blen <= 2**15) mod 2**256 by
+    four-limb sums; one row of blen phases per entry of bs."""
+    mod = 1 << 256
     a %= mod
     n_ac = a * k0 * k0 + c
     d_a = a * (2 * k0 + 1)
-    nl = limbs([(n_ac + b * k0) % mod >> shift for b in bs])
-    dl = limbs([(d_a + b) % mod >> shift for b in bs])
-    al = limbs([a >> shift])
+    nl = limbs([(n_ac + b * k0) % mod >> 128 for b in bs])
+    dl = limbs([(d_a + b) % mod >> 128 for b in bs])
+    al = limbs([a >> 128])
     j = np.arange(blen, dtype=np.uint64)
     jj = j * (j - np.uint64(1))
     acc0 = nl[0] + j * dl[0] + jj * al[0]

@@ -25,22 +25,28 @@ ZERO = Angle(0)
 CHUNK = _engine.CHUNK
 
 
-def _phase_at(a, b, c, k, mod_bits=256):
+def _phase_at(a, b, c, k):
     # the direct big-integer phase numerator
-    return (a * k * k + b * k + c) % (1 << mod_bits)
+    return (a * k * k + b * k + c) % MODULUS
 
 
-def _word_slack(a, b, c, n, mod_bits):
+def _word_slack(a, b, c, n):
     # exact top word of each phase numerator minus the engine's word, mod
     # 2**64, at the start, middle and end of each block: the one-sided slack
-    shift = mod_bits - 64
     slack = set()
-    for k0, words in _engine.phase_chunks(a, b, c, n, mod_bits):
+    for k0, words in _engine.phase_chunks(a, b, c, n):
         assert words.dtype == np.uint64
         for j in (0, len(words) // 2, len(words) - 1):
-            exact = _phase_at(a, b, c, k0 + j, mod_bits) >> shift
+            exact = _phase_at(a, b, c, k0 + j) >> 192
             slack.add((exact - int(words[j])) % (1 << 64))
     return slack
+
+
+def _operands(rng, bits, count):
+    # count operands below 2**bits, and the same reduced mod 2**256: at 257
+    # bits they pass the modulus, which the engine must reduce exactly
+    ops = [rng.randrange(1 << bits) for _ in range(count)]
+    return ops, [v % MODULUS for v in ops]
 
 
 def test_phase_chunks_exact_at_256_bits():
@@ -48,16 +54,7 @@ def test_phase_chunks_exact_at_256_bits():
     for _ in range(10):
         a, b, c = (rng.randrange(MODULUS) for _ in range(3))
         n = rng.randrange(1, 100_000)
-        assert _word_slack(a, b, c, n, 256) <= {0, 1}
-
-
-def test_phase_chunks_exact_at_257_bits():
-    rng = random.Random(8)
-    mod = 1 << 257
-    for _ in range(10):
-        a, b, c = (rng.randrange(mod) for _ in range(3))
-        n = rng.randrange(1, 100_000)
-        assert _word_slack(a, b, c, n, 257) <= {0, 1}
+        assert _word_slack(a, b, c, n) <= {0, 1}
 
 
 def test_phase_chunks_chunk_boundaries_continuous():
@@ -82,15 +79,14 @@ def test_phase_at_wraparound_top():
 
 @st.composite
 def _kernel_args(draw):
-    # (a, bs, c, k0, mod_bits): operands past the modulus, and bs one row or
-    # a list of 1-5 rows.  st.integers favours small values, whose top 128
-    # bits are zero, so half the operands are uniform over every bit.
-    mod_bits = draw(st.sampled_from([256, 257]))
-    top = 1 << (mod_bits + 8)
+    # (a, bs, c, k0): operands past the modulus, and bs one row or a list
+    # of 1-5 rows.  st.integers favours small values, whose top 128 bits
+    # are zero, so half the operands are uniform over every bit.
+    top = 1 << 264
     uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(top + 1))
     big = st.one_of(st.integers(0, top), uniform)
     bs = draw(st.one_of(big.map(lambda b: [b]), st.lists(big, min_size=1, max_size=5)))
-    return draw(big), bs, draw(big), draw(st.integers(0, 1 << 64)), mod_bits
+    return draw(big), bs, draw(big), draw(st.integers(0, 1 << 64))
 
 
 @pytest.mark.parametrize("blen", [1, 2, 7, CHUNK - 1, CHUNK, None], ids=str)
@@ -99,10 +95,10 @@ def _kernel_args(draw):
 def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
     # the three-word kernel's words, as phases w * 2**-64, give the
     # four-limb kernel's phases bit for bit
-    a, bs, c, k0, mod_bits = args
+    a, bs, c, k0 = args
     blen = drawn if blen is None else blen
-    got = _engine._phase_block(a, bs, c, k0, blen, mod_bits)
-    want = phase_block_limbs(a, bs, c, k0, blen, mod_bits)
+    got = _engine._phase_block(a, bs, c, k0, blen)
+    want = phase_block_limbs(a, bs, c, k0, blen)
     assert got.dtype == np.uint64
     assert got.shape == want.shape == (len(bs), blen)
     phases = got.astype(np.float64) * 2.0 ** -64
@@ -164,15 +160,15 @@ def test_e_phase_error_per_term():
     assert _engine.e_phase(words.reshape(2, -1)).tobytes() == new.tobytes()
 
 
-@pytest.mark.parametrize("mod_bits", [256, 257])
-def test_qsum_agrees_with_cos_sin_path(mod_bits):
+@pytest.mark.parametrize("operand_bits", [256, 257])
+def test_qsum_agrees_with_cos_sin_path(operand_bits):
     # per-term errors of at most 2**-51 (tables) and EPS_OLD (cos/sin)
     # bound the distance between the two sums by n * (EPS_OLD + 2**-51)
-    rng = random.Random(mod_bits)
+    rng = random.Random(operand_bits)
     for n in (1, 7, 1000, CHUNK + 1, 100_003, 1_000_000, 10_000_000):
-        a, b, c = (rng.randrange(1 << mod_bits) for _ in range(3))
-        new = _engine.qsum(a, b, c, n, mod_bits)
-        old = qsum_cos_sin(a, b, c, n, mod_bits)
+        ops, reduced = _operands(rng, operand_bits, 3)
+        new = _engine.qsum(*ops, n)
+        old = qsum_cos_sin(*reduced, n)
         assert abs(new - old) <= n * (EPS_OLD + 2.0**-51), (n, abs(new - old))
 
 
@@ -201,7 +197,7 @@ def test_qsum_moments_order_zero_matches_qsum():
     a, b, c = (rng.randrange(MODULUS) for _ in range(3))
     n = 70_000
     moments = _engine.qsum_moments(a, b, c, n, 3)
-    assert abs(moments[0] - _engine.qsum(a, b, c, n)) < 1e-9
+    assert moments[0] == _engine.qsum(a, b, c, n)
     # first moment against a direct weighted oracle on a small case
     n_small = 500
     moments_small = _engine.qsum_moments(a, b, c, n_small, 2)
@@ -212,17 +208,17 @@ def test_qsum_moments_order_zero_matches_qsum():
     assert abs(moments_small[2] - np.sum(w * w * z)) < 1e-9
 
 
-def _sequential_qsum(a, b, c, n, mod_bits):
+def _sequential_qsum(a, b, c, n):
     # one thread over phase_chunks: block sums, then one pass over them
-    partials = [np.sum(_engine.e_phase(words)) for _, words in _engine.phase_chunks(a, b, c, n, mod_bits)]
+    partials = [np.sum(_engine.e_phase(words)) for _, words in _engine.phase_chunks(a, b, c, n)]
     if not partials:
         return 0j
     return complex(np.sum(np.asarray(partials)))
 
 
-def _sequential_moments(a, b, c, n, pmax, mod_bits):
+def _sequential_moments(a, b, c, n, pmax):
     rows = []
-    for k0, words in _engine.phase_chunks(a, b, c, n, mod_bits):
+    for k0, words in _engine.phase_chunks(a, b, c, n):
         z = _engine.e_phase(words)
         w = (k0 + np.arange(len(words), dtype=np.float64)) * (1.0 / n)
         row = [np.sum(z)]
@@ -232,7 +228,9 @@ def _sequential_moments(a, b, c, n, pmax, mod_bits):
         rows.append(row)
     if not rows:
         return np.zeros(pmax + 1, dtype=np.complex128)
-    return np.sum(np.asarray(rows, dtype=np.complex128), axis=0)
+    # each order's block sums as one contiguous 1-D array, then one pass
+    orders = np.asarray(rows, dtype=np.complex128).T
+    return np.array([np.sum(np.ascontiguousarray(order)) for order in orders])
 
 
 def _count_submits(m):
@@ -253,15 +251,15 @@ class _UnusableExecutor:
         raise AssertionError("an engine executor was opened")
 
 
-@pytest.mark.parametrize("mod_bits", [256, 257])
+@pytest.mark.parametrize("operand_bits", [256, 257])
 @pytest.mark.parametrize(
     "n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK, 5 * CHUNK + 17, 37 * CHUNK - 3]
 )
-def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
-    rng = random.Random(n + mod_bits)
-    a, b, c = (rng.randrange(1 << mod_bits) for _ in range(3))
-    want_sum = _sequential_qsum(a, b, c, n, mod_bits)
-    want_moments = _sequential_moments(a, b, c, n, 3, mod_bits)
+def test_threaded_sums_equal_sequential_reference(monkeypatch, n, operand_bits):
+    rng = random.Random(n + operand_bits)
+    (a, b, c), reduced = _operands(rng, operand_bits, 3)
+    want_sum = _sequential_qsum(*reduced, n)
+    want_moments = _sequential_moments(*reduced, n, 3)
     blocks = -(-n // CHUNK)
     interval = sys.getswitchinterval()
     try:
@@ -271,8 +269,8 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
             with monkeypatch.context() as m:
                 m.setattr(_engine, "_WORKERS", workers)
                 submits = _count_submits(m)
-                got_sum = _engine.qsum(a, b, c, n, mod_bits)
-                got_moments = _engine.qsum_moments(a, b, c, n, 3, mod_bits)
+                got_sum = _engine.qsum(a, b, c, n)
+                got_moments = _engine.qsum_moments(a, b, c, n, 3)
             # one submit per run but the caller's, in each of the two calls
             assert len(submits) == 2 * max(min(workers, blocks) - 1, 0)
             assert got_sum == want_sum, workers
@@ -281,21 +279,21 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, mod_bits):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("mod_bits", [256, 257])
+@pytest.mark.parametrize("operand_bits", [256, 257])
 @pytest.mark.parametrize("n", [0, 1, 7, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, mod_bits):
-    rng = random.Random(3 * n + mod_bits)
-    a, c = (rng.randrange(1 << mod_bits) for _ in range(2))
-    # linear coefficients past 2**256 too: the kernel reduces them mod 2**mod_bits
+def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, operand_bits):
+    rng = random.Random(3 * n + operand_bits)
+    (a, c), (a_red, c_red) = _operands(rng, operand_bits, 2)
+    # linear coefficients past 2**256 too: the kernel reduces them mod 2**256
     bs = [rng.randrange(1 << 300) for _ in range(5)] + [1 << 256, 0]
     # the one-thread 1-D reference, not qsum, which is qsum_rows' one-row case
-    want = np.array([_sequential_qsum(a, b, c, n, mod_bits) for b in bs], dtype=np.complex128)
-    assert _engine.qsum_rows(a, bs, c, n, mod_bits).tobytes() == want.tobytes()
+    want = np.array([_sequential_qsum(a_red, b % MODULUS, c_red, n) for b in bs], dtype=np.complex128)
+    assert _engine.qsum_rows(a, bs, c, n).tobytes() == want.tobytes()
     # three rows per batch of rows, and two threads over the blocks
     monkeypatch.setattr(_engine, "_ROW_PHASES", 3 * min(max(n, 1), CHUNK))
     monkeypatch.setattr(_engine, "_WORKERS", 2)
-    assert _engine.qsum_rows(a, bs, c, n, mod_bits).tobytes() == want.tobytes()
-    assert _engine.qsum_rows(a, [], c, n, mod_bits).shape == (0,)
+    assert _engine.qsum_rows(a, bs, c, n).tobytes() == want.tobytes()
+    assert _engine.qsum_rows(a, [], c, n).shape == (0,)
 
 
 def test_block_total_matches_one_dimensional_sum():
@@ -341,7 +339,7 @@ def test_import_starts_no_thread():
 def test_threaded_call_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(_engine, "_WORKERS", 3)
     threads = threading.active_count()
-    assert _engine.qsum(1, 2, 3, 3 * CHUNK) == _sequential_qsum(1, 2, 3, 3 * CHUNK, 256)
+    assert _engine.qsum(1, 2, 3, 3 * CHUNK) == _sequential_qsum(1, 2, 3, 3 * CHUNK)
     assert threading.active_count() == threads, threading.enumerate()
 
 

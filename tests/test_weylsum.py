@@ -209,6 +209,45 @@ def test_psi_close_to_b_for_small_theta():
     assert worst_c <= 50.0
 
 
+def _oracle_psi(tn: int, xn: int, k: int) -> float:
+    # direct big-integer phases (j^2 theta + 2jx) / 2**257, independently
+    # of the split into cocycle sums
+    total = 0j
+    for j in range(k):
+        num = (j * j * tn + 2 * j * xn) % (2 * MODULUS)
+        total += cmath.exp(2j * math.pi * (num / (2 * MODULUS)))
+    return abs(total)
+
+
+def test_psi_matches_bigint_oracle():
+    # odd and even k, theta >= 1/2 (where the doubling wraps) in half the cases
+    rng = random.Random(53)
+    for i in range(40):
+        tn = rng.randrange((MODULUS >> 1) * (i % 2), MODULUS)
+        xn = rng.randrange(MODULUS)
+        k = 2 * rng.randrange(1000) + (i >> 1) % 2
+        assert abs(psi(Angle(tn), Angle(xn), k) - _oracle_psi(tn, xn, k)) < 1e-10
+
+
+def _dyadic_psi_error(a: int, s: int, c: int) -> float:
+    # psi(a/2^s, 0, k) sums e(j^2 a / 2^(s+1)), of period 2^(s+1) in j for
+    # odd a, and a dyadic Gauss sum of period 2^(s+1) has modulus
+    # 2^((s+2)/2): at k = c 2^(s+1), psi = c 2^((s+2)/2)
+    k = c << (s + 1)
+    return abs(psi(angle_from_rational(a, 1 << s), ZERO, k) - c * 2.0 ** ((s + 2) / 2))
+
+
+def test_psi_matches_dyadic_gauss_closed_form_at_large_k():
+    # theta = 699051 / 2^20 >= 1/2, k = 2^26
+    assert _dyadic_psi_error(699051, 20, 32) <= (32 << 21) * 2.0 ** -51
+
+
+@pytest.mark.slow
+def test_psi_matches_dyadic_gauss_closed_form_at_k_2_30():
+    # the large-k claim at k = 2^30 ~ 1.07e9 terms
+    assert _dyadic_psi_error(699051, 20, 512) <= (512 << 21) * 2.0 ** -51
+
+
 def test_skew_shift_spec_examples():
     rng = random.Random(50)
     theta = Angle(rng.randrange(MODULUS))
@@ -302,11 +341,11 @@ def test_trajectory_basics():
     strided = trajectory(GOLDEN, Angle(12), Angle(7), 600, 7)
     assert list(strided.ns)[:3] == [0, 7, 14]
     assert strided.ns[-1] == 600  # endpoint always recorded
-    # strided points are the dense run's, bit for bit; the endpoint
-    # (600 % 7 != 0) is weyl_sum's
-    assert strided.points[-1] == weyl_sum(GOLDEN, Angle(12), Angle(7), 600)
+    # strided points are the dense run's, bit for bit, the endpoint
+    # (600 % 7 != 0) too: both are the stream's partial sums
     dense = dict(zip(tr.ns.tolist(), tr.points.tolist()))
-    assert strided.points[:-1].tolist() == [dense[n] for n in strided.ns[:-1].tolist()]
+    assert strided.points.tolist() == [dense[n] for n in strided.ns.tolist()]
+    assert abs(strided.points[-1] - weyl_sum(GOLDEN, Angle(12), Angle(7), 600)) <= 600 * 2.0**-51
 
 
 @pytest.mark.parametrize("stride", [1, 5, 4096])
@@ -315,12 +354,13 @@ def test_trajectory_strides_across_blocks_are_exact(stride):
     zs = [z for _, blk in _engine.qsum_partials(GOLDEN.numerator, 24, 7, n) for z in blk.tolist()]
     tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
     ns = list(range(0, n + 1, stride))
-    pts = [0j] + [zs[m - 1] for m in ns[1:]]
     if n % stride:
         ns.append(n)
-        pts.append(weyl_sum(GOLDEN, Angle(12), Angle(7), n))
+    # every point, the endpoint too, is the stream's partial sum
+    pts = [0j] + [zs[m - 1] for m in ns[1:]]
     assert tr.ns.tolist() == ns
     assert tr.points.tolist() == pts
+    assert abs(tr.points[-1] - weyl_sum(GOLDEN, Angle(12), Angle(7), n)) <= n * 2.0**-51
     assert tr.ns.dtype == np.int64 and tr.points.dtype == np.complex128
 
 
