@@ -22,7 +22,7 @@ REPORT_SHA256 = {
     "E2": "1b1e11281934494c6be8454a819b638fdeb0ab283e4cf3686c42cf10c72041ba",
     "E3": "0c43f85b49437b934b2724cf1cbce6838e6157717d34724f57bb7e7883191707",
     "E4": "8fc6e13318101549f31c1623b065056ccd1a370ae74a830e5431beb306f403e7",
-    "E5": "68d578a72a4d3085ddb2ebd6030c41898acd2d046ebc4e7c4210b68cfa2a80dc",
+    "E5": "52a3f0f8f6e563c4ea96d35dcd0acc9ecf34695e1f34acb5df73949832dcd958",
     "E6": "cbf0a17ae3fc402137c45131c00b94930d4eb9a3139b4dfe228922bdb742bbbc",
     "E7": "7e87f4de1762014dcdf6fd384d69db50f41620e9b9e0f4ecd7fb00fa812483e3",
     "E8": "311872b5c5f6ca744c994c84806db4ce31984d47b84f79854ce41b25c7dc2311",

@@ -37,8 +37,8 @@ CLI_GOLDEN = {
     "traj": (
         ["traj", "--theta", "golden", "--x", "0.25", "--n", "200", "--stride", "7"],
         {
-            "json": "92aa90e1a43908a0472a407fc60a454fe6399e55bbaf57892621b0e6b44f1528",
-            "csv": "ec41111fca1caca5b88f10b1c0d714a8bcc2573e1d4aaea156fab9113a7ad753",
+            "json": "ebfb8991d5b34c03535ee4cab246879dcae6a45cab78b72ecbaa5934c9e201f0",
+            "csv": "c8b47787b4d6dad1b4b00fd71aafae60ac5f075cf869298e70cf123656a4033c",
         },
     ),
     "parseval": (
@@ -51,8 +51,8 @@ CLI_GOLDEN = {
     "renorm": (
         ["renorm", "--theta", "0.3137", "--x", "0.42", "--k", "1000", "--depth", "3"],
         {
-            "json": "8792549d981a8919344d4229dfd63cda0ace46cae9b4e689fc8045d6bdee417c",
-            "csv": "4af68015276f68d756c630f9eb5365316af20bf1e2f08ed7c9323326f8d764f4",
+            "json": "0ca39a8adf10ffe798805241025bf9302ebec60c6de919b4547732c3984e671a",
+            "csv": "4b8b022dd6880ddc19fbacc6fee43742077955d4a19d6a2b82bf9f9a465f341b",
         },
     ),
     "schedule": (
