@@ -502,26 +502,26 @@ class BoxReport:
 
 
 def modulus_on_interval(
-    theta: Angle, x0: Angle, big_m: int, offsets: np.ndarray, pmax: int = TAYLOR_DEGREE
+    theta: Angle, x0: Angle, big_m: int, offsets: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """|a(x0+u, M)| for many offsets |u| <= r via one pass of moments.
 
     a(x0+u, M) = sum_p S_p (4 pi i M u)^p / p! with S_p the (k/M)^p-weighted
-    sums; the truncation tail is below M * (4 pi M max|u|)^(p+1)/(p+1)!,
-    reported so callers can check it is negligible.
+    sums, p <= P = TAYLOR_DEGREE; the truncation tail is below
+    M * (4 pi M max|u|)^(P+1)/(P+1)!, reported so callers can check it.
     """
-    moments = _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, pmax)
+    moments = _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, TAYLOR_DEGREE)
     w = 4j * math.pi * big_m * offsets
     acc = np.full(len(offsets), moments[0], dtype=np.complex128)
     term = np.ones(len(offsets), dtype=np.complex128)
-    for p in range(1, pmax + 1):
+    for p in range(1, TAYLOR_DEGREE + 1):
         term = term * w / p
         acc += moments[p] * term
     u_max = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
     tail = (
         big_m
-        * (4.0 * math.pi * big_m * u_max) ** (pmax + 1)
-        / math.factorial(pmax + 1)
+        * (4.0 * math.pi * big_m * u_max) ** (TAYLOR_DEGREE + 1)
+        / math.factorial(TAYLOR_DEGREE + 1)
     )
     return np.abs(acc), tail
 

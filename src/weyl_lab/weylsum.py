@@ -25,17 +25,9 @@ from .exactangle import (
     MODULUS,
     ZERO,
     Angle,
-    dist_to_int,
     scale_mod1,
     wrap_add,
 )
-
-# Below this distance from an integer the sin-ratio closed form for b is
-# replaced by the direct series (catastrophic cancellation in sin(pi*x));
-# below _B_LONGDOUBLE the ratio is formed in 80-bit floats to keep the
-# absolute error under 1e-9 for m up to 1e4.
-_B_SERIES_CUTOFF = 2.0 ** -20
-_B_LONGDOUBLE_CUTOFF = 2.0 ** -8
 
 
 @dataclass(frozen=True)
@@ -129,23 +121,6 @@ def dirichlet_b_over_x(xs: list[Angle], m: int) -> np.ndarray:
     return _engine.qsum_rows(0, [x.numerator for x in xs], 0, m)
 
 
-def _longdouble_frac(num: int) -> np.longdouble:
-    # num / 2**256 in 80-bit floats, built from 32-bit limbs so the int
-    # conversion never routes through a 53-bit double
-    acc = np.longdouble(0.0)
-    for i in range(1, 5):
-        limb = (num >> (256 - 32 * i)) & 0xFFFFFFFF
-        acc += np.longdouble(limb) * np.longdouble(2.0) ** (-32 * i)
-    return acc
-
-
-def _sin_pi_frac_ld(num: int) -> np.longdouble:
-    # sin(pi * num/2**256) with the argument folded exactly to [0, 1/2]
-    # (sin(pi v) = sin(pi (1-v))), so pi-rounding stays relative
-    folded = min(num, MODULUS - num)
-    return np.sin(np.longdouble(math.pi) * _longdouble_frac(folded))
-
-
 def _sin_pi_frac(num: int) -> float:
     folded = min(num, MODULUS - num)
     return math.sin(math.pi * (folded / MODULUS))
@@ -156,25 +131,21 @@ def _e_half_grid(num: int) -> complex:
     return complex(_engine.e_phase(np.array([(num >> 193) % (1 << 64)], dtype=np.uint64))[0])
 
 
-def _sin_ratios(x: Angle, ms, nx: float) -> list[float]:
+def _sin_ratios(x: Angle, ms) -> list[float]:
     # sin(pi {m x}) / sin(pi x) per m, with {m x} reduced exactly on
     # numerators: sin(pi m x) is this times (-1)^floor(m x), and {m x}
-    # folds freely across 1/2.  80-bit floats below _B_LONGDOUBLE_CUTOFF.
-    fracs = [(int(m) * x.numerator) & (MODULUS - 1) for m in ms]
-    if nx < _B_LONGDOUBLE_CUTOFF:
-        den = _sin_pi_frac_ld(x.numerator)
-        return [float(_sin_pi_frac_ld(f) / den) for f in fracs]
+    # folds freely across 1/2
     den = _sin_pi_frac(x.numerator)
-    return [_sin_pi_frac(f) / den for f in fracs]
+    return [_sin_pi_frac((int(m) * x.numerator) & (MODULUS - 1)) / den for m in ms]
 
 
 def dirichlet_b_closed(x: Angle, m: int) -> complex:
     """Closed form e((m-1)x/2) * sin(pi m x) / sin(pi x).
 
-    The removable singularity at x in Z returns m; near-singular x falls
-    back to the series.  For moderately small ||x|| the sin ratio runs in
-    80-bit floats with arguments taken straight from the grid numerators
-    (the denominator magnifies any argument rounding by 1/||x||).
+    The removable singularity at x in Z returns m.  Elsewhere both sines
+    take arguments reduced exactly on the grid numerators and folded to
+    [0, 1/2], so each is accurate relative to its own size at every grid
+    x != 0 and the result is within m * 2**-51 of b(x, m).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -182,12 +153,9 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
         return 0j
     if x.numerator == 0:
         return complex(m)
-    nx = dist_to_int(x)
-    if nx < _B_SERIES_CUTOFF:
-        return dirichlet_b(x, m)
     # the half phase (m-1)x/2, turned by a half when floor(m x) is odd,
     # which folds in the sign of sin(pi m x)
-    (ratio,) = _sin_ratios(x, (m,), nx)
+    (ratio,) = _sin_ratios(x, (m,))
     return _e_half_grid((m - 1) * x.numerator + (m * x.numerator >> 256 << 256)) * ratio
 
 
@@ -195,10 +163,7 @@ def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
     """|b(x, m)| for an array of m, via the exactly-reduced sin ratio."""
     if x.numerator == 0:
         return ms.astype(np.float64)
-    nx = dist_to_int(x)
-    if nx < _B_SERIES_CUTOFF:
-        return np.abs(np.array([dirichlet_b(x, int(m)) for m in ms]))
-    return np.abs(np.array(_sin_ratios(x, ms, nx)))
+    return np.abs(np.array(_sin_ratios(x, ms)))
 
 
 def psi(theta: Angle, x: Angle, k: int) -> float:

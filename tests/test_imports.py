@@ -43,23 +43,30 @@ def test_guard_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: os", "line 2: e"]
 
 
+def _private_names(node: ast.stmt) -> list[str]:
+    # the names a top-level statement binds: a def, a class, or the plain
+    # names an assignment targets, tuples unpacked
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__") and n != "_"]
+
+
 def _dead_helpers(sources: dict[str, str], package: list[str]) -> list[str]:
-    """Private top-level functions and classes of the package modules that
-    no source names, by a Name, an attribute or an import."""
+    """Private top-level functions, classes and constants of the package
+    modules that no source reads, by a Name, an attribute or an import."""
     defined = []
     referenced = set()
     for path, source in sources.items():
         tree = ast.parse(source)
         if path in package:
-            defined += [
-                (path, node.name)
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
-            ]
+            defined += [(path, name) for node in tree.body for name in _private_names(node)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -77,7 +84,11 @@ def test_every_private_helper_is_used():
 
 def test_guard_sees_a_dead_helper():
     sources = {
-        "m.py": "def _used():\n    pass\n\n\nclass _Dead:\n    pass\n\n\ndef _gone():\n    pass\n",
-        "t.py": "from m import _used\n",
+        "m.py": (
+            "def _used():\n    pass\n\n\nclass _Dead:\n    pass\n\n\ndef _gone():\n    pass\n"
+            "_READ = 1\n_UNREAD = _READ\n_TYPED: int = 2\n_PAIR, _ = 3, 4\n"
+        ),
+        "t.py": "from m import _used\nprint(_TYPED)\n",
     }
-    assert _dead_helpers(sources, ["m.py"]) == ["m.py: _Dead", "m.py: _gone"]
+    dead = ["m.py: _Dead", "m.py: _gone", "m.py: _UNREAD", "m.py: _PAIR"]
+    assert _dead_helpers(sources, ["m.py"]) == dead

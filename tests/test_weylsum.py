@@ -7,11 +7,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import weyl_lab
 from weyl_lab import _engine
+from weyl_lab.acceptance import _E1_SINGULAR_OFFSETS
 from weyl_lab.exactangle import (
     GOLDEN,
     MODULUS,
@@ -81,6 +83,46 @@ def test_weyl_sum_matches_dyadic_gauss_closed_form_at_n_2_30():
     # the large-n claim at n = 2^30 ~ 1.07e9 terms (about a minute on 2 cores)
     n = 1024 << 20
     assert _dyadic_gauss_error(12345, 20, 1024) <= n * 2.0 ** -51
+
+
+def _prime_gauss(a: int, b: int, p: int) -> complex:
+    # G(a, b; p) = sum_{k mod p} e((a k^2 + b k)/p) for an odd prime p and
+    # p not dividing a: (a|p) eps_p sqrt(p) e(-(4a)^-1 b^2 / p), with
+    # eps_p = 1 for p = 1 mod 4 and i for p = 3 mod 4
+    legendre = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    eps = 1 if p % 4 == 1 else 1j
+    r = -pow(4 * a, -1, p) * b * b % p
+    return legendre * eps * math.sqrt(p) * cmath.exp(2j * math.pi * r / p)
+
+
+def test_prime_gauss_formula_matches_brute_force():
+    rng = random.Random(55)
+    primes = [p for p in range(3, 1010, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+    assert primes[-1] == 1009
+    for p in primes:
+        for a, b in ((rng.randrange(1, p), rng.randrange(p)), (p - 1, 0)):
+            brute = sum(cmath.exp(2j * math.pi * ((a * k * k + b * k) % p) / p) for k in range(p))
+            assert abs(brute - _prime_gauss(a, b, p)) < 1e-9
+
+
+def _prime_gauss_error(a: int, b: int, p: int, c: int) -> float:
+    # theta = a/p and 2x = b/p off the dyadic grid: k^2 theta + 2kx mod 1
+    # has period p, so a(x, 0, c p) = c G(a, b; p); rounding theta and x to
+    # the grid moves each phase by under n^2 2^-256
+    theta = angle_from_rational(a, p)
+    x = angle_from_rational(b * pow(2, -1, p), p)
+    return abs(weyl_sum(theta, x, ZERO, c * p) - c * _prime_gauss(a, b, p))
+
+
+@pytest.mark.parametrize("a, b, p", [(12345, 678, 1_000_003), (777_777, 31_337, 999_983)])
+def test_weyl_sum_matches_prime_gauss_closed_form_at_large_n(a, b, p):
+    # n ~ 1e8 terms; theta = 777777/999983 >= 1/2
+    assert _prime_gauss_error(a, b, p, 100) <= 100 * p * 2.0 ** -51
+
+
+@pytest.mark.slow
+def test_weyl_sum_matches_prime_gauss_closed_form_at_n_1e9():
+    assert _prime_gauss_error(777_777, 31_337, 999_983, 1000) <= 1000 * 999_983 * 2.0 ** -51
 
 
 def test_weyl_sum_trivial_values():
@@ -164,11 +206,36 @@ def test_dirichlet_b_over_x_equals_single_sums(m):
 
 def test_dirichlet_moduli_batch():
     rng = random.Random(47)
-    x = Angle(rng.randrange(MODULUS))
+    near = angle_from_fraction(Fraction(-1, 1 << 25))  # ||x|| < 2^-20
     ms = np.arange(0, 300)
-    batch = dirichlet_b_moduli(x, ms)
-    single = np.array([abs(dirichlet_b_closed(x, int(m))) for m in ms])
-    assert np.max(np.abs(batch - single)) < 1e-10
+    for x in (Angle(rng.randrange(MODULUS)), near, ZERO):
+        batch = dirichlet_b_moduli(x, ms)
+        single = np.array([abs(dirichlet_b_closed(x, int(m))) for m in ms])
+        assert np.max(np.abs(batch - single)) < 1e-10
+
+
+def _mp_dirichlet_b(num: int, m: int) -> complex:
+    # b(x, m) = e((m-1)x/2) sin(pi m x) / sin(pi x) at 700 bits, x exact
+    with mpmath.workprec(700):
+        x = mpmath.mpf(num) / MODULUS
+        return complex(mpmath.expjpi((m - 1) * x) * mpmath.sinpi(m * x) / mpmath.sinpi(x))
+
+
+def test_dirichlet_closed_matches_mpmath_at_every_scale():
+    # ||x|| or ||x - 1/2|| at each scale 2^-1 ... 2^-250, on both sides,
+    # then E1's singular offsets of both signs and the grid's ends
+    rng = random.Random(54)
+    cases = []
+    for i in range(400):
+        s = 1 + i * 249 // 399
+        d = rng.randrange(1 << (255 - s), 1 << (256 - s))
+        num = (d, MODULUS - d, (MODULUS >> 1) + d, (MODULUS >> 1) - d)[i % 4]
+        cases.append((num, rng.randrange(1, 10_001)))
+    for off in _E1_SINGULAR_OFFSETS:
+        cases += [(angle_from_fraction(sign * off).numerator, 10_000) for sign in (1, -1)]
+    cases += [(1, 10_000), (MODULUS - 1, 9_999)]
+    for num, m in cases:
+        assert abs(dirichlet_b_closed(Angle(num), m) - _mp_dirichlet_b(num, m)) <= m * 2.0 ** -50
 
 
 def test_psi_trivials():
