@@ -42,7 +42,13 @@ from .exactangle import (
     wrap_neg,
 )
 from .reporting import BIG_INT
-from .weylsum import dirichlet_b_closed, dirichlet_b_moduli, weyl_sum, weyl_sum_over_x
+from .weylsum import (
+    dirichlet_b_closed,
+    dirichlet_b_moduli,
+    weyl_sum,
+    weyl_sum_over_x,
+    weyl_sums_over_x,
+)
 
 DEFAULT_SEED = 7  # of the witness search, the box and the acceptance gates
 DEFAULT_EPS = 0.5
@@ -688,10 +694,10 @@ class GrowthReport:
 def growth_report(
     theta: Angle, n_schedule: list[int], x_grid_size: int = DEFAULT_GRID
 ) -> GrowthReport:
-    """sup over a uniform x-grid of |a(x,n)|/n and |a(x,n)|/sqrt(n), and
-    the |a(0,n)|/sqrt(n) series with its running peak, at scheduled n.
-
-    y is pinned to 0 throughout since |a| does not depend on it.
+    """sup over a uniform x-grid of |a(x,n)|/n and |a(x,n)|/sqrt(n), by one
+    weyl_sums_over_x call (its error and memory bounds apply), and the
+    |a(0,n)|/sqrt(n) series with its running peak, by one walk at x = 0, at
+    scheduled n.  y is pinned to 0 throughout since |a| does not depend on it.
     """
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])) or not n_schedule:
         raise ValueError("schedule must be strictly increasing and nonempty")
@@ -699,30 +705,18 @@ def growth_report(
         raise ValueError("schedule entries must be >= 1")
     if x_grid_size < 1:
         raise ValueError("x_grid_size must be >= 1")
-    sup_abs = np.zeros(len(n_schedule))
-    a0_vals: list[float] = []
-    a0_peaks: list[float] = []
-    peak = 0.0
-    for j in range(x_grid_size):
-        x = angle_from_rational(j, x_grid_size)
-        vals: list[float] = []
-        for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, 0, n_schedule[-1]):
-            at = [n - k0 - 1 for n in n_schedule if k0 < n <= k0 + len(z)]
-            vals.extend(np.abs(z[at]).tolist())
-            if j == 0:
-                # x = 0 also gives |a(0,n)|/sqrt(n) with its running peak
-                step_ns = np.arange(k0 + 1, k0 + len(z) + 1, dtype=np.float64)
-                ratios = np.abs(z) / np.sqrt(step_ns)
-                run = np.maximum.accumulate(ratios)
-                a0_vals.extend(float(ratios[i]) for i in at)
-                a0_peaks.extend(max(peak, float(run[i])) for i in at)
-                peak = max(peak, float(run[-1]))
-        sup_abs = np.maximum(sup_abs, vals)
-    if theta.numerator == 0:
-        bounded = False
-    else:
-        probe = cf_expand(theta, 40)
-        bounded = len(probe.quotients) == 40 and max(probe.quotients) <= 1000
+    xs = [angle_from_rational(j, x_grid_size) for j in range(x_grid_size)]
+    sup_abs = np.max(np.abs(weyl_sums_over_x(theta, xs, n_schedule)), axis=1)
+    a0_vals, a0_peaks, peak = [], [], 0.0
+    for k0, z in _engine.qsum_partials(theta.numerator, 0, 0, n_schedule[-1]):
+        at = [n - k0 - 1 for n in n_schedule if k0 < n <= k0 + len(z)]
+        ratios = np.abs(z) / np.sqrt(np.arange(k0 + 1, k0 + len(z) + 1, dtype=np.float64))
+        run = np.maximum.accumulate(ratios)
+        a0_vals.extend(float(ratios[i]) for i in at)
+        a0_peaks.extend(max(peak, float(run[i])) for i in at)
+        peak = max(peak, float(run[-1]))
+    probe = cf_expand(theta, 40).quotients if theta.numerator else ()
+    bounded = len(probe) == 40 and max(probe) <= 1000
     return GrowthReport(
         theta=theta,
         schedule=tuple(n_schedule),

@@ -389,5 +389,5 @@ def test_batch_matches_scalar_at_deep_level():
     xs = [Angle(rng.randrange(MODULUS)) for _ in range(12)]
     batch = weyl_sum_over_x(GOLDEN, xs, 83523)
     scalar = np.array([weyl_sum(GOLDEN, x, ZERO, 83523) for x in xs])
-    # absolute tolerance: |a| is O(sqrt(q)), BSGS keeps ~1e-9 absolute
-    assert np.max(np.abs(batch - scalar)) < 1e-7
+    # both sides within their n * 2**-51 budgets (measured 0.23 * n * 2**-51)
+    assert np.max(np.abs(batch - scalar)) <= 2 * 83523 * 2.0**-51

@@ -30,6 +30,7 @@ from weyl_lab.experiments import (
     select_qn,
     tail_measure,
 )
+from weyl_lab.weylsum import weyl_sum
 
 
 @pytest.fixture(scope="module")
@@ -383,11 +384,17 @@ def test_growth_theta_zero_control():
 
 
 def test_growth_golden_shape():
-    rep = growth_report(GOLDEN, [100, 1000, 10_000], 128)
+    ns, grid = [100, 1000, 10_000], 128
+    rep = growth_report(GOLDEN, ns, grid)
     assert rep.bounded_quotients
     assert all(a > b for a, b in zip(rep.sup_ratio_linear, rep.sup_ratio_linear[1:]))
     assert max(rep.a0_peak_ratio) >= 0.5
     assert all(v <= 5.0 for v in rep.sup_ratio_sqrt)
+    # each sup is the grid maximum of direct sums' moduli
+    xs = [angle_from_rational(j, grid) for j in range(grid)]
+    for n, ratio in zip(ns, rep.sup_ratio_linear):
+        direct = max(abs(weyl_sum(GOLDEN, x, Angle(0), n)) for x in xs)
+        assert abs(ratio * n - direct) <= 2 * n * 2.0**-51
 
 
 def test_growth_rejects_bad_schedule():

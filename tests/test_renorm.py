@@ -25,7 +25,7 @@ from weyl_lab.renorm import (
     u_measure_lower,
     x_renorm,
 )
-from weyl_lab.weylsum import dirichlet_b
+from weyl_lab.weylsum import dirichlet_b, psi
 
 
 def test_renorm_step_golden_examples():
@@ -74,6 +74,24 @@ def test_fe_residual_within_calibrated_bound():
     assert golden_res <= 1.5 * r_max
     extreme = fe_residual(angle_from_decimal("0.05"), angle_from_decimal("0.77"), 1000)
     assert extreme <= 1.5 * r_max
+
+
+def test_renorm_step_half_turn_is_exact_reciprocity():
+    # theta = q/2^s, q odd, x = 0, k = 2^s: Landsberg-Schaar with pq even
+    # gives sqrt(theta) psi(theta, 0, 2^s) = psi({2^s/q}, x', q) exactly,
+    # with x' the half turn when [2^s/q] is odd; x_renorm alone misses it
+    rng = random.Random(71)
+    odd = 0
+    for s in range(4, 21):
+        k = 1 << s
+        theta = angle_from_rational(rng.randrange(1, k, 2), k)
+        assert fe_residual(theta, Angle(0), k) <= 2 * k * 2.0**-51
+        step = renorm_step(theta, Angle(0), k)
+        if (MODULUS // theta.numerator) % 2:
+            odd += 1
+            plain = psi(step.theta_next, x_renorm(theta, Angle(0)), step.k_next)
+            assert abs(step.sigma_factor * psi(theta, Angle(0), k) - plain) > 0.5
+    assert odd >= 5
 
 
 def test_renorm_chain_identity_at_depth_zero():

@@ -61,28 +61,56 @@ def test_weyl_sum_matches_bigint_oracle():
         assert abs(fast - slow) < 1e-10
 
 
-def _dyadic_gauss_error(a: int, s: int, c: int) -> float:
-    # theta = a/2^s lies on the grid and k^2*theta mod 1 has period 2^s, so
-    # a(0, 0, c*2^s) = c*G(a, 2^s) with G(a, 2^s) = (2/a)^s (1 + i^a) 2^(s/2)
-    # for odd a (Berndt-Evans-Williams); i^a from a % 4, since float powers
-    # of 1j drift past the budget
+def _dyadic_gauss(a: int, b, s: int):
+    # G(a, b; 2^s) = sum_{k mod 2^s} e((a k^2 + b k)/2^s) for odd a, s >= 2,
+    # and b an int or an int64 array: 0 for odd b (terms k and k + 2^(s-1)
+    # cancel), else e(-a^-1 (b/2)^2 / 2^s) G(a; 2^s) by completing the square,
+    # with a^-1 mod 2^s and G(a; 2^s) = (2/a)^s (1 + i^a) 2^(s/2)
+    # (Berndt-Evans-Williams); i^a from a % 4, since float powers of 1j
+    # drift past the budget
     jacobi_2a = 1 if a % 8 in (1, 7) else -1
     gauss = jacobi_2a ** s * (1 + (1, 1j, -1, -1j)[a % 4]) * 2.0 ** (s / 2)
-    z = weyl_sum(angle_from_rational(a, 1 << s), ZERO, ZERO, c << s)
-    return abs(z - c * gauss)
+    r = -pow(a, -1, 1 << s) * (b // 2) ** 2 % (1 << s)
+    return np.where(b % 2, 0j, gauss * np.exp(2j * np.pi * r / (1 << s)))
+
+
+def test_dyadic_gauss_formula_matches_brute_force():
+    # every odd a and every b at s <= 10: G(a, . ; 2^s) is 2^s times the
+    # inverse DFT over k of e(a k^2 / 2^s)
+    for s in range(2, 11):
+        k = np.arange(1 << s, dtype=np.int64)
+        for a in range(1, 1 << s, 2):
+            brute = np.fft.ifft(np.exp(2j * np.pi * (a * k * k % (1 << s)) / (1 << s))) * (1 << s)
+            assert np.max(np.abs(brute - _dyadic_gauss(a, k, s))) < 1e-9
+
+
+def _dyadic_gauss_error(a: int, b: int, s: int, c: int) -> float:
+    # theta = a/2^s and 2x = b/2^s lie on the grid and k^2*theta + 2kx mod 1
+    # has period 2^s, so a(x, 0, c*2^s) = c*G(a, b; 2^s)
+    x = angle_from_rational(b, 1 << (s + 1))
+    z = weyl_sum(angle_from_rational(a, 1 << s), x, ZERO, c << s)
+    return abs(z - c * complex(_dyadic_gauss(a, b, s)))
 
 
 @pytest.mark.parametrize("a", [12345, 699051])
 def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a):
     n = 64 << 20
-    assert _dyadic_gauss_error(a, 20, 64) <= n * 2.0 ** -51
+    assert _dyadic_gauss_error(a, 0, 20, 64) <= n * 2.0 ** -51
+
+
+@pytest.mark.parametrize("a, b", [(12345, 2 * 31337), (699051, 31337)])
+def test_weyl_sum_matches_dyadic_gauss_with_linear_term_at_large_n(a, b):
+    # n = 96 * 2^20 ~ 1e8 terms; an even b turns the closed form, an odd b
+    # makes it 0
+    n = 96 << 20
+    assert _dyadic_gauss_error(a, b, 20, 96) <= n * 2.0 ** -51
 
 
 @pytest.mark.slow
 def test_weyl_sum_matches_dyadic_gauss_closed_form_at_n_2_30():
     # the large-n claim at n = 2^30 ~ 1.07e9 terms (about a minute on 2 cores)
     n = 1024 << 20
-    assert _dyadic_gauss_error(12345, 20, 1024) <= n * 2.0 ** -51
+    assert _dyadic_gauss_error(12345, 0, 20, 1024) <= n * 2.0 ** -51
 
 
 def _prime_gauss(a: int, b: int, p: int) -> complex:
@@ -357,7 +385,25 @@ def test_weyl_sum_over_x_matches_scalar():
     xs = [Angle(rng.randrange(MODULUS)) for _ in range(40)]
     batch = weyl_sum_over_x(GOLDEN, xs, 999)
     scalar = np.array([weyl_sum(GOLDEN, x, ZERO, 999) for x in xs])
-    assert np.max(np.abs(batch - scalar)) < 1e-9
+    assert np.max(np.abs(batch - scalar)) <= 2 * 999 * 2.0**-51
+
+
+@pytest.mark.parametrize("s", [8, 14, 16])
+def test_weyl_sums_over_x_matches_dyadic_gauss_closed_form(s):
+    # theta = a/2^s and 256 seeded x = b/2^(s+1), odd and even b, at n ~ 1e5
+    # and ~ 1e6 from one coefficient row: a(x, 0, n) = (n/2^s) G(a, b; 2^s).
+    # The error grows with the size of the sums, as the evaluator's
+    # docstring states (measured 0.11-0.30 sqrt(n) max|a| 2^-51); it is
+    # within n 2^-51 at s = 16, where max|a| <= 5500, but not at s = 8
+    a = 12345 % (1 << s)
+    rng = random.Random(61)
+    bs = np.array([rng.randrange(1 << (s + 1)) for _ in range(256)], dtype=np.int64)
+    xs = [angle_from_rational(int(b), 1 << (s + 1)) for b in bs]
+    ns = [round(t / (1 << s)) << s for t in (1e5, 1e6)]
+    for row, n in zip(weyl_sums_over_x(angle_from_rational(a, 1 << s), xs, ns), ns):
+        err = np.max(np.abs(row - (n >> s) * _dyadic_gauss(a, bs, s)))
+        assert err <= 0.5 * math.sqrt(n) * np.max(np.abs(row)) * 2.0**-51
+        assert s < 16 or err <= n * 2.0**-51
 
 
 def test_parseval_estimates_share_one_draw():
@@ -374,14 +420,20 @@ def test_parseval_estimates_share_one_draw():
 
 def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
     # the matrix product of poly_eval_unit_circle is the one reduction that
-    # OpenBLAS owns; 9000 samples give it a full block of 8192 rows and more
+    # OpenBLAS owns; 9000 samples give it a full block of 8192 rows and more,
+    # and growth's report at E6's size takes its sups from it
     code = (
         "import hashlib, sys\n"
         "from weyl_lab._rng import counter_angles\n"
+        "from weyl_lab.calibration import GROWTH_GRID, GROWTH_SCHEDULE\n"
         "from weyl_lab.exactangle import GOLDEN\n"
+        "from weyl_lab.experiments import growth_report\n"
+        "from weyl_lab.reporting import render_json\n"
         "from weyl_lab.weylsum import weyl_sum_over_x\n"
         "out = weyl_sum_over_x(GOLDEN, counter_angles(7, 9000, 'blas'), 5000)\n"
-        "sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        "rep = growth_report(GOLDEN, list(GROWTH_SCHEDULE), GROWTH_GRID)\n"
+        "for data in (out.tobytes(), render_json(rep).encode()):\n"
+        "    sys.stdout.write(hashlib.sha256(data).hexdigest() + '\\n')\n"
     )
     src = str(Path(weyl_lab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -392,8 +444,8 @@ def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert digests[0] == digests[1]
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_trajectory_basics():
