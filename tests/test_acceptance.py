@@ -23,7 +23,7 @@ REPORT_SHA256 = {
     "E3": "0c43f85b49437b934b2724cf1cbce6838e6157717d34724f57bb7e7883191707",
     "E4": "8fc6e13318101549f31c1623b065056ccd1a370ae74a830e5431beb306f403e7",
     "E5": "52a3f0f8f6e563c4ea96d35dcd0acc9ecf34695e1f34acb5df73949832dcd958",
-    "E6": "cbf0a17ae3fc402137c45131c00b94930d4eb9a3139b4dfe228922bdb742bbbc",
+    "E6": "cb6228fa9a1a24f65c53392e332083b341ca8fbfe66cbffc81ca82d8f0ac49cf",
     "E7": "7e87f4de1762014dcdf6fd384d69db50f41620e9b9e0f4ecd7fb00fa812483e3",
     "E8": "311872b5c5f6ca744c994c84806db4ce31984d47b84f79854ce41b25c7dc2311",
     "E9": "fd21d2f9fb866d372dcc58d893a99d6a1c051e5382e9a53ad31c04341b523462",

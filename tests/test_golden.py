@@ -86,8 +86,8 @@ CLI_GOLDEN = {
     "growth": (
         ["growth", "--theta", "golden", "--schedule", "10,100,1000", "--grid", "16"],
         {
-            "json": "115ac1f64dd7feb6d29425ac585135ea92698021b94a30503490b03911083a8a",
-            "csv": "645d20fdc04afcc1ba39c12602e5e8aa82bb457e3b4d3e83a9fc45bbc0d97380",
+            "json": "e45dbe8530431f7452fe303de1241614fd2e59ea2d9e7ed873d3e9fa834b7d2e",
+            "csv": "9401507b5c72daeceddb54aecbe0903e79e1540451b5a49d63f8013b1a58336e",
         },
     ),
 }
