@@ -92,18 +92,19 @@ def _dyadic_gauss_error(a: int, b: int, s: int, c: int) -> float:
     return abs(z - c * complex(_dyadic_gauss(a, b, s)))
 
 
-@pytest.mark.parametrize("a", [12345, 699051])
-def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a):
-    n = 64 << 20
-    assert _dyadic_gauss_error(a, 0, 20, 64) <= n * 2.0 ** -51
-
-
-@pytest.mark.parametrize("a, b", [(12345, 2 * 31337), (699051, 31337)])
-def test_weyl_sum_matches_dyadic_gauss_with_linear_term_at_large_n(a, b):
-    # n = 96 * 2^20 ~ 1e8 terms; an even b turns the closed form, an odd b
-    # makes it 0
-    n = 96 << 20
-    assert _dyadic_gauss_error(a, b, 20, 96) <= n * 2.0 ** -51
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        pytest.param(12345, 0, 64, id="12345"),
+        pytest.param(699051, 0, 64, id="699051"),
+        # n = 96 * 2^20 ~ 1e8 terms; an even b turns the closed form, an odd
+        # b makes it 0
+        pytest.param(12345, 2 * 31337, 96, id="12345-62674"),
+        pytest.param(699051, 31337, 96, id="699051-31337"),
+    ],
+)
+def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a, b, c):
+    assert _dyadic_gauss_error(a, b, 20, c) <= (c << 20) * 2.0 ** -51
 
 
 @pytest.mark.slow
