@@ -205,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="growth statistics over an n-schedule")
     p.add_argument("--theta", required=True)
-    p.add_argument("--schedule", default="100,1000,10000")
+    p.add_argument(
+        "--schedule",
+        default="100,1000,10000",
+        help="comma-separated n; the sups over the x-grid hold about 115 bytes "
+        "per term of the longest n at the peak (1.2 GB at n = 10^7)",
+    )
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _add_common(p)
 

@@ -367,21 +367,23 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
 
 
 def test_poly_eval_matches_direct_horner():
+    # the type-2 NUFFT against Horner's rule in long double, at random unit
+    # coefficients and random 128-bit turns u, for n below, at and above the
+    # kernel's w = 18 taps; u = 0 takes the plain sum, n = 1 the coefficient
     rng = np.random.default_rng(3)
-    q = 1003
-    coeffs = np.exp(2j * np.pi * rng.random(q))
-    xs = rng.random(5)
-    rho = np.exp(2j * np.pi * xs)
-    step = 32
-    rho_big = np.exp(2j * np.pi * ((step * xs) % 1.0))
-    fast = _engine.poly_eval_unit_circle(coeffs, rho, rho_big, step)
-    direct = np.zeros(5, dtype=np.complex128)
-    for s in range(5):
-        acc = 0j
-        for k in range(q - 1, -1, -1):
-            acc = acc * rho[s] + coeffs[k]
-        direct[s] = acc
-    assert np.max(np.abs(fast - direct)) < 1e-10
+    two_pi = np.longdouble("6.28318530717958647692528676655900577")
+    for n in (1, 2, 3, 5, 8, 9, 17, 18, 19, 36, 37, 100, 257, 1003):
+        coeffs = np.exp(2j * np.pi * rng.random(n))
+        rho = rng.integers(0, 2**64, size=(40, 2), dtype=np.uint64)
+        rho[0] = 0
+        u = rho[:, 0].astype(np.longdouble) * 2.0**-64 + rho[:, 1].astype(np.longdouble) * 2.0**-128
+        z = np.exp(1j * two_pi * u)
+        direct = np.zeros(40, dtype=np.clongdouble)
+        for c in coeffs[::-1]:
+            direct = direct * z + c
+        fast = _engine.poly_eval_unit_circle(coeffs, rho)
+        assert fast[0] == np.sum(coeffs)
+        assert np.max(np.abs(fast - direct)) <= (1.25 * n + 4) * 2.0**-51, n
 
 
 def test_batch_matches_scalar_at_deep_level():

@@ -1,25 +1,32 @@
-"""Property tests: the cocycle law, the skew-shift group law, the
-continued-fraction round trip, the finite-expansion flag of the class-F
-certificate and the exact snap of doubles, over hypothesis-drawn inputs.
+"""Property tests: the cocycle law, the skew-shift group law, the evaluator
+over many x against direct sums, the continued-fraction round trip, the
+finite-expansion flag of the class-F certificate and the exact snap of
+doubles, over hypothesis-drawn inputs.
 
 Runs are derandomized, so every run of the suite sees the same examples.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weyl_lab import _engine
+
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand, f_witness
 from weyl_lab.exactangle import (
     GOLDEN,
+    HALF,
+    MODULUS,
+    ZERO,
     Angle,
     angle_from_float,
     angle_from_fraction,
     angle_from_rational,
 )
-from weyl_lab.weylsum import SkewPoint, skew_shift_n, weyl_sum
+from weyl_lab.weylsum import SkewPoint, skew_shift_n, weyl_sum, weyl_sum_over_x
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
 
@@ -48,6 +55,32 @@ steps = st.integers(-(1 << 80), 1 << 80)
 @given(theta=angles, p=points, n=steps, m=steps)
 def test_skew_shift_group_law(theta, p, n, m):
     assert skew_shift_n(theta, skew_shift_n(theta, p, n), m) == skew_shift_n(theta, p, n + m)
+
+
+# theta = a/2^s with s <= 8 as well: near such theta the sums reach n/sqrt(2^s)
+thetas = angles | st.builds(lambda a, s: angle_from_rational(a, 1 << s), st.integers(0, 255), st.integers(0, 8))
+
+
+@PROPERTY
+@given(
+    theta=thetas,
+    x=angles,
+    n=st.integers(0, 2000),
+    node=st.integers(0, 1 << 16),
+    nudge=st.integers(-(1 << 192), 1 << 192),
+)
+@example(theta=ZERO, x=ZERO, n=2000, node=1, nudge=0)
+@example(theta=angle_from_rational(1, 2), x=ZERO, n=65, node=0, nudge=1)
+@example(theta=angle_from_rational(3, 8), x=ZERO, n=3, node=5, nudge=-1)
+def test_weyl_sum_over_x_matches_direct_sums(theta, x, n, node, nudge):
+    # the evaluator within the bound its docstring states, (1.25 n + 4)
+    # 2^-51, of weyl_sum at x, at x = 0 and 1/2, and at x whose 2x mod 1
+    # is within 2^-64 of a node j/L of the fine grid (on it at nudge 0)
+    size = _engine._fine_len(max(n, _engine._TAPS))
+    twice = -(-(node % size << 256) // size) + nudge
+    xs = [x, ZERO, HALF, Angle(twice % MODULUS >> 1)]
+    direct = np.array([weyl_sum(theta, point, ZERO, n) for point in xs])
+    assert np.max(np.abs(weyl_sum_over_x(theta, xs, n) - direct)) <= (1.25 * n + 4) * 2.0**-51
 
 
 continued_fractions = st.builds(
