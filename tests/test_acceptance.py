@@ -20,12 +20,12 @@ SEED = 7
 REPORT_SHA256 = {
     "E1": "12fef1e083a6d3e3906aacfc01532a07ab15497941caad2fe0b494100965e261",
     "E2": "1b1e11281934494c6be8454a819b638fdeb0ab283e4cf3686c42cf10c72041ba",
-    "E3": "0c43f85b49437b934b2724cf1cbce6838e6157717d34724f57bb7e7883191707",
+    "E3": "63383a9a61f558fa1aa446a23cb0766dc21938c71eac630074cbcfdb8ce87bc3",
     "E4": "8fc6e13318101549f31c1623b065056ccd1a370ae74a830e5431beb306f403e7",
     "E5": "52a3f0f8f6e563c4ea96d35dcd0acc9ecf34695e1f34acb5df73949832dcd958",
-    "E6": "cb6228fa9a1a24f65c53392e332083b341ca8fbfe66cbffc81ca82d8f0ac49cf",
+    "E6": "b31d75f6fb5a4dc3324da1205110b3005d60bcacb7708c4663582ebd54c28d56",
     "E7": "7e87f4de1762014dcdf6fd384d69db50f41620e9b9e0f4ecd7fb00fa812483e3",
-    "E8": "311872b5c5f6ca744c994c84806db4ce31984d47b84f79854ce41b25c7dc2311",
+    "E8": "cd6202cb6b5239969ac8e416660ba4aa795f644b47834c67269905fcac3cfbc9",
     "E9": "fd21d2f9fb866d372dcc58d893a99d6a1c051e5382e9a53ad31c04341b523462",
     "E10": "db750007c2d2e179f90dc92c60de451eabcb3d8b04f3aee93a0604d70da1c276",
 }

@@ -65,7 +65,7 @@ CLI_GOLDEN = {
     "resume": (
         ["resume", *_WITNESS],
         {
-            "json": "3fa5cb5f2581086fe5a56ad20a1de4970277d0a344e8314f99dfaae6d549586d",
+            "json": "d75540c661fac44d80f12f7c3194e291ba1023965d574393192c38630cfc16bd",
             "csv": "c96d9751bf38f424c3603f7891653e16608c86385489ce79bd415612f7bda4a2",
         },
     ),
@@ -86,8 +86,8 @@ CLI_GOLDEN = {
     "growth": (
         ["growth", "--theta", "golden", "--schedule", "10,100,1000", "--grid", "16"],
         {
-            "json": "e45dbe8530431f7452fe303de1241614fd2e59ea2d9e7ed873d3e9fa834b7d2e",
-            "csv": "9401507b5c72daeceddb54aecbe0903e79e1540451b5a49d63f8013b1a58336e",
+            "json": "180d6988f9a101a2288ad40ff5c3e6a083f532232d01ac7da4aa1e196fa9ab30",
+            "csv": "3fa2df4c9d1723aee80d449e4b78e35782f0105cfb572a482c10f3a847a618d8",
         },
     ),
 }
