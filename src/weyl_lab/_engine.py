@@ -34,15 +34,16 @@ way, so its S_0 is qsum bit for bit.  Rows go in batches of at most 2**20 phases
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
 many u by a type-2 non-uniform FFT (Dutt-Rokhlin), with the exponential-
 of-semicircle kernel psi(s) = exp(beta (sqrt(1 - (2s/w)^2) - 1)) of
-Barnett, Magland and af Klinteberg: w = 18 taps, beta = 2.30 w.  The
+Barnett, Magland and af Klinteberg: w = 18 taps, beta = 2.30 w (w = 16
+left an aliasing error near 0.8 n 2**-51, against exact sums).  The
 frequencies, centred at h = n // 2, are divided by the kernel's transform
 straight into a fine grid of L >= 2n complex values (L 5-smooth, and at
 least 2w); one np.fft pass makes the grid values, and each point sums
 its w nearest nodes weighted by psi, in blocks of points.  A point's node
 and offset come from L u in exact uint64 words (the top 128 bits of u)
-and its centring turn e(h u) from the exact top word of h u, so no float
-position or phase is rounded before e_phase.  Its reductions are np.sum
-and the FFT, never BLAS; points with u = 0 take the plain sum.  Cost:
+and its centring turn e(h u) from the top word of h u, so x never enters
+as a float.  Its reductions are np.sum and the FFT, never BLAS.  Points
+with u = 0, and sums of fewer than two terms, are exact.  Cost:
 O(L log L) per call and w taps per point, against n per point for a
 direct sum; the error bound is stated at weylsum.weyl_sums_over_x.
 
@@ -80,7 +81,8 @@ _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi less its nearest double
 # phases per block of rows in qsum_rows, which bounds its temporaries
 _ROW_PHASES = 1 << 20
 
-# the evaluator's kernel: w taps, its shape beta, and points per block
+# the evaluator's kernel: w taps and its shape beta; points (and
+# frequencies) per block, which bounds the evaluator's temporaries
 _TAPS = 18
 _HALF_TAPS = _TAPS // 2
 _BETA = 2.30 * _TAPS
@@ -319,9 +321,9 @@ def poly_eval_unit_circle(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     non-uniform FFT (see the module doc).  Points with u = 0 take the plain
     sum of the coefficients."""
     n = coeffs.size
-    if n == 1:
-        # one term is its own sum at every u, exactly
-        return np.full(rho.shape[0], coeffs[0])
+    if n < 2:
+        # no term or one: the sum is the same at every u, and exact
+        return np.full(rho.shape[0], np.sum(coeffs))
     half = n // 2
     # sigma = L/n >= 2, and more below n = w, where it costs nothing
     size = _fine_len(max(n, _TAPS))
