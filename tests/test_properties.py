@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weyl_lab import _engine
-
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand, f_witness
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -75,7 +74,8 @@ thetas = angles | st.builds(lambda a, s: angle_from_rational(a, 1 << s), st.inte
 def test_weyl_sum_over_x_matches_direct_sums(theta, x, n, node, nudge):
     # the evaluator within the bound its docstring states, (1.25 n + 4)
     # 2^-51, of weyl_sum at x, at x = 0 and 1/2, and at x whose 2x mod 1
-    # is within 2^-64 of a node j/L of the fine grid (on it at nudge 0)
+    # is within 2^-64 of a node j/L of the fine grid (on it, to 2^-255, at
+    # nudge 0)
     size = _engine._fine_len(max(n, _engine._TAPS))
     twice = -(-(node % size << 256) // size) + nudge
     xs = [x, ZERO, HALF, Angle(twice % MODULUS >> 1)]
