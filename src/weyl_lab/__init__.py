@@ -38,7 +38,6 @@ from .renorm import (
     RenormStep,
     b_level_measure,
     fe_residual,
-    invert_km,
     renorm_chain,
     renorm_step,
     u_measure_lower,
@@ -54,12 +53,9 @@ from .experiments import (
     b_density_gap,
     box_experiment,
     density_probe,
-    derivative_check,
-    find_mn,
     growth_report,
     resume_witness,
     select_qn,
-    tail_measure,
 )
 from .reporting import render_csv, render_json
 

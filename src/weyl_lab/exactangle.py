@@ -87,11 +87,6 @@ def wrap_add(a: Angle, b: Angle) -> Angle:
     return Angle((a.numerator + b.numerator) & _MASK)
 
 
-def wrap_neg(a: Angle) -> Angle:
-    """(-a) mod 1, exact; the wrap_add inverse."""
-    return Angle(-a.numerator & _MASK)
-
-
 def scale_mod1(a: Angle, n: int) -> Angle:
     """(n * a) mod 1 by widened integer multiply, exact; n may be negative
     (& _MASK reduces a negative product mod 2**256 as % would)."""

@@ -39,7 +39,6 @@ from .exactangle import (
     dist_to_int,
     scale_mod1,
     wrap_add,
-    wrap_neg,
 )
 from .reporting import BIG_INT
 from .weylsum import (
@@ -107,8 +106,10 @@ def select_qn(
     and levels whose ||q theta|| sits at the snapping floor are already
     excluded by the certificate.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if not 0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     cert = f_witness(cf, eps, theta)
     qs = {c.index: c.q for c in convergents(cf)}
     levels: list[tuple[int, int, float]] = []
@@ -130,43 +131,6 @@ def select_qn(
 REFERENCE_CF, _ = construct_f_member(DEFAULT_EPS, 4)
 REFERENCE_THETA = angle_from_cf(REFERENCE_CF)
 REFERENCE_QS = tuple(q for _, q, _ in select_qn(REFERENCE_CF, REFERENCE_THETA).levels)
-
-
-@dataclass(frozen=True)
-class TailMeasure:
-    experiment = "tail_measure"
-
-    q: int
-    eps: float
-    threshold: float
-    estimate: float
-    bound: float
-    std_error: float
-    samples: int
-    seed: int
-
-
-def tail_measure(
-    theta: Angle, q: int, eps: float, samples: int, seed: int
-) -> TailMeasure:
-    """Monte Carlo lambda{x : |a(x,q)| >= q^(1/2+eps/10)} with the
-    Chebyshev comparison value q^(-eps/5) from the mean-square identity."""
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
-    thr = q ** (0.5 + eps / 10.0)
-    vals = np.abs(weyl_sum_over_x(theta, counter_angles(seed, samples, "tail"), q))
-    p = float(np.mean(vals >= thr))
-    se = math.sqrt(max(p * (1 - p), 1e-12) / samples)
-    return TailMeasure(
-        q=q,
-        eps=eps,
-        threshold=thr,
-        estimate=p,
-        bound=q ** (-eps / 5.0),
-        std_error=se,
-        samples=samples,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -214,38 +178,22 @@ def b_density_gap(q: int, x: Angle, eps: float = DEFAULT_EPS) -> BDensityGap:
 class FindMnResult:
     m: int
     product_value: float
-    status: str  # "ok" | "warning"
     a_modulus: float
     b_modulus: float
-    target: float
 
 
-def _find_mn_from_modulus(
-    a_mod: float, alpha: Angle, q: int, eps: float, target: float
-) -> FindMnResult:
+def _find_mn_from_modulus(a_mod: float, alpha: Angle, q: int, eps: float) -> FindMnResult:
+    """m <= q^(1/2+eps/4) minimizing | a_mod |b(alpha, m)| - 1/2 |, ties
+    broken toward the smallest m."""
     m_max = modulation_cap(q, eps)
     bvals = dirichlet_b_moduli(alpha, np.arange(m_max + 1))
-    dist = np.abs(a_mod * bvals - target)
-    m_best = int(np.argmin(dist))  # argmin takes the first, i.e. smallest m
-    best = float(dist[m_best])
+    m_best = int(np.argmin(np.abs(a_mod * bvals - 0.5)))  # the first, i.e. smallest m
     return FindMnResult(
         m=m_best,
         product_value=float(a_mod * bvals[m_best]),
-        status="ok" if best <= 0.1 else "warning",
         a_modulus=a_mod,
         b_modulus=float(bvals[m_best]),
-        target=target,
     )
-
-
-def find_mn(
-    theta: Angle, q: int, x: Angle, eps: float = DEFAULT_EPS, target: float = 0.5
-) -> FindMnResult:
-    """m <= q^(1/2+eps/4) minimizing | |a(x,q) b(2qx,m)| - target |,
-    ties broken toward the smallest m; status 'warning' when the best
-    value is farther than 0.1 from the target."""
-    a_mod = float(np.abs(weyl_sum(theta, x, Angle(0), q)))
-    return _find_mn_from_modulus(a_mod, scale_mod1(x, 2 * q), q, eps, target)
 
 
 def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
@@ -265,40 +213,6 @@ def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
     a_ml = weyl_sum(theta, x, Angle(0), m * l)
     b_m = dirichlet_b_closed(scale_mod1(x, 2 * l), m)
     return float(np.abs(a_ml - a_l * b_m)) / den
-
-
-def derivative_bound(q: int, delta: float, eps: float) -> float:
-    return (5.0 * math.pi / delta) * q ** (2.0 + 0.5 + eps / 4.0)
-
-
-def derivative_check(
-    theta: Angle,
-    q: int,
-    m: int,
-    x: Angle,
-    delta: float = DEFAULT_DELTA,
-    eps: float = DEFAULT_EPS,
-) -> float:
-    """Central finite difference of x -> |a(x,q) b(2qx,m)| against the
-    analytic budget (5 pi / delta) q^(2+1/2+eps/4); returns the ratio."""
-    na = dist_to_int(scale_mod1(x, 2 * q))
-    if not (delta / 4.0 <= na <= 2.0 * delta):
-        raise ValueError(f"||2qx|| = {na} outside [{delta/4}, {2*delta}]")
-    if m > modulation_cap(q, eps):
-        raise ValueError("m exceeds q^(1/2+eps/4)")
-    if m == 0:
-        return 0.0
-    h = 1e-3 * q ** -2.5
-    h_angle = angle_from_float(h)
-
-    def f(xa: Angle) -> float:
-        z = weyl_sum(theta, xa, Angle(0), q) * dirichlet_b_closed(scale_mod1(xa, 2 * q), m)
-        return float(np.abs(z))
-
-    hi = f(wrap_add(x, h_angle))
-    lo = f(wrap_add(x, wrap_neg(h_angle)))
-    fd = abs(hi - lo) / (2.0 * h)
-    return fd / derivative_bound(q, delta, eps)
 
 
 @dataclass(frozen=True)
@@ -376,8 +290,8 @@ def resume_witness(
     """
     if x_candidates < 1:
         raise ValueError("x_candidates must be >= 1")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     schedule = select_qn(cf, theta, eps)
     if level is None:
         lvl, q, _ = schedule.levels[-1]
@@ -405,9 +319,7 @@ def resume_witness(
         if a_mod < u_min:
             continue
         n_umin += 1
-        fm = _find_mn_from_modulus(
-            float(a_mod), scale_mod1(x, 2 * q), q, eps, target=0.5
-        )
+        fm = _find_mn_from_modulus(float(a_mod), scale_mod1(x, 2 * q), q, eps)
         if fm.m < 1 or abs(fm.product_value - 0.5) > product_tol:
             continue
         passers.append((fm.m, idx, x, fm))
@@ -417,24 +329,7 @@ def resume_witness(
             f"{n_umin} with |a| >= {u_min}, none with product within "
             f"{product_tol} of 1/2"
         )
-    _, idx, x, fm = min(passers, key=lambda t: (t[0], t[1]))
-    return _measure_witness(
-        theta, lvl, q, x, delta, eps, fm, seed=seed, candidate_index=idx
-    )
-
-
-def _measure_witness(
-    theta: Angle,
-    lvl: int,
-    q: int,
-    x: Angle,
-    delta: float,
-    eps: float,
-    fm: FindMnResult,
-    seed: int,
-    candidate_index: int,
-) -> ResumeWitness:
-    m_n = fm.m
+    m_n, idx, x, fm = min(passers, key=lambda t: (t[0], t[1]))
     big_m = m_n * q
     value_i = dist_to_int(scale_mod1(theta, big_m))
     bound_i = holonomy_bound(q, eps)
@@ -472,7 +367,7 @@ def _measure_witness(
         check_iii=value_iii <= EPS_N_BOUND,
         grid_deviations=tuple(devs),
         seed=seed,
-        candidate_index=candidate_index,
+        candidate_index=idx,
     )
 
 
@@ -538,8 +433,8 @@ def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> 
     j_lo, j_hi = j_interval
     if not 0.0 < j_hi - j_lo <= 1.0 or samples < 1:
         raise ValueError("need a y-interval with 0 < length <= 1 and samples >= 1")
-    if not nu >= 0:
-        raise ValueError("nu must be >= 0")
+    if not 0 <= nu < math.inf:
+        raise ValueError("nu must be >= 0 and finite")
 
 
 def box_experiment(

@@ -185,45 +185,6 @@ def _gauss_chain(theta: Angle, m: int) -> list[Angle]:
 
 
 @dataclass(frozen=True)
-class KmInversion:
-    k: int
-    achieved: int
-
-
-def invert_km(theta: Angle, m: int, target: int) -> KmInversion:
-    """Smallest k whose m-fold renormalized index reaches target.
-
-    k(m) is nondecreasing in k(0), so a doubling search for an upper
-    bound followed by bisection finds the minimum.
-    """
-    if target < 0:
-        raise ValueError("target must be >= 0")
-    if m == 0 or target == 0:
-        return KmInversion(k=target, achieved=target)
-
-    thetas = _gauss_chain(theta, m)
-
-    def km(k0: int) -> int:
-        k = k0
-        for t in thetas:
-            k = k_renorm(t, k)
-        return k
-    hi = max(target, 1)
-    while km(hi) < target:
-        hi *= 2
-        if hi > 1 << 200:
-            raise ValueError("no k reaches the target at this depth")
-    lo = 0  # km(0) = 0 <= target boundary
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if km(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return KmInversion(k=hi, achieved=km(hi))
-
-
-@dataclass(frozen=True)
 class MeasureEstimate:
     estimate: float
     std_error: float

@@ -183,9 +183,39 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", *_WITNESS[:2], "--threshold", "nan"],
+        ["schedule", *_WITNESS[:2], "--threshold", "-1"],
+        ["schedule", *_WITNESS[:2], "--eps", "inf"],
+        ["resume", *_WITNESS, "--eps", "inf"],
+        ["resume", *_WITNESS, "--delta", "inf"],
+    ],
+    ids=[
+        "schedule-nan-threshold",
+        "schedule-negative-threshold",
+        "schedule-inf-eps",
+        "resume-inf-eps",
+        "resume-inf-delta",
+    ],
+)
+def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "bad",
-    [["--nu", "-1"], ["--nu", "nan"], ["--samples", "0"], ["--j-lo", "0.9", "--j-hi", "0.1"]],
-    ids=["negative-nu", "nan-nu", "zero-samples", "empty-interval"],
+    [
+        ["--nu", "-1"],
+        ["--nu", "nan"],
+        ["--nu", "inf"],
+        ["--samples", "0"],
+        ["--j-lo", "0.9", "--j-hi", "0.1"],
+    ],
+    ids=["negative-nu", "nan-nu", "inf-nu", "zero-samples", "empty-interval"],
 )
 def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad):
     def search(*args, **kwargs):

@@ -22,13 +22,10 @@ from weyl_lab.experiments import (
     b_density_gap,
     box_experiment,
     density_probe,
-    derivative_check,
-    find_mn,
     growth_report,
     modulus_on_interval,
     resume_witness,
     select_qn,
-    tail_measure,
 )
 from weyl_lab.weylsum import weyl_sum
 
@@ -68,27 +65,7 @@ def test_select_qn_rational_errors():
         select_qn(cf_expand(theta, 3), theta, 0.5)
 
 
-def test_tail_measure_q1_boundary():
-    est = tail_measure(GOLDEN, 1, 0.5, 1000, seed=3)
-    # |a(x,1)| = 1 and the threshold is exactly 1, so every sample hits
-    assert est.estimate == 1.0
-    assert est.threshold == 1.0
-
-
-def test_tail_measure_scheduled_level(constructed):
-    _, theta, _ = constructed
-    est = tail_measure(theta, 17, 0.5, 20_000, seed=3)
-    assert est.bound == pytest.approx(17 ** -0.1)
-    assert est.estimate <= est.bound + 5.0 * est.std_error
-
-
-def test_tail_measure_deep_level(constructed):
-    _, theta, _ = constructed
-    est = tail_measure(theta, 83523, 0.5, 20_000, seed=3)
-    assert est.estimate <= est.bound + 5.0 * est.std_error
-
-
-def test_tail_measure_monotone_in_threshold(constructed):
+def test_modulus_tail_monotone_in_threshold(constructed):
     _, theta, _ = constructed
     xs = [counter_angle(3, i, "tailprop") for i in range(2000)]
     from weyl_lab.weylsum import weyl_sum_over_x
@@ -96,11 +73,6 @@ def test_tail_measure_monotone_in_threshold(constructed):
     vals = np.abs(weyl_sum_over_x(theta, xs, 17))
     fracs = [float(np.mean(vals >= 17 ** e)) for e in (0.3, 0.5, 0.55, 0.7)]
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
-
-
-def test_tail_measure_rejects_small_samples():
-    with pytest.raises(ValueError):
-        tail_measure(GOLDEN, 17, 0.5, 100, seed=0)
 
 
 def test_b_density_gap_m_range_two():
@@ -129,19 +101,12 @@ def test_b_density_gap_success_rate_calibrated():
     assert run_bgap_calibration() == load_calibration()["b_density_gap"]
 
 
-def test_find_mn_target_zero():
-    fm = find_mn(GOLDEN, 17, angle_from_decimal("0.37"), target=0.0)
-    assert fm.m == 0
-    assert fm.product_value == 0.0
-
-
-def test_find_mn_vanishing_modulus_warns():
+def test_find_mn_from_vanishing_modulus_picks_m0():
     from weyl_lab.experiments import _find_mn_from_modulus
 
-    fm = _find_mn_from_modulus(0.0, angle_from_decimal("0.37"), 17, 0.5, target=0.5)
+    fm = _find_mn_from_modulus(0.0, angle_from_decimal("0.37"), 17, 0.5)
     assert fm.m == 0
     assert fm.product_value == 0.0
-    assert fm.status == "warning"
 
 
 def test_witness_torsion_degenerate_zero():
@@ -157,15 +122,7 @@ def test_witness_torsion_degenerate_zero():
     assert value == 0.0
 
 
-def test_find_mn_warning_when_unreachable(constructed):
-    # q = 17 gives only m <= 6 values; most x cannot reach 1/2 closely
-    _, theta, _ = constructed
-    fm = find_mn(theta, 17, angle_from_decimal("0.123456"))
-    assert fm.status in ("ok", "warning")
-    assert 0 <= fm.m <= math.ceil(17 ** 0.625)
-
-
-def test_find_mn_deep_level_hits_half(deep_witness):
+def test_deep_witness_product_hits_half(deep_witness):
     assert abs(deep_witness.product_value - 0.5) <= 0.05
 
 
@@ -184,35 +141,6 @@ def test_approx_ratio_degenerate_raises():
     # theta dyadic: l can be chosen so that ||l theta|| = 0 exactly
     with pytest.raises(ValueError):
         approx_ratio(angle_from_rational(1, 4), 4, 3, angle_from_decimal("0.3"))
-
-
-def test_derivative_check_m0_and_q1():
-    x = angle_from_decimal("0.55")  # ||2x|| = 0.1 in [delta/4, 2 delta]
-    assert derivative_check(GOLDEN, 1, 0, x) == 0.0
-    r = derivative_check(GOLDEN, 1, 1, x)
-    assert r == pytest.approx(0.0, abs=1e-6)  # |a(x,1) b(2x,1)| = 1 constant
-
-
-def test_derivative_check_level_17(constructed):
-    _, theta, _ = constructed
-    q = 17
-    found = 0
-    for i in range(200):
-        x = counter_angle(5, i, "deriv-x")
-        na = dist_to_int(scale_mod1(x, 2 * q))
-        if not 0.05 <= na <= 0.4:
-            continue
-        for m in (1, 2, 5):
-            assert derivative_check(theta, q, m, x) <= 1.1
-        found += 1
-        if found >= 10:
-            break
-    assert found >= 10
-
-
-def test_derivative_check_rejects_bad_window():
-    with pytest.raises(ValueError):
-        derivative_check(GOLDEN, 17, 1, Angle(0))
 
 
 def test_resume_witness_full_run(deep_witness):

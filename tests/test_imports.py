@@ -1,9 +1,11 @@
-"""Every name a module of weyl_lab imports is used in that module, and
-every private top-level helper of the package is used somewhere.
+"""Every name a module of weyl_lab imports is used in that module, every
+private top-level helper of the package is used somewhere, and every
+public top-level name is read by the package or by perfbench, not only by
+tests.
 
 No lint tool is a dependency, so the checks parse each module with the
 standard library's ast.  The package's __init__ is left out of the first
-check: its imports are its exports.
+check, and its reads out of the last: its imports are its exports.
 """
 
 import ast
@@ -16,6 +18,7 @@ import weyl_lab
 PACKAGE = Path(weyl_lab.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -43,17 +46,36 @@ def test_guard_sees_an_unused_import():
     assert _unused_imports(source) == ["line 1: os", "line 2: e"]
 
 
-def _private_names(node: ast.stmt) -> list[str]:
+def _bound_names(node: ast.stmt) -> list[str]:
     # the names a top-level statement binds: a def, a class, or the plain
     # names an assignment targets, tuples unpacked
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    else:
-        return []
-    return [n for n in names if n.startswith("_") and not n.startswith("__") and n != "_"]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """The names a source reads, by a Name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _sources(*dirs: Path) -> dict[str, str]:
+    return {
+        f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8")
+        for d in dirs
+        for p in d.glob("*.py")
+    }
 
 
 def _dead_helpers(sources: dict[str, str], package: list[str]) -> list[str]:
@@ -64,21 +86,19 @@ def _dead_helpers(sources: dict[str, str], package: list[str]) -> list[str]:
     for path, source in sources.items():
         tree = ast.parse(source)
         if path in package:
-            defined += [(path, name) for node in tree.body for name in _private_names(node)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+            defined += [
+                (path, name)
+                for node in tree.body
+                for name in _bound_names(node)
+                if name.startswith("_") and not name.startswith("__") and name != "_"
+            ]
+        referenced |= _reads(tree)
     return [f"{path}: {name}" for path, name in defined if name not in referenced]
 
 
 def test_every_private_helper_is_used():
-    files = {f"{p.parent.name}/{p.name}": p for d in (PACKAGE, TESTS) for p in d.glob("*.py")}
-    sources = {key: p.read_text(encoding="utf-8") for key, p in files.items()}
-    package = [key for key, p in files.items() if p.parent == PACKAGE]
+    sources = _sources(PACKAGE, TESTS)
+    package = [key for key in sources if key.startswith(f"{PACKAGE.name}/")]
     assert _dead_helpers(sources, package) == []
 
 
@@ -92,3 +112,57 @@ def test_guard_sees_a_dead_helper():
     }
     dead = ["m.py: _Dead", "m.py: _gone", "m.py: _UNREAD", "m.py: _PAIR"]
     assert _dead_helpers(sources, ["m.py"]) == dead
+
+
+def _spec_strings(tree: ast.Module) -> set[str]:
+    # the strings of a top-level SPECS table, which names by string each
+    # function the perfbench tracer wraps
+    return {
+        n.value
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and "SPECS" in _bound_names(node)
+        for n in ast.walk(node.value)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def _unread_public_names(sources: dict[str, str], package: list[str]) -> list[str]:
+    """Public top-level functions, classes and constants of the package
+    modules that no source reads, by a Name, an attribute, an import or a
+    string in a SPECS table.  Reads in an __init__.py, which only
+    re-exports, and in tests/ do not count."""
+    defined = []
+    read = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        if path in package:
+            defined += [
+                (path, name)
+                for node in tree.body
+                for name in _bound_names(node)
+                if not name.startswith("_")
+            ]
+        if not (path.endswith("__init__.py") or path.startswith("tests/")):
+            read |= _reads(tree) | _spec_strings(tree)
+    return [f"{path}: {name}" for path, name in defined if name not in read]
+
+
+def test_every_public_name_is_read_outside_tests():
+    sources = _sources(PACKAGE, PERFBENCH, TESTS)
+    package = [key for key in sources if key.startswith(f"{PACKAGE.name}/")]
+    assert _unread_public_names(sources, package) == []
+
+
+def test_guard_sees_a_public_name_only_tests_read():
+    sources = {
+        "pkg/m.py": (
+            "def tested():\n    pass\n\n\ndef traced():\n    pass\n\n\n"
+            "def exported():\n    pass\n\n\ndef used(*args):\n    pass\n"
+            "LIMIT = 1\n_PRIVATE = used(LIMIT, 'tested')\n"
+        ),
+        "pkg/__init__.py": "from .m import exported, tested\n",
+        "tests/t.py": "from pkg.m import tested\ntested()\n",
+        "perfbench/tracing.py": "SPECS = (Spec('m', 'traced'),)\nprint('exported')\n",
+    }
+    unread = ["pkg/m.py: tested", "pkg/m.py: exported"]
+    assert _unread_public_names(sources, ["pkg/m.py", "pkg/__init__.py"]) == unread

@@ -18,7 +18,6 @@ from weyl_lab.exactangle import (
 from weyl_lab.renorm import (
     b_level_measure,
     fe_residual,
-    invert_km,
     k_renorm,
     renorm_chain,
     renorm_step,
@@ -158,26 +157,14 @@ def test_renorm_chain_constructed_bounded_residuals():
     assert all(r <= r_max * weight for r in ch.residuals)
 
 
-def test_invert_km_trivial_and_golden():
-    assert invert_km(GOLDEN, 0, 9).k == 9
-    inv = invert_km(GOLDEN, 1, 6)
-    assert inv.k == 10 and inv.achieved == 6
-    assert k_renorm(GOLDEN, 9) == 5  # one below misses the target
+def test_k_renorm_golden():
+    assert k_renorm(GOLDEN, 9) == 5
+    assert k_renorm(GOLDEN, 10) == 6
 
 
-def test_invert_km_monotone():
-    rng = random.Random(22)
-    for _ in range(30):
-        theta = Angle(rng.randrange(MODULUS // 100, MODULUS - 1))
-        m = rng.randrange(1, 4)
-        k1 = invert_km(theta, m, 10).k
-        k2 = invert_km(theta, m, 11).k
-        assert k2 >= k1
-
-
-def test_invert_km_rational_failure():
-    with pytest.raises(ValueError):
-        invert_km(angle_from_rational(1, 2), 3, 5)
+def test_level_sets_reject_a_terminating_gauss_chain():
+    with pytest.raises(ValueError, match="Gauss chain terminates"):
+        u_measure_lower(angle_from_rational(1, 2), 3, 0.1, 100, seed=0)
 
 
 def test_u_measure_depth_zero():
