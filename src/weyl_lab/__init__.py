@@ -50,7 +50,6 @@ from .experiments import (
     ResumeWitness,
     UnusableLevelError,
     approx_ratio,
-    b_density_gap,
     box_experiment,
     density_probe,
     growth_report,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import counter_unit
-from .exactangle import GOLDEN, Angle, angle_from_float, dist_to_int, scale_mod1
-from .experiments import DEFAULT_DELTA, REFERENCE_QS, approx_ratio, b_density_gap, growth_report
+from .exactangle import GOLDEN, Angle, angle_from_float
+from .experiments import approx_ratio, growth_report
 from .renorm import fe_residual
 
 FE_SWEEP_SEED = 5
@@ -32,9 +32,6 @@ APPROX_SWEEP_SAMPLES = 1000
 
 GROWTH_SCHEDULE = (100, 1000, 10000, 100000)
 GROWTH_GRID = 512
-
-BGAP_SEED = 13
-BGAP_DRAWS = 100
 
 
 def fe_sweep_instance(seed: int, i: int) -> tuple[Angle, Angle, int]:
@@ -111,26 +108,6 @@ def run_growth_calibration() -> dict:
     }
 
 
-def run_bgap_calibration(seed: int = BGAP_SEED, draws: int = BGAP_DRAWS) -> dict:
-    """Success rate of the value-set gap target at the deep level of the
-    reference construction."""
-    q = REFERENCE_QS[-1]
-    hits = 0
-    used = 0
-    i = 0
-    while used < draws:
-        x = angle_from_float(counter_unit(seed, i, "bgap-x"))
-        i += 1
-        na = dist_to_int(scale_mod1(x, 2 * q))
-        if not DEFAULT_DELTA / 2 <= na <= DEFAULT_DELTA:
-            continue
-        used += 1
-        gap = b_density_gap(q, x)
-        if gap.largest_gap <= gap.target_gap:
-            hits += 1
-    return {"success_rate": hits / draws, "draws": draws, "seed": seed, "q": q}
-
-
 def _data_path() -> Path:
     return Path(str(resources.files("weyl_lab") / "data" / "calibration.json"))
 
@@ -145,7 +122,6 @@ def regenerate(path: Path | None = None) -> dict:
         "fe_residual": run_fe_sweep(),
         "approx_ratio": run_approx_sweep(),
         "growth_golden": run_growth_calibration(),
-        "b_density_gap": run_bgap_calibration(),
     }
     target = path or _data_path()
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -127,51 +127,10 @@ def select_qn(
 
 
 # the standard construction at DEFAULT_EPS, 4 levels, and its schedule's
-# levels q = 17 and q3 = 83523, where the gates and the calibration work
+# levels q = 17 and q3 = 83523, where the gates work
 REFERENCE_CF, _ = construct_f_member(DEFAULT_EPS, 4)
 REFERENCE_THETA = angle_from_cf(REFERENCE_CF)
 REFERENCE_QS = tuple(q for _, q, _ in select_qn(REFERENCE_CF, REFERENCE_THETA).levels)
-
-
-@dataclass(frozen=True)
-class BDensityGap:
-    experiment = "b_density_gap"
-
-    q: int
-    eps: float
-    alpha: float  # ||2qx||
-    m_max: int
-    largest_gap: float
-    target_gap: float
-    degenerate: bool
-
-
-def b_density_gap(q: int, x: Angle, eps: float = DEFAULT_EPS) -> BDensityGap:
-    """Largest gap of {min(|b(2qx,m)|, 1) : 0 <= m <= q^(1/2+eps/4)} in [0,1].
-
-    Values above 1 are clipped: the modulation only needs the value set to
-    be dense in [0,1].  The comparison gap is 1/(q^(1/2+eps/8) ||2qx||).
-    """
-    alpha = scale_mod1(x, 2 * q)
-    na = dist_to_int(alpha)
-    if na == 0.0:
-        raise ValueError("||2qx|| must be positive")
-    m_max = modulation_cap(q, eps)
-    vals = dirichlet_b_moduli(alpha, np.arange(m_max + 1))
-    vals = np.minimum(vals, 1.0)
-    vals.sort()
-    largest = float(np.max(np.diff(vals))) if len(vals) > 1 else 1.0
-    degenerate = alpha.numerator == (MODULUS >> 1)
-    target = 1.0 / (q ** (0.5 + eps / 8.0) * na)
-    return BDensityGap(
-        q=q,
-        eps=eps,
-        alpha=na,
-        m_max=m_max,
-        largest_gap=largest,
-        target_gap=target,
-        degenerate=degenerate,
-    )
 
 
 @dataclass(frozen=True)
@@ -429,10 +388,11 @@ def modulus_on_interval(
 
 def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> None:
     """Raise ValueError for box_experiment arguments it cannot run, before
-    any witness is searched for."""
+    any witness is searched for.  A y-interval shorter than one grid step
+    would snap to length 0, which the box reads as the full circle."""
     j_lo, j_hi = j_interval
-    if not 0.0 < j_hi - j_lo <= 1.0 or samples < 1:
-        raise ValueError("need a y-interval with 0 < length <= 1 and samples >= 1")
+    if not 2.0**-256 <= j_hi - j_lo <= 1.0 or samples < 1:
+        raise ValueError("need a y-interval with 2^-256 <= length <= 1 and samples >= 1")
     if not 0 <= nu < math.inf:
         raise ValueError("nu must be >= 0 and finite")
 

@@ -16,6 +16,7 @@ evaluates many x at once by a non-uniform FFT, states its own bound.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +104,16 @@ def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray
     5-smooth number >= 2n) and 18 taps per x.  Memory: the coefficient row
     (16 bytes per term of the longest n) and, one n at a time, the grid and
     numpy's FFT work space; about 115 bytes per term of the longest n at
-    the peak (growth to n = 1e7: 1.2 GB)."""
+    the peak (growth to n = 1e7: 1.2 GB).  An n whose row and grid alone,
+    16 (n + L) bytes, exceed physical memory raises ValueError first."""
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
+    n_max = max(ns, default=0)
+    need = 16 * (n_max + _engine._fine_len(n_max))
+    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ValueError(f"n = {n_max} needs {need} bytes of row and grid, over physical memory")
     out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
-    coeffs = np.zeros(max(ns, default=0), dtype=np.complex128)
+    coeffs = np.zeros(n_max, dtype=np.complex128)
     for k0, words in _engine.phase_chunks(theta.numerator, 0, 0, coeffs.size):
         coeffs[k0 : k0 + words.size] = _engine.e_phase(words)
     # the top 128 bits of u = 2x mod 1 are bits 254..127 of x's numerator

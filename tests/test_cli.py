@@ -190,6 +190,9 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         ["schedule", *_WITNESS[:2], "--eps", "inf"],
         ["resume", *_WITNESS, "--eps", "inf"],
         ["resume", *_WITNESS, "--delta", "inf"],
+        # sums too long for memory, refused before the coefficient row
+        ["parseval", "--theta", "golden", "--q", "1000000000000"],
+        ["growth", "--theta", "golden", "--schedule", "100,1000000000000"],
     ],
     ids=[
         "schedule-nan-threshold",
@@ -197,6 +200,8 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         "schedule-inf-eps",
         "resume-inf-eps",
         "resume-inf-delta",
+        "parseval-huge-q",
+        "growth-huge-n",
     ],
 )
 def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
@@ -214,8 +219,9 @@ def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
         ["--nu", "inf"],
         ["--samples", "0"],
         ["--j-lo", "0.9", "--j-hi", "0.1"],
+        ["--j-lo", "0", "--j-hi", "1e-80"],
     ],
-    ids=["negative-nu", "nan-nu", "inf-nu", "zero-samples", "empty-interval"],
+    ids=["negative-nu", "nan-nu", "inf-nu", "zero-samples", "empty-interval", "sub-grid-interval"],
 )
 def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad):
     def search(*args, **kwargs):

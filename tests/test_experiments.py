@@ -6,7 +6,7 @@ from box_oracle import box_experiment_loop
 
 from weyl_lab import _engine
 from weyl_lab._rng import counter_angle
-from weyl_lab.calibration import load_calibration, run_bgap_calibration
+from weyl_lab.calibration import load_calibration
 from weyl_lab.contfrac import angle_from_cf, cf_expand, construct_f_member
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -19,7 +19,6 @@ from weyl_lab.exactangle import (
 from weyl_lab.experiments import (
     UnusableLevelError,
     approx_ratio,
-    b_density_gap,
     box_experiment,
     density_probe,
     growth_report,
@@ -75,38 +74,14 @@ def test_modulus_tail_monotone_in_threshold(constructed):
     assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
 
-def test_b_density_gap_m_range_two():
-    # only m in {0, 1}: value set {0, 1}, so the largest gap is 1
-    x = angle_from_decimal("0.3")
-    gap = b_density_gap(1, x, eps=0.5)
-    assert gap.m_max == 1
-    assert gap.largest_gap == 1.0
-
-
-def test_b_density_gap_degenerate_half():
-    # ||2qx|| = 1/2 exactly: |b| alternates 0, 1
-    x = angle_from_rational(1, 4)
-    gap = b_density_gap(1, x, eps=0.5)
-    assert gap.degenerate
-    assert gap.largest_gap == 1.0
-
-
-def test_b_density_gap_rejects_zero_window():
-    with pytest.raises(ValueError):
-        b_density_gap(2, angle_from_rational(1, 2), eps=0.5)
-
-
-def test_b_density_gap_success_rate_calibrated():
-    # the seeded sweep reproduces the committed calibration record exactly
-    assert run_bgap_calibration() == load_calibration()["b_density_gap"]
-
-
 def test_find_mn_from_vanishing_modulus_picks_m0():
-    from weyl_lab.experiments import _find_mn_from_modulus
+    from weyl_lab.experiments import _find_mn_from_modulus, modulation_cap
 
     fm = _find_mn_from_modulus(0.0, angle_from_decimal("0.37"), 17, 0.5)
     assert fm.m == 0
     assert fm.product_value == 0.0
+    # at q = 1 the search runs over m in {0, 1} only
+    assert modulation_cap(1, 0.5) == 1
 
 
 def test_witness_torsion_degenerate_zero():

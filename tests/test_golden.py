@@ -11,9 +11,7 @@ import hashlib
 import pytest
 
 from weyl_lab import cli
-from weyl_lab._rng import counter_angle
 from weyl_lab.contfrac import angle_from_cf, construct_f_member
-from weyl_lab.experiments import b_density_gap
 from weyl_lab.renorm import b_level_measure, u_measure_lower
 from weyl_lab.reporting import render_json
 
@@ -116,16 +114,13 @@ def test_cli_golden_bytes(tmp_path, argv, fmt, digest):
 
 def _library_reports():
     theta = angle_from_cf(construct_f_member(0.5, 4)[0])
-    x = counter_angle(7, 1, "golden")
     return {
-        "b_density_gap": b_density_gap(83523, x),
         "u_measure_lower": u_measure_lower(theta, 2, 0.1, 500, 7),
         "b_level_measure": b_level_measure(theta, 2, 1.0, 500, 7),
     }
 
 
 LIBRARY_GOLDEN = {
-    "b_density_gap": "b663db3b1f811d06191264fdd9a3a72bca5409e153f9ccba682b8302eb1da559",
     "u_measure_lower": "f2492d3f03535148058720a8bfede1114073ba87a3eb5d0cde70c4a2bd68fafb",
     "b_level_measure": "bd080a6b14267c85e7b2e7351043a94e995dcf210582966d9b4889f045bf1130",
 }

@@ -1,14 +1,16 @@
 """Every name a module of weyl_lab imports is used in that module, every
-private top-level helper of the package is used somewhere, and every
+private top-level helper of the package is used somewhere, every
 public top-level name is read by the package or by perfbench, not only by
-tests.
+tests, and every record of data/calibration.json is read by the package.
 
 No lint tool is a dependency, so the checks parse each module with the
 standard library's ast.  The package's __init__ is left out of the first
-check, and its reads out of the last: its imports are its exports.
+check, and its reads out of the public-name check: its imports are its
+exports.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -166,3 +168,31 @@ def test_guard_sees_a_public_name_only_tests_read():
     }
     unread = ["pkg/m.py: tested", "pkg/m.py: exported"]
     assert _unread_public_names(sources, ["pkg/m.py", "pkg/__init__.py"]) == unread
+
+
+def _unread_calibration_keys(sources: dict[str, str], keys) -> list[str]:
+    """The top-level keys of the calibration record that no source reads
+    as load_calibration()["key"]."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "load_calibration" and isinstance(node.slice, ast.Constant):
+                    read.add(node.slice.value)
+    return [key for key in keys if key not in read]
+
+
+def test_every_calibration_record_is_read_by_the_package():
+    keys = json.loads((PACKAGE / "data" / "calibration.json").read_text(encoding="utf-8"))
+    assert _unread_calibration_keys(_sources(PACKAGE), keys) == []
+
+
+def test_guard_sees_a_calibration_record_nothing_reads():
+    sources = {
+        "pkg/gate.py": 'c = load_calibration()["gated"]\nd = calibration.load_calibration()["dotted"]\n',
+        "pkg/calibration.py": 'data = {"gated": 1, "stored": run()}\nkey = "named"\n',
+    }
+    keys = ["dotted", "gated", "named", "stored"]
+    assert _unread_calibration_keys(sources, keys) == ["named", "stored"]

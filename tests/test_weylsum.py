@@ -114,44 +114,70 @@ def test_weyl_sum_matches_dyadic_gauss_closed_form_at_n_2_30():
     assert _dyadic_gauss_error(12345, 0, 20, 1024) <= n * 2.0 ** -51
 
 
-def _prime_gauss(a: int, b: int, p: int) -> complex:
-    # G(a, b; p) = sum_{k mod p} e((a k^2 + b k)/p) for an odd prime p and
-    # p not dividing a: (a|p) eps_p sqrt(p) e(-(4a)^-1 b^2 / p), with
-    # eps_p = 1 for p = 1 mod 4 and i for p = 3 mod 4
-    legendre = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-    eps = 1 if p % 4 == 1 else 1j
-    r = -pow(4 * a, -1, p) * b * b % p
-    return legendre * eps * math.sqrt(p) * cmath.exp(2j * math.pi * r / p)
+def _jacobi(a: int, c: int) -> int:
+    # the Jacobi symbol (a|c) for odd c > 0, by quadratic reciprocity
+    a %= c
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if c % 8 in (3, 5):
+                sign = -sign
+        a, c = c, a
+        if a % 4 == 3 and c % 4 == 3:
+            sign = -sign
+        a %= c
+    return sign if c == 1 else 0
+
+
+def _gauss(a: int, b: int, c: int) -> complex:
+    # G(a, b; c) = sum_{k mod c} e((a k^2 + b k)/c) for odd c and
+    # gcd(a, c) = 1: (a|c) eps_c sqrt(c) e(-(4a)^-1 b^2 / c), with the
+    # Jacobi symbol (a|c), and eps_c = 1 for c = 1 mod 4 and i for c = 3 mod 4
+    eps = 1 if c % 4 == 1 else 1j
+    r = -pow(4 * a, -1, c) * b * b % c
+    return _jacobi(a, c) * eps * math.sqrt(c) * cmath.exp(2j * math.pi * r / c)
 
 
 def test_prime_gauss_formula_matches_brute_force():
+    # every odd modulus up to 1009, prime or composite
     rng = random.Random(55)
-    primes = [p for p in range(3, 1010, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
-    assert primes[-1] == 1009
-    for p in primes:
-        for a, b in ((rng.randrange(1, p), rng.randrange(p)), (p - 1, 0)):
-            brute = sum(cmath.exp(2j * math.pi * ((a * k * k + b * k) % p) / p) for k in range(p))
-            assert abs(brute - _prime_gauss(a, b, p)) < 1e-9
+    for c in range(3, 1010, 2):
+        a = rng.randrange(1, c)
+        while math.gcd(a, c) != 1:
+            a = rng.randrange(1, c)
+        k = np.arange(c, dtype=np.int64)
+        for a, b in ((a, rng.randrange(c)), (c - 1, 0)):
+            brute = np.sum(np.exp(2j * np.pi * ((a * k * k + b * k) % c) / c))
+            assert abs(brute - _gauss(a, b, c)) < 1e-9
 
 
-def _prime_gauss_error(a: int, b: int, p: int, c: int) -> float:
-    # theta = a/p and 2x = b/p off the dyadic grid: k^2 theta + 2kx mod 1
-    # has period p, so a(x, 0, c p) = c G(a, b; p); rounding theta and x to
-    # the grid moves each phase by under n^2 2^-256
-    theta = angle_from_rational(a, p)
-    x = angle_from_rational(b * pow(2, -1, p), p)
-    return abs(weyl_sum(theta, x, ZERO, c * p) - c * _prime_gauss(a, b, p))
+def _gauss_error(a: int, b: int, c: int, reps: int) -> float:
+    # theta = a/c and 2x = b/c off the dyadic grid: k^2 theta + 2kx mod 1
+    # has period c, so a(x, 0, reps c) = reps G(a, b; c); rounding theta
+    # and x to the grid moves each phase by under n^2 2^-256
+    theta = angle_from_rational(a, c)
+    x = angle_from_rational(b * pow(2, -1, c), c)
+    return abs(weyl_sum(theta, x, ZERO, reps * c) - reps * _gauss(a, b, c))
 
 
-@pytest.mark.parametrize("a, b, p", [(12345, 678, 1_000_003), (777_777, 31_337, 999_983)])
+@pytest.mark.parametrize(
+    "a, b, p",
+    [
+        (12345, 678, 1_000_003),
+        (777_777, 31_337, 999_983),
+        # a composite modulus, 999999 = 3^3 7 11 13 37
+        (1000, 4321, 999_999),
+    ],
+)
 def test_weyl_sum_matches_prime_gauss_closed_form_at_large_n(a, b, p):
     # n ~ 1e8 terms; theta = 777777/999983 >= 1/2
-    assert _prime_gauss_error(a, b, p, 100) <= 100 * p * 2.0 ** -51
+    assert _gauss_error(a, b, p, 100) <= 100 * p * 2.0 ** -51
 
 
 @pytest.mark.slow
 def test_weyl_sum_matches_prime_gauss_closed_form_at_n_1e9():
-    assert _prime_gauss_error(777_777, 31_337, 999_983, 1000) <= 1000 * 999_983 * 2.0 ** -51
+    assert _gauss_error(777_777, 31_337, 999_983, 1000) <= 1000 * 999_983 * 2.0 ** -51
 
 
 def test_weyl_sum_trivial_values():
@@ -236,11 +262,14 @@ def test_dirichlet_b_over_x_equals_single_sums(m):
 def test_dirichlet_moduli_batch():
     rng = random.Random(47)
     near = angle_from_fraction(Fraction(-1, 1 << 25))  # ||x|| < 2^-20
+    half = angle_from_rational(1, 2)
     ms = np.arange(0, 300)
-    for x in (Angle(rng.randrange(MODULUS)), near, ZERO):
+    for x in (Angle(rng.randrange(MODULUS)), near, ZERO, half):
         batch = dirichlet_b_moduli(x, ms)
         single = np.array([abs(dirichlet_b_closed(x, int(m))) for m in ms])
         assert np.max(np.abs(batch - single)) < 1e-10
+    # at x = 1/2 the terms alternate 1, -1: |b| is 0, 1, 0, 1, ... exactly
+    assert dirichlet_b_moduli(half, ms).tolist() == [m % 2 for m in range(300)]
 
 
 def _mp_dirichlet_b(num: int, m: int) -> complex:
