@@ -43,11 +43,11 @@ def fe_sweep_instance(seed: int, i: int) -> tuple[Angle, Angle, int]:
     return theta, x, k
 
 
-def run_fe_sweep(seed: int = FE_SWEEP_SEED, samples: int = FE_SWEEP_SAMPLES) -> dict:
+def run_fe_sweep(seed: int = FE_SWEEP_SEED) -> dict:
     """Max rescaling residual, per-decade maxima, and the decade-max slope."""
-    resids = np.empty(samples)
-    ks = np.empty(samples, dtype=np.int64)
-    for i in range(samples):
+    resids = np.empty(FE_SWEEP_SAMPLES)
+    ks = np.empty(FE_SWEEP_SAMPLES, dtype=np.int64)
+    for i in range(FE_SWEEP_SAMPLES):
         theta, x, k = fe_sweep_instance(seed, i)
         resids[i] = fe_residual(theta, x, k)
         ks[i] = k
@@ -63,7 +63,7 @@ def run_fe_sweep(seed: int = FE_SWEEP_SEED, samples: int = FE_SWEEP_SAMPLES) -> 
         "max_residual": float(resids.max()),
         "decade_maxima": maxima,
         "decade_slope": slope,
-        "samples": samples,
+        "samples": FE_SWEEP_SAMPLES,
         "seed": seed,
     }
 
@@ -117,15 +117,13 @@ def load_calibration() -> dict:
         return json.load(fh)
 
 
-def regenerate(path: Path | None = None) -> dict:
+def regenerate() -> dict:
     data = {
         "fe_residual": run_fe_sweep(),
         "approx_ratio": run_approx_sweep(),
         "growth_golden": run_growth_calibration(),
     }
-    target = path or _data_path()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as fh:
+    with open(_data_path(), "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return data

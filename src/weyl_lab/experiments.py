@@ -54,7 +54,6 @@ DEFAULT_EPS = 0.5
 DEFAULT_DELTA = 0.2
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_CANDIDATES = 256
-DEFAULT_U_MIN = 5.0
 DEFAULT_NU = 0.1
 DEFAULT_SAMPLES = 100_000
 DEFAULT_J_INTERVAL = (0.25, 0.75)
@@ -63,6 +62,8 @@ DEFAULT_RADIUS = 2.0  # the density probe's disk and its cell size
 DEFAULT_CELL = 0.25
 TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
+# resume_witness's gates: |a(x,q)| >= U_MIN, ||a(x,q) b(2qx,m)| - 1/2| <= PRODUCT_TOL
+U_MIN = 5.0
 PRODUCT_TOL = 0.05
 # operational stand-in for the vanishing epsilon_n sequence: the interval
 # deviation and the torsion ||M^2 theta + 2Mx|| must both stay below this
@@ -231,14 +232,12 @@ def resume_witness(
     x_candidates: int = DEFAULT_CANDIDATES,
     seed: int = DEFAULT_SEED,
     level: int | None = None,
-    u_min: float = DEFAULT_U_MIN,
-    product_tol: float = PRODUCT_TOL,
 ) -> ResumeWitness:
     """Scan seeded x for a witness at one schedule level (default: deepest).
 
-    Gates, in order: delta/2 <= ||2qx|| <= delta, then |a(x,q)| >= u_min,
+    Gates, in order: delta/2 <= ||2qx|| <= delta, then |a(x,q)| >= U_MIN,
     then a modulation index m with | |a(x,q) b(2qx,m)| - 1/2 | within
-    product_tol.  Among candidates through all gates the one with the
+    PRODUCT_TOL.  Among candidates through all gates the one with the
     smallest m (then smallest scan index) is measured, keeping M = m*q and
     the cost of the interval check as low as the scan allows:
     (i) ||M theta|| exactly, (ii) ||a(x~, M)| - 1/2| on a 33-point grid
@@ -275,18 +274,18 @@ def resume_witness(
     n_umin = 0
     passers: list[tuple[int, int, Angle, FindMnResult]] = []
     for (idx, x), a_mod in zip(window, moduli):
-        if a_mod < u_min:
+        if a_mod < U_MIN:
             continue
         n_umin += 1
         fm = _find_mn_from_modulus(float(a_mod), scale_mod1(x, 2 * q), q, eps)
-        if fm.m < 1 or abs(fm.product_value - 0.5) > product_tol:
+        if fm.m < 1 or abs(fm.product_value - 0.5) > PRODUCT_TOL:
             continue
         passers.append((fm.m, idx, x, fm))
     if not passers:
         raise UnusableLevelError(
             f"level unusable: {len(window)} candidates in the ||2qx|| window, "
-            f"{n_umin} with |a| >= {u_min}, none with product within "
-            f"{product_tol} of 1/2"
+            f"{n_umin} with |a| >= {U_MIN}, none with product within "
+            f"{PRODUCT_TOL} of 1/2"
         )
     m_n, idx, x, fm = min(passers, key=lambda t: (t[0], t[1]))
     big_m = m_n * q

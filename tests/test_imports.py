@@ -1,7 +1,9 @@
 """Every name a module of weyl_lab imports is used in that module, every
 private top-level helper of the package is used somewhere, every
 public top-level name is read by the package or by perfbench, not only by
-tests, and every record of data/calibration.json is read by the package.
+tests, every defaulted parameter of a public function is set by some call
+there too, and every record of data/calibration.json is read by the
+package.
 
 No lint tool is a dependency, so the checks parse each module with the
 standard library's ast.  The package's __init__ is left out of the first
@@ -168,6 +170,100 @@ def test_guard_sees_a_public_name_only_tests_read():
     }
     unread = ["pkg/m.py: tested", "pkg/m.py: exported"]
     assert _unread_public_names(sources, ["pkg/m.py", "pkg/__init__.py"]) == unread
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    # (position, name) of each parameter with a default; None is the
+    # position of a keyword-only one
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+    ]
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _unset_options(sources: dict[str, str], package: list[str]) -> list[str]:
+    """Defaulted parameters of the public top-level functions of the
+    package modules that no call binds, by position or keyword (a * or **
+    argument binds them all).  Calls in tests/ do not count.  Exempt are a
+    function some source reads as a value, whose calls the AST cannot
+    follow, and a parameter named by a string in the function's own Spec()
+    call, which the perfbench tracer reads by name."""
+    defs = []
+    bound: dict[str, set] = {}
+    values = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        if path in package:
+            defs += [
+                (path, node)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ]
+        if path.startswith("tests/"):
+            continue
+        called = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called.add(id(node.func))
+            name = _callee(node)
+            if name == "Spec" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                name = node.args[1].value
+                bound.setdefault(name, set()).update(
+                    n.value for arg in node.args[2:] + node.keywords for n in ast.walk(arg)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+                continue
+            got = bound.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                got.add("*")
+            got.update(range(len(node.args)))
+            got.update(k.arg for k in node.keywords)
+        values |= {
+            getattr(node, "id", None) or node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in called
+        }
+    return [
+        f"{path}: {fn.name}({name})"
+        for path, fn in defs
+        if fn.name not in values
+        for pos, name in _defaulted_params(fn)
+        if not bound.get(fn.name, set()) & {"*", pos, name}
+    ]
+
+
+def test_every_option_is_set_outside_tests():
+    sources = _sources(PACKAGE, PERFBENCH, TESTS)
+    package = [key for key in sources if key.startswith(f"{PACKAGE.name}/")]
+    assert _unset_options(sources, package) == []
+
+
+def test_guard_sees_an_option_only_tests_set():
+    sources = {
+        "pkg/m.py": (
+            "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+            "def g(a=1, b=2):\n    pass\n\n\n"
+            "def h(a=1):\n    pass\n\n\n"
+            "def traced(n=1, k=2):\n    pass\n\n\n"
+            "def _private(a=1):\n    pass\n"
+            "TABLE = {'h': h}\n"
+        ),
+        "pkg/use.py": "f(0, 5, e=6)\nm.g(*args)\ntraced()\n",
+        "tests/t.py": "f(0, 1, 2, d=3)\ntraced(n=1, k=2)\n",
+        "perfbench/tracing.py": "SPECS = (Spec('m', 'traced', work=lambda arg: arg('n')),)\n",
+    }
+    unset = ["pkg/m.py: f(c)", "pkg/m.py: f(d)", "pkg/m.py: traced(k)"]
+    assert _unset_options(sources, ["pkg/m.py", "pkg/use.py"]) == unset
 
 
 def _unread_calibration_keys(sources: dict[str, str], keys) -> list[str]:
