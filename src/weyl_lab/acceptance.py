@@ -203,21 +203,12 @@ def run_e4(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     to n = 10^6."""
     all_equal = True
     checked = []
-    for i in range(100):
+    for i in [*range(100), 1000, 1001, 1002]:
         theta = counter_angle(seed, i, "e4-theta")
         p = SkewPoint(counter_angle(seed, i, "e4-x"), counter_angle(seed, i, "e4-y"))
-        n = 1 + int(counter_unit(seed, i, "e4-n") * 10_000)
+        n = 10 ** 6 if i >= 1000 else 1 + int(counter_unit(seed, i, "e4-n") * 10_000)
         all_equal = all_equal and (_iterate_skew(theta, p, n) == skew_shift_n(theta, p, n))
         checked.append(n)
-    for i in range(3):
-        theta = counter_angle(seed, 1000 + i, "e4-theta")
-        p = SkewPoint(
-            counter_angle(seed, 1000 + i, "e4-x"), counter_angle(seed, 1000 + i, "e4-y")
-        )
-        all_equal = all_equal and (
-            _iterate_skew(theta, p, 10 ** 6) == skew_shift_n(theta, p, 10 ** 6)
-        )
-        checked.append(10 ** 6)
     details = {"seed": seed, "starts": 103, "max_n": max(checked), "exact_equality": all_equal}
     return all_equal, details
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angles, counter_units
+from ._rng import _check_fits, counter_angles, counter_units
 from .contfrac import (
     ContinuedFraction,
     angle_from_cf,
@@ -487,6 +487,9 @@ def density_probe(
         raise ValueError("n_terms must be >= 0")
     if not (0 < radius < math.inf and 0 < cell < math.inf):
         raise ValueError("radius and cell must be positive and finite")
+    side = 2 * radius / cell + 7  # at least the table's width, 2 * span + 1
+    # 10: peak bytes per table cell, by tracemalloc
+    _check_fits(side * side, 10, f"a radius-{radius} disk in cells of {cell}")
     span = int(math.ceil(radius / cell)) + 2
     width = 2 * span + 1
     idx = np.arange(-span, span + 1)
@@ -559,6 +562,8 @@ def growth_report(
         raise ValueError("schedule entries must be >= 1")
     if x_grid_size < 1:
         raise ValueError("x_grid_size must be >= 1")
+    # 350: peak bytes per grid point, by tracemalloc
+    _check_fits(x_grid_size, 350, f"an x-grid of {x_grid_size} points")
     xs = [angle_from_rational(j, x_grid_size) for j in range(x_grid_size)]
     sup_abs = np.max(np.abs(weyl_sums_over_x(theta, xs, n_schedule)), axis=1)
     a0_vals, a0_peaks, peak = [], [], 0.0

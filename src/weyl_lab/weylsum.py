@@ -16,13 +16,12 @@ evaluates many x at once by a non-uniform FFT, states its own bound.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angles
+from ._rng import _check_fits, counter_angles
 from .exactangle import (
     MODULUS,
     ZERO,
@@ -109,9 +108,7 @@ def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     n_max = max(ns, default=0)
-    need = 16 * (n_max + _engine._fine_len(n_max))
-    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ValueError(f"n = {n_max} needs {need} bytes of row and grid, over physical memory")
+    _check_fits(n_max + _engine._fine_len(n_max), 16, f"the row and grid of n = {n_max}")
     out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
     coeffs = np.zeros(n_max, dtype=np.complex128)
     for k0, words in _engine.phase_chunks(theta.numerator, 0, 0, coeffs.size):
@@ -261,6 +258,8 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         raise ValueError("stride must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
+    points = n // stride + 2  # at least z_0, every stride-th sum and z_n
+    _check_fits(points, 41, f"{points} recorded points")  # peak bytes per point, by tracemalloc
     pts = [np.zeros(1, dtype=np.complex128)]
     for k0, z in _engine.qsum_partials(theta.numerator, 2 * x.numerator, y.numerator, n):
         # z[j] is the partial sum through term k0+j, i.e. z_{k0+j+1}; the

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import pytest
 from test_golden import CLI_GOLDEN
@@ -193,6 +194,15 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         # sums too long for memory, refused before the coefficient row
         ["parseval", "--theta", "golden", "--q", "1000000000000"],
         ["growth", "--theta", "golden", "--schedule", "100,1000000000000"],
+        # tables and draw counts too large for memory, refused before they
+        # are allocated
+        ["density", "--theta", "golden", "--n", "10", "--radius", "1e300", "--cell", "1e-300"],
+        ["density", "--theta", "golden", "--n", "10", "--radius", "100000", "--cell", "1"],
+        ["growth", "--theta", "golden", "--schedule", "10", "--grid", "100000000"],
+        ["traj", "--theta", "golden", "--n", "3000000000", "--stride", "1"],
+        ["parseval", "--theta", "golden", "--q", "10", "--samples", "1000000000000"],
+        ["resume", *_WITNESS, "--candidates", "1000000000000"],
+        ["box", *_WITNESS, "--samples", "1000000000000"],
     ],
     ids=[
         "schedule-nan-threshold",
@@ -202,10 +212,24 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         "resume-inf-delta",
         "parseval-huge-q",
         "growth-huge-n",
+        "density-inf-table",
+        "density-huge-table",
+        "growth-huge-grid",
+        "traj-huge-n",
+        "parseval-huge-samples",
+        "resume-huge-candidates",
+        "box-huge-samples",
     ],
 )
 def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
-    assert cli.main(argv) == 2
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        # refused before the table, grid or draws: only parseval-huge-q
+        # draws its 10^5 default samples (15 MB) first
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
