@@ -72,7 +72,6 @@ def counter_units(seed: int, n: int, stream: str) -> np.ndarray:
     shifted right by 11; both the int-to-double conversion and the scaling
     by 2**-53 are exact.
     """
-    _check_fits(n, 25, f"{n} draws")  # peak bytes per draw, by tracemalloc
     top = bytearray()
     for d in _digests(seed, range(n), stream):
         top += d[:8]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every run is a pure function of (argv, seed): reports are emitted with
-sorted keys and fixed 17-significant-digit float formatting, so identical
-invocations produce identical bytes.
+Every run is a pure function of (argv, seed) and of any flag file that
+argv names as @file (one flag per line, read by argparse in place):
+reports are emitted with sorted keys and fixed 17-significant-digit float
+formatting, so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 2 usage/precondition error, 3 experiment reported
 an unusable level.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -109,7 +109,6 @@ def _write_or_print(args, report) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--config", default=None, help="JSON file of flag defaults; explicit flags win")
 
 
 def _add_witness(p: argparse.ArgumentParser) -> None:
@@ -123,10 +122,13 @@ def _add_witness(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: a prefix of a flag is an error, not that flag
+    # allow_abbrev=False: a prefix of a flag is an error, not that flag;
+    # an @file argument is replaced in place by the file's lines, one flag
+    # each, before any subparser runs, so flags written after it win
     ap = argparse.ArgumentParser(
         prog="weyl-lab",
         allow_abbrev=False,
+        fromfile_prefix_chars="@",
         description="Quadratic Weyl sums, continued fractions, and skew-product experiments",
     )
     sub = ap.add_subparsers(
@@ -217,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the acceptance gates")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", default=None)
 
     return ap
 
@@ -290,37 +291,9 @@ def _report(args):
     return box, f"symdiff = {box.symdiff_ratio:.4f}, modulus fraction = {box.modulus_fraction:.4f}"
 
 
-def _config_tokens(args) -> list[str]:
-    """The --config entries as '--key=value' flag tokens.
-
-    Keys must name an option of the subcommand exactly; argparse then
-    checks each value with that option's own type and choices.
-    """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, dict):
-        raise ValueError("--config must hold a JSON object of flag defaults")
-    tokens = []
-    for key, value in entries.items():
-        dest = key.replace("-", "_")
-        if dest in ("command", "config") or dest not in vars(args):
-            raise ValueError(f"{args.command} has no option {key!r} (from --config)")
-        if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-            raise ValueError(f"--config value for {key!r} must be a number or a string")
-        tokens.append(f"--{dest.replace('_', '-')}={value}")
-    return tokens
-
-
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
-        if getattr(args, "config", None):
-            # config entries go in right after the subcommand, so explicit
-            # flags, which come later, win
-            at = argv.index(args.command) + 1
-            args = ap.parse_args([*argv[:at], *_config_tokens(args), *argv[at:]])
+        args = build_parser().parse_args(argv)
         if args.command == "verify-all":
             results = acceptance.run_all(seed=args.seed, out_dir=args.out_dir)
             for r in results:

@@ -34,17 +34,6 @@ Q_CONSTRUCT_BOUND = 1 << 100
 _GRID_FLOOR_SHIFT = 250
 
 
-class ConstructionTruncated(ValueError):
-    """Constructed denominators exceeded 2**100 before the requested depth."""
-
-    def __init__(self, achieved_depth: int, quotients: tuple[int, ...]):
-        self.achieved_depth = achieved_depth
-        self.quotients = quotients
-        super().__init__(
-            f"construction truncated at depth {achieved_depth}: next q would exceed 2**100"
-        )
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """Partial quotients a_1, ..., a_L, all >= 1."""
@@ -155,7 +144,8 @@ def construct_f_member(
 
     The exponent 2+2*eps (rather than 2+eps) makes the witness
     q^(3+eps) * ||q*theta|| decay like q^-eps, so a finite certificate
-    can actually exhibit the decrease.
+    can actually exhibit the decrease.  Raises ValueError when a
+    denominator would pass Q_CONSTRUCT_BOUND before `levels` quotients.
     """
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -172,13 +162,17 @@ def construct_f_member(
         # q_next >= a_next >= q_cur**exponent: stop before forming a power
         # past the bound, whose bit length leaves a bit of margin for the float
         if exponent * math.log2(q_cur) > Q_CONSTRUCT_BOUND.bit_length():
-            raise ConstructionTruncated(len(quotients), tuple(quotients))
+            break
         a_next = _quotient_power(q_cur, exponent)
         q_next = a_next * q_cur + q_prev
         if q_next > Q_CONSTRUCT_BOUND:
-            raise ConstructionTruncated(len(quotients), tuple(quotients))
+            break
         quotients.append(a_next)
         q_prev, q_cur = q_cur, q_next
+    if len(quotients) < levels:
+        raise ValueError(
+            f"construction truncated at depth {len(quotients)}: next q would exceed 2**100"
+        )
     cf = ContinuedFraction(tuple(quotients))
     cert = f_witness(cf, eps, angle_from_cf(cf))
     return cf, cert

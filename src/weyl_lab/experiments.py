@@ -386,14 +386,16 @@ def modulus_on_interval(
 
 
 def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> None:
-    """Raise ValueError for box_experiment arguments it cannot run, before
-    any witness is searched for.  A y-interval shorter than one grid step
-    would snap to length 0, which the box reads as the full circle."""
+    """Raise ValueError for box_experiment arguments it cannot run or hold
+    in memory, before any witness is searched for.  A y-interval shorter
+    than one grid step would snap to length 0, which the box reads as the
+    full circle."""
     j_lo, j_hi = j_interval
     if not 2.0**-256 <= j_hi - j_lo <= 1.0 or samples < 1:
         raise ValueError("need a y-interval with 2^-256 <= length <= 1 and samples >= 1")
     if not 0 <= nu < math.inf:
         raise ValueError("nu must be >= 0 and finite")
+    _check_fits(samples, 80, f"{samples} box samples")  # peak bytes per sample, by tracemalloc
 
 
 def box_experiment(

@@ -82,6 +82,18 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
     return weyl_sums_over_x(theta, xs, [n])[0]
 
 
+def _check_sums_fit(ns: list[int]) -> None:
+    """Raise ValueError for a negative n of ns, or when weyl_sums_over_x's
+    peak at the longest n would exceed physical memory: 16 bytes per term
+    of the row and 50 per point of the fine grid (the grid, its transform
+    and numpy's FFT work space), by peak RSS in a child process, since the
+    FFT's work space escapes tracemalloc."""
+    if any(n < 0 for n in ns):
+        raise ValueError("n must be >= 0")
+    n = max(ns, default=0)
+    _check_fits(16 * n + 50 * _engine._fine_len(n), 1, f"the sums of n = {n}")
+
+
 def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray:
     """a(x, 0, n) for x in xs (columns) and n in ns (rows): each sum is
     sum_k e(k^2*theta) e(k u) at u = 2x mod 1, evaluated at every x by one
@@ -103,12 +115,10 @@ def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray
     5-smooth number >= 2n) and 18 taps per x.  Memory: the coefficient row
     (16 bytes per term of the longest n) and, one n at a time, the grid and
     numpy's FFT work space; about 115 bytes per term of the longest n at
-    the peak (growth to n = 1e7: 1.2 GB).  An n whose row and grid alone,
-    16 (n + L) bytes, exceed physical memory raises ValueError first."""
-    if any(n < 0 for n in ns):
-        raise ValueError("n must be >= 0")
+    the peak (growth to n = 1e7: 1.2 GB).  Sums whose peak would exceed
+    physical memory raise ValueError first (_check_sums_fit)."""
+    _check_sums_fit(ns)
     n_max = max(ns, default=0)
-    _check_fits(n_max + _engine._fine_len(n_max), 16, f"the row and grid of n = {n_max}")
     out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
     coeffs = np.zeros(n_max, dtype=np.complex128)
     for k0, words in _engine.phase_chunks(theta.numerator, 0, 0, coeffs.size):
@@ -243,6 +253,10 @@ def parseval_estimates(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    # the sums, then the samples at their peak bytes each (by tracemalloc:
+    # the angles, their words and a row of sums per q), before the draws
+    _check_sums_fit(qs)
+    _check_fits(samples, 335 + 16 * len(qs), f"{samples} samples")
     xs = counter_angles(seed, samples, "parseval")
     out = []
     for q, sums in zip(qs, weyl_sums_over_x(theta, xs, qs)):

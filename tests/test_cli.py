@@ -1,11 +1,12 @@
 import inspect
 import json
+import os
 import tracemalloc
 
 import pytest
 from test_golden import CLI_GOLDEN
 
-from weyl_lab import acceptance, cli
+from weyl_lab import _engine, acceptance, cli, weylsum
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
 from weyl_lab.experiments import (
@@ -225,8 +226,7 @@ def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
     tracemalloc.start()
     try:
         assert cli.main(argv) == 2
-        # refused before the table, grid or draws: only parseval-huge-q
-        # draws its 10^5 default samples (15 MB) first
+        # refused before the table, grid, row or draws
         assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
     finally:
         tracemalloc.stop()
@@ -244,8 +244,17 @@ def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
         ["--samples", "0"],
         ["--j-lo", "0.9", "--j-hi", "0.1"],
         ["--j-lo", "0", "--j-hi", "1e-80"],
+        ["--samples", "1000000000000"],
     ],
-    ids=["negative-nu", "nan-nu", "inf-nu", "zero-samples", "empty-interval", "sub-grid-interval"],
+    ids=[
+        "negative-nu",
+        "nan-nu",
+        "inf-nu",
+        "zero-samples",
+        "empty-interval",
+        "sub-grid-interval",
+        "huge-samples",
+    ],
 )
 def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad):
     def search(*args, **kwargs):
@@ -254,6 +263,32 @@ def test_cli_box_checks_its_arguments_before_the_search(monkeypatch, capsys, bad
     monkeypatch.setattr(cli, "resume_witness", search)
     assert cli.main(["box", "--theta", "construct:0.5,3", *bad]) == 2
     assert capsys.readouterr().out == ""
+
+
+_PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        # 200 bytes per sample: within the draws' own 149, past parseval's peak
+        (["parseval", "--theta", "golden", "--q", "10", "--samples", str(_PHYSICAL // 200)],
+         weylsum, "counter_angles"),
+        # 70 bytes per term: within the row and grid, past the evaluator's peak
+        (["growth", "--theta", "golden", "--schedule", f"100,{_PHYSICAL // 70}"],
+         _engine, "phase_chunks"),
+    ],
+    ids=["parseval-samples", "growth-n"],
+)
+def test_cli_refuses_sizes_past_the_measured_peak(monkeypatch, capsys, argv, module, name):
+    def allocate(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the size check")
+
+    monkeypatch.setattr(module, name, allocate)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -370,14 +405,19 @@ def test_cli_traj_csv_file(tmp_path):
 
 
 def test_cli_config_merges_under_flags(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"q": 13, "samples": 1500, "seed": 9}')
-    rc = cli.main(["parseval", "--theta", "golden", "--q", "5", "--config", str(cfg)])
+    # an @file holds one flag per line, read in place: flags after it win
+    cfg = tmp_path / "flags"
+    cfg.write_text("--q=13\n--samples=1500\n--seed=9\n")
+    rc = cli.main(["parseval", f"@{cfg}", "--theta", "golden", "--q", "5"])
     assert rc == 0
-    data = json.loads(capsys.readouterr().out)
+    from_file = capsys.readouterr()
+    data = json.loads(from_file.out)
     assert data["q"] == 5  # explicit flag wins
-    assert data["samples"] == 1500  # config fills the rest
+    assert data["samples"] == 1500  # the file fills the rest
     assert data["seed"] == 9
+    argv = ["parseval", "--theta", "golden", "--q", "5", "--samples", "1500", "--seed", "9"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == from_file
 
 
 @pytest.mark.parametrize(
@@ -400,20 +440,23 @@ def test_cli_no_csv_form_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "line",
     [
-        '{"sampels": 3}',  # unknown key
-        '{"sam": 3}',  # abbreviation of --samples
-        '{"samples": 1000.5}',  # --samples takes an int
-        '{"format": "xml"}',  # outside --format's choices
-        '{"seed": null}',
-        '[["samples", 1500]]',  # not an object
+        "--sampels=3",  # unknown flag
+        "--sam=3",  # abbreviation of --samples
+        "--samples=1000.5",  # --samples takes an int
+        "--format=xml",  # outside --format's choices
+        "--seed=",  # empty value
+        "--config=other.json",  # no such option
+        None,  # no such file
     ],
+    ids=["unknown", "abbreviation", "non-int", "outside-choices", "empty-value", "config", "missing-file"],
 )
-def test_cli_config_rejects_bad_entries(tmp_path, capsys, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(config)
-    argv = ["parseval", "--theta", "golden", "--q", "5", "--samples", "20", "--config", str(cfg)]
+def test_cli_config_rejects_bad_entries(tmp_path, capsys, line):
+    cfg = tmp_path / "flags"
+    if line is not None:
+        cfg.write_text(line + "\n")
+    argv = ["parseval", f"@{cfg}", "--theta", "golden", "--q", "5", "--samples", "20"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().out == ""
 
@@ -439,9 +482,9 @@ def test_cli_depth_with_own_quotients_exits_2(tmp_path, capsys, command, theta):
     assert cli.main([command, "--theta", theta, "--depth", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--depth" in captured.err
-    config = tmp_path / "c.json"
-    config.write_text('{"depth": 20}')
-    assert cli.main([command, "--theta", theta, "--config", str(config)]) == 2
+    flags = tmp_path / "flags"
+    flags.write_text("--depth=20\n")
+    assert cli.main([command, f"@{flags}", "--theta", theta]) == 2
 
 
 def test_cli_depth_sets_expansion_of_plain_theta(capsys):
