@@ -21,15 +21,11 @@ exact integer word (its slack adds < 2**-61).  Measured against mpmath the
 worst is 0.57 * 2**-51 per term, and a test holds it to 2**-51; cos/sin of
 a float64 phase, the earlier kernel, reached 2.3 * 2**-51.
 
-Rows: qsum_rows evaluates one sum per linear coefficient B of a list, at
-shared A, C and n; a single sum (qsum, phase_chunks, qsum_partials,
-qsum_moments) is the one-row case.  The phase kernel gives a (rows, blen)
-block of words.  Each row is reduced on its own by np.sum (never np.dot,
-whose order follows the BLAS thread count): along the row per block, then
-one pairwise pass over the row's block partials laid out contiguously, in
-the order of one contiguous 1-D array, so a row does not depend on the
-rows beside it.  qsum_moments reduces each order's block partials the same
-way, so its S_0 is qsum bit for bit.  Rows go in batches of at most 2**20 phases.
+Reduction: each block of a sum is reduced by np.sum (never np.dot, whose
+order follows the BLAS thread count), then one pairwise pass runs over the
+block partials laid out contiguously, in the order of one contiguous 1-D
+array (_block_total).  qsum_moments reduces each order's block partials
+the same way, so its S_0 is qsum bit for bit.
 
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
 many u by a type-2 non-uniform FFT (Dutt-Rokhlin), with the exponential-
@@ -66,7 +62,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,9 +73,6 @@ _SH32 = np.uint64(32)
 _SH48 = np.uint64(48)
 _TWO_PI_ULP = 2.0 * np.pi * 2.0 ** -64  # radians of the word's last bit
 _TWO_PI_LO = 2.4492935982947064e-16  # 2 pi less its nearest double
-
-# phases per block of rows in qsum_rows, which bounds its temporaries
-_ROW_PHASES = 1 << 20
 
 # the evaluator's kernel: w taps and its shape beta; points (and
 # frequencies) per block, which bounds the evaluator's temporaries
@@ -95,24 +88,20 @@ _J_FULL = np.arange(CHUNK, dtype=np.uint64)
 _JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
 
 
-def _words(values: list[int]) -> tuple:
-    """(bits 0-31, bits 32-63, bits 64-127) of each 128-bit int of a list,
-    as (len, 1) uint64 columns."""
-    split = [(v & 0xFFFFFFFF, v >> 32 & 0xFFFFFFFF, v >> 64) for v in values]
-    w = np.array(split, dtype=np.uint64)
-    return w[:, 0:1], w[:, 1:2], w[:, 2:3]
+def _words(value: int) -> tuple:
+    """(bits 0-31, bits 32-63, bits 64-127) of a 128-bit int, as uint64."""
+    lo, mid, hi = value & 0xFFFFFFFF, value >> 32 & 0xFFFFFFFF, value >> 64
+    return np.uint64(lo), np.uint64(mid), np.uint64(hi)
 
 
-def _phase_block(a: int, bs: list[int], c: int, k0: int, blen: int) -> np.ndarray:
+def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     """Phase words of k = k0 .. k0+blen-1 (blen <= CHUNK), the one phase
-    kernel: one row of blen words per linear coefficient of bs."""
+    kernel."""
     a %= MODULUS
-    # N_k0 and the first difference N_k0+1 - N_k0, less their B terms
-    n_ac = a * k0 * k0 + c
-    d_a = a * (2 * k0 + 1)
-    n_lo, n_mid, n_hi = _words([(n_ac + b * k0) % MODULUS >> 128 for b in bs])
-    d_lo, d_mid, d_hi = _words([(d_a + b) % MODULUS >> 128 for b in bs])
-    a_lo, a_mid, a_hi = _words([a >> 128])
+    # N_k0 and the first difference N_k0+1 - N_k0
+    n_lo, n_mid, n_hi = _words((a * k0 * k0 + b * k0 + c) % MODULUS >> 128)
+    d_lo, d_mid, d_hi = _words((a * (2 * k0 + 1) + b) % MODULUS >> 128)
+    a_lo, a_mid, a_hi = _words(a >> 128)
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
     carry = n_lo + j * d_lo + jj * a_lo
@@ -122,17 +111,16 @@ def _phase_block(a: int, bs: list[int], c: int, k0: int, blen: int) -> np.ndarra
     return n_hi + j * d_hi + jj * a_hi + carry
 
 
-def _blocks(a: int, bs: list[int], c: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+def _blocks(a: int, b: int, c: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """(k0, words) for each block of k = lo .. hi-1, the one block loop."""
     for k0 in range(lo, hi, CHUNK):
-        yield k0, _phase_block(a, bs, c, k0, min(CHUNK, hi - k0))
+        yield k0, _phase_block(a, b, c, k0, min(CHUNK, hi - k0))
 
 
 def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k0, words) uint64 arrays covering k = 0 .. n-1: the phase of
     term k is words[k - k0] * 2**-64, its word (see the module doc)."""
-    for k0, words in _blocks(a, [b], c, 0, n):
-        yield k0, words[0]
+    yield from _blocks(a, b, c, 0, n)
 
 
 @functools.cache
@@ -175,12 +163,12 @@ except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
 
-def _blockwise(block: Callable, a: int, bs: list[int], c: int, n: int, *args) -> list:
+def _blockwise(block: Callable, a: int, b: int, c: int, n: int, *args) -> list:
     """[block(k0, words, *args) for each block of k < n], in block order,
     over at most _WORKERS contiguous runs of blocks (see the module doc)."""
 
     def run(lo: int, hi: int) -> list:
-        return [block(k0, words, *args) for k0, words in _blocks(a, bs, c, lo, hi)]
+        return [block(k0, words, *args) for k0, words in _blocks(a, b, c, lo, hi)]
 
     blocks = -(-n // CHUNK)
     runs = min(_WORKERS, blocks)
@@ -195,34 +183,21 @@ def _blockwise(block: Callable, a: int, bs: list[int], c: int, n: int, *args) ->
     return out
 
 
-def _row_sums(k0: int, words: np.ndarray) -> np.ndarray:
-    return np.sum(e_phase(words), axis=-1)
+def _block_sum(k0: int, words: np.ndarray) -> complex:
+    return np.sum(e_phase(words))
 
 
-def _block_total(partials: tuple) -> np.ndarray:
-    # one pairwise pass over each row's block partials, laid out
-    # contiguously: a strided reduction would add them in another order
+def _block_total(partials: list) -> np.ndarray:
+    # one pairwise pass over the block partials (over each order's, for
+    # moments) laid out contiguously: a strided reduction would add them
+    # in another order
     return np.sum(np.ascontiguousarray(np.asarray(partials).T), axis=-1)
 
 
 def qsum(a: int, b: int, c: int, n: int) -> complex:
-    """sum_{k<n} e((A k^2 + B k + C)/2**256), qsum_rows' one-row case."""
-    return complex(qsum_rows(a, [b], c, n)[0])
-
-
-def qsum_rows(a: int, bs: Sequence[int], c: int, n: int) -> np.ndarray:
-    """sum_{k<n} e((A k^2 + b k + C)/2**256) for each b of bs, as one
-    array, each row reduced on its own (see the module doc); a single sum
-    (qsum) is the one-row case."""
-    bs = list(bs)
-    out = np.zeros(len(bs), dtype=np.complex128)
-    if n <= 0:
-        return out
-    rows = max(1, _ROW_PHASES // min(n, CHUNK))
-    for r0 in range(0, len(bs), rows):
-        sums = _blockwise(_row_sums, a, bs[r0 : r0 + rows], c, n)
-        out[r0 : r0 + rows] = _block_total(sums)
-    return out
+    """sum_{k<n} e((A k^2 + B k + C)/2**256), reduced block by block (see
+    the module doc)."""
+    return complex(_block_total(_blockwise(_block_sum, a, b, c, n)))
 
 
 def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -236,8 +211,8 @@ def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndar
 
 
 def _moment_row(k0: int, words: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:
-    # the moments of the block's one row of phase words
-    z = e_phase(words[0])
+    # the moments of the block's phase words
+    z = e_phase(words)
     w = (k0 + np.arange(z.size, dtype=np.float64)) * inv_n
     row = [np.sum(z)]
     for _ in range(pmax):
@@ -254,7 +229,7 @@ def qsum_moments(a: int, b: int, c: int, n: int, pmax: int) -> np.ndarray:
     """
     if n <= 0:
         return np.zeros(pmax + 1, dtype=np.complex128)
-    return _block_total(_blockwise(_moment_row, a, [b], c, n, 1.0 / n, pmax))
+    return _block_total(_blockwise(_moment_row, a, b, c, n, 1.0 / n, pmax))
 
 
 def _mulhi(x: np.ndarray, m: int) -> np.ndarray:

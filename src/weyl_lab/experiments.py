@@ -32,6 +32,7 @@ from .contfrac import (
 )
 from .exactangle import (
     MODULUS,
+    ZERO,
     Angle,
     angle_from_float,
     angle_from_fraction,
@@ -42,8 +43,10 @@ from .exactangle import (
 )
 from .reporting import BIG_INT
 from .weylsum import (
+    SkewPoint,
     dirichlet_b_closed,
     dirichlet_b_moduli,
+    skew_shift_n,
     weyl_sum,
     weyl_sum_over_x,
     weyl_sums_over_x,
@@ -419,10 +422,12 @@ def box_experiment(
     if len_num == 0:
         len_num = MODULUS  # full circle
     # T^-M sends (x0 + u, j_lo + v) to (x0 + u - M theta, j_lo + v - 2M(x0 + u)
-    # + M^2 theta): the image is in the box iff ||u - M theta|| <= r and
-    # v - 2Mu + (M^2 theta - 2M x0) mod 1 lies in [0, len), on numerators
-    shift_x = scale_mod1(theta, -big_m).numerator
-    shift_y = (scale_mod1(theta, big_m * big_m).numerator - 2 * big_m * x0.numerator) % MODULUS
+    # + M^2 theta), and (x0, 0) to (x0 + shift_x, shift_y): the image is in
+    # the box iff ||u + shift_x|| <= r and v - 2Mu + shift_y mod 1 lies in
+    # [0, len), on numerators
+    image = skew_shift_n(theta, SkewPoint(x0, ZERO), -big_m)
+    shift_x = (image.x.numerator - x0.numerator) % MODULUS
+    shift_y = image.y.numerator
     offsets = (2.0 * counter_units(seed, samples, "box-x") - 1.0) * r
     y_offsets = counter_units(seed, samples, "box-y") * float(len_num)
     left = 0

@@ -27,7 +27,7 @@ import numpy as np
 from ._rng import counter_angles
 from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, wrap_add
 from .reporting import FLATTEN
-from .weylsum import dirichlet_b_over_x, psi
+from .weylsum import _sin_ratios, psi
 
 
 @dataclass(frozen=True)
@@ -239,13 +239,14 @@ def u_measure_lower(
 def b_level_measure(
     theta: Angle, m: int, c0: float, samples: int, seed: int
 ) -> MeasureEstimate:
-    """Monte Carlo estimate of lambda{x : |b(U^(m) x, [2 pi C0]+1)| >= C0}."""
-    if c0 <= 0:
-        raise ValueError("C0 must be positive")
+    """Monte Carlo estimate of lambda{x : |b(U^(m) x, [2 pi C0]+1)| >= C0},
+    |b| from its closed form |sin(pi L x) / sin(pi x)|."""
+    if not 0 < c0 < math.inf:
+        raise ValueError("C0 must be positive and finite")
     length = int(2 * math.pi * c0) + 1
     p, se = _level_set_fraction(
         theta, m, samples, seed, "blevel",
-        lambda uxs: np.abs(dirichlet_b_over_x(uxs, length)) >= c0,
+        lambda uxs: [_sin_ratios(ux, (length,))[0] >= c0 for ux in uxs],
     )
     return MeasureEstimate(
         estimate=p,

@@ -139,13 +139,6 @@ def dirichlet_b(x: Angle, m: int) -> complex:
     return _engine.qsum(0, x.numerator, 0, m)
 
 
-def dirichlet_b_over_x(xs: list[Angle], m: int) -> np.ndarray:
-    """[dirichlet_b(x, m) for x in xs], bit for bit, in one engine call."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return _engine.qsum_rows(0, [x.numerator for x in xs], 0, m)
-
-
 def _sin_pi_frac(num: int) -> float:
     folded = min(num, MODULUS - num)
     return math.sin(math.pi * (folded / MODULUS))
@@ -157,9 +150,11 @@ def _e_half_grid(num: int) -> complex:
 
 
 def _sin_ratios(x: Angle, ms) -> list[float]:
-    # sin(pi {m x}) / sin(pi x) per m, with {m x} reduced exactly on
-    # numerators: sin(pi m x) is this times (-1)^floor(m x), and {m x}
-    # folds freely across 1/2
+    # |b(x, m)| per m: m at x = 0, and elsewhere sin(pi {m x}) / sin(pi x),
+    # with {m x} reduced exactly on numerators (sin(pi m x) is this times
+    # (-1)^floor(m x), and {m x} folds freely across 1/2)
+    if x.numerator == 0:
+        return [float(m) for m in ms]
     den = _sin_pi_frac(x.numerator)
     return [_sin_pi_frac((int(m) * x.numerator) & (MODULUS - 1)) / den for m in ms]
 
@@ -186,9 +181,7 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
 
 def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
     """|b(x, m)| for an array of m, via the exactly-reduced sin ratio."""
-    if x.numerator == 0:
-        return ms.astype(np.float64)
-    return np.abs(np.array(_sin_ratios(x, ms)))
+    return np.array(_sin_ratios(x, ms))
 
 
 def psi(theta: Angle, x: Angle, k: int) -> float:

@@ -14,25 +14,19 @@ _M32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 
 
-def limbs(values: list[int]) -> list:
-    """The four low 32-bit limbs of each int of a list as (len, 1) uint64
-    columns."""
-    return [
-        np.array([(v >> (32 * i)) & 0xFFFFFFFF for v in values], dtype=np.uint64)[:, None]
-        for i in range(4)
-    ]
+def limbs(value: int) -> list:
+    """The four low 32-bit limbs of an int, as uint64."""
+    return [np.uint64((value >> (32 * i)) & 0xFFFFFFFF) for i in range(4)]
 
 
-def phase_block_limbs(a: int, bs: list[int], c: int, k0: int, blen: int) -> np.ndarray:
+def phase_block_limbs(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     """Phases of k = k0 .. k0+blen-1 (blen <= 2**15) mod 2**256 by
-    four-limb sums; one row of blen phases per entry of bs."""
+    four-limb sums."""
     mod = 1 << 256
     a %= mod
-    n_ac = a * k0 * k0 + c
-    d_a = a * (2 * k0 + 1)
-    nl = limbs([(n_ac + b * k0) % mod >> 128 for b in bs])
-    dl = limbs([(d_a + b) % mod >> 128 for b in bs])
-    al = limbs([a >> 128])
+    nl = limbs((a * k0 * k0 + b * k0 + c) % mod >> 128)
+    dl = limbs((a * (2 * k0 + 1) + b) % mod >> 128)
+    al = limbs(a >> 128)
     j = np.arange(blen, dtype=np.uint64)
     jj = j * (j - np.uint64(1))
     acc0 = nl[0] + j * dl[0] + jj * al[0]

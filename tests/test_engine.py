@@ -79,13 +79,13 @@ def test_phase_at_wraparound_top():
 
 @st.composite
 def _kernel_args(draw):
-    # (a, bs, c, k0): operands past the modulus, and bs one row or a list
-    # of 1-5 rows.  st.integers favours small values, whose top 128 bits
+    # (a, bs, c, k0): operands past the modulus, bs 1-5 linear
+    # coefficients.  st.integers favours small values, whose top 128 bits
     # are zero, so half the operands are uniform over every bit.
     top = 1 << 264
     uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(top + 1))
     big = st.one_of(st.integers(0, top), uniform)
-    bs = draw(st.one_of(big.map(lambda b: [b]), st.lists(big, min_size=1, max_size=5)))
+    bs = draw(st.lists(big, min_size=1, max_size=5))
     return draw(big), bs, draw(big), draw(st.integers(0, 1 << 64))
 
 
@@ -97,12 +97,13 @@ def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
     # four-limb kernel's phases bit for bit
     a, bs, c, k0 = args
     blen = drawn if blen is None else blen
-    got = _engine._phase_block(a, bs, c, k0, blen)
-    want = phase_block_limbs(a, bs, c, k0, blen)
-    assert got.dtype == np.uint64
-    assert got.shape == want.shape == (len(bs), blen)
-    phases = got.astype(np.float64) * 2.0 ** -64
-    assert np.array_equal(phases.view(np.uint64), want.view(np.uint64))
+    for b in bs:
+        got = _engine._phase_block(a, b, c, k0, blen)
+        want = phase_block_limbs(a, b, c, k0, blen)
+        assert got.dtype == np.uint64
+        assert got.shape == want.shape == (blen,)
+        phases = got.astype(np.float64) * 2.0 ** -64
+        assert np.array_equal(phases.view(np.uint64), want.view(np.uint64))
 
 
 def _mp_error(z, word):
@@ -279,26 +280,9 @@ def test_threaded_sums_equal_sequential_reference(monkeypatch, n, operand_bits):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("operand_bits", [256, 257])
-@pytest.mark.parametrize("n", [0, 1, 7, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-def test_qsum_rows_equal_qsum_per_row(monkeypatch, n, operand_bits):
-    rng = random.Random(3 * n + operand_bits)
-    (a, c), (a_red, c_red) = _operands(rng, operand_bits, 2)
-    # linear coefficients past 2**256 too: the kernel reduces them mod 2**256
-    bs = [rng.randrange(1 << 300) for _ in range(5)] + [1 << 256, 0]
-    # the one-thread 1-D reference, not qsum, which is qsum_rows' one-row case
-    want = np.array([_sequential_qsum(a_red, b % MODULUS, c_red, n) for b in bs], dtype=np.complex128)
-    assert _engine.qsum_rows(a, bs, c, n).tobytes() == want.tobytes()
-    # three rows per batch of rows, and two threads over the blocks
-    monkeypatch.setattr(_engine, "_ROW_PHASES", 3 * min(max(n, 1), CHUNK))
-    monkeypatch.setattr(_engine, "_WORKERS", 2)
-    assert _engine.qsum_rows(a, bs, c, n).tobytes() == want.tobytes()
-    assert _engine.qsum_rows(a, [], c, n).shape == (0,)
-
-
 def test_block_total_matches_one_dimensional_sum():
-    # a row's block partials are summed in the order np.sum takes for one
-    # contiguous 1-D array of them
+    # each column's block partials (a moment order's) are summed in the
+    # order np.sum takes for one contiguous 1-D array of them
     rng = np.random.default_rng(5)
     for blocks in [*range(1, 300), 1000, 4097, 32768]:
         partials = rng.standard_normal((blocks, 3)) * 1e3

@@ -2,8 +2,8 @@
 private top-level helper of the package is used somewhere, every
 public top-level name is read by the package or by perfbench, not only by
 tests, every defaulted parameter of a public function is set by some call
-there too, and every record of data/calibration.json is read by the
-package.
+there too, every record of data/calibration.json is read by the
+package, and every name or path the README quotes still exists.
 
 No lint tool is a dependency, so the checks parse each module with the
 standard library's ast.  The package's __init__ is left out of the first
@@ -12,7 +12,10 @@ exports.
 """
 
 import ast
+import functools
+import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,8 @@ import weyl_lab
 PACKAGE = Path(weyl_lab.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
-PERFBENCH = TESTS.parent / "perfbench"
+ROOT = TESTS.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -292,3 +296,52 @@ def test_guard_sees_a_calibration_record_nothing_reads():
     }
     keys = ["dotted", "gated", "named", "stored"]
     assert _unread_calibration_keys(sources, keys) == ["named", "stored"]
+
+
+def _resolves(token: str) -> bool:
+    # a repository file, or a weyl_lab module or attribute: a dotted name
+    # starts at a module, a bare one may be an attribute of any module
+    if (ROOT / token).exists() or (PACKAGE / token).exists():
+        return True
+    parts = token.split(".")
+    if parts[0] == "weyl_lab":
+        parts = parts[1:]
+    if not parts:
+        return True
+    modules = {p.stem: importlib.import_module(f"weyl_lab.{p.stem}") for p in MODULES}
+    if parts[0] in modules:
+        starts, parts = [modules[parts[0]]], parts[1:]
+    else:
+        starts = list(modules.values())
+    for obj in starts:
+        try:
+            functools.reduce(getattr, parts, obj)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def _unresolved_readme_tokens(text: str) -> list[str]:
+    """The backticked tokens of a README, outside fenced blocks, that hold
+    `_` or `.` and name no weyl_lab module, no attribute of one and no
+    file of the repository."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    tokens = [t for t in spans if re.fullmatch(r"[A-Za-z_][\w./]*", t) and re.search(r"[_.]", t)]
+    return [t for t in tokens if not _resolves(t)]
+
+
+def test_readme_names_only_what_exists():
+    assert _unresolved_readme_tokens((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_stale_readme_token():
+    text = (
+        "`weyl_lab.weylsum`, `experiments.REFERENCE_THETA`, `cli._report` and\n"
+        "`weyl_sum` in `tests/test_imports.py`, `perfbench/` and `data/calibration.json`;\n"
+        "`qsum_rows`, `weyl_lab.nowhere`, `cli.nothing`, `docs/gone.md`,\n"
+        "`a(x, n)`, `--samples=1500`, `error:` and `pytest`\n"
+        "```\nrun `gone_too`\n```\n"
+    )
+    stale = ["qsum_rows", "weyl_lab.nowhere", "cli.nothing", "docs/gone.md"]
+    assert _unresolved_readme_tokens(text) == stale

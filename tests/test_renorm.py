@@ -194,6 +194,10 @@ def test_b_level_measure_positive():
     est = b_level_measure(GOLDEN, 0, 1.0, 20_000, seed=3)
     assert est.extras["b_length"] == 7
     assert est.estimate >= 0.05
+    # and C0 must be positive and finite
+    for c0 in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="C0 must be positive and finite"):
+            b_level_measure(GOLDEN, 0, c0, 100, seed=3)
 
 
 def test_b_level_measure_len2_analytic():

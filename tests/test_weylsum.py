@@ -25,10 +25,10 @@ from weyl_lab.exactangle import (
 )
 from weyl_lab.weylsum import (
     SkewPoint,
+    _sin_ratios,
     dirichlet_b,
     dirichlet_b_closed,
     dirichlet_b_moduli,
-    dirichlet_b_over_x,
     parseval_estimate,
     parseval_estimates,
     psi,
@@ -255,8 +255,10 @@ def test_dirichlet_closed_near_singular():
 def test_dirichlet_b_over_x_equals_single_sums(m):
     rng = random.Random(48 + m)
     xs = [Angle(rng.randrange(MODULUS)) for _ in range(40)] + [ZERO, angle_from_rational(1, 2)]
-    want = np.array([dirichlet_b(x, m) for x in xs], dtype=np.complex128)
-    assert dirichlet_b_over_x(xs, m).tobytes() == want.tobytes()
+    # the closed-form moduli the level sets read, against direct sums
+    got = np.array([_sin_ratios(x, (m,))[0] for x in xs])
+    want = np.abs([dirichlet_b(x, m) for x in xs])
+    assert np.max(np.abs(got - want)) <= m * 2.0**-51
 
 
 def test_dirichlet_moduli_batch():
