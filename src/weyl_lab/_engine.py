@@ -3,13 +3,12 @@
 Every sum lies on exactangle's 2**-256 grid: the phase numerator
 N_k = (A*k^2 + B*k + C) mod 2**256 is computed block-wise, block
 boundaries exactly with Python integers, and inside a block as
-N_k0 + j*D + j*(j-1)*A' on the top 128 bits of each operand, each split
-into three uint64 words: bits 0-31, 32-63 and 64-127.  The two low words
-only carry into bit 64, and with blen <= CHUNK = 2**15 each of their
-sums stays below 2**63.  The top word is summed in uint64, which wraps
-mod 2**64 as the phase does.  It is the phase word w, phase =
-w * 2**-64: the low bits dropped from each operand sum to under 2**-97 of
-a turn, so w is the exact top word or one below it (a one-sided slack).
+N_k0 + j*D + j*(j-1)*A' on the top 96 bits of each operand in two uint64
+words: bits 160-191, whose sum (< 2**62 for blen <= CHUNK = 2**15) only
+carries, and bits 192-255, summed mod 2**64 as the phase wraps.  That is
+the phase word w, phase = w * 2**-64: the dropped low bits sum to under
+2**160 (1 + j + j(j-1)) < 2**190 grid units, 2**-66 of a turn, so w is
+the exact top word or one below it (a one-sided slack).
 
 e(w 2**-64) is e_phase(w) = T1[w >> 48] * T2[(w >> 32) & 0xFFFF] *
 (1 + 2 pi i r), r = (w & 0xFFFFFFFF) * 2**-64, with T1[i] = e(i 2**-16) and
@@ -89,9 +88,8 @@ _JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
 
 
 def _words(value: int) -> tuple:
-    """(bits 0-31, bits 32-63, bits 64-127) of a 128-bit int, as uint64."""
-    lo, mid, hi = value & 0xFFFFFFFF, value >> 32 & 0xFFFFFFFF, value >> 64
-    return np.uint64(lo), np.uint64(mid), np.uint64(hi)
+    """(bits 0-31, bits 32-95) of a 96-bit int, as uint64."""
+    return np.uint64(value & 0xFFFFFFFF), np.uint64(value >> 32)
 
 
 def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
@@ -99,14 +97,12 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     kernel."""
     a %= MODULUS
     # N_k0 and the first difference N_k0+1 - N_k0
-    n_lo, n_mid, n_hi = _words((a * k0 * k0 + b * k0 + c) % MODULUS >> 128)
-    d_lo, d_mid, d_hi = _words((a * (2 * k0 + 1) + b) % MODULUS >> 128)
-    a_lo, a_mid, a_hi = _words(a >> 128)
+    n_lo, n_hi = _words((a * k0 * k0 + b * k0 + c) % MODULUS >> 160)
+    d_lo, d_hi = _words((a * (2 * k0 + 1) + b) % MODULUS >> 160)
+    a_lo, a_hi = _words(a >> 160)
     j = _J_FULL[:blen]
     jj = _JJ_FULL[:blen]
     carry = n_lo + j * d_lo + jj * a_lo
-    carry >>= _SH32
-    carry += n_mid + j * d_mid + jj * a_mid
     carry >>= _SH32
     return n_hi + j * d_hi + jj * a_hi + carry
 

@@ -77,10 +77,38 @@ def test_phase_at_wraparound_top():
     assert int(words[0]) == (1 << 64) - 1
 
 
+def _block_slack(a, b, c, k0, js):
+    # exact top word minus _phase_block's word, mod 2**64, at each j in js
+    words = _engine._phase_block(a, b, c, k0, CHUNK)
+    return {((_phase_at(a, b, c, k0 + j) >> 192) - int(words[j])) % (1 << 64) for j in js}
+
+
+_SAMPLED_J = [*range(0, CHUNK, 97), CHUNK - 1]
+
+
+def test_phase_block_slack_at_worst_residual():
+    # every bit below 2**160 set in N_0 = c, D = a + b and A' = a: the
+    # dropped bits sum to (2**160 - 1)(1 + j + j(j-1)), the kernel's largest
+    # residual, just under 2**-66 of a turn at j = CHUNK - 1
+    rng = random.Random(22)
+    low = (1 << 160) - 1
+    a, c = (rng.randrange(1 << 96) << 160 | low for _ in range(2))
+    b = rng.randrange(1 << 96) << 160
+    assert _block_slack(a, b, c, 0, _SAMPLED_J) <= {0, 1}
+
+
+@pytest.mark.parametrize("k0", [10**9, 1 << 40], ids=["1e9", "2**40"])
+def test_phase_block_slack_at_large_k(k0):
+    rng = random.Random(k0)
+    for _ in range(3):
+        a, b, c = (rng.randrange(MODULUS) for _ in range(3))
+        assert _block_slack(a, b, c, k0, _SAMPLED_J) <= {0, 1}
+
+
 @st.composite
 def _kernel_args(draw):
     # (a, bs, c, k0): operands past the modulus, bs 1-5 linear
-    # coefficients.  st.integers favours small values, whose top 128 bits
+    # coefficients.  st.integers favours small values, whose top 96 bits
     # are zero, so half the operands are uniform over every bit.
     top = 1 << 264
     uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(top + 1))
@@ -93,8 +121,8 @@ def _kernel_args(draw):
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
 @given(args=_kernel_args(), drawn=st.integers(1, CHUNK))
 def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
-    # the three-word kernel's words, as phases w * 2**-64, give the
-    # four-limb kernel's phases bit for bit
+    # the two-word kernel's words on the top 96 bits of each operand, as
+    # phases w * 2**-64, give the three-limb kernel's phases bit for bit
     a, bs, c, k0 = args
     blen = drawn if blen is None else blen
     for b in bs:
