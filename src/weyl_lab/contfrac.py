@@ -198,8 +198,11 @@ def f_witness(cf: ContinuedFraction, eps: float, theta: Angle) -> FClassCert:
         dist = dist_to_int_exact(scale_mod1(theta, conv.q))
         if dist * (1 << _GRID_FLOOR_SHIFT) < conv.q:
             continue  # at grid floor: excluded
-        value = float(conv.q) ** (3.0 + eps) * float(dist)
-        witnesses.append((conv.index, value))
+        try:
+            power = float(conv.q) ** (3.0 + eps)
+        except OverflowError:
+            raise ValueError(f"eps = {eps}: q^(3+eps) overflows a float at q = {conv.q}") from None
+        witnesses.append((conv.index, power * float(dist)))
     min_witness = min((w for _, w in witnesses), default=float("inf"))
     return FClassCert(
         eps=eps,

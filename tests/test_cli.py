@@ -299,8 +299,22 @@ def test_cli_refuses_sizes_past_the_measured_peak(monkeypatch, capsys, argv, mod
         ["construct", "--eps", "inf"],
         ["sum", "--theta", "construct:inf,3", "--n", "10"],
         ["construct", "--eps", "1e10"],
+        ["schedule", "--theta", "golden", "--eps", "80"],
+        ["resume", "--theta", "golden", "--eps", "80"],
+        ["box", "--theta", "golden", "--eps", "80"],
+        ["construct", "--eps", "400", "--levels", "3", "--seed-quotients", "2,3,5"],
     ],
-    ids=["no-cell-in-disk", "inf-radius", "inf-eps", "inf-eps-theta", "huge-eps"],
+    ids=[
+        "no-cell-in-disk",
+        "inf-radius",
+        "inf-eps",
+        "inf-eps-theta",
+        "huge-eps",
+        "overflow-eps-schedule",
+        "overflow-eps-resume",
+        "overflow-eps-box",
+        "overflow-eps-construct",
+    ],
 )
 def test_cli_uncoverable_disk_or_unbuildable_eps_exits_2(capsys, argv):
     assert cli.main(argv) == 2
