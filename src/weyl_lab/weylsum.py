@@ -71,10 +71,28 @@ class Trajectory:
 
 
 def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
-    """a(x, y, n) = sum_{k<n} e(k^2*theta + 2kx + y)."""
+    """a(x, y, n) = sum_{k<n} e(k^2*theta + 2kx + y): a direct sum below
+    _engine.BLOCKS_FROM terms, and from there blocks of B = 2 floor(sqrt(n))
+    terms through the non-uniform FFT (_engine.qsum_blocks), one row of B
+    coefficients e(j^2 theta) evaluated at the n // B block points, then a
+    direct tail of m = n mod B terms.
+
+    Error of the blocks, a priori: each block's row sum is within the
+    evaluator's (1.25 B + 4) 2**-51 of the direct row sum (the bound
+    weyl_sums_over_x states), which is within B 2**-51 of the exact one;
+    its prefactor, one e(phi) within 2**-51, adds at most B 2**-51 more;
+    and the tail adds m 2**-51.  In all
+    |error| <= ((3.25 B + 4) (n // B) + m) 2**-51 <= (3.25 n + 2 sqrt(n)) 2**-51,
+    about 3.25 times a direct sum's n 2**-51.  Measured, the difference
+    from the direct sum is far smaller where |a| is small (about 1e-3 n
+    2**-51 at random theta, n = 1e5-2e6) and reaches 0.55 n 2**-51 at
+    theta = floor(2**256/3) 2**-256, where |a| is near 0.58 n.
+    A sum whose row, fine grid and block points would exceed physical
+    memory raises ValueError before anything is allocated."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _engine.qsum(theta.numerator, 2 * x.numerator, y.numerator, n)
+    engine_sum = _engine.qsum_blocks if n >= _engine.BLOCKS_FROM else _engine.qsum
+    return engine_sum(theta.numerator, 2 * x.numerator, y.numerator, n)
 
 
 def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
@@ -120,9 +138,7 @@ def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray
     _check_sums_fit(ns)
     n_max = max(ns, default=0)
     out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
-    coeffs = np.zeros(n_max, dtype=np.complex128)
-    for k0, words in _engine.phase_chunks(theta.numerator, 0, 0, coeffs.size):
-        coeffs[k0 : k0 + words.size] = _engine.e_phase(words)
+    coeffs = _engine._terms(theta.numerator, 0, 0, n_max)
     # the top 128 bits of u = 2x mod 1 are bits 254..127 of x's numerator
     x_words = np.frombuffer(b"".join([x.numerator.to_bytes(32, "big") for x in xs]), dtype=">u8")
     x_words = x_words.reshape(len(xs), 4).astype(np.uint64)

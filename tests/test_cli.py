@@ -195,6 +195,7 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         # sums too long for memory, refused before the coefficient row
         ["parseval", "--theta", "golden", "--q", "1000000000000"],
         ["growth", "--theta", "golden", "--schedule", "100,1000000000000"],
+        ["sum", "--theta", "golden", "--n", "100000000000000000000"],
         # tables and draw counts too large for memory, refused before they
         # are allocated
         ["density", "--theta", "golden", "--n", "10", "--radius", "1e300", "--cell", "1e-300"],
@@ -213,6 +214,7 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         "resume-inf-delta",
         "parseval-huge-q",
         "growth-huge-n",
+        "sum-huge-n",
         "density-inf-table",
         "density-huge-table",
         "growth-huge-grid",

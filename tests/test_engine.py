@@ -120,7 +120,7 @@ def _kernel_args(draw):
 @pytest.mark.parametrize("blen", [1, 2, 7, CHUNK - 1, CHUNK, None], ids=str)
 @settings(deadline=None, derandomize=True, database=None, max_examples=40)
 @given(args=_kernel_args(), drawn=st.integers(1, CHUNK))
-def test_phase_block_equals_four_limb_oracle(blen, args, drawn):
+def test_phase_block_equals_three_limb_oracle(blen, args, drawn):
     # the two-word kernel's words on the top 96 bits of each operand, as
     # phases w * 2**-64, give the three-limb kernel's phases bit for bit
     a, bs, c, k0 = args

@@ -7,6 +7,7 @@ Runs are derandomized, so every run of the suite sees the same examples.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -81,6 +82,46 @@ def test_weyl_sum_over_x_matches_direct_sums(theta, x, n, node, nudge):
     xs = [x, ZERO, HALF, Angle(twice % MODULUS >> 1)]
     direct = np.array([weyl_sum(theta, point, ZERO, n) for point in xs])
     assert np.max(np.abs(weyl_sum_over_x(theta, xs, n) - direct)) <= (1.25 * n + 4) * 2.0**-51
+
+
+def _block_bound(n: int) -> float:
+    # weyl_sum's a-priori error bound for its blocks of B terms and its tail
+    # of m terms (see its docstring)
+    size = 2 * isqrt(n)
+    return ((3.25 * size + 4) * (n // size) + n % size) * 2.0**-51
+
+
+THIRD = Angle(MODULUS // 3)
+CROSSOVER = _engine.BLOCKS_FROM
+
+
+@PROPERTY
+@given(
+    theta=thetas | st.sampled_from([THIRD]),
+    x=angles | st.just(ZERO),
+    y=angles,
+    n=st.integers(CROSSOVER, 2 * 10**6),
+)
+@example(theta=ZERO, x=ZERO, y=ZERO, n=CROSSOVER)
+@example(theta=HALF, x=ZERO, y=ZERO, n=CROSSOVER - 1)
+@example(theta=HALF, x=Angle(12345), y=Angle(7), n=CROSSOVER)
+@example(theta=angle_from_rational(1, 4), x=Angle(12345), y=ZERO, n=10**6 + 1)
+@example(theta=angle_from_rational(3, 8), x=ZERO, y=Angle(7), n=2 * 10**6)
+@example(theta=THIRD, x=ZERO, y=ZERO, n=2 * 10**6)
+@example(theta=THIRD, x=GOLDEN, y=ZERO, n=1999 * 1001)
+# B = 2 isqrt(n) divides n (at the crossover too): the tail is empty
+@example(theta=THIRD, x=HALF, y=ZERO, n=1414**2)
+@example(theta=GOLDEN, x=ZERO, y=ZERO, n=10**6)
+def test_weyl_sum_blocks_match_direct_sums(theta, x, y, n):
+    # weyl_sum takes blocks from the crossover on and the direct engine
+    # below it; the two agree within the blocks' a-priori bound plus the
+    # direct sum's own n 2^-51
+    args = theta.numerator, 2 * x.numerator, y.numerator, n
+    direct = _engine.qsum(*args)
+    engine_sum = _engine.qsum_blocks if n >= CROSSOVER else _engine.qsum
+    got = weyl_sum(theta, x, y, n)
+    assert got == engine_sum(*args)
+    assert abs(got - direct) <= _block_bound(n) + n * 2.0**-51
 
 
 continued_fractions = st.builds(

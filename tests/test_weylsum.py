@@ -84,11 +84,17 @@ def test_dyadic_gauss_formula_matches_brute_force():
             assert np.max(np.abs(brute - _dyadic_gauss(a, k, s))) < 1e-9
 
 
-def _dyadic_gauss_error(a: int, b: int, s: int, c: int) -> float:
+def _engine_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
+    # a(x, y, n) by the direct engine at every n, which weyl_sum leaves for
+    # blocks from _engine.BLOCKS_FROM terms on
+    return _engine.qsum(theta.numerator, 2 * x.numerator, y.numerator, n)
+
+
+def _dyadic_gauss_error(a: int, b: int, s: int, c: int, total=_engine_sum) -> float:
     # theta = a/2^s and 2x = b/2^s lie on the grid and k^2*theta + 2kx mod 1
     # has period 2^s, so a(x, 0, c*2^s) = c*G(a, b; 2^s)
     x = angle_from_rational(b, 1 << (s + 1))
-    z = weyl_sum(angle_from_rational(a, 1 << s), x, ZERO, c << s)
+    z = total(angle_from_rational(a, 1 << s), x, ZERO, c << s)
     return abs(z - c * complex(_dyadic_gauss(a, b, s)))
 
 
@@ -104,14 +110,22 @@ def _dyadic_gauss_error(a: int, b: int, s: int, c: int) -> float:
     ],
 )
 def test_weyl_sum_matches_dyadic_gauss_closed_form_at_large_n(a, b, c):
+    # the direct engine's large-n claim
     assert _dyadic_gauss_error(a, b, 20, c) <= (c << 20) * 2.0 ** -51
 
 
 @pytest.mark.slow
 def test_weyl_sum_matches_dyadic_gauss_closed_form_at_n_2_30():
-    # the large-n claim at n = 2^30 ~ 1.07e9 terms (about a minute on 2 cores)
+    # the direct engine's large-n claim at n = 2^30 ~ 1.07e9 terms (about a
+    # minute on 2 cores)
     n = 1024 << 20
     assert _dyadic_gauss_error(12345, 0, 20, 1024) <= n * 2.0 ** -51
+
+
+def test_weyl_sum_blocks_match_dyadic_gauss_closed_form_at_n_2_30():
+    # the same sum through weyl_sum's blocks, within the same budget
+    n = 1024 << 20
+    assert _dyadic_gauss_error(12345, 0, 20, 1024, weyl_sum) <= n * 2.0 ** -51
 
 
 def _jacobi(a: int, c: int) -> int:
@@ -152,13 +166,13 @@ def test_prime_gauss_formula_matches_brute_force():
             assert abs(brute - _gauss(a, b, c)) < 1e-9
 
 
-def _gauss_error(a: int, b: int, c: int, reps: int) -> float:
+def _gauss_error(a: int, b: int, c: int, reps: int, total=_engine_sum) -> float:
     # theta = a/c and 2x = b/c off the dyadic grid: k^2 theta + 2kx mod 1
     # has period c, so a(x, 0, reps c) = reps G(a, b; c); rounding theta
     # and x to the grid moves each phase by under n^2 2^-256
     theta = angle_from_rational(a, c)
     x = angle_from_rational(b * pow(2, -1, c), c)
-    return abs(weyl_sum(theta, x, ZERO, reps * c) - reps * _gauss(a, b, c))
+    return abs(total(theta, x, ZERO, reps * c) - reps * _gauss(a, b, c))
 
 
 @pytest.mark.parametrize(
@@ -171,13 +185,20 @@ def _gauss_error(a: int, b: int, c: int, reps: int) -> float:
     ],
 )
 def test_weyl_sum_matches_prime_gauss_closed_form_at_large_n(a, b, p):
-    # n ~ 1e8 terms; theta = 777777/999983 >= 1/2
+    # the direct engine at n ~ 1e8 terms; theta = 777777/999983 >= 1/2
     assert _gauss_error(a, b, p, 100) <= 100 * p * 2.0 ** -51
 
 
 @pytest.mark.slow
 def test_weyl_sum_matches_prime_gauss_closed_form_at_n_1e9():
+    # the direct engine
     assert _gauss_error(777_777, 31_337, 999_983, 1000) <= 1000 * 999_983 * 2.0 ** -51
+
+
+def test_weyl_sum_blocks_match_prime_gauss_closed_form_at_n_1e9():
+    # the same sum through weyl_sum's blocks, within the same budget
+    error = _gauss_error(777_777, 31_337, 999_983, 1000, weyl_sum)
+    assert error <= 1000 * 999_983 * 2.0 ** -51
 
 
 def test_weyl_sum_trivial_values():
@@ -369,9 +390,8 @@ def test_psi_matches_dyadic_gauss_closed_form_at_large_k():
     assert _dyadic_psi_error(699051, 20, 32) <= (32 << 21) * 2.0 ** -51
 
 
-@pytest.mark.slow
 def test_psi_matches_dyadic_gauss_closed_form_at_k_2_30():
-    # the large-k claim at k = 2^30 ~ 1.07e9 terms
+    # the large-k claim at k = 2^30 ~ 1.07e9 terms, through weyl_sum's blocks
     assert _dyadic_psi_error(699051, 20, 512) <= (512 << 21) * 2.0 ** -51
 
 
