@@ -24,8 +24,8 @@ REPORT_SHA256 = {
     "E4": "8fc6e13318101549f31c1623b065056ccd1a370ae74a830e5431beb306f403e7",
     "E5": "52a3f0f8f6e563c4ea96d35dcd0acc9ecf34695e1f34acb5df73949832dcd958",
     "E6": "b31d75f6fb5a4dc3324da1205110b3005d60bcacb7708c4663582ebd54c28d56",
-    "E7": "6b6883d61ed8aac02027da552525f67ec05bd91e73f872fd17636236a456a386",
-    "E8": "96e602566dd508f9b631e43841a2b617f230851bf2bd4d2dcd820641bfb8b3da",
+    "E7": "b0d068e94312872503724a41f331ba4272e7410c24e9028696a89045daa94726",
+    "E8": "eada202e713cd73fefde6fe25746c260e8b5f1bc5233695ebe1ce582d1bea837",
     "E9": "fd21d2f9fb866d372dcc58d893a99d6a1c051e5382e9a53ad31c04341b523462",
     "E10": "db750007c2d2e179f90dc92c60de451eabcb3d8b04f3aee93a0604d70da1c276",
 }
