@@ -9,8 +9,9 @@ Central objects:
 All phases come from the exact grid engine and e(phi) from its table kernel
 on the exact top 64 bits of each phase, within 2**-51 per term: a direct
 sum's |sum| error stays below n * 2**-51.  Summation is ascending in k
-with pairwise accumulation inside each block.  weyl_sums_over_x, which
-evaluates many x at once by a non-uniform FFT, states its own bound.
+with pairwise accumulation inside each block.  weyl_sum on long sums,
+which it takes by blocks through a non-uniform FFT, and weyl_sums_over_x,
+which evaluates many x at once by one, state their own bounds.
 """
 
 from __future__ import annotations

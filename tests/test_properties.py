@@ -1,5 +1,6 @@
 """Property tests: the cocycle law, the skew-shift group law, the evaluator
-over many x against direct sums, the continued-fraction round trip, the
+over many x and weyl_sum's blocks against direct sums, the
+continued-fraction round trip, the
 finite-expansion flag of the class-F certificate and the exact snap of
 doubles, over hypothesis-drawn inputs.
 
@@ -97,7 +98,7 @@ CROSSOVER = _engine.BLOCKS_FROM
 
 @PROPERTY
 @given(
-    theta=thetas | st.sampled_from([THIRD]),
+    theta=thetas | st.just(THIRD),
     x=angles | st.just(ZERO),
     y=angles,
     n=st.integers(CROSSOVER, 2 * 10**6),
