@@ -21,9 +21,9 @@ worst is 0.57 * 2**-51 per term, and a test holds it to 2**-51; cos/sin of
 a float64 phase, the earlier kernel, reached 2.3 * 2**-51.
 
 Reduction: each block of a sum is reduced by np.sum (never np.dot, whose
-order follows the BLAS thread count), then one pairwise pass runs over the
-block partials laid out contiguously, in the order of one contiguous 1-D
-array (_block_total).  qsum_moments reduces each order's block partials
+order follows the BLAS thread count) in the calling thread, as the engine
+starts no thread; then one pairwise pass runs over the block partials laid
+out contiguously, in the order of one contiguous 1-D array (_block_total).  qsum_moments reduces each order's block partials
 the same way, so its S_0 is qsum bit for bit.
 
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
@@ -42,49 +42,36 @@ with u = 0, and sums of fewer than two terms, are exact.  Cost:
 O(L log L) per call and w taps per point, against n per point for a
 direct sum; the error bound is stated at weylsum.weyl_sums_over_x.
 
-Long sums by blocks: qsum_blocks splits k = q B + j, B = 2 floor(sqrt(n)),
-so that with K = (n // B) B and m = n - K
-    sum_{k<n} e(phi_k) = sum_{q < n // B} e(phi_{qB}) P(u_q) + tail,
+Long sums by blocks: block_sums gives the sums of consecutive blocks of
+B terms, k = q B + j, from one row:
+    sum_{j<B} e(phi_{qB+j}) = e(phi_{qB}) P(u_q),
     P(u) = sum_{j<B} e(A j^2 2**-256) e(j u),  u_q = (2 A B q + B') 2**-256,
 where B' is the linear coefficient.  The row of B coefficients comes from
 phase_chunks and e_phase, and poly_eval_unit_circle evaluates P at all
-n // B points in one call, each point's top 128 bits taken as exact
+block points in one call, each point's top 128 bits taken as exact
 integer words of its numerator (theta and x never become floats).  The
 block prefactors e(phi_{qB}) are the quadratic phase (A B^2, B' B, C) in
-q, so they come from the same kernel, and the tail, the last m < B terms,
-is one direct qsum at the shifted coefficients (A, 2 A K + B',
-A K^2 + B' K + C).  Cost: O(B log B) for the FFT over a fine grid of
-about 2B points, 18 taps per block point and n / B + m kernel terms, so
-O(sqrt(n) log n) against n for a direct sum.  BLOCKS_FROM = 2**14 is where
-the two meet (best of 7 on a 2-core Xeon VM: 0.25 against 0.28 ms at
-n = 2**14, 0.58 against 0.34 ms at 2**15, 17 against 0.64 ms at 10**6;
-2**30 terms take 19 ms).  The direct engine stays below it, for partial
-sums (qsum_partials) and moments (qsum_moments).  The error bound is
-stated at weylsum.weyl_sum.  The row and the prefactors are made in the
-calling thread; only a tail longer than CHUNK (n above about 2**28) runs
-on threads, as any qsum does.
-
-Threads: a sum of more than one block is split into min(W, blocks)
-contiguous runs of whole blocks, W being the number of cores in the
-process's affinity mask (handing off one block at a time gained nothing on
-two cores).  The caller runs the first run and an executor opened for that
-one call runs the others in numpy ufuncs, which release the GIL; no engine
-thread outlives its call, so importing starts none and a forked child
-starts its own.  Each block depends on its own k0 alone and
-block results are reduced in block order, so results do not depend on W.
-Single-block calls start no thread, and qsum_partials, streamed block by
-block, none at all.  Worker threads call only private helpers and e_phase,
-never an entry point, so a wrapper on one of those runs in the caller.
+q, so they come from the same kernel.  Cost: O(B log B) for the FFT over
+a fine grid of about 2B points, then 18 taps and one kernel term per
+block.  It serves two callers.  qsum_blocks sums n terms with
+B = 2 floor(sqrt(n)): the n // B block sums, then the tail, the last
+m = n mod B terms, as one direct qsum at the shifted coefficients
+(A, 2 A K + B', A K^2 + B' K + C), K = n - m; O(sqrt(n) log n) in all,
+against n for a direct sum.  BLOCKS_FROM = 2**14 is where the two meet
+(best of 7 on a 2-core Xeon VM: 0.25 against 0.28 ms at n = 2**14, 0.58
+against 0.34 ms at 2**15, 17 against 0.64 ms at 10**6; 2**30 terms take
+19 ms).  weylsum.trajectory takes B = stride, and its points are the
+cumulative sums of the blocks.  The direct engine stays below the
+crossover, for partial sums (qsum_partials) and moments (qsum_moments).
+The error bounds are stated at weylsum.weyl_sum and weylsum.trajectory.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -131,16 +118,16 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     return n_hi + j * d_hi + jj * a_hi + carry
 
 
-def _blocks(a: int, b: int, c: int, lo: int, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(k0, words) for each block of k = lo .. hi-1, the one block loop."""
-    for k0 in range(lo, hi, CHUNK):
-        yield k0, _phase_block(a, b, c, k0, min(CHUNK, hi - k0))
+def _blocks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(k0, words) for each block of k = 0 .. n-1, the one block loop."""
+    for k0 in range(0, n, CHUNK):
+        yield k0, _phase_block(a, b, c, k0, min(CHUNK, n - k0))
 
 
 def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (k0, words) uint64 arrays covering k = 0 .. n-1: the phase of
     term k is words[k - k0] * 2**-64, its word (see the module doc)."""
-    yield from _blocks(a, b, c, 0, n)
+    yield from _blocks(a, b, c, n)
 
 
 @functools.cache
@@ -177,36 +164,6 @@ def e_phase(words: np.ndarray) -> np.ndarray:
     return z
 
 
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity mask on this platform
-    _WORKERS = os.cpu_count() or 1
-
-
-def _blockwise(block: Callable, a: int, b: int, c: int, n: int, *args) -> list:
-    """[block(k0, words, *args) for each block of k < n], in block order,
-    over at most _WORKERS contiguous runs of blocks (see the module doc)."""
-
-    def run(lo: int, hi: int) -> list:
-        return [block(k0, words, *args) for k0, words in _blocks(a, b, c, lo, hi)]
-
-    blocks = -(-n // CHUNK)
-    runs = min(_WORKERS, blocks)
-    if runs <= 1:
-        return run(0, n)
-    cuts = [i * blocks // runs * CHUNK for i in range(runs)] + [n]
-    with ThreadPoolExecutor(runs - 1) as pool:
-        rest = [pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        out = run(cuts[0], cuts[1])
-        for fut in rest:
-            out += fut.result()
-    return out
-
-
-def _block_sum(k0: int, words: np.ndarray) -> complex:
-    return np.sum(e_phase(words))
-
-
 def _block_total(partials: list) -> np.ndarray:
     # one pairwise pass over the block partials (over each order's, for
     # moments) laid out contiguously: a strided reduction would add them
@@ -217,7 +174,7 @@ def _block_total(partials: list) -> np.ndarray:
 def qsum(a: int, b: int, c: int, n: int) -> complex:
     """sum_{k<n} e((A k^2 + B k + C)/2**256), reduced block by block (see
     the module doc)."""
-    return complex(_block_total(_blockwise(_block_sum, a, b, c, n)))
+    return complex(_block_total([np.sum(e_phase(words)) for _, words in _blocks(a, b, c, n)]))
 
 
 # qsum_blocks is faster than qsum from about this many terms (see the module doc)
@@ -232,14 +189,22 @@ def _terms(a: int, b: int, c: int, n: int) -> np.ndarray:
     return out
 
 
-def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
-    """qsum(a, b, c, n) for n >= 1 by blocks of one coefficient row through
-    poly_eval_unit_circle (see the module doc)."""
-    size = 2 * math.isqrt(n)
-    blocks = n // size
-    # peak bytes, by peak RSS in a child process: 16 per row term and 50
-    # per fine-grid point (as weylsum._check_sums_fit), under 100 per block
-    _check_fits(16 * size + 50 * _fine_len(size) + 100 * blocks, 1, f"the sum of n = {n}")
+def _blocks_bytes(size: int, blocks: int) -> int:
+    """block_sums' peak bytes, by peak RSS in a child process: 16 per row
+    term and 50 per fine-grid point (as weylsum._check_sums_fit), under
+    100 per block."""
+    return 16 * size + 50 * _fine_len(size) + 100 * blocks
+
+
+def shifted(a: int, b: int, c: int, k: int) -> tuple[int, int, int]:
+    """The coefficients of the phase of term k + j as a quadratic in j."""
+    return a, 2 * a * k + b, a * k * k + b * k + c
+
+
+def block_sums(a: int, b: int, c: int, size: int, blocks: int) -> np.ndarray:
+    """The sums of the terms k = q size .. (q + 1) size - 1 for q < blocks,
+    by one row of size coefficients through poly_eval_unit_circle (see the
+    module doc)."""
     row = _terms(a, 0, 0, size)
     # block q starts at k = q size; its point u = (2 A q size + B) 2**-256,
     # whose top 128 bits are exact words
@@ -249,8 +214,17 @@ def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
     body = poly_eval_unit_circle(row, rho)
     # each block's prefactor, the quadratic phase (A size^2) q^2 + (B size) q + C
     body *= _terms(a * size * size, b * size, c, blocks)
+    return body
+
+
+def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
+    """qsum(a, b, c, n) for n >= 1: block_sums over blocks of
+    2 floor(sqrt(n)) terms, then a direct tail (see the module doc)."""
+    size = 2 * math.isqrt(n)
+    blocks = n // size
+    _check_fits(_blocks_bytes(size, blocks), 1, f"the sum of n = {n}")
     k = blocks * size
-    return complex(np.sum(body) + qsum(a, 2 * a * k + b, a * k * k + b * k + c, n - k))
+    return complex(np.sum(block_sums(a, b, c, size, blocks)) + qsum(*shifted(a, b, c, k), n - k))
 
 
 def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -282,7 +256,7 @@ def qsum_moments(a: int, b: int, c: int, n: int, pmax: int) -> np.ndarray:
     """
     if n <= 0:
         return np.zeros(pmax + 1, dtype=np.complex128)
-    return _block_total(_blockwise(_moment_row, a, b, c, n, 1.0 / n, pmax))
+    return _block_total([_moment_row(k0, words, 1.0 / n, pmax) for k0, words in _blocks(a, b, c, n)])
 
 
 def _mulhi(x: np.ndarray, m: int) -> np.ndarray:

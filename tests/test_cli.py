@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -202,6 +203,9 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         ["density", "--theta", "golden", "--n", "10", "--radius", "100000", "--cell", "1"],
         ["growth", "--theta", "golden", "--schedule", "10", "--grid", "100000000"],
         ["traj", "--theta", "golden", "--n", "3000000000", "--stride", "1"],
+        # blocks past any row, each one sum whose own row would not fit
+        ["traj", "--theta", "golden", "--n", "100000000000000000000",
+         "--stride", "10000000000000000000"],
         ["parseval", "--theta", "golden", "--q", "10", "--samples", "1000000000000"],
         ["resume", *_WITNESS, "--candidates", "1000000000000"],
         ["box", *_WITNESS, "--samples", "1000000000000"],
@@ -219,6 +223,7 @@ def test_cli_eps_or_delta_not_positive_exits_2(capsys, argv):
         "density-huge-table",
         "growth-huge-grid",
         "traj-huge-n",
+        "traj-huge-stride",
         "parseval-huge-samples",
         "resume-huge-candidates",
         "box-huge-samples",
@@ -407,6 +412,28 @@ def test_cli_renorm_chain(capsys):
     assert data["experiment"] == "renorm_chain"
     assert data["depth"] == 3
     assert len(data["residuals"]) == 4
+
+
+def test_cli_traj_stride_past_the_row_runs_by_block_sums(monkeypatch, capsys):
+    # two blocks of 5e8 terms, each summed by qsum_blocks, and no stream
+    calls = []
+    qsum_blocks = _engine.qsum_blocks
+
+    def counted(a, b, c, n):
+        calls.append(n)
+        return qsum_blocks(a, b, c, n)
+
+    def stream(*args):
+        raise AssertionError("the trajectory ran the direct stream")
+
+    monkeypatch.setattr(_engine, "qsum_blocks", counted)
+    monkeypatch.setattr(_engine, "qsum_partials", stream)
+    start = time.perf_counter()
+    assert cli.main(["traj", "--theta", "golden", "--n", "1000000000", "--stride", "500000000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert calls == [500_000_000, 500_000_000]
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [n for n, _, _ in points] == [0, 500_000_000, 1_000_000_000]
 
 
 def test_cli_traj_csv_file(tmp_path):

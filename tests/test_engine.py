@@ -1,11 +1,7 @@
 import os
 import random
-import signal
 import subprocess
 import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -262,50 +258,17 @@ def _sequential_moments(a, b, c, n, pmax):
     return np.array([np.sum(np.ascontiguousarray(order)) for order in orders])
 
 
-def _count_submits(m):
-    # swap in an executor that records each submit to the returned list
-    submits = []
-
-    class Counting(ThreadPoolExecutor):
-        def submit(self, *args):
-            submits.append(args)
-            return super().submit(*args)
-
-    m.setattr(_engine, "ThreadPoolExecutor", Counting)
-    return submits
-
-
-class _UnusableExecutor:
-    def __init__(self, *args):
-        raise AssertionError("an engine executor was opened")
-
-
 @pytest.mark.parametrize("operand_bits", [256, 257])
 @pytest.mark.parametrize(
     "n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK, 5 * CHUNK + 17, 37 * CHUNK - 3]
 )
-def test_threaded_sums_equal_sequential_reference(monkeypatch, n, operand_bits):
+def test_threaded_sums_equal_sequential_reference(n, operand_bits):
+    # qsum and qsum_moments reduce their blocks in the calling thread, in
+    # the order of the one-thread reference
     rng = random.Random(n + operand_bits)
     (a, b, c), reduced = _operands(rng, operand_bits, 3)
-    want_sum = _sequential_qsum(*reduced, n)
-    want_moments = _sequential_moments(*reduced, n, 3)
-    blocks = -(-n // CHUNK)
-    interval = sys.getswitchinterval()
-    try:
-        # more threads than cores, switching often
-        sys.setswitchinterval(1e-4)
-        for workers in (1, 2, 3):
-            with monkeypatch.context() as m:
-                m.setattr(_engine, "_WORKERS", workers)
-                submits = _count_submits(m)
-                got_sum = _engine.qsum(a, b, c, n)
-                got_moments = _engine.qsum_moments(a, b, c, n, 3)
-            # one submit per run but the caller's, in each of the two calls
-            assert len(submits) == 2 * max(min(workers, blocks) - 1, 0)
-            assert got_sum == want_sum, workers
-            assert np.array_equal(got_moments, want_moments), workers
-    finally:
-        sys.setswitchinterval(interval)
+    assert _engine.qsum(a, b, c, n) == _sequential_qsum(*reduced, n)
+    assert np.array_equal(_engine.qsum_moments(a, b, c, n, 3), _sequential_moments(*reduced, n, 3))
 
 
 def test_block_total_matches_one_dimensional_sum():
@@ -316,17 +279,6 @@ def test_block_total_matches_one_dimensional_sum():
         partials = rng.standard_normal((blocks, 3)) * 1e3
         want = np.array([np.sum(np.ascontiguousarray(partials[:, r])) for r in range(3)])
         assert _engine._block_total(tuple(partials)).tobytes() == want.tobytes()
-
-
-def test_single_block_calls_start_no_thread(monkeypatch):
-    monkeypatch.setattr(_engine, "_WORKERS", 2)
-    monkeypatch.setattr(_engine, "ThreadPoolExecutor", _UnusableExecutor)
-    threads = threading.active_count()
-    for n in (1, 7, CHUNK - 1, CHUNK):
-        _engine.qsum(1, 2, 3, n)
-        _engine.qsum_moments(1, 2, 3, n, 2)
-        weyl_sum(GOLDEN, ZERO, ZERO, n)
-    assert threading.active_count() == threads
 
 
 def test_import_starts_no_thread():
@@ -346,36 +298,6 @@ def test_import_starts_no_thread():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_threaded_call_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(_engine, "_WORKERS", 3)
-    threads = threading.active_count()
-    assert _engine.qsum(1, 2, 3, 3 * CHUNK) == _sequential_qsum(1, 2, 3, 3 * CHUNK)
-    assert threading.active_count() == threads, threading.enumerate()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_makes_its_own_pool(monkeypatch):
-    # the child runs a threaded sum after its parent ran one
-    monkeypatch.setattr(_engine, "_WORKERS", 2)
-    submits = _count_submits(monkeypatch)
-    n = 3 * CHUNK
-    want = _engine.qsum(1, 2, 3, n)
-    assert len(submits) == 1
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0 if _engine.qsum(1, 2, 3, n) == want else 1)
-    deadline = time.monotonic() + 60
-    done, status = os.waitpid(pid, os.WNOHANG)
-    while not done:
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child's threaded sum did not finish")
-        time.sleep(0.01)
-        done, status = os.waitpid(pid, os.WNOHANG)
-    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_poly_eval_matches_direct_horner():

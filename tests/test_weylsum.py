@@ -11,8 +11,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from trajectory_oracle import block_bounds, stream_points, weyl_sum_bound
+
 import weyl_lab
-from weyl_lab import _engine
+from weyl_lab import _engine, weylsum
 from weyl_lab.acceptance import _E1_SINGULAR_OFFSETS
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -24,6 +26,7 @@ from weyl_lab.exactangle import (
     scale_mod1,
 )
 from weyl_lab.weylsum import (
+    STRIDE_BLOCKS_FROM,
     SkewPoint,
     _sin_ratios,
     dirichlet_b,
@@ -518,7 +521,7 @@ def test_trajectory_basics():
     assert abs(strided.points[-1] - weyl_sum(GOLDEN, Angle(12), Angle(7), 600)) <= 600 * 2.0**-51
 
 
-@pytest.mark.parametrize("stride", [1, 5, 4096])
+@pytest.mark.parametrize("stride", [1, 5, STRIDE_BLOCKS_FROM - 1])
 def test_trajectory_strides_across_blocks_are_exact(stride):
     n = _engine.CHUNK + 1000
     zs = [z for _, blk in _engine.qsum_partials(GOLDEN.numerator, 24, 7, n) for z in blk.tolist()]
@@ -526,12 +529,65 @@ def test_trajectory_strides_across_blocks_are_exact(stride):
     ns = list(range(0, n + 1, stride))
     if n % stride:
         ns.append(n)
-    # every point, the endpoint too, is the stream's partial sum
+    # below the block route every point, the endpoint too, is the stream's
+    # partial sum
     pts = [0j] + [zs[m - 1] for m in ns[1:]]
     assert tr.ns.tolist() == ns
     assert tr.points.tolist() == pts
     assert abs(tr.points[-1] - weyl_sum(GOLDEN, Angle(12), Angle(7), n)) <= n * 2.0**-51
     assert tr.ns.dtype == np.int64 and tr.points.dtype == np.complex128
+
+
+THIRD = Angle(MODULUS // 3)
+
+
+@pytest.mark.parametrize(
+    "theta, x, n, stride",
+    [
+        (GOLDEN, Angle(12), _engine.CHUNK + 1000, STRIDE_BLOCKS_FROM),
+        (GOLDEN, Angle(12), _engine.CHUNK + 1000, 4096),
+        # a multiple of the stride: no tail, the last block ends at n
+        (GOLDEN, Angle(12), 1000 * STRIDE_BLOCKS_FROM, STRIDE_BLOCKS_FROM),
+        # |a| near 0.58 n, the largest sums the blocks meet
+        (THIRD, Angle(0), 300_007, 1000),
+        # past 2 floor(sqrt(n)): one row of the stride's terms
+        (THIRD, Angle(0), 300_007, 3000),
+    ],
+    ids=["crossover", "4096", "multiple", "third", "long-row"],
+)
+def test_trajectory_block_route_within_its_bound(theta, x, n, stride):
+    tr = trajectory(theta, x, Angle(7), n, stride)
+    want = np.append(np.arange(0, n, stride), n)
+    assert tr.ns.tolist() == want.tolist()
+    assert tr.ns.dtype == np.int64 and tr.points.dtype == np.complex128
+    zs, stream_bounds = stream_points(theta.numerator, 2 * x.numerator, 7, n, want)
+    bounds = block_bounds(tr.points, n, stride)
+    assert tr.points[0] == 0
+    assert np.all(np.abs(tr.points - zs) <= bounds + stream_bounds)
+    end = weyl_sum(theta, x, Angle(7), n)
+    assert abs(tr.points[-1] - end) <= bounds[-1] + weyl_sum_bound(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, STRIDE_BLOCKS_FROM - 1, _engine.BLOCKS_FROM + 5])
+def test_trajectory_shorter_than_its_stride_is_weyl_sum(n):
+    # only z_0 and z_n, and z_n is weyl_sum's own sum
+    stride = max(STRIDE_BLOCKS_FROM, n + 1)
+    tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
+    assert tr.ns.tolist() == ([0, n] if n else [0])
+    assert tr.points.tolist() == [0j, weyl_sum(GOLDEN, Angle(12), Angle(7), n)][: len(tr.ns)]
+
+
+def test_trajectory_blocks_past_the_longest_row_are_sums_of_their_own(monkeypatch):
+    # with no row allowed past 2 floor(sqrt(n)), each block is weyl_sum's
+    # sum at its shifted coefficients, and the points are their running sums
+    monkeypatch.setattr(weylsum, "_ROW_MAX", 0)
+    n, stride = 100_003, 20_000
+    tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
+    skew = [skew_shift_n(GOLDEN, SkewPoint(Angle(12), Angle(7)), k) for k in range(0, n, stride)]
+    sums = [weyl_sum(GOLDEN, p.x, p.y, min(stride, n - k)) for p, k in zip(skew, range(0, n, stride))]
+    assert tr.ns.tolist() == [0, 20_000, 40_000, 60_000, 80_000, 100_000, n]
+    assert tr.points[1:-1].tolist() == np.cumsum(sums[:-1]).tolist()
+    assert tr.points[-1] == tr.points[-2] + sums[-1]
 
 
 def test_trajectory_golden_band():
