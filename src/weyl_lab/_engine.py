@@ -23,8 +23,9 @@ a float64 phase, the earlier kernel, reached 2.3 * 2**-51.
 Reduction: each block of a sum is reduced by np.sum (never np.dot, whose
 order follows the BLAS thread count) in the calling thread, as the engine
 starts no thread; then one pairwise pass runs over the block partials laid
-out contiguously, in the order of one contiguous 1-D array (_block_total).  qsum_moments reduces each order's block partials
-the same way, so its S_0 is qsum bit for bit.
+out contiguously, in the order of one contiguous 1-D array (_block_total).
+qsum_moments reduces each order's block partials the same way, so its S_0
+is qsum bit for bit.
 
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
 many u by a type-2 non-uniform FFT (Dutt-Rokhlin), with the exponential-
@@ -256,7 +257,8 @@ def qsum_moments(a: int, b: int, c: int, n: int, pmax: int) -> np.ndarray:
     """
     if n <= 0:
         return np.zeros(pmax + 1, dtype=np.complex128)
-    return _block_total([_moment_row(k0, words, 1.0 / n, pmax) for k0, words in _blocks(a, b, c, n)])
+    rows = [_moment_row(k0, words, 1.0 / n, pmax) for k0, words in _blocks(a, b, c, n)]
+    return _block_total(rows)
 
 
 def _mulhi(x: np.ndarray, m: int) -> np.ndarray:

@@ -285,11 +285,14 @@ def parseval_estimates(
 # stream took 0.20 s at any stride and the block sums 0.20 s at stride 32,
 # 0.16 s at 40 and 0.10 s at 64 (best of 5, 2-core Xeon VM)
 STRIDE_BLOCKS_FROM = 40
-# the block route's peak bytes per recorded point, beyond block_sums' row
-# and fine grid, by peak RSS in a child process
+# the block route's peak bytes per recorded point, its block points and
+# prefactors among them, beyond the row and fine grid, by peak RSS in a
+# child process
 _POINT_BYTES = 170
 # the longest row the block route builds past weyl_sum's 2 floor(sqrt(n))
-# (qsum_blocks' own at n = 2**38): 120 MB at the peak
+# (qsum_blocks' own at n = 2**38), 120 MB at the peak: at n = 1e9 and
+# stride 1e5 the row took 0.027 s and 10**4 sums of their own 4.4 s; at
+# n = 1e10 and stride 1e6, 0.17 s against 7.4 s
 _ROW_MAX = 1 << 20
 
 
@@ -349,10 +352,13 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         zs = np.concatenate(pts)
     else:
         # one row of stride terms, unless longer than both weyl_sum's blocks
-        # and _ROW_MAX: then each block is a sum of its own, as weyl_sum's
+        # and _ROW_MAX: then each block is a sum of its own, as weyl_sum
+        # takes it
         on_row = stride <= min(n, max(2 * math.isqrt(n), _ROW_MAX))
         size = stride if on_row else 2 * math.isqrt(min(n, stride))
-        need = _engine._blocks_bytes(size, blocks if on_row else size) + _POINT_BYTES * points
+        # the row and fine grid, and past the row a block's own blocks (fewer
+        # than size); the points hold the rest
+        need = _engine._blocks_bytes(size, 0 if on_row else size) + _POINT_BYTES * points
         _check_fits(need, 1, f"{points} recorded points of stride {stride}")
         if on_row:
             sums = _engine.block_sums(*coeffs, stride, blocks)

@@ -429,7 +429,8 @@ def test_cli_traj_stride_past_the_row_runs_by_block_sums(monkeypatch, capsys):
     monkeypatch.setattr(_engine, "qsum_blocks", counted)
     monkeypatch.setattr(_engine, "qsum_partials", stream)
     start = time.perf_counter()
-    assert cli.main(["traj", "--theta", "golden", "--n", "1000000000", "--stride", "500000000"]) == 0
+    argv = ["traj", "--theta", "golden", "--n", "1000000000", "--stride", "500000000"]
+    assert cli.main(argv) == 0
     assert time.perf_counter() - start < 1.0
     assert calls == [500_000_000, 500_000_000]
     points = json.loads(capsys.readouterr().out)["points"]
