@@ -10,8 +10,9 @@ All phases come from the exact grid engine and e(phi) from its table kernel
 on the exact top 64 bits of each phase, within 2**-51 per term: a direct
 sum's |sum| error stays below n * 2**-51.  Summation is ascending in k
 with pairwise accumulation inside each block.  weyl_sum on long sums,
-which it takes by blocks through a non-uniform FFT, and weyl_sums_over_x,
-which evaluates many x at once by one, state their own bounds.
+which it takes by blocks through a non-uniform FFT, trajectory, whose
+strided points are cumulative sums of such blocks, and weyl_sums_over_x,
+which evaluates many x at once by one FFT, state their own bounds.
 """
 
 from __future__ import annotations

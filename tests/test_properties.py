@@ -1,6 +1,6 @@
 """Property tests: the cocycle law, the skew-shift group law, the evaluator
-over many x and weyl_sum's blocks against direct sums, the
-continued-fraction round trip, the
+over many x and weyl_sum's blocks against direct sums, trajectory's block
+points against the partial-sum stream, the continued-fraction round trip, the
 finite-expansion flag of the class-F certificate and the exact snap of
 doubles, over hypothesis-drawn inputs.
 
