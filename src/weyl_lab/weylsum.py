@@ -286,15 +286,15 @@ def parseval_estimates(
 # stream took 0.20 s at any stride and the block sums 0.20 s at stride 32,
 # 0.16 s at 40 and 0.10 s at 64 (best of 5, 2-core Xeon VM)
 STRIDE_BLOCKS_FROM = 40
-# the block route's peak bytes per recorded point, its block points and
-# prefactors among them, beyond the row and fine grid, by peak RSS in a
-# child process
-_POINT_BYTES = 170
-# the longest row the block route builds past weyl_sum's 2 floor(sqrt(n))
-# (qsum_blocks' own at n = 2**38), 120 MB at the peak: at n = 1e9 and
-# stride 1e5 the row took 0.027 s and 10**4 sums of their own 4.4 s; at
-# n = 1e10 and stride 1e6, 0.17 s against 7.4 s
-_ROW_MAX = 1 << 20
+# the block route's bytes per recorded point once built (the points and
+# their indices), and its peak bytes per block of a row's chunk (block
+# points, prefactors and taps), beyond the row and fine grid, by peak RSS
+# in a child process
+_POINT_BYTES = 32
+_BLOCK_BYTES = 170
+# blocks per row call: a multiple of the engine's CHUNK, so that each
+# call's prefactors restart the phase kernel where one call's would
+_ROW_BLOCKS = 1 << 16
 
 
 def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Trajectory:
@@ -305,12 +305,13 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     stream's own partial sums (_engine.qsum_partials), every term summed.
     From there z_s, z_2s, ... (s = stride) are the cumulative sums of the
     n // s block sums of s terms each, all from one row of s coefficients
-    through the non-uniform FFT (_engine.block_sums, as weyl_sum's blocks):
-    O(s log s) for the row and 18 taps per block, against n terms.  A
-    stride longer than both weyl_sum's own blocks of 2 floor(sqrt(n)) terms
-    and _ROW_MAX = 2**20 takes each block as weyl_sum takes a sum of s terms
-    instead, at the block's shifted coefficients, so that no row grows past
-    what memory allows (n // s < sqrt(n) / 2 sums).  When s does not divide
+    through the non-uniform FFT (_engine.block_sums, as weyl_sum's blocks),
+    called on chunks of _ROW_BLOCKS = 2**16 blocks or more (at least s):
+    O(s log s) for the row per chunk and 18 taps per block, against n
+    terms.  A stride longer than weyl_sum's own blocks of 2 floor(sqrt(n))
+    terms takes each block as weyl_sum takes a sum of s terms instead, at
+    the block's shifted coefficients, so that no row grows past what memory
+    allows (n // s < sqrt(n) / 2 sums).  When s does not divide
     n, z_n is the last block point plus one sum of the n mod s tail terms,
     again as weyl_sum takes it.
 
@@ -331,8 +332,10 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     and s = 1000 the block points came within 8.9e-7 of weyl_sum's sums at
     the same lengths and the stream's within 1.5e-7, against an a-priori
     bound of 3.2e-6 for the block route.
-    A trajectory whose points, row and fine grid would exceed physical
-    memory raises ValueError before anything is allocated."""
+    A trajectory whose points, row, fine grid and one chunk of blocks would
+    exceed physical memory raises ValueError before anything is allocated:
+    from STRIDE_BLOCKS_FROM on the points hold 32 bytes each, under the
+    stream's 41."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n < 0:
@@ -352,21 +355,27 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
             pts.append(z[-1:])
         zs = np.concatenate(pts)
     else:
-        # one row of stride terms, unless longer than both weyl_sum's blocks
-        # and _ROW_MAX: then each block is a sum of its own, as weyl_sum
-        # takes it
-        on_row = stride <= min(n, max(2 * math.isqrt(n), _ROW_MAX))
-        size = stride if on_row else 2 * math.isqrt(min(n, stride))
-        # the row and fine grid, and past the row a block's own blocks (fewer
-        # than size); the points hold the rest
-        need = _engine._blocks_bytes(size, 0 if on_row else size) + _POINT_BYTES * points
-        _check_fits(need, 1, f"{points} recorded points of stride {stride}")
+        # one row of stride terms; past weyl_sum's own blocks, each block is
+        # a sum of its own as weyl_sum takes it (its blocks fewer than size)
+        on_row = stride <= min(n, 2 * math.isqrt(n))
+        per = _ROW_BLOCKS * -(-stride // _ROW_BLOCKS)
         if on_row:
-            sums = _engine.block_sums(*coeffs, stride, blocks)
+            need = _engine._blocks_bytes(stride, 0) + _BLOCK_BYTES * min(per, blocks)
         else:
-            sums = [_sum(*_engine.shifted(*coeffs, q * stride), stride) for q in range(blocks)]
+            size = 2 * math.isqrt(stride)
+            need = _engine._blocks_bytes(size, size)
+        _check_fits(need + _POINT_BYTES * points, 1, f"{points} recorded points of stride {stride}")
         zs = np.zeros(blocks + 1 + bool(tail), dtype=np.complex128)
-        np.cumsum(sums, out=zs[1 : blocks + 1])
+        if on_row:
+            # the row's blocks by chunks at their shifted coefficients, the
+            # same bits as one call, each cumulated on from the last point
+            for q0 in range(0, blocks, per):
+                q1 = min(q0 + per, blocks)
+                zs[q0 + 1 : q1 + 1] = _engine.block_sums(*_engine.shifted(*coeffs, q0 * stride), stride, q1 - q0)
+                np.cumsum(zs[q0 : q1 + 1], out=zs[q0 : q1 + 1])
+        else:
+            for q in range(blocks):
+                zs[q + 1] = zs[q] + _sum(*_engine.shifted(*coeffs, q * stride), stride)
         if tail:
             k = blocks * stride
             zs[-1] = zs[blocks] + _sum(*_engine.shifted(*coeffs, k), tail)

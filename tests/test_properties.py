@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trajectory_oracle import block_bounds, stream_points
 
-from weyl_lab import _engine, weylsum
+from weyl_lab import _engine
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf, cf_expand, f_witness
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -140,22 +140,18 @@ def test_weyl_sum_blocks_match_direct_sums(theta, x, y, n):
     y=angles,
     n=st.integers(0, 2 * 10**6),
     stride=st.integers(STRIDE_BLOCKS_FROM, 4000) | st.integers(1 << 20, 1 << 21),
-    row_max=st.sampled_from([weylsum._ROW_MAX, 0]),
 )
-@example(theta=GOLDEN, x=ZERO, y=ZERO, n=39, stride=STRIDE_BLOCKS_FROM, row_max=0)
-@example(theta=GOLDEN, x=ZERO, y=ZERO, n=400 * STRIDE_BLOCKS_FROM, stride=STRIDE_BLOCKS_FROM, row_max=0)
-@example(theta=THIRD, x=ZERO, y=ZERO, n=2 * 10**6, stride=1000, row_max=weylsum._ROW_MAX)
-@example(theta=THIRD, x=ZERO, y=ZERO, n=2 * 10**6 - 1, stride=3000, row_max=0)
-@example(theta=THIRD, x=GOLDEN, y=ZERO, n=2 * 10**6, stride=(1 << 20) + 1, row_max=weylsum._ROW_MAX)
-def test_trajectory_blocks_match_the_stream(theta, x, y, n, stride, row_max):
-    # the block route, by one row or (past it) by blocks summed on their
-    # own, within its a-priori bound plus the stream's of qsum_partials
+@example(theta=GOLDEN, x=ZERO, y=ZERO, n=39, stride=STRIDE_BLOCKS_FROM)
+@example(theta=GOLDEN, x=ZERO, y=ZERO, n=400 * STRIDE_BLOCKS_FROM, stride=STRIDE_BLOCKS_FROM)
+@example(theta=THIRD, x=ZERO, y=ZERO, n=2 * 10**6, stride=1000)
+@example(theta=THIRD, x=ZERO, y=ZERO, n=2 * 10**6 - 1, stride=3000)
+@example(theta=THIRD, x=GOLDEN, y=ZERO, n=2 * 10**6, stride=(1 << 20) + 1)
+def test_trajectory_blocks_match_the_stream(theta, x, y, n, stride):
+    # the block route, by one row or (past 2 floor(sqrt(n))) by blocks
+    # summed on their own, within its a-priori bound plus the stream's of
+    # qsum_partials
     args = theta.numerator, 2 * x.numerator, y.numerator
-    saved, weylsum._ROW_MAX = weylsum._ROW_MAX, row_max
-    try:
-        tr = trajectory(theta, x, y, n, stride)
-    finally:
-        weylsum._ROW_MAX = saved
+    tr = trajectory(theta, x, y, n, stride)
     assert tr.ns.tolist() == [*range(0, n, stride), n]
     zs, stream_bounds = stream_points(*args, n, tr.ns)
     assert np.all(np.abs(tr.points - zs) <= block_bounds(tr.points, n, stride) + stream_bounds)

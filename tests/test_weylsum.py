@@ -15,6 +15,7 @@ from trajectory_oracle import block_bounds, stream_points, weyl_sum_bound
 
 import weyl_lab
 from weyl_lab import _engine, weylsum
+from weyl_lab._rng import counter_angle
 from weyl_lab.acceptance import _E1_SINGULAR_OFFSETS
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -550,10 +551,10 @@ THIRD = Angle(MODULUS // 3)
         (GOLDEN, Angle(12), 1000 * STRIDE_BLOCKS_FROM, STRIDE_BLOCKS_FROM),
         # |a| near 0.58 n, the largest sums the blocks meet
         (THIRD, Angle(0), 300_007, 1000),
-        # past 2 floor(sqrt(n)): one row of the stride's terms
+        # past 2 floor(sqrt(n)): each block a sum of its own
         (THIRD, Angle(0), 300_007, 3000),
     ],
-    ids=["crossover", "4096", "multiple", "third", "long-row"],
+    ids=["crossover", "4096", "multiple", "third", "past-row"],
 )
 def test_trajectory_block_route_within_its_bound(theta, x, n, stride):
     tr = trajectory(theta, x, Angle(7), n, stride)
@@ -577,10 +578,42 @@ def test_trajectory_shorter_than_its_stride_is_weyl_sum(n):
     assert tr.points.tolist() == [0j, weyl_sum(GOLDEN, Angle(12), Angle(7), n)][: len(tr.ns)]
 
 
-def test_trajectory_blocks_past_the_longest_row_are_sums_of_their_own(monkeypatch):
-    # with no row allowed past 2 floor(sqrt(n)), each block is weyl_sum's
-    # sum at its shifted coefficients, and the points are their running sums
-    monkeypatch.setattr(weylsum, "_ROW_MAX", 0)
+def test_trajectory_chunks_of_the_row_are_one_call():
+    # more blocks than one chunk: the chunks at their shifted coefficients
+    # give the bits of one block_sums call, cumulated without a break (at
+    # this theta, chunks not starting on the engine's CHUNK would not)
+    theta = counter_angle(24, 0, "theta")
+    n, stride = STRIDE_BLOCKS_FROM * (2 * weylsum._ROW_BLOCKS + 77) + 13, STRIDE_BLOCKS_FROM
+    tr = trajectory(theta, Angle(12), Angle(7), n, stride)
+    sums = _engine.block_sums(theta.numerator, 24, 7, stride, n // stride)
+    assert tr.points[1:-1].tolist() == np.cumsum(sums).tolist()
+    tail = _engine.qsum(*_engine.shifted(theta.numerator, 24, 7, n - 13), 13)
+    assert tr.points[-1] == tr.points[-2] + tail
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, stride", [(2 * 10**9, 40), (10**12, 1000)])
+def test_trajectory_block_route_fits_where_the_stream_fit(monkeypatch, n, stride):
+    # the block route holds its points and one chunk of blocks, so a request
+    # the stream's 41 bytes per point admitted is charged no more
+    charged = []
+
+    def check(count, bytes_each, what):
+        charged.append(count * bytes_each)
+        raise _Refused
+
+    monkeypatch.setattr(weylsum, "_check_fits", check)
+    with pytest.raises(_Refused):
+        trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
+    assert charged and charged[0] <= 41 * (n // stride + 2)
+
+
+def test_trajectory_blocks_past_the_longest_row_are_sums_of_their_own():
+    # past 2 floor(sqrt(n)) each block is weyl_sum's sum at its shifted
+    # coefficients, and the points are their running sums
     n, stride = 100_003, 20_000
     tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
     skew = [skew_shift_n(GOLDEN, SkewPoint(Angle(12), Angle(7)), k) for k in range(0, n, stride)]
