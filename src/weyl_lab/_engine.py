@@ -48,22 +48,25 @@ B terms, k = q B + j, from one row:
     sum_{j<B} e(phi_{qB+j}) = e(phi_{qB}) P(u_q),
     P(u) = sum_{j<B} e(A j^2 2**-256) e(j u),  u_q = (2 A B q + B') 2**-256,
 where B' is the linear coefficient.  The row of B coefficients comes from
-phase_chunks and e_phase, and poly_eval_unit_circle evaluates P at all
-block points in one call, each point's top 128 bits taken as exact
-integer words of its numerator (theta and x never become floats).  The
-block prefactors e(phi_{qB}) are the quadratic phase (A B^2, B' B, C) in
-q, so they come from the same kernel.  Cost: O(B log B) for the FFT over
-a fine grid of about 2B points, then 18 taps and one kernel term per
-block.  It serves two callers.  qsum_blocks sums n terms with
-B = 2 floor(sqrt(n)): the n // B block sums, then the tail, the last
-m = n mod B terms, as one direct qsum at the shifted coefficients
-(A, 2 A K + B', A K^2 + B' K + C), K = n - m; O(sqrt(n) log n) in all,
-against n for a direct sum.  BLOCKS_FROM = 2**14 is where the two meet
-(best of 7 on a 2-core Xeon VM: 0.25 against 0.28 ms at n = 2**14, 0.58
-against 0.34 ms at 2**15, 17 against 0.64 ms at 10**6; 2**30 terms take
-19 ms).  weylsum.trajectory takes B = stride, and its points are the
-cumulative sums of the blocks.  The direct engine stays below the
-crossover, for partial sums (qsum_partials) and moments (qsum_moments).
+phase_chunks and e_phase, once, and poly_eval_unit_circle evaluates P at
+the block points, each point's top 128 bits taken as exact integer words
+of its numerator (theta and x never become floats).  The block prefactors
+e(phi_{qB}) are the quadratic phase (A B^2, B' B, C) in q, from the same
+kernel.  The blocks go in chunks of a multiple of CHUNK blocks, at least
+B: each chunk's prefactors, at coefficients shifted to its first block,
+meet the phase blocks of one pass over all blocks, so the bits are that
+pass's, and the row's FFT, once per chunk, costs no more than the chunk.
+Cost: O(B log B) per chunk for the FFT over a fine grid of about 2B
+points, then 18 taps and one kernel term per block; memory, _blocks_bytes.
+qsum_blocks takes every n: a direct qsum below BLOCKS_FROM = 2**14 terms,
+where the two meet (best of 7 on a 2-core Xeon VM: 0.25 against 0.28 ms
+at n = 2**14, 0.58 against 0.34 ms at 2**15, 17 against 0.64 ms at 10**6;
+2**30 terms take 19 ms), and from there B = 2 floor(sqrt(n)): the n // B
+block sums, one chunk, then the tail, the last m = n mod B terms, as one
+direct qsum at the shifted coefficients (A, 2 A K + B', A K^2 + B' K + C),
+K = n - m; O(sqrt(n) log n) in all.  weylsum.trajectory takes B = stride,
+and its points are the cumulative sums of the blocks.  Partial sums
+(qsum_partials) and moments (qsum_moments) stay direct at every n.
 The error bounds are stated at weylsum.weyl_sum and weylsum.trajectory.
 """
 
@@ -119,16 +122,12 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     return n_hi + j * d_hi + jj * a_hi + carry
 
 
-def _blocks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(k0, words) for each block of k = 0 .. n-1, the one block loop."""
+def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k0, words) uint64 arrays covering k = 0 .. n-1 in blocks of
+    CHUNK, the one block loop: the phase of term k is words[k - k0] *
+    2**-64, its word (see the module doc)."""
     for k0 in range(0, n, CHUNK):
         yield k0, _phase_block(a, b, c, k0, min(CHUNK, n - k0))
-
-
-def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k0, words) uint64 arrays covering k = 0 .. n-1: the phase of
-    term k is words[k - k0] * 2**-64, its word (see the module doc)."""
-    yield from _blocks(a, b, c, n)
 
 
 @functools.cache
@@ -175,7 +174,7 @@ def _block_total(partials: list) -> np.ndarray:
 def qsum(a: int, b: int, c: int, n: int) -> complex:
     """sum_{k<n} e((A k^2 + B k + C)/2**256), reduced block by block (see
     the module doc)."""
-    return complex(_block_total([np.sum(e_phase(words)) for _, words in _blocks(a, b, c, n)]))
+    return complex(_block_total([np.sum(e_phase(words)) for _, words in phase_chunks(a, b, c, n)]))
 
 
 # qsum_blocks is faster than qsum from about this many terms (see the module doc)
@@ -190,11 +189,20 @@ def _terms(a: int, b: int, c: int, n: int) -> np.ndarray:
     return out
 
 
+def _chunk_blocks(size: int) -> int:
+    # block_sums' blocks per chunk, a multiple of CHUNK and at least size
+    return CHUNK * -(-size // CHUNK)
+
+
 def _blocks_bytes(size: int, blocks: int) -> int:
-    """block_sums' peak bytes, by peak RSS in a child process: 16 per row
-    term and 50 per fine-grid point (as weylsum._check_sums_fit), under
-    100 per block."""
-    return 16 * size + 50 * _fine_len(size) + 100 * blocks
+    """block_sums' peak bytes beside its output, and poly_eval_unit_circle's
+    for a row of size terms at blocks = 0: 16 per row term, 50 per fine-grid
+    point (the grid, its transform and numpy's FFT work space) and 72 per
+    block of one chunk (block points and prefactors), by peak RSS in a
+    child process, since the FFT's work space escapes tracemalloc: at
+    size = blocks = 2**19, 70 per block beside the row and grid (the
+    evaluator's temporaries per block of points, about 4 MB, left out)."""
+    return 16 * size + 50 * _fine_len(size) + 72 * min(blocks, _chunk_blocks(size))
 
 
 def shifted(a: int, b: int, c: int, k: int) -> tuple[int, int, int]:
@@ -202,30 +210,39 @@ def shifted(a: int, b: int, c: int, k: int) -> tuple[int, int, int]:
     return a, 2 * a * k + b, a * k * k + b * k + c
 
 
-def block_sums(a: int, b: int, c: int, size: int, blocks: int) -> np.ndarray:
-    """The sums of the terms k = q size .. (q + 1) size - 1 for q < blocks,
-    by one row of size coefficients through poly_eval_unit_circle (see the
-    module doc)."""
+def block_sums(a: int, b: int, c: int, size: int, out: np.ndarray) -> None:
+    """Write into out[q] the sum of the terms k = q size .. (q + 1) size - 1,
+    for q < out.size: one row of size coefficients through
+    poly_eval_unit_circle, taken on chunks of blocks (see the module doc)."""
     row = _terms(a, 0, 0, size)
-    # block q starts at k = q size; its point u = (2 A q size + B) 2**-256,
-    # whose top 128 bits are exact words
     step = 2 * a * size
-    tops = (((step * q + b) % MODULUS >> 128).to_bytes(16, "big") for q in range(blocks))
-    rho = np.frombuffer(b"".join(tops), dtype=">u8").reshape(blocks, 2).astype(np.uint64)
-    body = poly_eval_unit_circle(row, rho)
-    # each block's prefactor, the quadratic phase (A size^2) q^2 + (B size) q + C
-    body *= _terms(a * size * size, b * size, c, blocks)
-    return body
+    per = _chunk_blocks(size)
+    for q0 in range(0, out.size, per):
+        q1 = min(q0 + per, out.size)
+        # block q starts at k = q size; its point u = (2 A q size + B) 2**-256,
+        # whose top 128 bits are exact words
+        tops = (((step * q + b) % MODULUS >> 128).to_bytes(16, "big") for q in range(q0, q1))
+        rho = np.frombuffer(b"".join(tops), dtype=">u8").reshape(q1 - q0, 2).astype(np.uint64)
+        body = out[q0:q1]
+        body[:] = poly_eval_unit_circle(row, rho)
+        # each block's prefactor, the quadratic phase (A size^2) q^2 +
+        # (B size) q + C, at the chunk's shifted coefficients
+        body *= _terms(*shifted(a * size * size, b * size, c, q0), q1 - q0)
 
 
 def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
-    """qsum(a, b, c, n) for n >= 1: block_sums over blocks of
-    2 floor(sqrt(n)) terms, then a direct tail (see the module doc)."""
+    """qsum(a, b, c, n): a direct qsum below BLOCKS_FROM terms, and from
+    there block_sums over blocks of 2 floor(sqrt(n)) terms, then a direct
+    tail (see the module doc)."""
+    if n < BLOCKS_FROM:
+        return qsum(a, b, c, n)
     size = 2 * math.isqrt(n)
     blocks = n // size
-    _check_fits(_blocks_bytes(size, blocks), 1, f"the sum of n = {n}")
+    _check_fits(_blocks_bytes(size, blocks) + 16 * blocks, 1, f"the sum of n = {n}")
+    sums = np.empty(blocks, dtype=np.complex128)
+    block_sums(a, b, c, size, sums)
     k = blocks * size
-    return complex(np.sum(block_sums(a, b, c, size, blocks)) + qsum(*shifted(a, b, c, k), n - k))
+    return complex(np.sum(sums) + qsum(*shifted(a, b, c, k), n - k))
 
 
 def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -257,7 +274,7 @@ def qsum_moments(a: int, b: int, c: int, n: int, pmax: int) -> np.ndarray:
     """
     if n <= 0:
         return np.zeros(pmax + 1, dtype=np.complex128)
-    rows = [_moment_row(k0, words, 1.0 / n, pmax) for k0, words in _blocks(a, b, c, n)]
+    rows = [_moment_row(k0, words, 1.0 / n, pmax) for k0, words in phase_chunks(a, b, c, n)]
     return _block_total(rows)
 
 

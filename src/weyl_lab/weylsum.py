@@ -73,9 +73,9 @@ class Trajectory:
 
 
 def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
-    """a(x, y, n) = sum_{k<n} e(k^2*theta + 2kx + y): a direct sum below
-    _engine.BLOCKS_FROM terms, and from there blocks of B = 2 floor(sqrt(n))
-    terms through the non-uniform FFT (_engine.qsum_blocks), one row of B
+    """a(x, y, n) = sum_{k<n} e(k^2*theta + 2kx + y) by _engine.qsum_blocks:
+    a direct sum below 2**14 terms, and from there blocks of
+    B = 2 floor(sqrt(n)) terms through the non-uniform FFT, one row of B
     coefficients e(j^2 theta) evaluated at the n // B block points, then a
     direct tail of m = n mod B terms.
 
@@ -93,13 +93,7 @@ def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
     memory raises ValueError before anything is allocated."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _sum(theta.numerator, 2 * x.numerator, y.numerator, n)
-
-
-def _sum(a: int, b: int, c: int, n: int) -> complex:
-    # weyl_sum's engine sum: direct below BLOCKS_FROM terms, by blocks from there
-    engine_sum = _engine.qsum_blocks if n >= _engine.BLOCKS_FROM else _engine.qsum
-    return engine_sum(a, b, c, n)
+    return _engine.qsum_blocks(theta.numerator, 2 * x.numerator, y.numerator, n)
 
 
 def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
@@ -109,14 +103,12 @@ def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
 
 def _check_sums_fit(ns: list[int]) -> None:
     """Raise ValueError for a negative n of ns, or when weyl_sums_over_x's
-    peak at the longest n would exceed physical memory: 16 bytes per term
-    of the row and 50 per point of the fine grid (the grid, its transform
-    and numpy's FFT work space), by peak RSS in a child process, since the
-    FFT's work space escapes tracemalloc."""
+    peak at the longest n, the evaluator's for a row of n terms
+    (_engine._blocks_bytes), would exceed physical memory."""
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
     n = max(ns, default=0)
-    _check_fits(16 * n + 50 * _engine._fine_len(n), 1, f"the sums of n = {n}")
+    _check_fits(_engine._blocks_bytes(n, 0), 1, f"the sums of n = {n}")
 
 
 def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray:
@@ -287,14 +279,8 @@ def parseval_estimates(
 # 0.16 s at 40 and 0.10 s at 64 (best of 5, 2-core Xeon VM)
 STRIDE_BLOCKS_FROM = 40
 # the block route's bytes per recorded point once built (the points and
-# their indices), and its peak bytes per block of a row's chunk (block
-# points, prefactors and taps), beyond the row and fine grid, by peak RSS
-# in a child process
+# their indices), beside block_sums' own (_engine._blocks_bytes)
 _POINT_BYTES = 32
-_BLOCK_BYTES = 170
-# blocks per row call: a multiple of the engine's CHUNK, so that each
-# call's prefactors restart the phase kernel where one call's would
-_ROW_BLOCKS = 1 << 16
 
 
 def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Trajectory:
@@ -305,15 +291,14 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     stream's own partial sums (_engine.qsum_partials), every term summed.
     From there z_s, z_2s, ... (s = stride) are the cumulative sums of the
     n // s block sums of s terms each, all from one row of s coefficients
-    through the non-uniform FFT (_engine.block_sums, as weyl_sum's blocks),
-    called on chunks of _ROW_BLOCKS = 2**16 blocks or more (at least s):
-    O(s log s) for the row per chunk and 18 taps per block, against n
-    terms.  A stride longer than weyl_sum's own blocks of 2 floor(sqrt(n))
-    terms takes each block as weyl_sum takes a sum of s terms instead, at
-    the block's shifted coefficients, so that no row grows past what memory
-    allows (n // s < sqrt(n) / 2 sums).  When s does not divide
-    n, z_n is the last block point plus one sum of the n mod s tail terms,
-    again as weyl_sum takes it.
+    through the non-uniform FFT (_engine.block_sums, as weyl_sum's blocks):
+    O(s log s) for the row per chunk of at least s blocks and 18 taps per
+    block, against n terms.  A stride longer than weyl_sum's own blocks of
+    2 floor(sqrt(n)) terms takes each block as weyl_sum takes a sum of s
+    terms instead, at the block's shifted coefficients, so that no row
+    grows past what memory allows (n // s < sqrt(n) / 2 sums).  When s does
+    not divide n, z_n is the last block point plus one sum of the n mod s
+    tail terms, again as weyl_sum takes it.
 
     Error of the block route, a priori: each block sum is within
     (3.25 s + 4) 2**-51 of the exact one (weyl_sum's bound for one block; a
@@ -358,27 +343,22 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
         # one row of stride terms; past weyl_sum's own blocks, each block is
         # a sum of its own as weyl_sum takes it (its blocks fewer than size)
         on_row = stride <= min(n, 2 * math.isqrt(n))
-        per = _ROW_BLOCKS * -(-stride // _ROW_BLOCKS)
         if on_row:
-            need = _engine._blocks_bytes(stride, 0) + _BLOCK_BYTES * min(per, blocks)
+            need = _engine._blocks_bytes(stride, blocks)
         else:
-            size = 2 * math.isqrt(stride)
+            size = 2 * math.isqrt(min(stride, n))
             need = _engine._blocks_bytes(size, size)
         _check_fits(need + _POINT_BYTES * points, 1, f"{points} recorded points of stride {stride}")
         zs = np.zeros(blocks + 1 + bool(tail), dtype=np.complex128)
         if on_row:
-            # the row's blocks by chunks at their shifted coefficients, the
-            # same bits as one call, each cumulated on from the last point
-            for q0 in range(0, blocks, per):
-                q1 = min(q0 + per, blocks)
-                zs[q0 + 1 : q1 + 1] = _engine.block_sums(*_engine.shifted(*coeffs, q0 * stride), stride, q1 - q0)
-                np.cumsum(zs[q0 : q1 + 1], out=zs[q0 : q1 + 1])
+            _engine.block_sums(*coeffs, stride, zs[1 : blocks + 1])
         else:
-            for q in range(blocks):
-                zs[q + 1] = zs[q] + _sum(*_engine.shifted(*coeffs, q * stride), stride)
+            zs[1 : blocks + 1] = [
+                _engine.qsum_blocks(*_engine.shifted(*coeffs, q * stride), stride) for q in range(blocks)
+            ]
+        np.cumsum(zs[: blocks + 1], out=zs[: blocks + 1])
         if tail:
-            k = blocks * stride
-            zs[-1] = zs[blocks] + _sum(*_engine.shifted(*coeffs, k), tail)
+            zs[-1] = zs[blocks] + _engine.qsum_blocks(*_engine.shifted(*coeffs, blocks * stride), tail)
     return Trajectory(
         theta=theta,
         start=SkewPoint(x, y),

@@ -112,7 +112,10 @@ CROSSOVER = _engine.BLOCKS_FROM
     n=st.integers(CROSSOVER, 2 * 10**6),
 )
 @example(theta=ZERO, x=ZERO, y=ZERO, n=CROSSOVER)
+@example(theta=GOLDEN, x=Angle(12345), y=Angle(7), n=0)
+@example(theta=GOLDEN, x=Angle(12345), y=Angle(7), n=1)
 @example(theta=HALF, x=ZERO, y=ZERO, n=CROSSOVER - 1)
+@example(theta=GOLDEN, x=Angle(12345), y=Angle(7), n=CROSSOVER - 1)
 @example(theta=HALF, x=Angle(12345), y=Angle(7), n=CROSSOVER)
 @example(theta=angle_from_rational(1, 4), x=Angle(12345), y=ZERO, n=10**6 + 1)
 @example(theta=angle_from_rational(3, 8), x=ZERO, y=Angle(7), n=2 * 10**6)
@@ -122,15 +125,17 @@ CROSSOVER = _engine.BLOCKS_FROM
 @example(theta=THIRD, x=HALF, y=ZERO, n=1414**2)
 @example(theta=GOLDEN, x=ZERO, y=ZERO, n=10**6)
 def test_weyl_sum_blocks_match_direct_sums(theta, x, y, n):
-    # weyl_sum takes blocks from the crossover on and the direct engine
-    # below it; the two agree within the blocks' a-priori bound plus the
-    # direct sum's own n 2^-51
+    # weyl_sum is qsum_blocks, which takes blocks from the crossover on and
+    # is the direct engine bit for bit below it; the two agree within the
+    # blocks' a-priori bound plus the direct sum's own n 2^-51
     args = theta.numerator, 2 * x.numerator, y.numerator, n
     direct = _engine.qsum(*args)
-    engine_sum = _engine.qsum_blocks if n >= CROSSOVER else _engine.qsum
     got = weyl_sum(theta, x, y, n)
-    assert got == engine_sum(*args)
-    assert abs(got - direct) <= _block_bound(n) + n * 2.0**-51
+    assert got == _engine.qsum_blocks(*args)
+    if n < CROSSOVER:
+        assert got == direct
+    else:
+        assert abs(got - direct) <= _block_bound(n) + n * 2.0**-51
 
 
 @PROPERTY

@@ -569,25 +569,43 @@ def test_trajectory_block_route_within_its_bound(theta, x, n, stride):
     assert abs(tr.points[-1] - end) <= bounds[-1] + weyl_sum_bound(n)
 
 
-@pytest.mark.parametrize("n", [0, 1, STRIDE_BLOCKS_FROM - 1, _engine.BLOCKS_FROM + 5])
+@pytest.mark.parametrize(
+    "n", [0, 1, STRIDE_BLOCKS_FROM - 1, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM + 5]
+)
 def test_trajectory_shorter_than_its_stride_is_weyl_sum(n):
-    # only z_0 and z_n, and z_n is weyl_sum's own sum
+    # only z_0 and z_n, and z_n is weyl_sum's own sum: below the crossover
+    # qsum_blocks is the direct qsum, bit for bit
     stride = max(STRIDE_BLOCKS_FROM, n + 1)
     tr = trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
     assert tr.ns.tolist() == ([0, n] if n else [0])
     assert tr.points.tolist() == [0j, weyl_sum(GOLDEN, Angle(12), Angle(7), n)][: len(tr.ns)]
+    # a stride far past n is charged the memory of its n terms
+    assert trajectory(GOLDEN, Angle(12), Angle(7), n, 10**30).points.tolist() == tr.points.tolist()
+    args = GOLDEN.numerator, 24, 7, n
+    if n < _engine.BLOCKS_FROM:
+        assert _engine.qsum_blocks(*args) == _engine.qsum(*args)
 
 
-def test_trajectory_chunks_of_the_row_are_one_call():
-    # more blocks than one chunk: the chunks at their shifted coefficients
-    # give the bits of one block_sums call, cumulated without a break (at
-    # this theta, chunks not starting on the engine's CHUNK would not)
+def test_block_sums_chunks_are_one_evaluator_call():
+    # three chunks and part of a fourth: the chunks, with their prefactors
+    # at shifted coefficients, give the bits of one evaluator call over
+    # every block point times one prefactor row (at this theta, chunks that
+    # are not a multiple of the engine's CHUNK blocks would not)
     theta = counter_angle(24, 0, "theta")
-    n, stride = STRIDE_BLOCKS_FROM * (2 * weylsum._ROW_BLOCKS + 77) + 13, STRIDE_BLOCKS_FROM
+    a, b, c, stride = theta.numerator, 24, 7, STRIDE_BLOCKS_FROM
+    blocks = 3 * _engine.CHUNK + 77
+    sums = np.empty(blocks, dtype=np.complex128)
+    _engine.block_sums(a, b, c, stride, sums)
+    tops = [(2 * a * stride * q + b) % MODULUS >> 128 for q in range(blocks)]
+    rho = np.array([[t >> 64, t & (1 << 64) - 1] for t in tops], dtype=np.uint64)
+    row = _engine._terms(a, 0, 0, stride)
+    prefactors = _engine._terms(a * stride * stride, b * stride, c, blocks)
+    assert sums.tobytes() == (_engine.poly_eval_unit_circle(row, rho) * prefactors).tobytes()
+    # a trajectory's block points are the running sums of block_sums
+    n = blocks * stride + 13
     tr = trajectory(theta, Angle(12), Angle(7), n, stride)
-    sums = _engine.block_sums(theta.numerator, 24, 7, stride, n // stride)
     assert tr.points[1:-1].tolist() == np.cumsum(sums).tolist()
-    tail = _engine.qsum(*_engine.shifted(theta.numerator, 24, 7, n - 13), 13)
+    tail = _engine.qsum(*_engine.shifted(a, b, c, n - 13), 13)
     assert tr.points[-1] == tr.points[-2] + tail
 
 
