@@ -49,8 +49,8 @@ B terms, k = q B + j, from one row:
     P(u) = sum_{j<B} e(A j^2 2**-256) e(j u),  u_q = (2 A B q + B') 2**-256,
 where B' is the linear coefficient.  The row of B coefficients comes from
 phase_chunks and e_phase, once, and poly_eval_unit_circle evaluates P at
-the block points, each point's top 128 bits taken as exact integer words
-of its numerator (theta and x never become floats).  The block prefactors
+the block points, each point's top 128 bits exact uint64 words of its
+numerator (block_points, by 32-bit limbs; theta and x never become floats).  The block prefactors
 e(phi_{qB}) are the quadratic phase (A B^2, B' B, C) in q, from the same
 kernel.  The blocks go in chunks of a multiple of CHUNK blocks, at least
 B: each chunk's prefactors, at coefficients shifted to its first block,
@@ -68,6 +68,17 @@ K = n - m; O(sqrt(n) log n) in all.  weylsum.trajectory takes B = stride,
 and its points are the cumulative sums of the blocks.  Partial sums
 (qsum_partials) and moments (qsum_moments) stay direct at every n.
 The error bounds are stated at weylsum.weyl_sum and weylsum.trajectory.
+
+Walks near 0: near_partials yields only the partial sums that can come
+within reach R of 0.  Its block starts z_q, blocks of s = NEAR_SIZE terms,
+are the cumulative sum of block_sums, NEAR_CHUNK blocks at a time.  Step j
+of block q is within j of z_q and s - j of z_q+1, so block q is skipped
+when |z_q| + |z_q+1| > 2 R + s + pad, pad = 2**-50 (s + 5) (K + A) with
+K = (q + 1) s, A = |z_1| + ... + |z_q+1|: over three times twice a start's
+error (weylsum.trajectory's j (3.25 s + 4) 2**-51 + 2**-53 A, j = q + 1)
+plus twice the stream's rounding to term K (K 2**-51 + 2**-53 s (A + K)).
+Kept runs are walked directly from their start at shifted coefficients,
+the tail always; memory is one chunk of blocks and CHUNK terms at any n.
 """
 
 from __future__ import annotations
@@ -210,6 +221,18 @@ def shifted(a: int, b: int, c: int, k: int) -> tuple[int, int, int]:
     return a, 2 * a * k + b, a * k * k + b * k + c
 
 
+def block_points(step: int, base: int, q: np.ndarray) -> np.ndarray:
+    """The top 128 bits of (step q + base) mod 2**256 per uint64 q < 2**32,
+    as rows (bits 192-255, bits 128-191): eight multiply-add passes over the
+    32-bit limbs s_i, b_i of step and base, each q s_i + b_i + carry <= 2**64 - 1."""
+    limbs, carry = [], np.zeros_like(q)
+    for i in range(8):
+        t = q * np.uint64(step >> 32 * i & 0xFFFFFFFF) + np.uint64(base >> 32 * i & 0xFFFFFFFF) + carry
+        carry = t >> _SH32
+        limbs.append(t & _LOW32)
+    return np.stack([limbs[7] << _SH32 | limbs[6], limbs[5] << _SH32 | limbs[4]], axis=1)
+
+
 def block_sums(a: int, b: int, c: int, size: int, out: np.ndarray) -> None:
     """Write into out[q] the sum of the terms k = q size .. (q + 1) size - 1,
     for q < out.size: one row of size coefficients through
@@ -219,10 +242,8 @@ def block_sums(a: int, b: int, c: int, size: int, out: np.ndarray) -> None:
     per = _chunk_blocks(size)
     for q0 in range(0, out.size, per):
         q1 = min(q0 + per, out.size)
-        # block q starts at k = q size; its point u = (2 A q size + B) 2**-256,
-        # whose top 128 bits are exact words
-        tops = (((step * q + b) % MODULUS >> 128).to_bytes(16, "big") for q in range(q0, q1))
-        rho = np.frombuffer(b"".join(tops), dtype=">u8").reshape(q1 - q0, 2).astype(np.uint64)
+        # block q starts at k = q size; its point u = (2 A q size + B) 2**-256
+        rho = block_points(step, step * q0 + b, np.arange(q1 - q0, dtype=np.uint64))
         body = out[q0:q1]
         body[:] = poly_eval_unit_circle(row, rho)
         # each block's prefactor, the quadratic phase (A size^2) q^2 +
@@ -245,14 +266,43 @@ def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
     return complex(np.sum(sums) + qsum(*shifted(a, b, c, k), n - k))
 
 
-def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (k0, z) with z[j] = partial sum through term k0+j (inclusive)."""
-    carry = 0.0 + 0.0j
-    for k0, words in phase_chunks(a, b, c, n):
+def _walk(a: int, b: int, c: int, k: int, n: int, carry: complex) -> Iterator[tuple[int, np.ndarray]]:
+    # the partial sums of terms k .. k+n-1 on top of carry
+    for k0, words in phase_chunks(*shifted(a, b, c, k), n):
         z = np.cumsum(e_phase(words))
         z += carry
         carry = complex(z[-1])
-        yield k0, z
+        yield k + k0, z
+
+
+def qsum_partials(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k0, z) with z[j] = partial sum through term k0+j (inclusive)."""
+    yield from _walk(a, b, c, 0, n, 0j)
+
+
+NEAR_SIZE, NEAR_CHUNK = 128, 1 << 11  # near_partials' block size and blocks per pass
+
+
+def near_partials(a: int, b: int, c: int, n: int, reach: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (k0, z) as qsum_partials does, but only over the runs of blocks
+    whose partial sums can come within reach of 0, and the tail."""
+    s, blocks = NEAR_SIZE, n // NEAR_SIZE
+    start, mass = 0j, 0.0
+    for q0 in range(0, blocks, NEAR_CHUNK):
+        # z[r] is the start of block q0 + r, and z[-1] the end of the last
+        z = np.empty(min(NEAR_CHUNK, blocks - q0) + 1, dtype=np.complex128)
+        z[0] = start
+        block_sums(*shifted(a, b, c, q0 * s), s, z[1:])
+        np.cumsum(z, out=z)
+        mag = np.abs(z)
+        total = np.cumsum(mag[1:]) + mass  # A per block
+        mass, start = float(total[-1]), complex(z[-1])
+        pad = (total + np.arange(q0 + 1, q0 + z.size) * s) * ((s + 5) * 2.0**-50)
+        keep = np.concatenate(([False], mag[:-1] + mag[1:] <= 2 * reach + s + pad, [False]))
+        edges = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
+        for r0, r1 in zip(edges[::2], edges[1::2]):
+            yield from _walk(a, b, c, (q0 + r0) * s, (r1 - r0) * s, complex(z[r0]))
+    yield from _walk(a, b, c, blocks * s, n - blocks * s, start)
 
 
 def _moment_row(k0: int, words: np.ndarray, inv_n: float, pmax: int) -> np.ndarray:

@@ -244,10 +244,10 @@ def resume_witness(
     smallest m (then smallest scan index) is measured, keeping M = m*q and
     the cost of the interval check as low as the scan allows:
     (i) ||M theta|| exactly, (ii) ||a(x~, M)| - 1/2| on a 33-point grid
-    across [x - r, x + r] by direct summation, (iii) ||M^2 theta + 2Mx||
-    exactly.  eps_n is the maximum of the (ii) deviations and the (iii)
-    value: the smallest epsilon for which this level satisfies the
-    construction, measured rather than prescribed.
+    across [x - r, x + r] by weyl_sum (by blocks from 2**14 terms), (iii)
+    ||M^2 theta + 2Mx|| exactly.  eps_n is the maximum of the (ii)
+    deviations and the (iii) value: the smallest epsilon for which this
+    level satisfies the construction, measured rather than prescribed.
     """
     if x_candidates < 1:
         raise ValueError("x_candidates must be >= 1")
@@ -489,14 +489,22 @@ def density_probe(
     a(x/2, 0, n) of the cocycle convention, and the conversion is done
     here by using the numerator of x directly as the linear coefficient,
     avoiding any half-angle snapping.
+
+    Only partial sums that can reach a reported cell are walked:
+    _engine.near_partials at reach R + cell/sqrt(2), a cell's farthest
+    point, skips a block of s terms whose starts have |z_q| + |z_q+1| >
+    2 reach + s + pad, pad bounding their error and the stream's rounding.
+    A first hit can differ from the stream's only at a point within a
+    start's error of a cell edge.  Memory: the table and one block chunk.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     if not (0 < radius < math.inf and 0 < cell < math.inf):
         raise ValueError("radius and cell must be positive and finite")
     side = 2 * radius / cell + 7  # at least the table's width, 2 * span + 1
-    # 10: peak bytes per table cell, by tracemalloc
-    _check_fits(side * side, 10, f"a radius-{radius} disk in cells of {cell}")
+    # 10: peak bytes per table cell, by tracemalloc; then one chunk of blocks
+    need = 10 * side * side + _engine._blocks_bytes(_engine.NEAR_SIZE, _engine.NEAR_CHUNK)
+    _check_fits(need, 1, f"a radius-{radius} disk in cells of {cell}")
     span = int(math.ceil(radius / cell)) + 2
     width = 2 * span + 1
     idx = np.arange(-span, span + 1)
@@ -508,7 +516,8 @@ def density_probe(
         raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
     # first[ix, iy] is the cell's first-hit n; n_terms + 1 marks it unvisited
     first = np.full((width, width), n_terms + 1, dtype=np.int64)
-    for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, n_terms):
+    reach = radius + cell / math.sqrt(2)
+    for k0, z in _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, reach):
         sx = np.floor(z.real / cell).astype(np.int64) + span
         sy = np.floor(z.imag / cell).astype(np.int64) + span
         j = np.flatnonzero((sx >= 0) & (sx < width) & (sy >= 0) & (sy < width))

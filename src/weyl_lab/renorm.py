@@ -124,8 +124,8 @@ def fe_residual(theta: Angle, x: Angle, k: int) -> float:
 
     |sqrt(theta)*psi(theta,x,k) - psi(S theta, x', [k theta])| with x' the
     parity-corrected slot from renorm_step, i.e. the level-1 residual of
-    the one-step chain; both sides by direct summation.  The expected size
-    is O(1) uniformly.
+    the one-step chain; both sides by psi, by blocks from 2**14 terms.
+    The expected size is O(1) uniformly.
     """
     if theta.numerator == 0:
         raise ValueError("requires 0 < theta < 1")

@@ -242,6 +242,30 @@ def test_cli_non_finite_or_out_of_range_float_exits_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+class _Walked(Exception):
+    pass
+
+
+def test_cli_density_of_1e12_terms_is_admitted_and_walks_by_chunks(monkeypatch):
+    # admitted, and the first walked block comes after one chunk of block
+    # starts, with nothing allocated per block of the 10**12 terms
+    pruned = _engine.near_partials
+
+    def first_run(*args):
+        for item in pruned(*args):
+            yield item
+            raise _Walked
+
+    monkeypatch.setattr(_engine, "near_partials", first_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Walked):
+            cli.main(["density", "--theta", "golden", "--n", "1000000000000"])
+        assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "bad",
     [

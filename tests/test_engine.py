@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from cos_sin_oracle import EPS_OLD, e_cos_sin, qsum_cos_sin
 from limb_oracle import phase_block_limbs
@@ -327,3 +327,52 @@ def test_batch_matches_scalar_at_deep_level():
     scalar = np.array([weyl_sum(GOLDEN, x, ZERO, 83523) for x in xs])
     # both sides within their n * 2**-51 budgets (measured 0.23 * n * 2**-51)
     assert np.max(np.abs(batch - scalar)) <= 2 * 83523 * 2.0**-51
+
+
+_WORD = st.integers(0, MODULUS - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=_WORD, base=_WORD, qs=st.lists(st.integers(0, 2**32 - 1), max_size=16))
+# a carry through every limb
+@example(step=MODULUS - 1, base=MODULUS - 1, qs=[])
+def test_block_points_match_the_big_integer_form(step, base, qs):
+    qs = [0, 1, 2**32 - 1, *qs]
+    rho = _engine.block_points(step, base, np.array(qs, dtype=np.uint64))
+    tops = [(step * q + base) % MODULUS >> 128 for q in qs]
+    assert rho.dtype == np.uint64
+    assert rho.tolist() == [[t >> 64, t & (1 << 64) - 1] for t in tops]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    theta=_WORD,
+    x=_WORD,
+    n=st.integers(0, 2 * 10**6),
+    reach=st.sampled_from([0.5, 2.2, 40.0, 2.0**22]),
+)
+# below one block, not a multiple of the block, theta = 0 on and off the
+# real axis, and a reach past every partial sum
+@example(theta=GOLDEN.numerator, x=12, n=_engine.NEAR_SIZE - 1, reach=2.2)
+@example(theta=GOLDEN.numerator, x=12, n=300 * _engine.NEAR_SIZE + 77, reach=2.2)
+@example(theta=0, x=MODULUS // 7, n=10**6 + 3, reach=2.2)
+@example(theta=0, x=0, n=10**5, reach=2.2)
+# z_k = k: block 1, from 128 to 256, has a point within reach, and its
+# starts' sum, 384, is within 3 of 2 reach + 128
+@example(theta=0, x=0, n=1000, reach=129.5)
+@example(theta=GOLDEN.numerator, x=12, n=10**6 + 3, reach=2.0**22)
+@example(theta=MODULUS // 3, x=MODULUS // 5, n=2 * 10**6, reach=40.0)
+def test_near_partials_walk_every_stream_point_within_reach(theta, x, n, reach):
+    # the stream's points, each walked once or not at all, and every one
+    # within reach walked; a walked point within 1e-9 of the stream's
+    stream = np.concatenate([np.zeros(0, dtype=np.complex128)] + [z for _, z in _engine.qsum_partials(theta, x, 0, n)])
+    walked = np.zeros(n, dtype=bool)
+    end = 0
+    for k0, z in _engine.near_partials(theta, x, 0, n, reach):
+        assert k0 >= end and z.dtype == np.complex128
+        end = k0 + z.size
+        walked[k0:end] = True
+        assert np.max(np.abs(z - stream[k0:end])) <= 1e-9
+    assert walked[np.abs(stream) <= reach].all()
+    if n < _engine.NEAR_SIZE or reach > n:
+        assert walked.all()

@@ -1,7 +1,12 @@
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from box_oracle import box_experiment_loop
 
 from weyl_lab import _engine
@@ -10,6 +15,7 @@ from weyl_lab.calibration import load_calibration
 from weyl_lab.contfrac import angle_from_cf, cf_expand, construct_f_member
 from weyl_lab.exactangle import (
     GOLDEN,
+    MODULUS,
     Angle,
     angle_from_decimal,
     angle_from_rational,
@@ -20,6 +26,7 @@ from weyl_lab.experiments import (
     UnusableLevelError,
     approx_ratio,
     box_experiment,
+    REFERENCE_THETA,
     density_probe,
     growth_report,
     modulus_on_interval,
@@ -277,6 +284,74 @@ def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
     if radius == 256.0:
         # the walk reaches new cells after the first block
         assert any(m > _engine.CHUNK for _, _, m in hits)
+
+
+def _stream_density(theta, x, n, radius, cell):
+    # the density probe on the direct stream, every partial sum walked
+    def stream(a, b, c, n, reach):
+        return _engine.qsum_partials(a, b, c, n)
+
+    with mock.patch.object(_engine, "near_partials", stream):
+        return density_probe(theta, x, n, radius, cell)
+
+
+def _assert_same_hits(theta, x, n, radius, cell, tol):
+    # the pruned walk's report is the stream's, but for cells whose first
+    # hit, in either, is a stream point within tol of a cell edge
+    pruned = density_probe(theta, x, n, radius, cell)
+    direct = _stream_density(theta, x, n, radius, cell)
+    assert pruned.n_disk_cells == direct.n_disk_cells
+    for ix, iy, m in set(pruned.first_hits) ^ set(direct.first_hits):
+        k0, z = next((k0, z) for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, m) if k0 + z.size >= m)
+        edge = np.array([z[m - 1 - k0].real, z[m - 1 - k0].imag]) / cell
+        assert np.min(np.abs(edge - np.round(edge))) * cell <= tol, (ix, iy, m)
+    return pruned, direct
+
+
+_ANGLE = st.builds(Angle, st.integers(0, MODULUS - 1))
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=_ANGLE, x=_ANGLE, n=st.integers(0, 2 * 10**6), shape=st.sampled_from([(2.0, 0.25), (0.5, 0.125)]))
+# below one block, not a multiple of the block, theta = 0, and a disk
+# wider than a block, past every partial sum at random theta
+@example(theta=GOLDEN, x=Angle(12), n=_engine.NEAR_SIZE - 1, shape=(2.0, 0.25))
+@example(theta=GOLDEN, x=angle_from_decimal("0.3"), n=300 * _engine.NEAR_SIZE + 77, shape=(2.0, 0.25))
+@example(theta=Angle(0), x=counter_angle(7, 0, "density"), n=10**6 + 3, shape=(2.0, 0.25))
+@example(theta=counter_angle(11, 0, "scan-theta"), x=Angle(12), n=2 * 10**6, shape=(4096.0, 64.0))
+@example(theta=REFERENCE_THETA, x=counter_angle(7, 0, "density"), n=2 * 10**6, shape=(2.0, 0.25))
+def test_density_pruned_first_hits_are_the_streams(theta, x, n, shape):
+    pruned, direct = _assert_same_hits(theta, x, n, *shape, 1e-9)
+    assert pruned.n_visited == len(pruned.first_hits)
+    assert pruned.covered_fraction == pruned.n_visited / pruned.n_disk_cells
+
+
+@pytest.mark.slow
+def test_density_pruned_first_hits_at_1e9_terms():
+    # E9's reference walk at 10**9 terms; within a start's a-priori error,
+    # about 3.25 n 2**-51, of a cell edge a first hit may differ
+    n, x = 10**9, counter_angle(7, 0, "density")
+    t = time.perf_counter()
+    pruned = density_probe(REFERENCE_THETA, x, n)
+    took = time.perf_counter() - t
+    assert _assert_same_hits(REFERENCE_THETA, x, n, 2.0, 0.25, 8 * n * 2.0**-51)[0] == pruned
+    print(f"pruned density at n = 1e9: {took:.1f} s")
+
+
+def _density_peak(n):
+    tracemalloc.start()
+    try:
+        density_probe(Angle(0), counter_angle(7, 0, "density"), n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_memory_does_not_grow_with_n():
+    # at theta = 0 every block is walked, so only n differs; the walk holds
+    # the table, one chunk of blocks and one CHUNK of terms
+    _density_peak(1000)
+    assert _density_peak(10**7) <= _density_peak(10**6) + 2**16
 
 
 def test_growth_theta_zero_control():
