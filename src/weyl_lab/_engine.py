@@ -49,8 +49,8 @@ B terms, k = q B + j, from one row:
     P(u) = sum_{j<B} e(A j^2 2**-256) e(j u),  u_q = (2 A B q + B') 2**-256,
 where B' is the linear coefficient.  The row of B coefficients comes from
 phase_chunks and e_phase, once, and poly_eval_unit_circle evaluates P at
-the block points, each point's top 128 bits exact uint64 words of its
-numerator (block_points, by 32-bit limbs; theta and x never become floats).  The block prefactors
+the block points, each point's top 128 bits exact uint64 words from
+block_points (theta and x never become floats).  The block prefactors
 e(phi_{qB}) are the quadratic phase (A B^2, B' B, C) in q, from the same
 kernel.  The blocks go in chunks of a multiple of CHUNK blocks, at least
 B: each chunk's prefactors, at coefficients shifted to its first block,
@@ -201,8 +201,9 @@ def _terms(a: int, b: int, c: int, n: int) -> np.ndarray:
 
 
 def _chunk_blocks(size: int) -> int:
-    # block_sums' blocks per chunk, a multiple of CHUNK and at least size
-    return CHUNK * -(-size // CHUNK)
+    # block_sums' blocks per chunk, a multiple of CHUNK, at least size and
+    # at most 2**32, block_points' bound on q
+    return min(CHUNK * -(-size // CHUNK), 1 << 32)
 
 
 def _blocks_bytes(size: int, blocks: int) -> int:
