@@ -295,17 +295,16 @@ def _stream_density(theta, x, n, radius, cell):
         return density_probe(theta, x, n, radius, cell)
 
 
-def _assert_same_hits(theta, x, n, radius, cell, tol):
+def _assert_same_hits(pruned, tol):
     # the pruned walk's report is the stream's, but for cells whose first
     # hit, in either, is a stream point within tol of a cell edge
-    pruned = density_probe(theta, x, n, radius, cell)
-    direct = _stream_density(theta, x, n, radius, cell)
+    theta, x, cell = pruned.theta, pruned.x, pruned.cell
+    direct = _stream_density(theta, x, pruned.N, pruned.radius, cell)
     assert pruned.n_disk_cells == direct.n_disk_cells
     for ix, iy, m in set(pruned.first_hits) ^ set(direct.first_hits):
         k0, z = next((k0, z) for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, m) if k0 + z.size >= m)
         edge = np.array([z[m - 1 - k0].real, z[m - 1 - k0].imag]) / cell
         assert np.min(np.abs(edge - np.round(edge))) * cell <= tol, (ix, iy, m)
-    return pruned, direct
 
 
 _ANGLE = st.builds(Angle, st.integers(0, MODULUS - 1))
@@ -321,9 +320,7 @@ _ANGLE = st.builds(Angle, st.integers(0, MODULUS - 1))
 @example(theta=counter_angle(11, 0, "scan-theta"), x=Angle(12), n=2 * 10**6, shape=(4096.0, 64.0))
 @example(theta=REFERENCE_THETA, x=counter_angle(7, 0, "density"), n=2 * 10**6, shape=(2.0, 0.25))
 def test_density_pruned_first_hits_are_the_streams(theta, x, n, shape):
-    pruned, direct = _assert_same_hits(theta, x, n, *shape, 1e-9)
-    assert pruned.n_visited == len(pruned.first_hits)
-    assert pruned.covered_fraction == pruned.n_visited / pruned.n_disk_cells
+    _assert_same_hits(density_probe(theta, x, n, *shape), 1e-9)
 
 
 @pytest.mark.slow
@@ -334,8 +331,8 @@ def test_density_pruned_first_hits_at_1e9_terms():
     t = time.perf_counter()
     pruned = density_probe(REFERENCE_THETA, x, n)
     took = time.perf_counter() - t
-    assert _assert_same_hits(REFERENCE_THETA, x, n, 2.0, 0.25, 8 * n * 2.0**-51)[0] == pruned
     print(f"pruned density at n = 1e9: {took:.1f} s")
+    _assert_same_hits(pruned, 8 * n * 2.0**-51)
 
 
 def _density_peak(n):
