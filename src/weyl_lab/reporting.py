@@ -14,6 +14,7 @@ shape defines its own as_dict().
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 
 from .exactangle import Angle
@@ -23,7 +24,7 @@ FLATTEN = {"flatten": True}
 
 
 def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in report")
     return format(float(x), ".17g")
 
@@ -55,44 +56,23 @@ def report_dict(report) -> dict:
     return out
 
 
-def _render(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            _render(str(key), out)
-            out.append(":")
-            _render(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _render(obj) -> str:
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(key))}:{_render(obj[key])}" for key in sorted(obj)) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_render, obj)) + "]"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_json(obj) -> str:
     """Canonical JSON text for a report object or plain dict."""
-    out: list[str] = []
-    _render(_plain(obj), out)
-    return "".join(out) + "\n"
+    return _render(_plain(obj)) + "\n"
 
 
 def render_csv(report) -> str:

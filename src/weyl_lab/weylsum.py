@@ -278,8 +278,8 @@ def parseval_estimates(
 # stream took 0.20 s at any stride and the block sums 0.20 s at stride 32,
 # 0.16 s at 40 and 0.10 s at 64 (best of 5, 2-core Xeon VM)
 STRIDE_BLOCKS_FROM = 40
-# the block route's bytes per recorded point once built (the points and
-# their indices), beside block_sums' own (_engine._blocks_bytes)
+# a trajectory's peak bytes per recorded point on every route (the points
+# and their indices, by tracemalloc), beside block_sums' own (_engine._blocks_bytes)
 _POINT_BYTES = 32
 
 
@@ -297,8 +297,8 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     2 floor(sqrt(n)) terms takes each block as weyl_sum takes a sum of s
     terms instead, at the block's shifted coefficients, so that no row
     grows past what memory allows (n // s < sqrt(n) / 2 sums).  When s does
-    not divide n, z_n is the last block point plus one sum of the n mod s
-    tail terms, again as weyl_sum takes it.
+    not divide n, the n mod s tail terms are one more, shorter block, summed
+    as weyl_sum takes it, and z_n is the cumulative sum's last point.
 
     Error of the block route, a priori: each block sum is within
     (3.25 s + 4) 2**-51 of the exact one (weyl_sum's bound for one block; a
@@ -317,48 +317,47 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     and s = 1000 the block points came within 8.9e-7 of weyl_sum's sums at
     the same lengths and the stream's within 1.5e-7, against an a-priori
     bound of 3.2e-6 for the block route.
-    A trajectory whose points, row, fine grid and one chunk of blocks would
-    exceed physical memory raises ValueError before anything is allocated:
-    from STRIDE_BLOCKS_FROM on the points hold 32 bytes each, under the
-    stream's 41."""
+    A trajectory whose points (_POINT_BYTES each on either route) and, on
+    the block route, row, fine grid and one chunk of blocks would exceed
+    physical memory raises ValueError before anything is allocated."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     coeffs = theta.numerator, 2 * x.numerator, y.numerator
     blocks, tail = divmod(n, stride)
-    points = blocks + 2  # at least z_0, every stride-th sum and z_n
+    points = blocks + 1 + bool(tail)  # z_0, every stride-th sum and z_n
+    # one row of stride terms; past weyl_sum's own blocks, each block is
+    # a sum of its own as weyl_sum takes it (its blocks fewer than size)
+    on_row = stride <= min(n, 2 * math.isqrt(n))
     if stride < STRIDE_BLOCKS_FROM:
-        _check_fits(points, 41, f"{points} recorded points")  # peak bytes per point, by tracemalloc
-        pts = [np.zeros(1, dtype=np.complex128)]
+        need = 0
+    elif on_row:
+        need = _engine._blocks_bytes(stride, blocks)
+    else:
+        size = 2 * math.isqrt(min(stride, n))
+        need = _engine._blocks_bytes(size, size)
+    _check_fits(need + _POINT_BYTES * points, 1, f"{points} recorded points of stride {stride}")
+    zs = np.zeros(points, dtype=np.complex128)
+    if stride < STRIDE_BLOCKS_FROM:
         for k0, z in _engine.qsum_partials(*coeffs, n):
-            # z[j] is the partial sum through term k0+j, i.e. z_{k0+j+1}; the
-            # copy lets the block go
-            pts.append(z[(-k0 - 1) % stride :: stride].copy())
+            # z[j] is the partial sum through term k0+j, i.e. z_{k0+j+1}: the
+            # points z_is with k0 < is <= k0 + z.size, from i = ceil((k0 + 1) / s)
+            i = -(-(k0 + 1) // stride)
+            zs[i : (k0 + z.size) // stride + 1] = z[i * stride - k0 - 1 :: stride]
         if tail:
             # always include the endpoint, the stream's own last partial sum
-            pts.append(z[-1:])
-        zs = np.concatenate(pts)
+            zs[-1] = z[-1]
     else:
-        # one row of stride terms; past weyl_sum's own blocks, each block is
-        # a sum of its own as weyl_sum takes it (its blocks fewer than size)
-        on_row = stride <= min(n, 2 * math.isqrt(n))
-        if on_row:
-            need = _engine._blocks_bytes(stride, blocks)
-        else:
-            size = 2 * math.isqrt(min(stride, n))
-            need = _engine._blocks_bytes(size, size)
-        _check_fits(need + _POINT_BYTES * points, 1, f"{points} recorded points of stride {stride}")
-        zs = np.zeros(blocks + 1 + bool(tail), dtype=np.complex128)
+        done = blocks if on_row else 0
         if on_row:
             _engine.block_sums(*coeffs, stride, zs[1 : blocks + 1])
-        else:
-            zs[1 : blocks + 1] = [
-                _engine.qsum_blocks(*_engine.shifted(*coeffs, q * stride), stride) for q in range(blocks)
-            ]
-        np.cumsum(zs[: blocks + 1], out=zs[: blocks + 1])
-        if tail:
-            zs[-1] = zs[blocks] + _engine.qsum_blocks(*_engine.shifted(*coeffs, blocks * stride), tail)
+        # the blocks past the row and the tail, one more, shorter block
+        zs[done + 1 :] = [
+            _engine.qsum_blocks(*_engine.shifted(*coeffs, k), min(stride, n - k))
+            for k in range(done * stride, n, stride)
+        ]
+        np.cumsum(zs, out=zs)
     return Trajectory(
         theta=theta,
         start=SkewPoint(x, y),

@@ -3,8 +3,12 @@ import json
 import os
 import time
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import CLI_GOLDEN
 
 from weyl_lab import _engine, acceptance, cli, weylsum
@@ -38,10 +42,46 @@ def test_parse_theta_variants():
 def test_render_json_canonical():
     payload = render_json({"b": 1.0, "a": [1, 2.5, "x"], "c": {"y": True, "x": None}})
     assert payload == '{"a":[1,2.5,"x"],"b":1,"c":{"x":null,"y":true}}\n'
+    # bools beside the ints they equal, a tuple, empty containers, a numpy
+    # float and a key that needs escaping
+    payload = render_json({"t": [True, 1, False, 0], "u": (1, [[], {}]), "v": np.float64(0.1), 'k"\n\u00e9': None})
+    assert payload == '{"k\\"\\n\\u00e9":null,"t":[true,1,false,0],"u":[1,[[],{}]],"v":0.10000000000000001}\n'
+    for bad in (np.int64(3), {1, 2}):
+        with pytest.raises(TypeError):
+            render_json({"v": [bad]})
 
 
 def test_render_json_float_17g():
     assert render_json({"v": 1 / 3}) == '{"v":0.33333333333333331}\n'
+    values = [-0.0, 1e-05, 1e16, 1e17, 5e-324, 2**60, -(2**70)]
+    assert render_json(values) == (
+        "[-0,1.0000000000000001e-05,10000000000000000,1e+17,4.9406564584124654e-324,"
+        "1152921504606846976,-1180591620717411303424]\n"
+    )
+    # non-finite floats are refused in both formats
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            render_json({"v": [bad]})
+        with pytest.raises(ValueError):
+            render_csv(SimpleNamespace(csv_rows=lambda: [[1, bad]]))
+
+
+# plain report data; -0.0 (mapped to 0.0) is left out, since json reads its
+# text -0 back as the int 0 (test_render_json_float_17g pins it)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(lambda f: f + 0.0)
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(st.dictionaries(st.text(), _PLAIN))
+def test_render_json_reads_back_as_its_value(value):
+    text = render_json(value)
+    assert json.loads(text) == json.loads(json.dumps(value))  # tuples as lists
+    assert render_json(json.loads(text)) == text
 
 
 def test_cli_out_file_equals_stdout(tmp_path, capsys):
@@ -89,6 +129,8 @@ CLI_SUMMARY = {
     "construct": "",
     "sum": "a = 16.725924 + 21.128004i  |a| = 26.947153\n",
     "traj": "",
+    "traj-row": "",
+    "traj-past-row": "",
     "parseval": "mean |a|^2 = 16.9893 (q = 17, se = 0.1393)\n",
     "renorm": "",
     "schedule": "",

@@ -18,7 +18,7 @@ from weyl_lab.reporting import render_json
 # a cf whose level q = 17 is the whole schedule, so resume and box stay cheap
 _WITNESS = ["--theta", "2,8,200000", "--eps", "1", "--delta", "0.5", "--candidates", "512", "--seed", "7"]
 
-# subcommand -> (argv, {format: sha256 of the output bytes})
+# case -> (argv, {format: sha256 of the output bytes})
 CLI_GOLDEN = {
     "cf": (
         ["cf", "--theta", "golden", "--depth", "10"],
@@ -37,6 +37,22 @@ CLI_GOLDEN = {
         {
             "json": "ebfb8991d5b34c03535ee4cab246879dcae6a45cab78b72ecbaa5934c9e201f0",
             "csv": "c8b47787b4d6dad1b4b00fd71aafae60ac5f075cf869298e70cf123656a4033c",
+        },
+    ),
+    # the block routes, each with a tail: on one row of stride coefficients,
+    # and past the row (strides over 2 floor(sqrt(n)), each block its own sum)
+    "traj-row": (
+        ["traj", "--theta", "construct:0.5,4", "--x", "0.3", "--n", "1000013", "--stride", "1000"],
+        {
+            "json": "ea6fb5cba55ce6457498d7adcecdbbc584b53b1dfc0a57d817a6b4bd0bff2495",
+            "csv": "986bf7e674db36a52defbd53f79d9a7131cd715f322318915c98d3f5883d0298",
+        },
+    ),
+    "traj-past-row": (
+        ["traj", "--theta", "golden", "--x", "0.3", "--n", "300007", "--stride", "3000"],
+        {
+            "json": "3d83e6eee4d2e83c1af01aaee700da6061748ed3aa9cd1577527c84f789e5db6",
+            "csv": "bce4d5c9a1056150379ea33d96d0dd5ca04d6d5f75d72f445e699bd2758abb4f",
         },
     ),
     "parseval": (

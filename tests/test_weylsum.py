@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -615,8 +616,8 @@ class _Refused(Exception):
 
 @pytest.mark.parametrize("n, stride", [(2 * 10**9, 40), (10**12, 1000)])
 def test_trajectory_block_route_fits_where_the_stream_fit(monkeypatch, n, stride):
-    # the block route holds its points and one chunk of blocks, so a request
-    # the stream's 41 bytes per point admitted is charged no more
+    # the block route holds its points, 32 bytes each as on the stream route,
+    # and one chunk of blocks, so a request is charged under 41 bytes per point
     charged = []
 
     def check(count, bytes_each, what):
@@ -627,6 +628,31 @@ def test_trajectory_block_route_fits_where_the_stream_fit(monkeypatch, n, stride
     with pytest.raises(_Refused):
         trajectory(GOLDEN, Angle(12), Angle(7), n, stride)
     assert charged and charged[0] <= 41 * (n // stride + 2)
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_trajectory_stream_peak_per_point_is_its_charge(monkeypatch, stride):
+    # between 10**6 and 3 10**6 terms the stream route's traced peak grows
+    # per recorded point by the bytes per point trajectory charges
+    charged = []
+    check = weylsum._check_fits
+
+    def spy(count, bytes_each, what):
+        charged.append(count * bytes_each)
+        check(count, bytes_each, what)
+
+    trajectory(GOLDEN, Angle(12), Angle(7), 10, stride)  # the e(phi) tables
+    monkeypatch.setattr(weylsum, "_check_fits", spy)
+    peaks, points = [], []
+    for n in (10**6, 3 * 10**6):
+        tracemalloc.start()
+        try:
+            points.append(trajectory(GOLDEN, Angle(12), Angle(7), n, stride).points.size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grown = (peaks[1] - peaks[0]) / (points[1] - points[0])
+    assert grown == pytest.approx((charged[1] - charged[0]) / (points[1] - points[0]), rel=0.01)
 
 
 def test_trajectory_blocks_past_the_longest_row_are_sums_of_their_own():
