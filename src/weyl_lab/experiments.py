@@ -64,6 +64,13 @@ DEFAULT_GRID = 512
 DEFAULT_RADIUS = 2.0  # the density probe's disk and its cell size
 DEFAULT_CELL = 0.25
 TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
+# samples per block of the box's exact test and of the Taylor moduli, so
+# that neither holds more than a block's lists and complex temporaries
+SAMPLE_BLOCK = 1 << 14
+# box_experiment's peak bytes per sample, by tracemalloc: the x-offsets
+# while the y-draws hold their digest bytes (up to 9 with the bytearray's
+# overallocation) and two word arrays
+BOX_SAMPLE_BYTES = 33
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
 # resume_witness's gates: |a(x,q)| >= U_MIN, ||a(x,q) b(2qx,m)| - 1/2| <= PRODUCT_TOL
 U_MIN = 5.0
@@ -371,21 +378,38 @@ def modulus_on_interval(
     a(x0+u, M) = sum_p S_p (4 pi i M u)^p / p! with S_p the (k/M)^p-weighted
     sums, p <= P = TAYLOR_DEGREE; the truncation tail is below
     M * (4 pi M max|u|)^(P+1)/(P+1)!, reported so callers can check it.
+    The offsets are taken SAMPLE_BLOCK at a time.
     """
-    moments = _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, TAYLOR_DEGREE)
+    moments = _interval_moments(theta, x0, big_m)
+    mods = np.empty(len(offsets))
+    for lo in range(0, len(offsets), SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        mods[block] = _taylor_moduli(moments, big_m, offsets[block])
+    return mods, _taylor_tail(big_m, offsets)
+
+
+def _interval_moments(theta: Angle, x0: Angle, big_m: int) -> np.ndarray:
+    return _engine.qsum_moments(theta.numerator, 2 * x0.numerator, 0, big_m, TAYLOR_DEGREE)
+
+
+def _taylor_moduli(moments: np.ndarray, big_m: int, offsets: np.ndarray) -> np.ndarray:
+    """|sum_p S_p (4 pi i M u)^p / p!| at each offset u, every one on its own."""
     w = 4j * math.pi * big_m * offsets
     acc = np.full(len(offsets), moments[0], dtype=np.complex128)
     term = np.ones(len(offsets), dtype=np.complex128)
     for p in range(1, TAYLOR_DEGREE + 1):
         term = term * w / p
         acc += moments[p] * term
-    u_max = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
-    tail = (
+    return np.abs(acc)
+
+
+def _taylor_tail(big_m: int, offsets: np.ndarray) -> float:
+    u_max = max(-float(np.min(offsets)), float(np.max(offsets))) if len(offsets) else 0.0
+    return (
         big_m
         * (4.0 * math.pi * big_m * u_max) ** (TAYLOR_DEGREE + 1)
         / math.factorial(TAYLOR_DEGREE + 1)
     )
-    return np.abs(acc), tail
 
 
 def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> None:
@@ -398,7 +422,7 @@ def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> 
         raise ValueError("need a y-interval with 2^-256 <= length <= 1 and samples >= 1")
     if not 0 <= nu < math.inf:
         raise ValueError("nu must be >= 0 and finite")
-    _check_fits(samples, 80, f"{samples} box samples")  # peak bytes per sample, by tracemalloc
+    _check_fits(samples, BOX_SAMPLE_BYTES, f"{samples} box samples")
 
 
 def box_experiment(
@@ -428,19 +452,24 @@ def box_experiment(
     image = skew_shift_n(theta, SkewPoint(x0, ZERO), -big_m)
     shift_x = (image.x.numerator - x0.numerator) % MODULUS
     shift_y = image.y.numerator
+    moments = _interval_moments(theta, x0, big_m)  # its work memory freed before the draws
     offsets = (2.0 * counter_units(seed, samples, "box-x") - 1.0) * r
     y_offsets = counter_units(seed, samples, "box-y") * float(len_num)
-    left = 0
-    for off, y_off in zip(offsets.tolist(), y_offsets.tolist()):
-        u = angle_from_float(off).numerator
-        dx = (u + shift_x) % MODULUS
-        in_x = min(dx, MODULUS - dx) <= r_num
-        in_y = (int(y_off) - 2 * big_m * u + shift_y) % MODULUS < len_num
-        if not (in_x and in_y):
-            left += 1
+    left = near = 0  # samples that leave the box, and with ||a| - 1/2| <= nu
+    for lo in range(0, samples, SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        for off, y_off in zip(offsets[block].tolist(), y_offsets[block].tolist()):
+            u = angle_from_float(off).numerator
+            dx = (u + shift_x) % MODULUS
+            in_x = min(dx, MODULUS - dx) <= r_num
+            in_y = (int(y_off) - 2 * big_m * u + shift_y) % MODULUS < len_num
+            if not (in_x and in_y):
+                left += 1
+        mods = _taylor_moduli(moments, big_m, offsets[block])
+        near += int(np.count_nonzero(np.abs(mods - 0.5) <= nu))
     left_fraction = left / samples
-    mods, tail = modulus_on_interval(theta, x0, big_m, offsets)
-    modulus_fraction = float(np.mean(np.abs(mods - 0.5) <= nu))
+    modulus_fraction = near / samples
+    tail = _taylor_tail(big_m, offsets)
     return BoxReport(
         x0=x0,
         r=r,

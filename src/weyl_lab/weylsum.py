@@ -31,6 +31,7 @@ from .exactangle import (
     scale_mod1,
     wrap_add,
 )
+from .reporting import Table
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,12 @@ class Trajectory:
     length: int
     stride: int
 
+    def table(self) -> Table:
+        """The points as rows (n, re z_n, im z_n)."""
+        return Table(self.ns.tolist(), self.points.real.tolist(), self.points.imag.tolist())
+
     def csv_rows(self):
-        yield "n", "re", "im"
-        for n, z in zip(self.ns, self.points):
-            yield int(n), float(z.real), float(z.imag)
+        return [("n", "re", "im"), self.table()]
 
     def as_dict(self) -> dict:
         return {
@@ -68,7 +71,7 @@ class Trajectory:
             "y": self.start.y.to_hex(),
             "n": self.length,
             "stride": self.stride,
-            "points": [[int(n), float(z.real), float(z.imag)] for n, z in zip(self.ns, self.points)],
+            "points": self.table(),
         }
 
 

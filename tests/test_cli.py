@@ -1,8 +1,12 @@
 import inspect
 import json
+import hashlib
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CLI_GOLDEN
 
+import weyl_lab
 from weyl_lab import _engine, acceptance, cli, weylsum
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
@@ -21,7 +26,7 @@ from weyl_lab.experiments import (
     resume_witness,
     select_qn,
 )
-from weyl_lab.reporting import render_csv, render_json
+from weyl_lab.reporting import Table, render_csv, render_json
 from weyl_lab.weylsum import trajectory
 
 
@@ -82,6 +87,49 @@ def test_render_json_reads_back_as_its_value(value):
     text = render_json(value)
     assert json.loads(text) == json.loads(json.dumps(value))  # tuples as lists
     assert render_json(json.loads(text)) == text
+
+
+_TABLE_INTS = st.integers() | st.sampled_from([0, 2**63, -(2**63), 2**70, -(2**70)])
+_TABLE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-05, 1e16, 1e17, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def _tables(draw):
+    kinds = draw(st.lists(st.sampled_from([_TABLE_INTS, _TABLE_FLOATS]), min_size=1, max_size=4))
+    rows = draw(st.integers(0, 50))
+    return [draw(st.lists(kind, min_size=rows, max_size=rows)) for kind in kinds]
+
+
+def _csv_of(rows):
+    return render_csv(SimpleNamespace(csv_rows=lambda: [("a", "b"), *rows]))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(_tables())
+def test_table_writes_its_rows_as_the_per_value_writer(columns):
+    # one row format per table gives the text of the rows written as lists,
+    # value by value, in both formats
+    rows = [list(row) for row in zip(*columns)]
+    assert render_json({"t": Table(*columns)}) == render_json({"t": rows})
+    assert _csv_of([Table(*columns)]) == _csv_of(rows)
+
+
+def test_table_refuses_non_finite_floats_and_other_kinds():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            render_json(Table([1, 2], [0.5, bad]))
+        with pytest.raises(ValueError):
+            _csv_of([Table([1, 2], [0.5, bad])])
+    # never written as 1/0 or cut by %d
+    for bad in ([True, False], [np.int64(1), np.int64(2)], [1, 2.5], [np.float64(0.5), 0.5]):
+        with pytest.raises(TypeError):
+            render_json(Table([1, 2], bad))
+        with pytest.raises(TypeError):
+            _csv_of([Table([1, 2], bad)])
+    with pytest.raises(ValueError):
+        render_json(Table([1, 2], [0.5]))  # columns of unequal length
 
 
 def test_cli_out_file_equals_stdout(tmp_path, capsys):
@@ -151,6 +199,21 @@ def test_cli_golden_summary_line(capsys, name):
 def test_cli_unknown_subcommand_exits_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["sum", "--bogus-flag", "1"]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(weyl_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "weyl_lab", *argv], env=env, capture_output=True, timeout=120
+        )
+
+    argv, digests = CLI_GOLDEN["cf"]
+    proc = run(*argv)
+    assert proc.returncode == 0 and hashlib.sha256(proc.stdout).hexdigest() == digests["json"]
+    assert run("sum", "--bogus-flag", "1").returncode == 2
 
 
 @pytest.mark.parametrize(

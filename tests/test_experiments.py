@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from box_oracle import box_experiment_loop
 
-from weyl_lab import _engine
+from weyl_lab import _engine, experiments
 from weyl_lab._rng import counter_angle
 from weyl_lab.calibration import load_calibration
 from weyl_lab.contfrac import angle_from_cf, cf_expand, construct_f_member
@@ -23,6 +23,7 @@ from weyl_lab.exactangle import (
     scale_mod1,
 )
 from weyl_lab.experiments import (
+    BOX_SAMPLE_BYTES,
     UnusableLevelError,
     approx_ratio,
     box_experiment,
@@ -182,6 +183,46 @@ def test_box_experiment_equals_per_sample_loop(constructed, deep_witness, shape,
     box = box_experiment(theta, w, **kwargs)
     assert box == box_experiment_loop(theta, w, **kwargs)
     assert 0.0 < box.left_fraction < 1.0 or shape == "full-circle"
+
+
+def test_box_blocks_give_the_report_of_one_block(monkeypatch, constructed, deep_witness):
+    # the exact test and the Taylor moduli take each sample on its own, so
+    # blocks of 7 samples give the report and the moduli of one block; at
+    # r = 1e-9 the moduli spread over [0.0003, 2.6]
+    from dataclasses import replace
+
+    _, theta, _ = constructed
+    w = replace(deep_witness, r_n=1e-9)
+    kwargs = {"nu": 0.3, "samples": 3000, "seed": 1}
+    offsets = np.linspace(-w.r_n, w.r_n, 3000)
+    whole = box_experiment(theta, w, **kwargs), modulus_on_interval(theta, w.x, w.M_n, offsets)
+    monkeypatch.setattr(experiments, "SAMPLE_BLOCK", 7)
+    box, (mods, tail) = box_experiment(theta, w, **kwargs), modulus_on_interval(theta, w.x, w.M_n, offsets)
+    assert box == whole[0] and 0.0 < box.modulus_fraction < 1.0
+    assert mods.tolist() == whole[1][0].tolist() and tail == whole[1][1]
+
+
+def test_box_peak_per_sample_is_its_charge(monkeypatch, constructed, deep_witness):
+    # between 10**4 and 3 10**4 samples the box's traced peak grows per
+    # sample by the bytes check_box_args charges: with blocks of 256
+    # samples and a short M the draws hold the peak, not a block or the
+    # moments
+    from dataclasses import replace
+
+    _, theta, _ = constructed
+    w = replace(deep_witness, M_n=1000)
+    monkeypatch.setattr(experiments, "SAMPLE_BLOCK", 256)
+    box_experiment(theta, w, samples=10, seed=1)
+    peaks = []
+    for samples in (10**4, 3 * 10**4):
+        tracemalloc.start()
+        try:
+            box_experiment(theta, w, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grown = (peaks[1] - peaks[0]) / (2 * 10**4)
+    assert BOX_SAMPLE_BYTES - 2 < grown <= BOX_SAMPLE_BYTES
 
 
 def test_box_experiment_deep_level(constructed, deep_witness):
