@@ -278,9 +278,11 @@ def parseval_estimates(
 
 
 # trajectory takes the block route from this stride on: at n = 10**7 the
-# stream took 0.20 s at any stride and the block sums 0.20 s at stride 32,
-# 0.16 s at 40 and 0.10 s at 64 (best of 5, 2-core Xeon VM)
-STRIDE_BLOCKS_FROM = 40
+# stream took 0.22-0.29 s at any stride, and the block sums beat it at
+# every stride from 17 in four rounds over strides 8-40 (best of 5-9,
+# 2-core Xeon VM; 0.20 against 0.22 s at 17, 0.17 against 0.22 at 20,
+# 0.10 against 0.29 at 39), while at 15 and 16 each route won a round
+STRIDE_BLOCKS_FROM = 17
 # a trajectory's peak bytes per recorded point on every route (the points
 # and their indices, by tracemalloc), beside block_sums' own (_engine._blocks_bytes)
 _POINT_BYTES = 32
@@ -290,8 +292,9 @@ def trajectory(theta: Angle, x: Angle, y: Angle, n: int, stride: int = 1) -> Tra
     """Record every stride-th partial sum z_j = a(x, y, j), starting at
     z_0 = 0, and the endpoint z_n.
 
-    Two routes.  Below STRIDE_BLOCKS_FROM the points are the direct
-    stream's own partial sums (_engine.qsum_partials), every term summed.
+    Two routes.  Below STRIDE_BLOCKS_FROM (17, from where the blocks ran
+    faster at n = 1e7) the points are the direct stream's own partial
+    sums (_engine.qsum_partials), every term summed.
     From there z_s, z_2s, ... (s = stride) are the cumulative sums of the
     n // s block sums of s terms each, all from one row of s coefficients
     through the non-uniform FFT (_engine.block_sums, as weyl_sum's blocks):
