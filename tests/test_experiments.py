@@ -195,11 +195,13 @@ def test_box_blocks_give_the_report_of_one_block(monkeypatch, constructed, deep_
     w = replace(deep_witness, r_n=1e-9)
     kwargs = {"nu": 0.3, "samples": 3000, "seed": 1}
     offsets = np.linspace(-w.r_n, w.r_n, 3000)
-    whole = box_experiment(theta, w, **kwargs), modulus_on_interval(theta, w.x, w.M_n, offsets)
+    box = box_experiment(theta, w, **kwargs)
+    mods, tail = modulus_on_interval(theta, w.x, w.M_n, offsets)
+    assert 0.0 < box.modulus_fraction < 1.0
     monkeypatch.setattr(experiments, "SAMPLE_BLOCK", 7)
-    box, (mods, tail) = box_experiment(theta, w, **kwargs), modulus_on_interval(theta, w.x, w.M_n, offsets)
-    assert box == whole[0] and 0.0 < box.modulus_fraction < 1.0
-    assert mods.tolist() == whole[1][0].tolist() and tail == whole[1][1]
+    assert box_experiment(theta, w, **kwargs) == box
+    blocked, blocked_tail = modulus_on_interval(theta, w.x, w.M_n, offsets)
+    assert blocked.tolist() == mods.tolist() and blocked_tail == tail
 
 
 def test_box_peak_per_sample_is_its_charge(monkeypatch, constructed, deep_witness):
