@@ -570,8 +570,10 @@ def test_trajectory_block_route_within_its_bound(theta, x, n, stride):
     assert abs(tr.points[-1] - end) <= bounds[-1] + weyl_sum_bound(n)
 
 
+# STRIDE_BLOCKS_FROM - 1: the least stride on the block route is n + 1;
+# 39: a stride of 40, well inside it
 @pytest.mark.parametrize(
-    "n", [0, 1, STRIDE_BLOCKS_FROM - 1, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM + 5]
+    "n", [0, 1, STRIDE_BLOCKS_FROM - 1, 39, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM + 5]
 )
 def test_trajectory_shorter_than_its_stride_is_weyl_sum(n):
     # only z_0 and z_n, and z_n is weyl_sum's own sum: below the crossover
