@@ -7,19 +7,26 @@ versions.  One digest yields exactly the 256 bits of an Angle numerator.
 
 Batched draws: counter_units and counter_angles give the draws of indices
 0 .. n-1 of one stream, equal index by index to counter_unit and
-counter_angle.  They hash (stream, seed) once and copy that hash state
-for each index, so a draw costs one copy, one update and one digest.
+counter_angle, and counter_words gives the same digests as rows of four
+uint64 words, the numerators counter_angles would build, without an Angle
+per draw.  They hash (stream, seed) once and copy that hash state for each
+index, so a draw costs one copy, one update and one digest.  The array
+draws fill their array _CHUNK draws at a time, from one chunk's digest
+bytes, so they hold the array and one chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .exactangle import Angle
+
+_CHUNK = 1 << 12  # draws per chunk of the array draws
 
 
 def _check_fits(count: float, bytes_each: int, what: str) -> None:
@@ -47,6 +54,17 @@ def _digests(seed: int, indices: Iterable[int], stream: str) -> Iterator[bytes]:
         yield h.digest()
 
 
+def _digest_words(seed: int, n: int, stream: str, width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, words) for each chunk of _CHUNK indices from lo below n: the
+    first `width` big-endian uint64 words of each digest, in index order."""
+    digests = _digests(seed, range(n), stream)
+    for lo in range(0, n, _CHUNK):
+        chunk = bytearray()
+        for d in itertools.islice(digests, _CHUNK):
+            chunk += d[: 8 * width]
+        yield lo, np.frombuffer(chunk, dtype=">u8").reshape(-1, width)
+
+
 def counter_angle(seed: int, index: int, stream: str) -> Angle:
     """Uniform grid point on R/Z for the given (stream, seed, index)."""
     (d,) = _digests(seed, (index,), stream)
@@ -72,7 +90,17 @@ def counter_units(seed: int, n: int, stream: str) -> np.ndarray:
     shifted right by 11; both the int-to-double conversion and the scaling
     by 2**-53 are exact.
     """
-    top = bytearray()
-    for d in _digests(seed, range(n), stream):
-        top += d[:8]
-    return (np.frombuffer(top, dtype=">u8") >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    units = np.empty(n)
+    for lo, top in _digest_words(seed, n, stream, 1):
+        units[lo : lo + len(top)] = top[:, 0] >> np.uint64(11)
+    units *= 2.0 ** -53
+    return units
+
+
+def counter_words(seed: int, n: int, stream: str) -> np.ndarray:
+    """The numerators of counter_angles(seed, n, stream) as an (n, 4) uint64
+    array, one per row, most significant word first."""
+    words = np.empty((n, 4), dtype=np.uint64)
+    for lo, chunk in _digest_words(seed, n, stream, 4):
+        words[lo : lo + len(chunk)] = chunk
+    return words

@@ -68,9 +68,11 @@ TAYLOR_DEGREE = 4  # moment-expansion degree of modulus_on_interval
 # that neither holds more than a block's lists and complex temporaries
 SAMPLE_BLOCK = 1 << 14
 # box_experiment's peak bytes per sample, by tracemalloc: the x-offsets
-# while the y-draws hold their digest bytes (up to 9 with the bytearray's
-# overallocation) and two word arrays
-BOX_SAMPLE_BYTES = 33
+# and the y-offsets (the draws hold one chunk of digest bytes beside them)
+BOX_SAMPLE_BYTES = 16
+# relative margin of the box's float pre-pass (_box_left), 2**5 times the
+# 2**-53 its float operations round by
+_BOX_MARGIN = 2.0**-48
 INTERVAL_GRID = 33  # x-grid for the interval check around the witness
 # resume_witness's gates: |a(x,q)| >= U_MIN, ||a(x,q) b(2qx,m)| - 1/2| <= PRODUCT_TOL
 U_MIN = 5.0
@@ -425,6 +427,67 @@ def check_box_args(j_interval: tuple[float, float], nu: float, samples: int) -> 
     _check_fits(samples, BOX_SAMPLE_BYTES, f"{samples} box samples")
 
 
+def _box_left_exact(
+    off: float, y_off: float, shift_x: int, shift_y: int, big_m: int, r_num: int, len_num: int
+) -> bool:
+    """Whether the sample (x0 + off, j_lo + int(y_off) 2**-256) leaves the
+    box under T^-M, on exact grid numerators: with off snapped to the grid
+    as u, it stays iff ||u + shift_x|| <= r and (int(y_off) - 2Mu + shift_y)
+    mod 1 < len."""
+    u = angle_from_float(off).numerator
+    dx = (u + shift_x) % MODULUS
+    in_x = min(dx, MODULUS - dx) <= r_num
+    in_y = (int(y_off) - 2 * big_m * u + shift_y) % MODULUS < len_num
+    return not (in_x and in_y)
+
+
+def _box_left(offsets: np.ndarray, y_offsets: np.ndarray, *box: int) -> int:
+    """How many samples leave the box, _box_left_exact(off, y_off, *box)
+    per sample, by one float pass in turns; a sample within its margin of a
+    boundary takes _box_left_exact itself, so the count is exact.
+
+    box is (shift_x, shift_y, M, r_num, len_num).  In turns, with sx the
+    centred shift_x 2**-256, k = 2M as a double (from 2M centred mod 2**256,
+    all the exact test reads of it), r_t = r_num 2**-256 and
+    len_t = len_num 2**-256: dist = |d - rint(d)| with d = off + sx, and
+    v = y_off 2**-256 - k off + shift_y 2**-256 reduced by its floor.  The
+    sample stays in x iff dist <= r_t and in y iff v < len_t, up to:
+    - x: u 2**-256 is within 2**-257 of off (angle_from_float rounds only
+      offsets below 2**-204), and sx, r_t, d and d - rint(d) each round by
+      at most 2**-53 (|off| + |sx| + r_t): dist and r_t stand within
+      2**-257 + 2**-51 (|off| + |sx| + r_t) of the exact distance and r.
+    - y: int(y_off) truncates by under 2**-256, k u 2**-256 and k off differ
+      by |k| 2**-257, and k, k off, the two sums, the reduction (1 from a v
+      just below 0) and len_t each round by at most 2**-53 (2 + |k off|):
+      v and len_t stand within |k| 2**-257 + 2**-50 (2 + |k off|) of the
+      exact ones.
+    The margins _BOX_MARGIN (|off| + |sx| + r_t) + 2**-255 in x and
+    _BOX_MARGIN (2 + |k off|) + |k| 2**-257 in y, at _BOX_MARGIN = 2**-48,
+    hold these with a factor of 4 to spare for the rounding of the margins
+    and gaps themselves.  A sample whose dist lies within its margin of r_t,
+    or whose v lies within its margin of 0, 1 or len_t, takes the exact
+    test, as does every sample when a margin is not finite."""
+    shift_x, shift_y, big_m, r_num, len_num = box
+    half = MODULUS >> 1
+    sx = ((shift_x + half) % MODULUS - half) / MODULUS
+    k = float((2 * big_m + half) % MODULUS - half)
+    r_t, len_t = r_num / MODULUS, len_num / MODULUS
+    d = offsets + sx
+    dist = np.abs(d - np.rint(d))
+    margin_x = _BOX_MARGIN * (np.abs(offsets) + abs(sx) + r_t) + 2.0**-255
+    k_off = k * offsets
+    v = y_offsets * 2.0**-256 - k_off + shift_y / MODULUS
+    v -= np.floor(v)
+    margin_y = _BOX_MARGIN * (2.0 + np.abs(k_off)) + abs(k) * 2.0**-257
+    gap_y = np.minimum(np.minimum(v, 1.0 - v), np.abs(v - len_t))
+    sure = (np.abs(dist - r_t) > margin_x) & (gap_y > margin_y)
+    left = int(np.count_nonzero(sure & ~((dist <= r_t) & (v < len_t))))
+    unsure = ~sure
+    for off, y_off in zip(offsets[unsure].tolist(), y_offsets[unsure].tolist()):
+        left += _box_left_exact(off, y_off, *box)
+    return left
+
+
 def box_experiment(
     theta: Angle,
     witness: ResumeWitness,
@@ -454,17 +517,13 @@ def box_experiment(
     shift_y = image.y.numerator
     moments = _interval_moments(theta, x0, big_m)  # its work memory freed before the draws
     offsets = (2.0 * counter_units(seed, samples, "box-x") - 1.0) * r
-    y_offsets = counter_units(seed, samples, "box-y") * float(len_num)
+    y_offsets = counter_units(seed, samples, "box-y")
+    y_offsets *= float(len_num)
+    box = shift_x, shift_y, big_m, r_num, len_num
     left = near = 0  # samples that leave the box, and with ||a| - 1/2| <= nu
     for lo in range(0, samples, SAMPLE_BLOCK):
         block = slice(lo, lo + SAMPLE_BLOCK)
-        for off, y_off in zip(offsets[block].tolist(), y_offsets[block].tolist()):
-            u = angle_from_float(off).numerator
-            dx = (u + shift_x) % MODULUS
-            in_x = min(dx, MODULUS - dx) <= r_num
-            in_y = (int(y_off) - 2 * big_m * u + shift_y) % MODULUS < len_num
-            if not (in_x and in_y):
-                left += 1
+        left += _box_left(offsets[block], y_offsets[block], *box)
         mods = _taylor_moduli(moments, big_m, offsets[block])
         near += int(np.count_nonzero(np.abs(mods - 0.5) <= nu))
     left_fraction = left / samples

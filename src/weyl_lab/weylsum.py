@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from ._rng import _check_fits, counter_angles
+from ._rng import _check_fits, counter_words
 from .exactangle import (
     MODULUS,
     ZERO,
@@ -138,12 +138,18 @@ def weyl_sums_over_x(theta: Angle, xs: list[Angle], ns: list[int]) -> np.ndarray
     the peak (growth to n = 1e7: 1.2 GB).  Sums whose peak would exceed
     physical memory raise ValueError first (_check_sums_fit)."""
     _check_sums_fit(ns)
+    x_bytes = b"".join([x.numerator.to_bytes(32, "big") for x in xs])
+    x_words = np.frombuffer(x_bytes, dtype=">u8").reshape(len(xs), 4).astype(np.uint64)
+    return _sums_over_words(theta, x_words, ns)
+
+
+def _sums_over_words(theta: Angle, x_words: np.ndarray, ns: list[int]) -> np.ndarray:
+    """weyl_sums_over_x at the x whose numerators are the rows of x_words,
+    four uint64 words each, most significant first."""
     n_max = max(ns, default=0)
-    out = np.zeros((len(ns), len(xs)), dtype=np.complex128)
+    out = np.zeros((len(ns), len(x_words)), dtype=np.complex128)
     coeffs = _engine._terms(theta.numerator, 0, 0, n_max)
     # the top 128 bits of u = 2x mod 1 are bits 254..127 of x's numerator
-    x_words = np.frombuffer(b"".join([x.numerator.to_bytes(32, "big") for x in xs]), dtype=">u8")
-    x_words = x_words.reshape(len(xs), 4).astype(np.uint64)
     rho = x_words[:, :2] << np.uint64(1) | x_words[:, 1:3] >> np.uint64(63)
     for row, n in zip(out, ns):
         row[:] = _engine.poly_eval_unit_circle(coeffs[:n], rho)
@@ -247,6 +253,12 @@ class ParsevalEstimate:
         yield self.q, self.samples, self.seed, self.mean, self.std_error
 
 
+# parseval_estimates' peak bytes per sample beside its rows of sums (16
+# per q), by tracemalloc: the words (32) and the temporaries of the
+# evaluator's points or of the statistics
+PARSEVAL_SAMPLE_BYTES = 64
+
+
 def parseval_estimate(theta: Angle, q: int, samples: int, seed: int) -> ParsevalEstimate:
     """Monte Carlo mean of |a(x, q)|^2 over uniform x, with standard error;
     the one-q case of parseval_estimates."""
@@ -265,12 +277,12 @@ def parseval_estimates(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     # the sums, then the samples at their peak bytes each (by tracemalloc:
-    # the angles, their words and a row of sums per q), before the draws
+    # the words and a row of sums per q), before the draws
     _check_sums_fit(qs)
-    _check_fits(samples, 335 + 16 * len(qs), f"{samples} samples")
-    xs = counter_angles(seed, samples, "parseval")
+    _check_fits(samples, PARSEVAL_SAMPLE_BYTES + 16 * len(qs), f"{samples} samples")
+    words = counter_words(seed, samples, "parseval")
     out = []
-    for q, sums in zip(qs, weyl_sums_over_x(theta, xs, qs)):
+    for q, sums in zip(qs, _sums_over_words(theta, words, qs)):
         vals = np.abs(sums) ** 2
         se = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
         out.append(ParsevalEstimate(q, samples, seed, float(np.mean(vals)), se))

@@ -407,9 +407,10 @@ _PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        # 200 bytes per sample: within the draws' own 149, past parseval's peak
-        (["parseval", "--theta", "golden", "--q", "10", "--samples", str(_PHYSICAL // 200)],
-         weylsum, "counter_angles"),
+        # 72 bytes per sample: the word draws' own 32 fit, parseval's peak of
+        # 64 + 16 per q does not
+        (["parseval", "--theta", "golden", "--q", "10", "--samples", str(_PHYSICAL // 72)],
+         weylsum, "counter_words"),
         # 70 bytes per term: within the row and grid, past the evaluator's peak
         (["growth", "--theta", "golden", "--schedule", f"100,{_PHYSICAL // 70}"],
          _engine, "phase_chunks"),

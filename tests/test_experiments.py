@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from weyl_lab.exactangle import (
     MODULUS,
     Angle,
     angle_from_decimal,
+    angle_from_float,
     angle_from_rational,
     dist_to_int,
     scale_mod1,
@@ -225,6 +227,112 @@ def test_box_peak_per_sample_is_its_charge(monkeypatch, constructed, deep_witnes
             tracemalloc.stop()
     grown = (peaks[1] - peaks[0]) / (2 * 10**4)
     assert BOX_SAMPLE_BYTES - 2 < grown <= BOX_SAMPLE_BYTES
+
+
+def _near(value, steps=3):
+    # the double nearest a rational and its neighbours within `steps`
+    # nextafter steps on either side
+    t = float(value)
+    out = [t]
+    for toward in (-math.inf, math.inf):
+        u = t
+        for _ in range(steps):
+            u = math.nextafter(u, toward)
+            out.append(u)
+    return out
+
+
+_R = st.one_of(
+    st.sampled_from([0.5, 1e-3, 1e-9, 1e-70, 2.0**-204, 2.0**-230]),
+    st.floats(2.0**-250, 0.5),
+)
+_LEN = st.one_of(
+    st.sampled_from([MODULUS, MODULUS // 2, 1]), st.integers(1, MODULUS)
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+# offsets below 2**-204 snap to the grid, which 2M turns into an error of
+# |2M| 2**-257 in y
+@example(r=2.0**-230, len_num=MODULUS // 2, big_m=2**250 + 12345, x_edge=0,
+         shift_y=MODULUS // 3, units=[(0.3, 0.6), (-0.7, 0.1)])
+@given(
+    r=_R,
+    len_num=_LEN,
+    big_m=st.one_of(st.just(0), st.integers(1, 10**7), st.integers(0, 2**1100)),
+    # shift_x as a multiple of r, so that the x-edges fall inside [-r, r],
+    # or anywhere
+    x_edge=st.one_of(st.tuples(st.floats(-2.0, 2.0), st.integers(-(2**20), 2**20)),
+                     st.integers(0, MODULUS - 1)),
+    shift_y=st.integers(0, MODULUS - 1),
+    units=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0, exclude_max=True)),
+                   min_size=1, max_size=4),
+)
+def test_box_pre_pass_counts_as_the_exact_test(r, len_num, big_m, x_edge, shift_y, units):
+    # offsets and y-draws on the float pre-pass's thresholds and a few
+    # nextafter steps from them: the x-edges ||u + shift_x|| = r, the
+    # y-edges v = 0 and v = len in y_off at each offset, and in off at each
+    # y_off; the count equals the exact per-sample test's.  M past 2**1024
+    # would overflow a double, unless reduced mod 2**256 first
+    r_num = angle_from_float(r).numerator
+    if isinstance(x_edge, tuple):
+        # jittered at about r 2**-60 per step, below and at a double's ulp
+        shift_x = (round(Fraction(x_edge[0]) * r_num) + x_edge[1] * ((r_num >> 60) + 1)) % MODULUS
+    else:
+        shift_x = x_edge
+    box = (shift_x, shift_y, big_m, r_num, len_num)
+    sx = (shift_x + MODULUS // 2) % MODULUS - MODULUS // 2
+    offs = [a * r for a, _ in units]
+    for sign in (1, -1):
+        for j in (-1, 0, 1):
+            # off snaps to the grid point u = round(off 2**256): the x-edge
+            # in off lies at a half grid step from the edge in u
+            edge = 2 * (sign * r_num - sx + j * MODULUS)
+            for h in (-1, 0, 1):
+                offs += _near(Fraction(edge + h, 2 * MODULUS))
+    offs = [o for o in offs if abs(o) <= r]
+    ys = [b * float(len_num) for _, b in units]
+    samples = [(o, y) for o in offs for y in ys]
+    for o in offs:
+        u = angle_from_float(o).numerator
+        for target in (0, len_num):
+            samples += [(o, y) for y in _near((target - shift_y + 2 * big_m * u) % MODULUS) if y >= 0]
+    for y in ys:
+        for target in (0, len_num):
+            if big_m == 0:
+                continue
+            # 2M U = int(y_off) + shift_y - target mod 1, near each drawn offset
+            c = int(y) + shift_y - target
+            for a, _ in units:
+                j = round(2 * big_m * Fraction(a) * Fraction(r) - Fraction(c, MODULUS))
+                edge = Fraction(c + j * MODULUS, 2 * big_m * MODULUS)
+                samples += [(o, y) for o in _near(edge) if abs(o) <= r]
+    offsets = np.array([o for o, _ in samples])
+    y_offsets = np.array([y for _, y in samples])
+    exact = sum(experiments._box_left_exact(o, y, *box) for o, y in samples)
+    assert experiments._box_left(offsets, y_offsets, *box) == exact
+
+
+def test_box_with_every_sample_exact_gives_the_same_report(monkeypatch, constructed, deep_witness):
+    # a margin of 1 covers every gap, so each sample takes the exact test
+    from dataclasses import replace
+
+    _, theta, _ = constructed
+    exact_calls = []
+    exact = experiments._box_left_exact
+
+    def counted(*args):
+        exact_calls.append(args)
+        return exact(*args)
+
+    for w, j_interval in ((deep_witness, (0.25, 0.75)), (replace(deep_witness, r_n=0.5), (0.0, 1.0))):
+        kwargs = {"j_interval": j_interval, "samples": 3000, "seed": 2}
+        box = box_experiment(theta, w, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_BOX_MARGIN", 1.0)
+            patch.setattr(experiments, "_box_left_exact", counted)
+            assert box_experiment(theta, w, **kwargs) == box
+    assert len(exact_calls) == 6000
 
 
 def test_box_experiment_deep_level(constructed, deep_witness):

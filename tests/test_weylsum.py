@@ -16,7 +16,7 @@ from trajectory_oracle import block_bounds, stream_points, weyl_sum_bound
 
 import weyl_lab
 from weyl_lab import _engine, weylsum
-from weyl_lab._rng import counter_angle
+from weyl_lab._rng import counter_angle, counter_angles, counter_words
 from weyl_lab.acceptance import _E1_SINGULAR_OFFSETS
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -28,6 +28,7 @@ from weyl_lab.exactangle import (
     scale_mod1,
 )
 from weyl_lab.weylsum import (
+    PARSEVAL_SAMPLE_BYTES,
     STRIDE_BLOCKS_FROM,
     SkewPoint,
     _sin_ratios,
@@ -471,6 +472,32 @@ def test_parseval_estimates_share_one_draw():
     assert sums.shape == (4, 2) and not sums[0].any()
     for row, q in zip(sums, qs):
         assert row.tobytes() == weyl_sum_over_x(GOLDEN, [Angle(5), Angle(MODULUS - 7)], q).tobytes()
+
+
+def test_parseval_draws_words_of_the_angles_it_drew():
+    # the word draws give the sums weyl_sums_over_x gives at the angles
+    qs = [13, 999]
+    words = weylsum._sums_over_words(GOLDEN, counter_words(3, 9000, "parseval"), qs)
+    angles = weyl_sums_over_x(GOLDEN, counter_angles(3, 9000, "parseval"), qs)
+    assert words.tobytes() == angles.tobytes()
+
+
+@pytest.mark.parametrize("qs", [[10], [10, 17]])
+def test_parseval_peak_per_sample_is_its_charge(qs):
+    # between 10**4 and 3 10**4 samples the traced peak grows per sample by
+    # the bytes parseval_estimates charges
+    parseval_estimates(GOLDEN, qs, 10, seed=1)
+    peaks = []
+    for samples in (10**4, 3 * 10**4):
+        tracemalloc.start()
+        try:
+            parseval_estimates(GOLDEN, qs, samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grown = (peaks[1] - peaks[0]) / (2 * 10**4)
+    charge = PARSEVAL_SAMPLE_BYTES + 16 * len(qs)
+    assert charge - 2 < grown <= charge
 
 
 def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
