@@ -7,13 +7,19 @@ gate, or calibrated constants read from the packaged calibration file
 (asserted with the slack stated per gate, never loosened at run time).
 Gates at the reference construction read it from experiments.
 
-The determinism gate (E10) re-runs the seeded gates and compares report
-bytes, so no body may put wall-clock values into its details.
+The determinism gate (E10) compares the seeded gates' report bytes with
+those of a rerun in a second interpreter, with another hash seed, so no
+body may put wall-clock values into its details.  `run_all` starts that
+child before E1, so its reruns overlap E1-E9 on a second CPU.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,11 +377,72 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # E10 --------------------------------------------------------------------
 
 
+# the child's arguments to the interpreter, before the seed: this module's
+# __main__ block, which runs _rerun_seeded
+_RERUN_ARGS = ("-m", "weyl_lab.acceptance")
+# E10's wait for the child's reports; the five reruns take about 3 s
+_RERUN_TIMEOUT_S = 600.0
+
+
+def _rerun_seeded(seed: int) -> None:
+    """The child's work: the seeded gates' report texts, written to stdout
+    once, at the end, as one JSON object keyed by gate."""
+    reports = {cid: RUNNERS[cid](seed).report_bytes.decode() for cid in SEEDED}
+    sys.stdout.write(json.dumps(reports))
+
+
+def _start_reruns(seed: int) -> subprocess.Popen:
+    """A second interpreter running the seeded gates at `seed`, with hash
+    seed 1 and stdin closed, on this weyl_lab's source tree: its directory
+    goes first on PYTHONPATH, and is the child's working directory too,
+    since `-m` puts that directory first on sys.path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, *_RERUN_ARGS, str(seed)],
+        cwd=src,
+        env={**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": path},
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+    )
+
+
+def _stop(child: subprocess.Popen) -> None:
+    """Kill the child unless it has exited, and reap it."""
+    child.kill()
+    child.wait()
+    child.stdout.close()
+
+
+def _child_reports(child: subprocess.Popen) -> tuple[dict[str, bytes] | None, str]:
+    """The child's report bytes by gate, or None and why there are none;
+    the child is reaped either way."""
+    try:
+        out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        _stop(child)
+        return None, f"no reports within {_RERUN_TIMEOUT_S} s"
+    if child.returncode != 0:
+        return None, f"rerun exited with code {child.returncode}"
+    try:
+        reports = json.loads(out)
+        return {cid: reports[cid].encode() for cid in SEEDED}, ""
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return None, "rerun output unreadable"
+
+
 @_gate("E10", "reports are byte-identical across reruns with the same seed")
-def run_e10(seed: int, first_pass: dict[str, bytes]) -> tuple[bool, dict]:
-    """Re-running the seeded gates reproduces the first-pass report bytes."""
-    mismatches = [cid for cid in SEEDED if RUNNERS[cid](seed).report_bytes != first_pass[cid]]
-    return not mismatches, {"seed": seed, "compared": list(SEEDED), "mismatches": mismatches}
+def run_e10(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> tuple[bool, dict]:
+    """The seeded gates' reruns in `child` (from `_start_reruns`) reproduce
+    the first-pass report bytes.  A child that crashes, writes output that
+    does not parse or outlasts _RERUN_TIMEOUT_S fails the gate, with every
+    seeded gate a mismatch.  The runtime is the wait for the child only."""
+    rerun, error = _child_reports(child)
+    details = {"seed": seed, "compared": list(SEEDED)}
+    if rerun is None:
+        return False, {**details, "mismatches": list(SEEDED), "error": error}
+    mismatches = [cid for cid in SEEDED if rerun[cid] != first_pass[cid]]
+    return not mismatches, {**details, "mismatches": mismatches}
 
 
 RUNNERS = {
@@ -396,12 +463,24 @@ SEEDED = ("E3", "E5", "E7", "E8", "E9")
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:
     """Run every gate in order, then the determinism gate against the
-    first-pass bytes; optionally write each report to out_dir."""
-    results = [fn(seed) for fn in RUNNERS.values()]
-    results.append(run_e10(seed, {res.cid: res.report_bytes for res in results}))
+    first-pass bytes; optionally write each report to out_dir.
+
+    E10's child starts first and reruns the seeded gates while E1-E9 run
+    here; it is killed and reaped on every path out.
+    """
+    child = _start_reruns(seed)
+    try:
+        results = [fn(seed) for fn in RUNNERS.values()]
+        results.append(run_e10(seed, {res.cid: res.report_bytes for res in results}, child))
+    finally:
+        _stop(child)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for res in results:
             (out / f"{res.cid}.json").write_bytes(res.report_bytes)
     return results
+
+
+if __name__ == "__main__":
+    _rerun_seeded(int(sys.argv[1]))

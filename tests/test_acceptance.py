@@ -2,11 +2,21 @@
 
 Each test runs its gate at the stated tolerance and prints the one-line
 verdict; run with -s (or look at captured output) for the summary lines.
-Gate results are shared across the session, so E10 compares one rerun of
-each seeded gate against the bytes of the first run, as verify-all does.
+Gate results are shared across the session, so E10 compares the reruns of
+the seeded gates in a second interpreter, with hash seed 1, against the
+bytes of the first run, as verify-all does.  The tests of E10's failures
+replace the child's command (`acceptance._RERUN_ARGS`) with a program
+that crashes, hangs or alters a report.
 """
 
 import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -123,11 +133,122 @@ def test_e9_density_echo(gate):
     assert res.runtime_s < 120.0
 
 
+def _first_pass(gate):
+    return {cid: gate(cid).report_bytes for cid in acceptance.SEEDED}
+
+
 def test_e10_deterministic_reports(gate):
-    first_pass = {cid: gate(cid).report_bytes for cid in acceptance.SEEDED}
-    res = _check(acceptance.run_e10(SEED, first_pass))
+    child = acceptance._start_reruns(SEED)
+    res = _check(acceptance.run_e10(SEED, _first_pass(gate), child))
     assert res.details["mismatches"] == []
     assert hashlib.sha256(res.report_bytes).hexdigest() == REPORT_SHA256["E10"]
+    assert child.returncode == 0
+
+
+# the child's own program, with E7's report altered by one trailing byte
+_ALTER_E7 = """import dataclasses, sys
+from weyl_lab import acceptance
+run = acceptance.RUNNERS["E7"]
+def altered(seed):
+    res = run(seed)
+    return dataclasses.replace(res, report_bytes=res.report_bytes + b" ")
+acceptance.RUNNERS["E7"] = altered
+acceptance._rerun_seeded(int(sys.argv[1]))
+"""
+
+
+def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _ALTER_E7))
+    res = acceptance.run_e10(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
+    assert not res.passed
+    assert res.details["mismatches"] == ["E7"]
+    assert "error" not in res.details
+
+
+@pytest.mark.parametrize(
+    "source, timeout_s, error",
+    [
+        ("import sys; sys.exit(3)", None, "rerun exited with code 3"),
+        ("print('not json')", None, "rerun output unreadable"),
+        ("print('{}')", None, "rerun output unreadable"),
+        ("import time; time.sleep(60)", 0.5, "no reports within 0.5 s"),
+    ],
+    ids=["exit-3", "not-json", "no-gates", "timeout"],
+)
+def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, timeout_s, error):
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", source))
+    if timeout_s is not None:
+        monkeypatch.setattr(acceptance, "_RERUN_TIMEOUT_S", timeout_s)
+    first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
+    t0 = time.perf_counter()
+    child = acceptance._start_reruns(SEED)
+    res = acceptance.run_e10(SEED, first_pass, child)
+    assert time.perf_counter() - t0 < 30.0
+    assert not res.passed
+    assert res.details["mismatches"] == list(acceptance.SEEDED)
+    assert res.details["error"] == error
+    # reaped: the exit status is collected, and a hung child was killed
+    assert child.returncode is not None and child.stdout.closed
+    if timeout_s is not None:
+        assert child.returncode == -signal.SIGKILL
+
+
+def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
+    children = []
+    start = acceptance._start_reruns
+
+    def start_and_keep(seed):
+        children.append(start(seed))
+        return children[-1]
+
+    def broken(seed):
+        raise RuntimeError("gate body failed")
+
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", "import time; time.sleep(60)"))
+    monkeypatch.setattr(acceptance, "_start_reruns", start_and_keep)
+    monkeypatch.setitem(acceptance.RUNNERS, "E1", lambda seed: None)
+    monkeypatch.setitem(acceptance.RUNNERS, "E2", broken)
+    with pytest.raises(RuntimeError, match="gate body failed"):
+        acceptance.run_all(SEED)
+    [child] = children
+    assert child.returncode == -signal.SIGKILL and child.stdout.closed
+
+
+@pytest.mark.parametrize("safe_path", [{}, {"PYTHONSAFEPATH": "1"}], ids=["cwd-on-path", "safe-path"])
+def test_rerun_child_has_hash_seed_1_and_the_parents_sources(tmp_path, safe_path):
+    """The parent finds weyl_lab through sys.path alone, in a working
+    directory holding another weyl_lab; the child imports the parent's,
+    also where (Python >= 3.11) PYTHONSAFEPATH keeps its working directory
+    off sys.path."""
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    decoy = tmp_path / "weyl_lab"
+    decoy.mkdir()
+    (decoy / "__init__.py").write_text("")
+    probe = "import json, os, weyl_lab; print(json.dumps([os.environ['PYTHONHASHSEED'], hash('weyl-lab'), weyl_lab.__file__]))"
+    parent = f"""import json, sys
+sys.path.insert(0, {src!r})
+import weyl_lab
+from weyl_lab import acceptance
+acceptance._RERUN_ARGS = ("-c", {probe!r})
+out, _ = acceptance._start_reruns(7).communicate(timeout=60)
+print(json.dumps([weyl_lab.__file__, json.loads(out)]))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHASHSEED")}
+    env.update(safe_path)
+
+    def run(code, **extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env={**env, **extra},
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    parent_file, (hash_seed, child_hash, child_file) = run(parent)
+    assert parent_file.startswith(src)
+    assert child_file == parent_file
+    assert hash_seed == "1"
+    assert child_hash == run("print(hash('weyl-lab'))", PYTHONHASHSEED="1")
 
 
 @pytest.mark.parametrize("cid", [f"E{i}" for i in range(1, 10)])
