@@ -8,9 +8,13 @@ gate, or calibrated constants read from the packaged calibration file
 Gates at the reference construction read it from experiments.
 
 The determinism gate (E10) compares the seeded gates' report bytes with
-those of a rerun in a second interpreter, with another hash seed, so no
-body may put wall-clock values into its details.  `run_all` starts that
-child before E1, so its reruns overlap E1-E9 on a second CPU.
+those of a rerun in a second interpreter, with hash seed 1, so no body
+may put wall-clock values into its details.  `run_all` starts that child
+before E1, so its reruns overlap E1-E9 on a second CPU (under a one-CPU
+affinity mask they share the one, and nothing overlaps), and E10's
+runtime_s times only the wait for it.  The child's resident memory,
+about 55 MB at its peak, counts in RUSAGE_CHILDREN, not in the parent's
+RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
