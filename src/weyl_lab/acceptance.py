@@ -10,11 +10,14 @@ Gates at the reference construction read it from experiments.
 The determinism gate (E10) compares the seeded gates' report bytes with
 those of a rerun in a second interpreter, with hash seed 1, so no body
 may put wall-clock values into its details.  `run_all` starts that child
-before E1, so its reruns overlap E1-E9 on a second CPU (under a one-CPU
-affinity mask they share the one, and nothing overlaps), and E10's
-runtime_s times only the wait for it.  The child's resident memory,
-about 55 MB at its peak, counts in RUSAGE_CHILDREN, not in the parent's
-RUSAGE_SELF peak.
+before E1, and the child also runs E4, whose step-by-step iteration is a
+pure Python loop, once: its report, verdict and runtime come back with the
+reruns, and E4 is not run in the parent.  So the child's E4 and reruns
+overlap E1-E3 and E5-E9 on a second CPU (under a one-CPU affinity mask
+they share the one, and nothing overlaps), and E10's runtime_s times only
+the wait for it.  A child that gives no readable output fails E4 and E10.
+The child's resident memory, about 56 MB at its peak, counts in
+RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from ._rng import counter_angle, counter_unit
+from . import _engine
+from ._rng import counter_angle, counter_unit, counter_units, counter_words
 from .calibration import (
     load_calibration,
     run_approx_sweep,
@@ -60,8 +64,8 @@ from .experiments import (
 from .reporting import render_json, report_dict
 from .weylsum import (
     SkewPoint,
-    dirichlet_b,
     dirichlet_b_closed,
+    dirichlet_bs_closed,
     parseval_estimates,
     skew_shift_n,
     weyl_sum,
@@ -82,22 +86,25 @@ class CriterionResult:
         return f"[{status}] {self.cid}: {self.description} ({self.runtime_s:.1f}s)"
 
 
+def _result(cid: str, description: str, passed: bool, runtime_s: float, details: dict) -> CriterionResult:
+    """The gate's result, its report bytes {"criterion", "passed", **details}."""
+    report = {"criterion": cid, "passed": bool(passed), **details}
+    return CriterionResult(cid, description, bool(passed), runtime_s, details, render_json(report).encode())
+
+
 def _gate(cid: str, description: str):
     """Make a gate runner of a body that returns (passed, details): the
-    runner times the body and renders {"criterion", "passed", **details}
-    as the report bytes."""
+    runner times the body and renders its result (_result); the runner
+    keeps the gate's description as .description."""
 
     def runner(body):
         @functools.wraps(body)
         def run(*args, **kwargs) -> CriterionResult:
             t0 = time.perf_counter()
             passed, details = body(*args, **kwargs)
-            runtime_s = time.perf_counter() - t0
-            report = {"criterion": cid, "passed": bool(passed), **details}
-            return CriterionResult(
-                cid, description, bool(passed), runtime_s, details, render_json(report).encode()
-            )
+            return _result(cid, description, passed, time.perf_counter() - t0, details)
 
+        run.description = description
         return run
 
     return runner
@@ -120,25 +127,25 @@ _E1_SINGULAR_OFFSETS = [
 @_gate("E1", "closed form of b matches direct summation to 1e-9")
 def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Direct and closed-form geometric sums agree to 1e-9 for 10^4
-    random (x, m <= 10^4), near-singular x included."""
-    worst = 0.0
-    n_sing = 0
-    for i in range(10_000):
-        if i % 20 == 19:
-            off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
-            if (i // 20) % 2 == 0:
-                off = -off
-            x = angle_from_fraction(off)
-            n_sing += 1
-        else:
-            x = counter_angle(seed, i, "e1-x")
-        m = int(counter_unit(seed, i, "e1-m") * 10_001)
-        err = float(np.abs(dirichlet_b(x, m) - dirichlet_b_closed(x, m)))
-        worst = max(worst, err)
+    random (x, m <= 10^4), near-singular x included.  Each stream is
+    drawn for every instance at once; the direct sums go through the
+    engine in packed passes (_engine.qsums), and the closed forms' half
+    phases through one e_phase call (dirichlet_bs_closed)."""
+    count = 10_000
+    raw = counter_words(seed, count, "e1-x").astype(">u8").tobytes()
+    xs = [int.from_bytes(raw[i : i + 32], "big") for i in range(0, len(raw), 32)]
+    # every 20th x sits near 0, at the offsets in turn, on alternate sides
+    singular = range(19, count, 20)
+    for i in singular:
+        off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
+        xs[i] = angle_from_fraction(-off if (i // 20) % 2 == 0 else off).numerator
+    ms = (counter_units(seed, count, "e1-m") * 10_001).astype(np.int64).tolist()
+    errors = np.abs(_engine.qsums(0, xs, [0] * count, ms) - dirichlet_bs_closed(xs, ms))
+    worst = float(np.max(errors))
     return worst < 1e-9, {
         "seed": seed,
-        "instances": 10_000,
-        "near_singular_instances": n_sing,
+        "instances": count,
+        "near_singular_instances": len(singular),
         "max_abs_error": worst,
         "tolerance": 1e-9,
     }
@@ -384,22 +391,32 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # the child's arguments to the interpreter, before the seed: this module's
 # __main__ block, which runs _rerun_seeded
 _RERUN_ARGS = ("-m", "weyl_lab.acceptance")
-# E10's wait for the child's reports; the five reruns take about 3 s
+# the parent's wait for the child's output; the child, E4 and the five
+# reruns, takes about 3 s, start-up included
 _RERUN_TIMEOUT_S = 600.0
 
 
 def _rerun_seeded(seed: int) -> None:
-    """The child's work: the seeded gates' report texts, written to stdout
-    once, at the end, as one JSON object keyed by gate."""
-    reports = {cid: RUNNERS[cid](seed).report_bytes.decode() for cid in SEEDED}
-    sys.stdout.write(json.dumps(reports))
+    """The child's work: E4, run here once, and the seeded gates' reruns,
+    written to stdout once, at the end, as one JSON object: the reruns'
+    report texts keyed by gate, and E4's verdict, runtime, details and
+    report text under "E4"."""
+    e4 = RUNNERS["E4"](seed)
+    output = {cid: RUNNERS[cid](seed).report_bytes.decode() for cid in SEEDED}
+    output["E4"] = {
+        "passed": e4.passed,
+        "runtime_s": e4.runtime_s,
+        "details": e4.details,
+        "report": e4.report_bytes.decode(),
+    }
+    sys.stdout.write(json.dumps(output))
 
 
 def _start_reruns(seed: int) -> subprocess.Popen:
-    """A second interpreter running the seeded gates at `seed`, with hash
-    seed 1 and stdin closed, on this weyl_lab's source tree: its directory
-    goes first on PYTHONPATH, and is the child's working directory too,
-    since `-m` puts that directory first on sys.path."""
+    """A second interpreter running E4 and the seeded gates at `seed`, with
+    hash seed 1 and stdin closed, on this weyl_lab's source tree: its
+    directory goes first on PYTHONPATH, and is the child's working directory
+    too, since `-m` puts that directory first on sys.path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
@@ -418,9 +435,9 @@ def _stop(child: subprocess.Popen) -> None:
     child.stdout.close()
 
 
-def _child_reports(child: subprocess.Popen) -> tuple[dict[str, bytes] | None, str]:
-    """The child's report bytes by gate, or None and why there are none;
-    the child is reaped either way."""
+def _child_output(child: subprocess.Popen) -> tuple[tuple[CriterionResult, dict[str, bytes]] | None, str]:
+    """The child's E4 result and its reruns' report bytes by gate, or None
+    and why there are none; the child is reaped either way."""
     try:
         out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -429,24 +446,43 @@ def _child_reports(child: subprocess.Popen) -> tuple[dict[str, bytes] | None, st
     if child.returncode != 0:
         return None, f"rerun exited with code {child.returncode}"
     try:
-        reports = json.loads(out)
-        return {cid: reports[cid].encode() for cid in SEEDED}, ""
+        output = json.loads(out)
+        e4 = output["E4"]
+        result = CriterionResult(
+            "E4", run_e4.description, bool(e4["passed"]), float(e4["runtime_s"]),
+            dict(e4["details"]), e4["report"].encode(),
+        )
+        return (result, {cid: output[cid].encode() for cid in SEEDED}), ""
     except (ValueError, TypeError, KeyError, AttributeError):
         return None, "rerun output unreadable"
 
 
 @_gate("E10", "reports are byte-identical across reruns with the same seed")
-def run_e10(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> tuple[bool, dict]:
-    """The seeded gates' reruns in `child` (from `_start_reruns`) reproduce
-    the first-pass report bytes.  A child that crashes, writes output that
-    does not parse or outlasts _RERUN_TIMEOUT_S fails the gate, with every
-    seeded gate a mismatch.  The runtime is the wait for the child only."""
-    rerun, error = _child_reports(child)
+def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | None, error: str = "") -> tuple[bool, dict]:
+    """The seeded gates' reruns (None when the child gave none, and
+    `error` says why) reproduce the first-pass report bytes; without
+    reruns every seeded gate is a mismatch."""
     details = {"seed": seed, "compared": list(SEEDED)}
     if rerun is None:
         return False, {**details, "mismatches": list(SEEDED), "error": error}
     mismatches = [cid for cid in SEEDED if rerun[cid] != first_pass[cid]]
     return not mismatches, {**details, "mismatches": mismatches}
+
+
+def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> tuple[CriterionResult, CriterionResult]:
+    """E4 and E10 from the output of `child` (from `_start_reruns`): E4 as
+    the child rendered it, with its verdict and runtime, and E10 against
+    the first-pass bytes.  A child that crashes, writes output that does
+    not parse or outlasts _RERUN_TIMEOUT_S fails both, each with an error
+    key.  E10's runtime_s, and a failed E4's, is the wait for the child."""
+    t0 = time.perf_counter()
+    output, error = _child_output(child)
+    wait = time.perf_counter() - t0
+    if output is None:
+        e4, rerun = _result("E4", run_e4.description, False, wait, {"seed": seed, "error": error}), None
+    else:
+        e4, rerun = output
+    return e4, replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)
 
 
 RUNNERS = {
@@ -469,15 +505,17 @@ def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[Criter
     """Run every gate in order, then the determinism gate against the
     first-pass bytes; optionally write each report to out_dir.
 
-    E10's child starts first and reruns the seeded gates while E1-E9 run
-    here; it is killed and reaped on every path out.
+    The child starts first and runs E4 and the seeded gates' reruns while
+    the other gates run here; it is killed and reaped on every path out.
     """
     child = _start_reruns(seed)
     try:
-        results = [fn(seed) for fn in RUNNERS.values()]
-        results.append(run_e10(seed, {res.cid: res.report_bytes for res in results}, child))
+        results = {cid: fn(seed) for cid, fn in RUNNERS.items() if cid != "E4"}
+        first_pass = {cid: results[cid].report_bytes for cid in SEEDED}
+        results["E4"], e10 = _from_child(seed, first_pass, child)
     finally:
         _stop(child)
+    results = [*(results[cid] for cid in RUNNERS), e10]
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

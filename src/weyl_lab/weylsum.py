@@ -168,9 +168,10 @@ def _sin_pi_frac(num: int) -> float:
     return math.sin(math.pi * (folded / MODULUS))
 
 
-def _e_half_grid(num: int) -> complex:
-    # e(num / 2**257), from the exact top 64 bits of num mod 2**257
-    return complex(_engine.e_phase(np.array([(num >> 193) % (1 << 64)], dtype=np.uint64))[0])
+def _e_half_grid(nums: list[int]) -> np.ndarray:
+    # e(num / 2**257) per num, from the exact top 64 bits of num mod 2**257,
+    # in one e_phase call
+    return _engine.e_phase(np.array([(num >> 193) % (1 << 64) for num in nums], dtype=np.uint64))
 
 
 def _sin_ratios(x: Angle, ms) -> list[float]:
@@ -191,16 +192,21 @@ def dirichlet_b_closed(x: Angle, m: int) -> complex:
     [0, 1/2], so each is accurate relative to its own size at every grid
     x != 0 and the result is within m * 2**-51 of b(x, m).
     """
-    if m < 0:
+    return complex(dirichlet_bs_closed([x.numerator], [m])[0])
+
+
+def dirichlet_bs_closed(nums: list[int], ms: list[int]) -> np.ndarray:
+    """dirichlet_b_closed(Angle(num), m) per (num, m), with the half phases
+    through one e_phase call: a value can differ from dirichlet_b_closed's
+    in its last bit, which e_phase rounds otherwise on one word."""
+    if min(ms, default=0) < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return 0j
-    if x.numerator == 0:
-        return complex(m)
     # the half phase (m-1)x/2, turned by a half when floor(m x) is odd,
-    # which folds in the sign of sin(pi m x)
-    (ratio,) = _sin_ratios(x, (m,))
-    return _e_half_grid((m - 1) * x.numerator + (m * x.numerator >> 256 << 256)) * ratio
+    # which folds in the sign of sin(pi m x); at x = 0 it is 0 and e(0) = 1
+    halves = [(m - 1) * num + (m * num >> 256 << 256) for num, m in zip(nums, ms, strict=True)]
+    out = _e_half_grid(halves) * np.array([_sin_ratios(Angle(num), (m,))[0] for num, m in zip(nums, ms)])
+    out[[m == 0 for m in ms]] = 0
+    return out
 
 
 def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
@@ -225,7 +231,7 @@ def psi(theta: Angle, x: Angle, k: int) -> float:
     twice = scale_mod1(theta, 2)
     even = weyl_sum(twice, x, ZERO, -(-k // 2))
     odd = weyl_sum(twice, wrap_add(theta, x), ZERO, k // 2)
-    return float(np.abs(even + _e_half_grid(theta.numerator + 2 * x.numerator) * odd))
+    return float(np.abs(even + complex(_e_half_grid([theta.numerator + 2 * x.numerator])[0]) * odd))
 
 
 def skew_shift_n(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:

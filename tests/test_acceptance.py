@@ -2,14 +2,18 @@
 
 Each test runs its gate at the stated tolerance and prints the one-line
 verdict; run with -s (or look at captured output) for the summary lines.
-Gate results are shared across the session, so E10 compares the reruns of
-the seeded gates in a second interpreter, with hash seed 1, against the
-bytes of the first run, as verify-all does.  The tests of E10's failures
-replace the child's command (`acceptance._RERUN_ARGS`) with a program
-that crashes, hangs or alters a report.
+Gate results are shared across the session.  One `verify-all` run, with
+its first pass reusing them, starts the second interpreter (hash seed 1)
+that runs E4 and reruns the seeded gates, as verify-all always does: E10
+compares the reruns against the first pass, and E4's report from the
+child must equal an in-process run_e4's.  The tests of the child's
+failures replace its command (`acceptance._RERUN_ARGS`) with a program
+that crashes, hangs or alters a report; each fails E4 and E10.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from weyl_lab import acceptance
+from weyl_lab import acceptance, cli
 from weyl_lab.calibration import load_calibration
 
 SEED = 7
@@ -137,12 +141,50 @@ def _first_pass(gate):
     return {cid: gate(cid).report_bytes for cid in acceptance.SEEDED}
 
 
-def test_e10_deterministic_reports(gate):
-    child = acceptance._start_reruns(SEED)
-    res = _check(acceptance.run_e10(SEED, _first_pass(gate), child))
-    assert res.details["mismatches"] == []
-    assert hashlib.sha256(res.report_bytes).hexdigest() == REPORT_SHA256["E10"]
-    assert child.returncode == 0
+@pytest.fixture(scope="session")
+def verify_all(gate, tmp_path_factory):
+    """`weyl-lab verify-all --out-dir` at SEED: (exit code, printed lines,
+    report directory, the child).  The first pass reuses the session's
+    gate results; E4 and the reruns come from the child, run in full."""
+    out_dir = tmp_path_factory.mktemp("reports")
+    children = []
+    start = acceptance._start_reruns
+
+    def start_and_keep(seed):
+        children.append(start(seed))
+        return children[-1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(acceptance, "_start_reruns", start_and_keep)
+        for cid in acceptance.RUNNERS:
+            if cid != "E4":
+                patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
+        code = cli.main(["verify-all", "--seed", str(SEED), "--out-dir", str(out_dir)])
+    [child] = children
+    return code, out.getvalue().splitlines(), out_dir, child
+
+
+def test_e10_deterministic_reports(verify_all):
+    code, lines, out_dir, child = verify_all
+    report = json.loads((out_dir / "E10.json").read_bytes())
+    assert report["passed"] and report["mismatches"] == [], report
+    assert hashlib.sha256((out_dir / "E10.json").read_bytes()).hexdigest() == REPORT_SHA256["E10"]
+    assert child.returncode == 0 and child.stdout.closed
+
+
+def test_verify_all_writes_the_pinned_bytes_with_e4_from_the_child(gate, verify_all):
+    code, lines, out_dir, child = verify_all
+    assert code == 0
+    cids = [f"E{i}" for i in range(1, 11)]
+    assert [line.split()[1].rstrip(":") for line in lines] == cids
+    assert all(line.startswith("[PASS]") for line in lines), lines
+    for cid in cids:
+        assert hashlib.sha256((out_dir / f"{cid}.json").read_bytes()).hexdigest() == REPORT_SHA256[cid], cid
+    # E4 ran in the child only, and its report is an in-process run_e4's
+    in_process = gate("E4")
+    assert (out_dir / "E4.json").read_bytes() == in_process.report_bytes
+    assert lines[3].startswith(in_process.summary_line().rsplit("(", 1)[0])
 
 
 # the child's own program, with E7's report altered by one trailing byte
@@ -159,10 +201,11 @@ acceptance._rerun_seeded(int(sys.argv[1]))
 
 def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _ALTER_E7))
-    res = acceptance.run_e10(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
+    e4, res = acceptance._from_child(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
     assert not res.passed
     assert res.details["mismatches"] == ["E7"]
     assert "error" not in res.details
+    assert e4.passed and e4.report_bytes == gate("E4").report_bytes
 
 
 @pytest.mark.parametrize(
@@ -182,11 +225,16 @@ def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, 
     first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
     t0 = time.perf_counter()
     child = acceptance._start_reruns(SEED)
-    res = acceptance.run_e10(SEED, first_pass, child)
+    e4, res = acceptance._from_child(SEED, first_pass, child)
     assert time.perf_counter() - t0 < 30.0
     assert not res.passed
     assert res.details["mismatches"] == list(acceptance.SEEDED)
     assert res.details["error"] == error
+    # E4 ran only in the child, so it fails too, saying why
+    assert not e4.passed
+    assert e4.details == {"seed": SEED, "error": error}
+    assert json.loads(e4.report_bytes) == {"criterion": "E4", "passed": False, "seed": SEED, "error": error}
+    assert e4.summary_line().startswith("[FAIL] E4: skew-shift closed form")
     # reaped: the exit status is collected, and a hung child was killed
     assert child.returncode is not None and child.stdout.closed
     if timeout_s is not None:

@@ -203,6 +203,46 @@ def test_qsum_empty_and_single():
     assert z == 1.0 + 0j
 
 
+@st.composite
+def _packed_sums(draw):
+    # (a, bs, cs, ns): 2-30 sums sharing a, with n mixed below BLOCKS_FROM,
+    # so any two neighbours share a pass; coefficients past the modulus
+    uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(1 << 264))
+    big = st.one_of(st.integers(0, 1 << 264), uniform)
+    n = st.one_of(st.integers(0, 3), st.integers(0, 300), st.integers(0, _engine.BLOCKS_FROM - 1))
+    k = draw(st.integers(2, 30))
+    return draw(big), draw(st.lists(big, min_size=k, max_size=k)), \
+        draw(st.lists(big, min_size=k, max_size=k)), draw(st.lists(n, min_size=k, max_size=k))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(args=_packed_sums())
+@example(args=(0, [3, 5, 7], [0, 0, 0], [0, 1, 2]))
+def test_qsums_is_qsum_bit_for_bit(args):
+    a, bs, cs, ns = args
+    e_phase = _engine.e_phase
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_engine, "e_phase", lambda words: calls.append(words.size) or e_phase(words))
+        got = _engine.qsums(a, bs, cs, ns)
+    # several sums to each pass: one e_phase call per pass
+    assert len(calls) <= max(1, (len(ns) + 1) // 2) and max(calls) <= CHUNK
+    for z, b, c, n in zip(got, bs, cs, ns):
+        want = _engine.qsum(a, b, c, n)
+        if n == 1:
+            # e_phase rounds a one-word array's table product without the
+            # fused multiply-add of longer arrays (see its docstring), and
+            # qsum's one term is such an array: at most 1 ulp of |e| = 1
+            assert abs(z.real - want.real) <= 2.0**-52 and abs(z.imag - want.imag) <= 2.0**-52
+        else:
+            assert z == want, (n, z - want)
+
+
+def test_qsums_takes_only_one_block_sums():
+    with pytest.raises(ValueError):
+        _engine.qsums(0, [1], [0], [_engine.BLOCKS_FROM])
+
+
 def test_qsum_partials_consistent_with_qsum():
     rng = random.Random(10)
     a, b, c = (rng.randrange(MODULUS) for _ in range(3))
