@@ -167,16 +167,16 @@ def e_phase(words: np.ndarray) -> np.ndarray:
     """e(w 2**-64) per phase word w, the one e(phi) routine (see the module
     doc), its temporaries reused in place: one index and one float array.
 
-    A one-word array rounds its table product differently: numpy takes its
-    scalar loop for the in-place z *= T2[...] on one element, and rounds
-    each component's re re' - im im' twice, where the SIMD loop of longer
-    arrays fuses it in one multiply-add.  So 467 of 2000 random words came
-    out 1 ulp apart, alone and inside a longer array (numpy 2.4.6 on an
-    AVX-512 Xeon); the out-of-place product at any length, the in-place one
-    at any length from 2, and the rotation step round alike.  A one-term
-    sum, or a constant taken alone, is thus in its last bit not the same
-    word inside a pass.  Rounding both alike would move psi's constants
-    and the pinned E5 and E7 reports, so it stays.
+    A one-word array rounds its table product differently: numpy's in-place
+    z *= T2[...] on one element rounds each component's re re' - im im'
+    twice, as Python's complex product does, where longer arrays fold one
+    of the two products into a fused multiply-add.  In 2000 random table
+    products 524 came out 1 ulp apart (numpy 2.4.6 on an AVX-512 Xeon);
+    the out-of-place product at any length, the in-place one at any length
+    from 2, and the rotation step round alike.  A one-term sum, or a
+    constant taken alone, is thus in its last bit not the same word inside
+    a pass.  Rounding both alike would move psi's constants and the pinned
+    E5 and E7 reports, so it stays.
     """
     t1, t2 = _tables()
     idx = (words >> _SH48).view(np.int64)

@@ -16,7 +16,7 @@ reruns, and E4 is not run in the parent.  So the child's E4 and reruns
 overlap E1-E3 and E5-E9 on a second CPU (under a one-CPU affinity mask
 they share the one, and nothing overlaps), and E10's runtime_s times only
 the wait for it.  A child that gives no readable output fails E4 and E10.
-The child's resident memory, about 56 MB at its peak, counts in
+The child's resident memory, about 55 MB at its peak, counts in
 RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
 """
 
@@ -391,8 +391,8 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # the child's arguments to the interpreter, before the seed: this module's
 # __main__ block, which runs _rerun_seeded
 _RERUN_ARGS = ("-m", "weyl_lab.acceptance")
-# the parent's wait for the child's output; the child, E4 and the five
-# reruns, takes about 3 s, start-up included
+# the parent's wait for the child's output; the child's start-up, E4 and
+# the five reruns take about 3 s on an idle core
 _RERUN_TIMEOUT_S = 600.0
 
 
@@ -502,8 +502,9 @@ SEEDED = ("E3", "E5", "E7", "E8", "E9")
 
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:
-    """Run every gate in order, then the determinism gate against the
-    first-pass bytes; optionally write each report to out_dir.
+    """Run every gate, then the determinism gate against the first-pass
+    bytes, and return the results in gate order; optionally write each
+    report to out_dir.
 
     The child starts first and runs E4 and the seeded gates' reruns while
     the other gates run here; it is killed and reaped on every path out.
