@@ -5,14 +5,13 @@ pure function of (seed, index): samples can be generated in any order,
 in parallel, and reproduce byte-identically across platforms and library
 versions.  One digest yields exactly the 256 bits of an Angle numerator.
 
-Batched draws: counter_units and counter_angles give the draws of indices
-0 .. n-1 of one stream, equal index by index to counter_unit and
-counter_angle, and counter_words gives the same digests as rows of four
-uint64 words, the numerators counter_angles would build, without an Angle
-per draw.  They hash (stream, seed) once and copy that hash state for each
-index, so a draw costs one copy, one update and one digest.  The array
-draws fill their array _CHUNK draws at a time, from one chunk's digest
-bytes, so they hold the array and one chunk.
+Batched draws: counter_units and counter_numerators give the draws of
+indices 0 .. n-1 of one stream, equal index by index to counter_unit and
+to counter_angle's numerator, and counter_words gives the same numerators
+as rows of four uint64 words.  They hash (stream, seed) once and copy
+that hash state for each index, so a draw costs one copy, one update and
+one digest.  The array draws fill their array _CHUNK draws at a time,
+from one chunk's digest bytes, so they hold the array and one chunk.
 """
 
 from __future__ import annotations
@@ -77,10 +76,10 @@ def counter_unit(seed: int, index: int, stream: str) -> float:
     return (int.from_bytes(d[:8], "big") >> 11) * 2.0 ** -53
 
 
-def counter_angles(seed: int, n: int, stream: str) -> list[Angle]:
-    """[counter_angle(seed, i, stream) for i < n]."""
-    _check_fits(n, 149, f"{n} draws")  # peak bytes per draw, by tracemalloc
-    return [Angle(int.from_bytes(d, "big")) for d in _digests(seed, range(n), stream)]
+def counter_numerators(seed: int, n: int, stream: str) -> list[int]:
+    """[counter_angle(seed, i, stream).numerator for i < n]."""
+    _check_fits(n, 68, f"{n} draws")  # peak bytes per draw, by tracemalloc
+    return [int.from_bytes(d, "big") for d in _digests(seed, range(n), stream)]
 
 
 def counter_units(seed: int, n: int, stream: str) -> np.ndarray:
@@ -98,8 +97,8 @@ def counter_units(seed: int, n: int, stream: str) -> np.ndarray:
 
 
 def counter_words(seed: int, n: int, stream: str) -> np.ndarray:
-    """The numerators of counter_angles(seed, n, stream) as an (n, 4) uint64
-    array, one per row, most significant word first."""
+    """counter_numerators(seed, n, stream) as an (n, 4) uint64 array, one
+    numerator per row, most significant word first."""
     words = np.empty((n, 4), dtype=np.uint64)
     for lo, chunk in _digest_words(seed, n, stream, 4):
         words[lo : lo + len(chunk)] = chunk

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _engine
-from ._rng import counter_angle, counter_unit, counter_units, counter_words
+from ._rng import counter_angle, counter_numerators, counter_unit, counter_units
 from .calibration import (
     load_calibration,
     run_approx_sweep,
@@ -132,8 +132,7 @@ def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     engine in packed passes (_engine.qsums), and the closed forms' half
     phases through one e_phase call (dirichlet_bs_closed)."""
     count = 10_000
-    raw = counter_words(seed, count, "e1-x").astype(">u8").tobytes()
-    xs = [int.from_bytes(raw[i : i + 32], "big") for i in range(0, len(raw), 32)]
+    xs = counter_numerators(seed, count, "e1-x")
     # every 20th x sits near 0, at the offsets in turn, on alternate sides
     singular = range(19, count, 20)
     for i in singular:

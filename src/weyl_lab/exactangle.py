@@ -52,14 +52,17 @@ ZERO = Angle(0)
 HALF = Angle(1 << (FRAC_BITS - 1))
 
 
-def angle_from_rational(p: int, q: int) -> Angle:
-    """Nearest grid point to (p mod q)/q; ties round toward zero."""
+def snap_numerator(p: int, q: int) -> int:
+    """Numerator of the grid point nearest (p mod q)/q; ties round toward zero."""
     if q <= 0:
         raise ValueError("denominator must be a positive integer")
     quo, rem = divmod((p % q) << FRAC_BITS, q)
-    if 2 * rem > q:
-        quo += 1
-    return Angle(quo & _MASK)
+    return (quo + (2 * rem > q)) & _MASK
+
+
+def angle_from_rational(p: int, q: int) -> Angle:
+    """Angle(snap_numerator(p, q)): the grid point nearest (p mod q)/q."""
+    return Angle(snap_numerator(p, q))
 
 
 def angle_from_fraction(value: Fraction) -> Angle:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine
-from ._rng import _check_fits, counter_angles, counter_units
+from ._rng import _check_fits, counter_numerators, counter_units
 from .contfrac import (
     ContinuedFraction,
     angle_from_cf,
@@ -273,7 +273,7 @@ def resume_witness(
 
     lo, hi = delta / 2.0, delta
     window: list[tuple[int, Angle]] = []
-    for i, x in enumerate(counter_angles(seed, x_candidates, "resume-x")):
+    for i, x in enumerate(map(Angle, counter_numerators(seed, x_candidates, "resume-x"))):
         if lo <= dist_to_int(scale_mod1(x, 2 * q)) <= hi:
             window.append((i, x))
     if not window:

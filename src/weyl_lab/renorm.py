@@ -24,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import counter_angles
-from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, wrap_add
+from ._rng import counter_numerators
+from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, snap_numerator
 from .reporting import FLATTEN
 from .weylsum import _sin_ratios, psi
 
@@ -77,27 +77,16 @@ def gauss_map(theta: Angle) -> Angle:
     return angle_from_rational(MODULUS % theta.numerator, theta.numerator)
 
 
-def x_renorm(theta: Angle, x: Angle) -> Angle:
-    """{-x/theta} computed as 1 - {x/theta} on numerators; 0 maps to 0."""
-    if theta.numerator == 0:
-        raise ValueError("undefined at theta = 0")
-    rem = x.numerator % theta.numerator
-    if rem == 0:
-        return Angle(0)
-    return angle_from_rational(theta.numerator - rem, theta.numerator)
-
-
 def k_renorm(theta: Angle, k: int) -> int:
     """[k * theta], exact integer part on the grid."""
     return (k * theta.numerator) >> 256
 
 
-def _x_step(theta: Angle, x: Angle) -> Angle:
-    # {-x/theta + [1/theta]/2}, the one home of the half-turn rule (see renorm_step)
-    x_next = x_renorm(theta, x)
-    if (MODULUS // theta.numerator) % 2 == 1:
-        x_next = wrap_add(x_next, HALF)
-    return x_next
+def _x_step(t: int, x: int) -> int:
+    # numerator of {-x/theta + [1/theta]/2}, with theta and x given by their
+    # numerators t > 0 and x: the one home of the half-turn rule (see
+    # renorm_step); the snap reduces -x mod t, so its term is {-x/theta}
+    return (snap_numerator(-x, t) + HALF.numerator * (MODULUS // t % 2)) % MODULUS
 
 
 def renorm_step(theta: Angle, x: Angle, k: int) -> RenormStep:
@@ -113,7 +102,7 @@ def renorm_step(theta: Angle, x: Angle, k: int) -> RenormStep:
         raise ValueError("renorm_step requires 0 < theta < 1")
     return RenormStep(
         theta_next=gauss_map(theta),
-        x_next=_x_step(theta, x),
+        x_next=Angle(_x_step(theta.numerator, x.numerator)),
         k_next=k_renorm(theta, k),
         sigma_factor=math.sqrt(theta.to_float()),
     )
@@ -200,15 +189,16 @@ def _level_set_fraction(
     samples: int,
     seed: int,
     label: str,
-    hits: Callable[[list[Angle]], Sequence[bool]],
+    hits: Callable[[list[int]], Sequence[bool]],
 ) -> tuple[float, float]:
     # fraction of seeded x whose m-fold renormalized slot U^(m) x is a hit,
-    # and its SE; hits maps the list of all the slots to one flag per slot
+    # and its SE; the slots are stepped as numerators, and hits maps the
+    # list of all their numerators to one flag per slot
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    xs = counter_angles(seed, samples, label)
+    xs = counter_numerators(seed, samples, label)
     for t in _gauss_chain(theta, m):
-        xs = [_x_step(t, x) for x in xs]
+        xs = [_x_step(t.numerator, x) for x in xs]
     p = int(np.count_nonzero(hits(xs))) / samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / samples)
 
@@ -225,7 +215,7 @@ def u_measure_lower(
         raise ValueError("eta must be in (0, 1/2)")
     p, se = _level_set_fraction(
         theta, m, samples, seed, "umeasure",
-        lambda uxs: [dist_to_int(ux) < eta for ux in uxs],
+        lambda uxs: [dist_to_int(Angle(ux)) < eta for ux in uxs],
     )
     return MeasureEstimate(
         estimate=p / eta,
@@ -246,7 +236,7 @@ def b_level_measure(
     length = int(2 * math.pi * c0) + 1
     p, se = _level_set_fraction(
         theta, m, samples, seed, "blevel",
-        lambda uxs: [_sin_ratios(ux, (length,))[0] >= c0 for ux in uxs],
+        lambda uxs: [_sin_ratios(Angle(ux), (length,))[0] >= c0 for ux in uxs],
     )
     return MeasureEstimate(
         estimate=p,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_golden import CLI_GOLDEN
 
 import weyl_lab
-from weyl_lab import _engine, acceptance, cli, weylsum
+from weyl_lab import _engine, _rng, acceptance, cli, weylsum
 from weyl_lab.contfrac import ContinuedFraction, angle_from_cf
 from weyl_lab.exactangle import GOLDEN, angle_from_rational
 from weyl_lab.experiments import (
@@ -414,8 +414,12 @@ _PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         # 70 bytes per term: within the row and grid, past the evaluator's peak
         (["growth", "--theta", "golden", "--schedule", f"100,{_PHYSICAL // 70}"],
          _engine, "phase_chunks"),
+        # 64 bytes per candidate: a 256-bit int's own 60 fit, the 68 that
+        # counter_numerators charges with the int's list slot do not
+        (["resume", *_WITNESS, "--candidates", str(_PHYSICAL // 64)],
+         _rng, "_digests"),
     ],
-    ids=["parseval-samples", "growth-n"],
+    ids=["parseval-samples", "growth-n", "resume-candidates"],
 )
 def test_cli_refuses_sizes_past_the_measured_peak(monkeypatch, capsys, argv, module, name):
     def allocate(*args, **kwargs):

@@ -1,28 +1,34 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weyl_lab._rng import counter_angle
 from weyl_lab.calibration import load_calibration
 from weyl_lab.contfrac import angle_from_cf, construct_f_member
 from weyl_lab.exactangle import (
     GOLDEN,
+    HALF,
     MODULUS,
     Angle,
     angle_from_decimal,
+    angle_from_fraction,
     angle_from_rational,
     dist_to_int,
     scale_mod1,
+    wrap_add,
 )
 from weyl_lab.renorm import (
+    _x_step,
     b_level_measure,
     fe_residual,
     k_renorm,
     renorm_chain,
     renorm_step,
     u_measure_lower,
-    x_renorm,
 )
 from weyl_lab.weylsum import dirichlet_b, psi
 
@@ -47,8 +53,29 @@ def test_renorm_step_rejects_zero():
         renorm_step(Angle(0), Angle(0), 3)
 
 
-def test_x_renorm_zero_maps_to_zero():
-    assert x_renorm(GOLDEN, Angle(0)) == Angle(0)
+# the 32 bytes of a numerator: uniform over the grid, where st.integers
+# would draw almost every value near 0
+numerators = st.binary(min_size=32, max_size=32).map(lambda raw: int.from_bytes(raw, "big"))
+# dyadic theta = a/2^s too, at which 1/theta can be an exact integer
+dyadic = st.builds(lambda a, s: a << (256 - s), st.integers(1, 255), st.integers(8, 256))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(t=numerators.filter(bool) | dyadic, x=numerators, multiple=st.booleans())
+@example(t=GOLDEN.numerator, x=0, multiple=False)
+@example(t=1, x=MODULUS - 1, multiple=False)
+@example(t=3 << 254, x=3 << 250, multiple=False)
+@example(t=1 << 255, x=5, multiple=False)
+def test_x_step_matches_the_fraction_oracle(t, x, multiple):
+    # {-x/theta} snapped from the exact rational, and a half turn when
+    # [1/theta] is odd; multiple makes x a multiple of the numerator t
+    if multiple:
+        x -= x % t
+    theta = Fraction(t, MODULUS)
+    want = angle_from_fraction(-Fraction(x, MODULUS) / theta)
+    if math.floor(1 / theta) % 2:
+        want = wrap_add(want, HALF)
+    assert _x_step(t, x) == want.numerator
 
 
 def test_k_next_bound():
@@ -78,7 +105,7 @@ def test_fe_residual_within_calibrated_bound():
 def test_renorm_step_half_turn_is_exact_reciprocity():
     # theta = q/2^s, q odd, x = 0, k = 2^s: Landsberg-Schaar with pq even
     # gives sqrt(theta) psi(theta, 0, 2^s) = psi({2^s/q}, x', q) exactly,
-    # with x' the half turn when [2^s/q] is odd; x_renorm alone misses it
+    # with x' the half turn when [2^s/q] is odd; {-x/theta} = 0 alone misses it
     rng = random.Random(71)
     odd = 0
     for s in range(4, 21):
@@ -88,7 +115,7 @@ def test_renorm_step_half_turn_is_exact_reciprocity():
         step = renorm_step(theta, Angle(0), k)
         if (MODULUS // theta.numerator) % 2:
             odd += 1
-            plain = psi(step.theta_next, x_renorm(theta, Angle(0)), step.k_next)
+            plain = psi(step.theta_next, Angle(0), step.k_next)
             assert abs(step.sigma_factor * psi(theta, Angle(0), k) - plain) > 0.5
     assert odd >= 5
 

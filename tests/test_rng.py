@@ -6,7 +6,7 @@ import pytest
 from weyl_lab._rng import (
     _CHUNK,
     counter_angle,
-    counter_angles,
+    counter_numerators,
     counter_unit,
     counter_units,
     counter_words,
@@ -20,7 +20,8 @@ def test_batched_draws_equal_single_draws(n, seed, stream):
     units = counter_units(seed, n, stream)
     assert units.dtype == np.float64 and units.shape == (n,)
     assert units.tolist() == [counter_unit(seed, i, stream) for i in range(n)]
-    assert counter_angles(seed, n, stream) == [counter_angle(seed, i, stream) for i in range(n)]
+    numerators = counter_numerators(seed, n, stream)
+    assert numerators == [counter_angle(seed, i, stream).numerator for i in range(n)]
 
 
 @pytest.mark.parametrize("stream", ["", "parseval"])

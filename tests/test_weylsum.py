@@ -16,7 +16,7 @@ from trajectory_oracle import block_bounds, stream_points, weyl_sum_bound
 
 import weyl_lab
 from weyl_lab import _engine, weylsum
-from weyl_lab._rng import counter_angle, counter_angles, counter_words
+from weyl_lab._rng import counter_angle, counter_numerators, counter_words
 from weyl_lab.acceptance import _E1_SINGULAR_OFFSETS
 from weyl_lab.exactangle import (
     GOLDEN,
@@ -478,7 +478,7 @@ def test_parseval_draws_words_of_the_angles_it_drew():
     # the word draws give the sums weyl_sums_over_x gives at the angles
     qs = [13, 999]
     words = weylsum._sums_over_words(GOLDEN, counter_words(3, 9000, "parseval"), qs)
-    angles = weyl_sums_over_x(GOLDEN, counter_angles(3, 9000, "parseval"), qs)
+    angles = weyl_sums_over_x(GOLDEN, list(map(Angle, counter_numerators(3, 9000, "parseval"))), qs)
     assert words.tobytes() == angles.tobytes()
 
 
@@ -507,13 +507,14 @@ def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
     # E6's size takes its sups from the evaluator
     code = (
         "import hashlib, sys\n"
-        "from weyl_lab._rng import counter_angles\n"
+        "from weyl_lab._rng import counter_numerators\n"
         "from weyl_lab.calibration import GROWTH_GRID, GROWTH_SCHEDULE\n"
-        "from weyl_lab.exactangle import GOLDEN\n"
+        "from weyl_lab.exactangle import GOLDEN, Angle\n"
         "from weyl_lab.experiments import growth_report\n"
         "from weyl_lab.reporting import render_json\n"
         "from weyl_lab.weylsum import weyl_sum_over_x\n"
-        "out = weyl_sum_over_x(GOLDEN, counter_angles(7, 9000, 'blas'), 5000)\n"
+        "xs = [Angle(x) for x in counter_numerators(7, 9000, 'blas')]\n"
+        "out = weyl_sum_over_x(GOLDEN, xs, 5000)\n"
         "rep = growth_report(GOLDEN, list(GROWTH_SCHEDULE), GROWTH_GRID)\n"
         "for data in (out.tobytes(), render_json(rep).encode()):\n"
         "    sys.stdout.write(hashlib.sha256(data).hexdigest() + '\\n')\n"
