@@ -26,11 +26,11 @@ starts no thread; then one pairwise pass runs over the block partials laid
 out contiguously, in the order of one contiguous 1-D array (_block_total).
 qsum_moments reduces each order's block partials the same way, so its S_0
 is qsum bit for bit.  qsums takes many one-block sums (n < BLOCKS_FROM)
-that share A, as E1's direct sums do: it writes each sum's _phase_block
-words, at its own B and C, into a pass of at most CHUNK words, makes one
-e_phase call per pass and reduces each sum by np.sum over its own
-contiguous slice, unpadded, so each is qsum's sum bit for bit, but at
-n = 1 (see e_phase).  A pass spreads e_phase's fixed cost over its sums:
+that share A and have C = 0, as E1's direct sums do: it writes each
+sum's _phase_block words, at its own B, into a pass of at most CHUNK
+words, makes one e_phase call per pass and reduces each sum by np.sum
+over its own contiguous slice, unpadded, so each is qsum's sum bit for
+bit, but at n = 1 (see e_phase).  A pass spreads e_phase's fixed cost over its sums:
 at n = 1, 11 us per sum against 30 us per qsum call (best of 7 on a
 2-core Xeon VM).
 
@@ -211,20 +211,20 @@ def qsum(a: int, b: int, c: int, n: int) -> complex:
 BLOCKS_FROM = 1 << 14
 
 
-def qsums(a: int, bs: list[int], cs: list[int], ns: list[int]) -> np.ndarray:
-    """[qsum(a, b, c, n) for each (b, c, n)], each n < BLOCKS_FROM, in packed
+def qsums(a: int, bs: list[int], ns: list[int]) -> np.ndarray:
+    """[qsum(a, b, 0, n) for each (b, n)], each n < BLOCKS_FROM, in packed
     passes (see the module doc): qsum's bits, but at n = 1 (see e_phase)."""
     out = np.zeros(len(ns), dtype=np.complex128)
     words = np.empty(CHUNK, dtype=np.uint64)
     spans: list[tuple[int, int, int]] = []  # (sum, start, end) in words
-    for i, (b, c, n) in enumerate(zip(bs, cs, ns, strict=True)):
+    for i, (b, n) in enumerate(zip(bs, ns, strict=True)):
         if not 0 <= n < BLOCKS_FROM:
             raise ValueError(f"qsums takes 0 <= n < {BLOCKS_FROM}, not {n}")
         start = spans[-1][2] if spans else 0
         if start + n > CHUNK:
             _reduce_spans(words, spans, out)
             spans, start = [], 0
-        words[start : start + n] = _phase_block(a, b, c, 0, n)
+        words[start : start + n] = _phase_block(a, b, 0, 0, n)
         spans.append((i, start, start + n))
     _reduce_spans(words, spans, out)
     return out

@@ -11,13 +11,14 @@ The determinism gate (E10) compares the seeded gates' report bytes with
 those of a rerun in a second interpreter, with hash seed 1, so no body
 may put wall-clock values into its details.  `run_all` starts that child
 before E1, and the child also runs E4, whose step-by-step iteration is a
-pure Python loop, once: its report, verdict and runtime come back with the
-reruns, and E4 is not run in the parent.  So the child's E4 and reruns
-overlap E1-E3 and E5-E9 on a second CPU (under a one-CPU affinity mask
-they share the one, and nothing overlaps), and E10's runtime_s times only
-the wait for it.  A child that gives no readable output fails E4 and E10.
-The child's resident memory, about 55 MB at its peak, counts in
-RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
+pure Python loop, once; E4 is not run in the parent.  So the child's E4
+and reruns overlap E1-E3 and E5-E9 on a second CPU (under a one-CPU
+affinity mask they share the one, and nothing overlaps), and E10's
+runtime_s times only the wait for it.  The child writes one JSON object,
+an entry [description, passed, runtime_s, details, report text] per gate
+of IN_CHILD, which the parent rebuilds as results; output that does not
+read so fails E4 and E10.  The child's resident memory, about 55 MB at its
+peak, counts in RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .exactangle import (
     MODULUS,
     Angle,
     angle_from_fraction,
-    scale_mod1,
 )
 from .experiments import (
     DEFAULT_EPS,
@@ -59,12 +59,12 @@ from .experiments import (
     density_probe,
     growth_report,
     modulation_cap,
+    product_error,
     resume_witness,
 )
 from .reporting import render_json, report_dict
 from .weylsum import (
     SkewPoint,
-    dirichlet_b_closed,
     dirichlet_bs_closed,
     parseval_estimates,
     skew_shift_n,
@@ -139,7 +139,7 @@ def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
         off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
         xs[i] = angle_from_fraction(-off if (i // 20) % 2 == 0 else off).numerator
     ms = (counter_units(seed, count, "e1-m") * 10_001).astype(np.int64).tolist()
-    errors = np.abs(_engine.qsums(0, xs, [0] * count, ms) - dirichlet_bs_closed(xs, ms))
+    errors = np.abs(_engine.qsums(0, xs, ms) - dirichlet_bs_closed(xs, ms))
     worst = float(np.max(errors))
     return worst < 1e-9, {
         "seed": seed,
@@ -312,8 +312,7 @@ def run_e7(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
                 continue
             found += 1
             for m in (2, min(7, m_cap), min(29, m_cap)):
-                a_mq = weyl_sum(REFERENCE_THETA, x, Angle(0), m * q)
-                raw = float(np.abs(a_mq - a_q * dirichlet_b_closed(scale_mod1(x, 2 * q), m)))
+                raw = product_error(REFERENCE_THETA, x, q, m, a_q)
                 ok = raw <= bound
                 raw_ok = raw_ok and ok
                 raw_checks.append(
@@ -397,17 +396,12 @@ _RERUN_TIMEOUT_S = 600.0
 
 def _rerun_seeded(seed: int) -> None:
     """The child's work: E4, run here once, and the seeded gates' reruns,
-    written to stdout once, at the end, as one JSON object: the reruns'
-    report texts keyed by gate, and E4's verdict, runtime, details and
-    report text under "E4"."""
-    e4 = RUNNERS["E4"](seed)
-    output = {cid: RUNNERS[cid](seed).report_bytes.decode() for cid in SEEDED}
-    output["E4"] = {
-        "passed": e4.passed,
-        "runtime_s": e4.runtime_s,
-        "details": e4.details,
-        "report": e4.report_bytes.decode(),
-    }
+    written to stdout once, at the end, as one JSON object that maps each
+    gate to its description, verdict, runtime, details and report text."""
+    output = {}
+    for cid in IN_CHILD:
+        res = RUNNERS[cid](seed)
+        output[cid] = [res.description, res.passed, res.runtime_s, res.details, res.report_bytes.decode()]
     sys.stdout.write(json.dumps(output))
 
 
@@ -434,9 +428,9 @@ def _stop(child: subprocess.Popen) -> None:
     child.stdout.close()
 
 
-def _child_output(child: subprocess.Popen) -> tuple[tuple[CriterionResult, dict[str, bytes]] | None, str]:
-    """The child's E4 result and its reruns' report bytes by gate, or None
-    and why there are none; the child is reaped either way."""
+def _child_output(child: subprocess.Popen) -> tuple[dict[str, CriterionResult] | None, str]:
+    """The child's results by gate, E4's and the reruns', or None and why
+    there are none; the child is reaped either way."""
     try:
         out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -446,12 +440,11 @@ def _child_output(child: subprocess.Popen) -> tuple[tuple[CriterionResult, dict[
         return None, f"rerun exited with code {child.returncode}"
     try:
         output = json.loads(out)
-        e4 = output["E4"]
-        result = CriterionResult(
-            "E4", run_e4.description, bool(e4["passed"]), float(e4["runtime_s"]),
-            dict(e4["details"]), e4["report"].encode(),
-        )
-        return (result, {cid: output[cid].encode() for cid in SEEDED}), ""
+        return {
+            cid: CriterionResult(cid, description, bool(passed), float(runtime_s), dict(details), report.encode())
+            for cid in IN_CHILD
+            for description, passed, runtime_s, details, report in [output[cid]]
+        }, ""
     except (ValueError, TypeError, KeyError, AttributeError):
         return None, "rerun output unreadable"
 
@@ -480,7 +473,7 @@ def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen
     if output is None:
         e4, rerun = _result("E4", run_e4.description, False, wait, {"seed": seed, "error": error}), None
     else:
-        e4, rerun = output
+        e4, rerun = output["E4"], {cid: output[cid].report_bytes for cid in SEEDED}
     return e4, replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)
 
 
@@ -496,8 +489,9 @@ RUNNERS = {
     "E9": run_e9,
 }
 
-# the seeded gates whose reports E10 reproduces
+# the seeded gates whose reports E10 reproduces, and the gates the child runs
 SEEDED = ("E3", "E5", "E7", "E8", "E9")
+IN_CHILD = ("E4", *SEEDED)
 
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:

@@ -44,8 +44,8 @@ from .exactangle import (
 from .reporting import BIG_INT
 from .weylsum import (
     SkewPoint,
+    _sin_ratios,
     dirichlet_b_closed,
-    dirichlet_b_moduli,
     skew_shift_n,
     weyl_sum,
     weyl_sum_over_x,
@@ -158,7 +158,7 @@ def _find_mn_from_modulus(a_mod: float, alpha: Angle, q: int, eps: float) -> Fin
     """m <= q^(1/2+eps/4) minimizing | a_mod |b(alpha, m)| - 1/2 |, ties
     broken toward the smallest m."""
     m_max = modulation_cap(q, eps)
-    bvals = dirichlet_b_moduli(alpha, np.arange(m_max + 1))
+    bvals = np.array(_sin_ratios(alpha.numerator, range(m_max + 1)))
     m_best = int(np.argmin(np.abs(a_mod * bvals - 0.5)))  # the first, i.e. smallest m
     return FindMnResult(
         m=m_best,
@@ -166,6 +166,13 @@ def _find_mn_from_modulus(a_mod: float, alpha: Angle, q: int, eps: float) -> Fin
         a_modulus=a_mod,
         b_modulus=float(bvals[m_best]),
     )
+
+
+def product_error(theta: Angle, x: Angle, l: int, m: int, a_l: complex) -> float:
+    """|a(x,ml) - a_l b(2lx,m)|, the error of the product approximation
+    a(x,ml) ~ a(x,l) b(2lx,m), given a_l = a(x,l)."""
+    a_ml = weyl_sum(theta, x, ZERO, m * l)
+    return float(np.abs(a_ml - a_l * dirichlet_b_closed(scale_mod1(x, 2 * l), m)))
 
 
 def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
@@ -182,9 +189,7 @@ def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
     den = float(np.abs(a_l)) * (m ** 3) * l * nl
     if den == 0.0:
         raise ValueError("degenerate instance: zero denominator")
-    a_ml = weyl_sum(theta, x, Angle(0), m * l)
-    b_m = dirichlet_b_closed(scale_mod1(x, 2 * l), m)
-    return float(np.abs(a_ml - a_l * b_m)) / den
+    return product_error(theta, x, l, m, a_l) / den
 
 
 @dataclass(frozen=True)

@@ -236,7 +236,7 @@ def b_level_measure(
     length = int(2 * math.pi * c0) + 1
     p, se = _level_set_fraction(
         theta, m, samples, seed, "blevel",
-        lambda uxs: [_sin_ratios(Angle(ux), (length,))[0] >= c0 for ux in uxs],
+        lambda uxs: [_sin_ratios(ux, (length,))[0] >= c0 for ux in uxs],
     )
     return MeasureEstimate(
         estimate=p,

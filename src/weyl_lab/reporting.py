@@ -17,13 +17,16 @@ render it by rows, through one row format built from the column kinds,
 no Python call per value and gives the same text as its rows written as
 lists value by value.  Each column's kind and finiteness are checked once,
 before any row is written.  render_json writes a Table as a list of rows;
-render_csv writes one line per row.
+render_csv writes one line per row.  Both write every float plus 0.0,
+which moves only -0.0, to 0: json reads -0 back as the int 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import fields, is_dataclass
 
 from .exactangle import Angle
@@ -35,7 +38,7 @@ FLATTEN = {"flatten": True}
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite float in report")
-    return format(float(x), ".17g")
+    return format(float(x) + 0.0, ".17g")
 
 
 class Table:
@@ -47,18 +50,20 @@ class Table:
     def rows(self, frame: str = "%s"):
         """Each row's text, in one C-level pass: frame around the row's
         values through their columns' formats, joined by commas."""
-        row = frame % ",".join(map(_column_format, self.columns))
-        return map(row.__mod__, zip(*self.columns, strict=True))
+        formats, columns = zip(*map(_column, self.columns))
+        row = frame % ",".join(formats)
+        return map(row.__mod__, zip(*columns, strict=True))
 
 
-def _column_format(column: list) -> str:
+def _column(column: list) -> tuple:
+    # the column's format and the values it writes: each float plus 0.0
     kinds = set(map(type, column))
     if kinds <= {int}:
-        return "%d"
+        return "%d", column
     if kinds == {float}:
         if not all(map(math.isfinite, column)):
             raise ValueError("non-finite float in report")
-        return "%.17g"
+        return "%.17g", map(operator.add, column, itertools.repeat(0.0))
     names = sorted(kind.__name__ for kind in kinds)
     raise TypeError(f"a table column must be all int or all float, not {names}")
 

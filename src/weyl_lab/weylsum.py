@@ -168,20 +168,20 @@ def _sin_pi_frac(num: int) -> float:
     return math.sin(math.pi * (folded / MODULUS))
 
 
-def _e_half_grid(nums: list[int]) -> np.ndarray:
-    # e(num / 2**257) per num, from the exact top 64 bits of num mod 2**257,
-    # in one e_phase call
-    return _engine.e_phase(np.array([(num >> 193) % (1 << 64) for num in nums], dtype=np.uint64))
+def _e_half_grid(nums) -> np.ndarray:
+    # e(num / 2**257) per num of an iterable, from the exact top 64 bits of
+    # num mod 2**257, in one e_phase call
+    return _engine.e_phase(np.fromiter(((num >> 193) % (1 << 64) for num in nums), dtype=np.uint64))
 
 
-def _sin_ratios(x: Angle, ms) -> list[float]:
-    # |b(x, m)| per m: m at x = 0, and elsewhere sin(pi {m x}) / sin(pi x),
-    # with {m x} reduced exactly on numerators (sin(pi m x) is this times
-    # (-1)^floor(m x), and {m x} folds freely across 1/2)
-    if x.numerator == 0:
+def _sin_ratios(num: int, ms) -> list[float]:
+    # |b(x, m)| at x = num 2**-256 per int m: m at x = 0, and elsewhere
+    # sin(pi {m x}) / sin(pi x), {m x} reduced exactly on numerators (sin(pi
+    # m x) is this times (-1)^floor(m x), and {m x} folds freely across 1/2)
+    if num == 0:
         return [float(m) for m in ms]
-    den = _sin_pi_frac(x.numerator)
-    return [_sin_pi_frac((int(m) * x.numerator) & (MODULUS - 1)) / den for m in ms]
+    den = _sin_pi_frac(num)
+    return [_sin_pi_frac(m * num & (MODULUS - 1)) / den for m in ms]
 
 
 def dirichlet_b_closed(x: Angle, m: int) -> complex:
@@ -203,15 +203,10 @@ def dirichlet_bs_closed(nums: list[int], ms: list[int]) -> np.ndarray:
         raise ValueError("m must be >= 0")
     # the half phase (m-1)x/2, turned by a half when floor(m x) is odd,
     # which folds in the sign of sin(pi m x); at x = 0 it is 0 and e(0) = 1
-    halves = [(m - 1) * num + (m * num >> 256 << 256) for num, m in zip(nums, ms, strict=True)]
-    out = _e_half_grid(halves) * np.array([_sin_ratios(Angle(num), (m,))[0] for num, m in zip(nums, ms)])
+    halves = ((m - 1) * num + (m * num >> 256 << 256) for num, m in zip(nums, ms, strict=True))
+    out = _e_half_grid(halves) * np.array([_sin_ratios(num, (m,))[0] for num, m in zip(nums, ms)])
     out[[m == 0 for m in ms]] = 0
     return out
-
-
-def dirichlet_b_moduli(x: Angle, ms: np.ndarray) -> np.ndarray:
-    """|b(x, m)| for an array of m, via the exactly-reduced sin ratio."""
-    return np.array(_sin_ratios(x, ms))
 
 
 def psi(theta: Angle, x: Angle, k: int) -> float:

@@ -8,7 +8,8 @@ that runs E4 and reruns the seeded gates, as verify-all always does: E10
 compares the reruns against the first pass, and E4's report from the
 child must equal an in-process run_e4's.  The tests of the child's
 failures replace its command (`acceptance._RERUN_ARGS`) with a program
-that crashes, hangs or alters a report; each fails E4 and E10.
+that crashes, hangs, writes an entry of the wrong shape or alters a
+report; each fails E10, and all but the altered report fail E4 too.
 """
 
 import contextlib
@@ -47,11 +48,13 @@ REPORT_SHA256 = {
 
 @pytest.fixture(scope="session")
 def gate():
-    results = {}
+    # the runners as imported: verify_all puts lambdas that call back here
+    # in their place
+    results, runners = {}, dict(acceptance.RUNNERS)
 
     def run(cid):
         if cid not in results:
-            results[cid] = acceptance.RUNNERS[cid](SEED)
+            results[cid] = runners[cid](SEED)
         return results[cid]
 
     return run
@@ -208,15 +211,24 @@ def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
     assert e4.passed and e4.report_bytes == gate("E4").report_bytes
 
 
+# a child whose every entry matches its first pass, but E4's is one item short
+_BAD_ENTRY = """import json
+from weyl_lab import acceptance
+entry = ["a gate", True, 0.0, {}, "{}\\n"]
+print(json.dumps({**{cid: entry for cid in acceptance.IN_CHILD}, "E4": entry[:4]}))
+"""
+
+
 @pytest.mark.parametrize(
     "source, timeout_s, error",
     [
         ("import sys; sys.exit(3)", None, "rerun exited with code 3"),
         ("print('not json')", None, "rerun output unreadable"),
         ("print('{}')", None, "rerun output unreadable"),
+        (_BAD_ENTRY, None, "rerun output unreadable"),
         ("import time; time.sleep(60)", 0.5, "no reports within 0.5 s"),
     ],
-    ids=["exit-3", "not-json", "no-gates", "timeout"],
+    ids=["exit-3", "not-json", "no-gates", "bad-entry", "timeout"],
 )
 def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, timeout_s, error):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", source))

@@ -34,7 +34,7 @@ from weyl_lab.weylsum import (
     _sin_ratios,
     dirichlet_b,
     dirichlet_b_closed,
-    dirichlet_b_moduli,
+    dirichlet_bs_closed,
     parseval_estimate,
     parseval_estimates,
     psi,
@@ -283,7 +283,7 @@ def test_dirichlet_b_over_x_equals_single_sums(m):
     rng = random.Random(48 + m)
     xs = [Angle(rng.randrange(MODULUS)) for _ in range(40)] + [ZERO, angle_from_rational(1, 2)]
     # the closed-form moduli the level sets read, against direct sums
-    got = np.array([_sin_ratios(x, (m,))[0] for x in xs])
+    got = np.array([_sin_ratios(x.numerator, (m,))[0] for x in xs])
     want = np.abs([dirichlet_b(x, m) for x in xs])
     assert np.max(np.abs(got - want)) <= m * 2.0**-51
 
@@ -292,13 +292,13 @@ def test_dirichlet_moduli_batch():
     rng = random.Random(47)
     near = angle_from_fraction(Fraction(-1, 1 << 25))  # ||x|| < 2^-20
     half = angle_from_rational(1, 2)
-    ms = np.arange(0, 300)
+    ms = range(300)
     for x in (Angle(rng.randrange(MODULUS)), near, ZERO, half):
-        batch = dirichlet_b_moduli(x, ms)
-        single = np.array([abs(dirichlet_b_closed(x, int(m))) for m in ms])
+        batch = np.array(_sin_ratios(x.numerator, ms))
+        single = np.array([abs(dirichlet_b_closed(x, m)) for m in ms])
         assert np.max(np.abs(batch - single)) < 1e-10
     # at x = 1/2 the terms alternate 1, -1: |b| is 0, 1, 0, 1, ... exactly
-    assert dirichlet_b_moduli(half, ms).tolist() == [m % 2 for m in range(300)]
+    assert _sin_ratios(half.numerator, ms) == [m % 2 for m in ms]
 
 
 def _mp_dirichlet_b(num: int, m: int) -> complex:
@@ -323,6 +323,42 @@ def test_dirichlet_closed_matches_mpmath_at_every_scale():
     cases += [(1, 10_000), (MODULUS - 1, 9_999)]
     for num, m in cases:
         assert abs(dirichlet_b_closed(Angle(num), m) - _mp_dirichlet_b(num, m)) <= m * 2.0 ** -50
+
+
+def _closed_form_cases() -> tuple[list[int], list[int]]:
+    # (x numerators, ms): m = 0 at x = 0, 1/2 and a random x; x = 0 and
+    # x = 1/2 at m > 0; E1's near-singular offsets of both signs at
+    # m = 10**4; then random x and m, as E1 draws them
+    rng = random.Random(56)
+    half = MODULUS >> 1
+    near = [angle_from_fraction(sign * off).numerator for off in _E1_SINGULAR_OFFSETS for sign in (1, -1)]
+    nums = [0, half, rng.randrange(MODULUS), 0, half, half, *near]
+    ms = [0, 0, 0, 9_999, 7, 10_000, *(10_000 for _ in near)]
+    nums += [rng.randrange(MODULUS) for _ in range(300)]
+    ms += [rng.randrange(10_001) for _ in range(300)]
+    return nums, ms
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-element", "many-elements"])
+def test_dirichlet_bs_closed_matches_mpmath_and_the_single_closed_form(batched):
+    nums, ms = _closed_form_cases()
+    arrays = [(nums, ms)] if batched else [([num], [m]) for num, m in zip(nums, ms)]
+    for array_nums, array_ms in arrays:
+        got = dirichlet_bs_closed(array_nums, array_ms)
+        assert got.shape == (len(array_ms),)
+        for z, num, m in zip(got, array_nums, array_ms):
+            # b(0, m) = m; m = 0 gives exactly 0
+            want = float(m) if num == 0 else _mp_dirichlet_b(num, m)
+            assert abs(z - want) <= m * 2.0**-50, (num, m)
+            # in an array of many, e_phase rounds each half phase with the
+            # fused multiply-add that a one-word array leaves out (see its
+            # docstring): 1 ulp of the unit phase, times |b|
+            single = dirichlet_b_closed(Angle(num), m)
+            assert abs(z - single) <= 2.0**-52 * abs(single), (num, m)
+            if not batched:
+                assert z == single
+    with pytest.raises(ValueError):
+        dirichlet_bs_closed([1, 2], [3, -1])
 
 
 def test_psi_trivials():
