@@ -26,13 +26,17 @@ starts no thread; then one pairwise pass runs over the block partials laid
 out contiguously, in the order of one contiguous 1-D array (_block_total).
 qsum_moments reduces each order's block partials the same way, so its S_0
 is qsum bit for bit.  qsums takes many one-block sums (n < BLOCKS_FROM)
-that share A and have C = 0, as E1's direct sums do: it writes each
-sum's _phase_block words, at its own B, into a pass of at most CHUNK
-words, makes one e_phase call per pass and reduces each sum by np.sum
-over its own contiguous slice, unpadded, so each is qsum's sum bit for
-bit, but at n = 1 (see e_phase).  A pass spreads e_phase's fixed cost over its sums:
-at n = 1, 11 us per sum against 30 us per qsum call (best of 7 on a
-2-core Xeon VM).
+with C = 0, each at its own A and B, as E1's direct sums and the short
+sums of the E5 and E7 sweeps are: it writes each sum's _phase_block
+words into a pass of at most CHUNK words, makes one e_phase call per
+pass and reduces each sum by np.sum over its own contiguous slice,
+unpadded, so each is qsum's sum bit for bit at every n (e_phase rounds a
+one-word array otherwise, but a one-term sum at C = 0 is e(0) = 1
+exactly under either rounding).  A pass spreads e_phase's fixed cost over
+its sums: at n = 1, 11 us per sum against 30 us per qsum call (best of 7
+on a 2-core Xeon VM).  qsums_blocks is qsum_blocks over many sums at
+C = 0: the ones qsum_blocks sums directly go through qsums, the rest
+through qsum_blocks.
 
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
 many u by a type-2 non-uniform FFT (Dutt-Rokhlin), with the exponential-
@@ -49,6 +53,9 @@ as a float.  Its reductions are np.sum and the FFT, never BLAS.  Points
 with u = 0, and sums of fewer than two terms, are exact.  Cost:
 O(L log L) per call and w taps per point, against n per point for a
 direct sum; the error bound is stated at weylsum.weyl_sums_over_x.
+The kernel's transform depends on the row's length alone, and rows of up
+to 2**10 terms keep theirs (the last 128, at most 4 KB each): a sweep's
+block sums meet the same few lengths again and again.
 
 Long sums by blocks: block_sums gives the sums of consecutive blocks of
 B terms, k = q B + j, from one row:
@@ -175,15 +182,17 @@ def e_phase(words: np.ndarray) -> np.ndarray:
     the out-of-place product at any length, the in-place one at any length
     from 2, and the rotation step round alike.  A one-term sum, or a
     constant taken alone, is thus in its last bit not the same word inside
-    a pass.  Rounding both alike would move psi's constants and the pinned
-    E5 and E7 reports, so it stays.
+    a pass, but for the word 0, whose e is exactly 1 either way.  Rounding
+    both alike would move psi's constants and the pinned E5 and E7
+    reports, so it stays.
     """
     t1, t2 = _tables()
     idx = (words >> _SH48).view(np.int64)
-    z = np.take(t1, idx)
+    # .take, not np.take, whose wrapper makes a keyword dict per call
+    z = t1.take(idx)
     np.right_shift(words, _SH32, out=idx.view(np.uint64))
     idx &= 0xFFFF
-    z *= np.take(t2, idx)
+    z *= t2.take(idx)
     x = np.bitwise_and(words, 0xFFFFFFFF, out=idx.view(np.uint64)).astype(np.float64)
     x *= _TWO_PI_ULP  # 2 pi r
     # z (1 + i x) = (re - x im) + i (im + x re)
@@ -211,31 +220,30 @@ def qsum(a: int, b: int, c: int, n: int) -> complex:
 BLOCKS_FROM = 1 << 14
 
 
-def qsums(a: int, bs: list[int], ns: list[int]) -> np.ndarray:
-    """[qsum(a, b, 0, n) for each (b, n)], each n < BLOCKS_FROM, in packed
-    passes (see the module doc): qsum's bits, but at n = 1 (see e_phase)."""
-    out = np.zeros(len(ns), dtype=np.complex128)
+def qsums(requests) -> np.ndarray:
+    """[qsum(a, b, 0, n) for each (a, b, n) of requests], each
+    n < BLOCKS_FROM, in packed passes (see the module doc): qsum's bits."""
+    out: list = []
     words = np.empty(CHUNK, dtype=np.uint64)
-    spans: list[tuple[int, int, int]] = []  # (sum, start, end) in words
-    for i, (b, n) in enumerate(zip(bs, ns, strict=True)):
+    ends: list[int] = []  # the end of each sum's words in the pass
+    for a, b, n in requests:
         if not 0 <= n < BLOCKS_FROM:
             raise ValueError(f"qsums takes 0 <= n < {BLOCKS_FROM}, not {n}")
-        start = spans[-1][2] if spans else 0
+        start = ends[-1] if ends else 0
         if start + n > CHUNK:
-            _reduce_spans(words, spans, out)
-            spans, start = [], 0
+            _reduce_pass(words, ends, out)
+            ends, start = [], 0
         words[start : start + n] = _phase_block(a, b, 0, 0, n)
-        spans.append((i, start, start + n))
-    _reduce_spans(words, spans, out)
-    return out
+        ends.append(start + n)
+    _reduce_pass(words, ends, out)
+    return np.array(out, dtype=np.complex128)
 
 
-def _reduce_spans(words: np.ndarray, spans: list, out: np.ndarray) -> None:
+def _reduce_pass(words: np.ndarray, ends: list, out: list) -> None:
     # one e_phase call over the pass, then each sum's np.sum over its slice
-    if spans:
-        z = e_phase(words[: spans[-1][2]])
-        for i, start, end in spans:
-            out[i] = np.sum(z[start:end])
+    if ends:
+        z = e_phase(words[: ends[-1]])
+        out.extend(np.sum(z[start:end]) for start, end in zip([0, *ends], ends))
 
 
 def _terms(a: int, b: int, c: int, n: int) -> np.ndarray:
@@ -298,11 +306,16 @@ def block_sums(a: int, b: int, c: int, size: int, out: np.ndarray) -> None:
         body *= _terms(*shifted(a * size * size, b * size, c, q0), q1 - q0)
 
 
+def _direct(n: int) -> bool:
+    # qsum_blocks' crossover: a sum of fewer than BLOCKS_FROM terms is direct
+    return n < BLOCKS_FROM
+
+
 def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
     """qsum(a, b, c, n): a direct qsum below BLOCKS_FROM terms, and from
     there block_sums over blocks of 2 floor(sqrt(n)) terms, then a direct
     tail (see the module doc)."""
-    if n < BLOCKS_FROM:
+    if _direct(n):
         return qsum(a, b, c, n)
     size = 2 * math.isqrt(n)
     blocks = n // size
@@ -311,6 +324,19 @@ def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
     block_sums(a, b, c, size, sums)
     k = blocks * size
     return complex(np.sum(sums) + qsum(*shifted(a, b, c, k), n - k))
+
+
+def qsums_blocks(requests) -> np.ndarray:
+    """[qsum_blocks(a, b, 0, n) for each (a, b, n) of requests], bit for
+    bit: the direct sums in packed passes (qsums), the rest by qsum_blocks."""
+    requests = list(requests)
+    direct = [_direct(n) for _, _, n in requests]
+    out = np.empty(len(requests), dtype=np.complex128)
+    out[direct] = qsums(r for r, d in zip(requests, direct) if d)
+    for i, (a, b, n) in enumerate(requests):
+        if not direct[i]:
+            out[i] = qsum_blocks(a, b, 0, n)
+    return out
 
 
 def _walk(a: int, b: int, c: int, k: int, n: int, carry: complex) -> Iterator[tuple[int, np.ndarray]]:
@@ -433,6 +459,23 @@ def _kernel_hat(m: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _row_hat(n: int) -> tuple[int, np.ndarray]:
+    """(L, Psi(m / L) for m = 0 .. n - n // 2): the fine grid's size for a
+    row of n terms and the kernel's transform at the row's frequencies
+    (|m| <= n // 2 by symmetry), read-only."""
+    size = _fine_len(max(n, _TAPS))
+    hat = _kernel_hat(np.arange(n - n // 2 + 1), size)
+    hat.flags.writeable = False
+    return size, hat
+
+
+# rows of up to _HAT_KEPT_N terms keep their transforms, the last
+# _HAT_KEPT_ROWS of them: at most 128 of 4 KB (the evaluator of a sweep's
+# blocks meets the same few row lengths again and again)
+_HAT_KEPT_N, _HAT_KEPT_ROWS = 1 << 10, 128
+_kept_row_hat = functools.lru_cache(maxsize=_HAT_KEPT_ROWS)(_row_hat)
+
+
 def poly_eval_unit_circle(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] e(k u) per point u, u = rho[:, 0] 2**-64 +
     rho[:, 1] 2**-128 (the top 128 bits of its exact turn), by one type-2
@@ -443,10 +486,9 @@ def poly_eval_unit_circle(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         # no term or one: the sum is the same at every u, and exact
         return np.full(rho.shape[0], np.sum(coeffs))
     half = n // 2
-    # sigma = L/n >= 2, and more below n = w, where it costs nothing
-    size = _fine_len(max(n, _TAPS))
+    # sigma = L/n >= 2, and more below n = w, where it costs nothing;
     # frequency m = k - half sits at m mod L, divided by the kernel's transform
-    hat = _kernel_hat(np.arange(n - half + 1), size)
+    size, hat = (_kept_row_hat if n <= _HAT_KEPT_N else _row_hat)(n)
     grid = np.zeros(size, dtype=np.complex128)
     np.divide(coeffs[half:], hat[: n - half], out=grid[: n - half])
     np.divide(coeffs[:half], hat[half:0:-1], out=grid[size - half :])
@@ -459,10 +501,13 @@ def poly_eval_unit_circle(coeffs: np.ndarray, rho: np.ndarray) -> np.ndarray:
         low_word = np.uint64(size) * top
         frac = low_word + _mulhi(low, size)
         j0 = _mulhi(top, size) + (frac < low_word)
-        nodes = np.take(grid, j0.astype(np.int64) + _NODES, mode="wrap")
+        nodes = grid.take(j0.astype(np.int64) + _NODES, mode="wrap")
         nodes *= _kernel(frac.astype(np.float64) * 2.0**-64 - _NODES)
         # the centring turn h u from its top word
         turn = e_phase(np.uint64(half) * top + _mulhi(low, half))
         out[p0 : p0 + _POINT_BLOCK] = np.sum(nodes, axis=0) * turn
+        # the block's arrays go before the next block's are made, so that
+        # every block holds the same arrays at its peak, the first one too
+        del top, low, low_word, frac, j0, nodes, turn
     out[~(rho[:, 0] | rho[:, 1]).astype(bool)] = np.sum(coeffs)
     return out

@@ -10,20 +10,23 @@ Gates at the reference construction read it from experiments.
 The determinism gate (E10) compares the seeded gates' report bytes with
 those of a rerun in a second interpreter, with hash seed 1, so no body
 may put wall-clock values into its details.  `run_all` starts that child
-before E1, and the child also runs E4, whose step-by-step iteration is a
-pure Python loop, once; E4 is not run in the parent.  So the child's E4
-and reruns overlap E1-E3 and E5-E9 on a second CPU (under a one-CPU
-affinity mask they share the one, and nothing overlaps), and E10's
-runtime_s times only the wait for it.  The child writes one JSON object,
-an entry [description, passed, runtime_s, details, report text] per gate
-of IN_CHILD, which the parent rebuilds as results; output that does not
-read so fails E4 and E10.  The child's resident memory, about 55 MB at its
-peak, counts in RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
+before E1, and the child also runs the unseeded gates E2, E4 and E6
+once (CHILD_ONLY); the parent does not run them.  So the parent runs E1
+and the seeded gates' first passes, the child the unseeded gates and
+the reruns, and the two overlap on two CPUs (under a one-CPU affinity
+mask they share the one, and nothing overlaps); E10's runtime_s times
+only the wait for the child.  The child writes one JSON object, an entry
+[description, passed, runtime_s, details, report text] per gate of
+IN_CHILD, which the parent rebuilds as results; output that does not
+read so fails E2, E4, E6 and E10.  The child's resident memory, about
+57 MB at its peak, counts in RUSAGE_CHILDREN, not in the parent's
+RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -139,7 +142,7 @@ def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
         off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
         xs[i] = angle_from_fraction(-off if (i // 20) % 2 == 0 else off).numerator
     ms = (counter_units(seed, count, "e1-m") * 10_001).astype(np.int64).tolist()
-    errors = np.abs(_engine.qsums(0, xs, ms) - dirichlet_bs_closed(xs, ms))
+    errors = np.abs(_engine.qsums(zip(itertools.repeat(0), xs, ms)) - dirichlet_bs_closed(xs, ms))
     worst = float(np.max(errors))
     return worst < 1e-9, {
         "seed": seed,
@@ -203,13 +206,16 @@ def run_e3(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 
 
 def _iterate_skew(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:
-    tn = theta.numerator
-    xn, yn = p.x.numerator, p.y.numerator
-    mask = MODULUS - 1
+    """The n-th iterate of (x, y) -> (x + theta, y + 2x + theta), step by
+    step on unreduced numerators, reduced mod 2**256 once at the end, which
+    is exact since the reduction commutes with + and x2.  Each step adds
+    s = 2x + theta to y and 2 theta to s, so x = (s - theta) / 2."""
+    t = theta.numerator
+    y, s, t2 = p.y.numerator, 2 * p.x.numerator + t, 2 * t
     for _ in range(n):
-        yn = (yn + 2 * xn + tn) & mask
-        xn = (xn + tn) & mask
-    return SkewPoint(Angle(xn), Angle(yn))
+        y += s
+        s += t2
+    return SkewPoint(Angle((s - t) // 2 % MODULUS), Angle(y % MODULUS))
 
 
 @_gate("E4", "skew-shift closed form equals n-fold iteration exactly")
@@ -389,15 +395,16 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # the child's arguments to the interpreter, before the seed: this module's
 # __main__ block, which runs _rerun_seeded
 _RERUN_ARGS = ("-m", "weyl_lab.acceptance")
-# the parent's wait for the child's output; the child's start-up, E4 and
-# the five reruns take about 3 s on an idle core
+# the parent's wait for the child's output; the child's start-up, E2, E4,
+# E6 and the five reruns take about 3 s on an idle core
 _RERUN_TIMEOUT_S = 600.0
 
 
 def _rerun_seeded(seed: int) -> None:
-    """The child's work: E4, run here once, and the seeded gates' reruns,
-    written to stdout once, at the end, as one JSON object that maps each
-    gate to its description, verdict, runtime, details and report text."""
+    """The child's work: the gates of CHILD_ONLY, run here once, and the
+    seeded gates' reruns, written to stdout once, at the end, as one JSON
+    object that maps each gate to its description, verdict, runtime,
+    details and report text."""
     output = {}
     for cid in IN_CHILD:
         res = RUNNERS[cid](seed)
@@ -406,7 +413,7 @@ def _rerun_seeded(seed: int) -> None:
 
 
 def _start_reruns(seed: int) -> subprocess.Popen:
-    """A second interpreter running E4 and the seeded gates at `seed`, with
+    """A second interpreter running the gates of IN_CHILD at `seed`, with
     hash seed 1 and stdin closed, on this weyl_lab's source tree: its
     directory goes first on PYTHONPATH, and is the child's working directory
     too, since `-m` puts that directory first on sys.path."""
@@ -429,8 +436,8 @@ def _stop(child: subprocess.Popen) -> None:
 
 
 def _child_output(child: subprocess.Popen) -> tuple[dict[str, CriterionResult] | None, str]:
-    """The child's results by gate, E4's and the reruns', or None and why
-    there are none; the child is reaped either way."""
+    """The child's results by gate of IN_CHILD, or None and why there are
+    none; the child is reaped either way."""
     try:
         out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -461,20 +468,27 @@ def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | N
     return not mismatches, {**details, "mismatches": mismatches}
 
 
-def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> tuple[CriterionResult, CriterionResult]:
-    """E4 and E10 from the output of `child` (from `_start_reruns`): E4 as
-    the child rendered it, with its verdict and runtime, and E10 against
-    the first-pass bytes.  A child that crashes, writes output that does
-    not parse or outlasts _RERUN_TIMEOUT_S fails both, each with an error
-    key.  E10's runtime_s, and a failed E4's, is the wait for the child."""
+def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> dict[str, CriterionResult]:
+    """The results of CHILD_ONLY's gates and E10 from the output of `child`
+    (from `_start_reruns`), by gate: each of CHILD_ONLY as the child
+    rendered it, with its verdict and runtime, and E10 against the
+    first-pass bytes.  A child that crashes, writes output that does not
+    parse or outlasts _RERUN_TIMEOUT_S fails all of them, each with an
+    error key.  E10's runtime_s, and a failed gate's, is the wait for the
+    child."""
     t0 = time.perf_counter()
     output, error = _child_output(child)
     wait = time.perf_counter() - t0
     if output is None:
-        e4, rerun = _result("E4", run_e4.description, False, wait, {"seed": seed, "error": error}), None
+        results = {
+            cid: _result(cid, _DESCRIPTIONS[cid], False, wait, {"seed": seed, "error": error})
+            for cid in CHILD_ONLY
+        }
+        rerun = None
     else:
-        e4, rerun = output["E4"], {cid: output[cid].report_bytes for cid in SEEDED}
-    return e4, replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)
+        results = {cid: output[cid] for cid in CHILD_ONLY}
+        rerun = {cid: output[cid].report_bytes for cid in SEEDED}
+    return {**results, "E10": replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)}
 
 
 RUNNERS = {
@@ -489,9 +503,14 @@ RUNNERS = {
     "E9": run_e9,
 }
 
-# the seeded gates whose reports E10 reproduces, and the gates the child runs
+# each gate's description, as the runners carry it
+_DESCRIPTIONS = {cid: fn.description for cid, fn in RUNNERS.items()}
+
+# the seeded gates whose reports E10 reproduces; the unseeded gates that
+# only the child runs; and the gates the child runs
 SEEDED = ("E3", "E5", "E7", "E8", "E9")
-IN_CHILD = ("E4", *SEEDED)
+CHILD_ONLY = ("E2", "E4", "E6")
+IN_CHILD = (*CHILD_ONLY, *SEEDED)
 
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:
@@ -499,17 +518,18 @@ def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[Criter
     bytes, and return the results in gate order; optionally write each
     report to out_dir.
 
-    The child starts first and runs E4 and the seeded gates' reruns while
-    the other gates run here; it is killed and reaped on every path out.
+    The child starts first and runs the gates of CHILD_ONLY and the seeded
+    gates' reruns while E1 and the seeded gates' first passes run here; it
+    is killed and reaped on every path out.
     """
     child = _start_reruns(seed)
     try:
-        results = {cid: fn(seed) for cid, fn in RUNNERS.items() if cid != "E4"}
+        results = {cid: fn(seed) for cid, fn in RUNNERS.items() if cid not in CHILD_ONLY}
         first_pass = {cid: results[cid].report_bytes for cid in SEEDED}
-        results["E4"], e10 = _from_child(seed, first_pass, child)
+        results.update(_from_child(seed, first_pass, child))
     finally:
         _stop(child)
-    results = [*(results[cid] for cid in RUNNERS), e10]
+    results = [results[cid] for cid in (*RUNNERS, "E10")]
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,8 @@ import numpy as np
 from ._rng import counter_unit
 from .exactangle import GOLDEN, Angle, angle_from_float
 from .experiments import approx_ratio, growth_report
-from .renorm import fe_residual
+from .renorm import renorm_chains
+from .weylsum import weyl_sums
 
 FE_SWEEP_SEED = 5
 FE_SWEEP_SAMPLES = 1000
@@ -44,13 +45,13 @@ def fe_sweep_instance(seed: int, i: int) -> tuple[Angle, Angle, int]:
 
 
 def run_fe_sweep(seed: int = FE_SWEEP_SEED) -> dict:
-    """Max rescaling residual, per-decade maxima, and the decade-max slope."""
-    resids = np.empty(FE_SWEEP_SAMPLES)
-    ks = np.empty(FE_SWEEP_SAMPLES, dtype=np.int64)
-    for i in range(FE_SWEEP_SAMPLES):
-        theta, x, k = fe_sweep_instance(seed, i)
-        resids[i] = fe_residual(theta, x, k)
-        ks[i] = k
+    """Max rescaling residual, per-decade maxima, and the decade-max slope.
+    Each residual is fe_residual's, the level-1 residual of a one-step
+    chain; every instance's two levels take their psi from one psis call
+    (renorm_chains)."""
+    starts = [fe_sweep_instance(seed, i) for i in range(FE_SWEEP_SAMPLES)]
+    resids = np.array([chain.residuals[1] for chain in renorm_chains(starts, 1)])
+    ks = np.array([k for _, _, k in starts], dtype=np.int64)
     lo, hi = FE_K_DECADES
     centers, maxima = [], []
     for d in range(lo, hi):
@@ -80,13 +81,15 @@ def approx_sweep_instance(seed: int, i: int) -> tuple[Angle, int, int, Angle]:
 def run_approx_sweep(
     seed: int = APPROX_SWEEP_SEED, samples: int = APPROX_SWEEP_SAMPLES
 ) -> dict:
-    """Max empirical constant of the product-approximation inequality."""
+    """Max empirical constant of the product-approximation inequality;
+    every instance's a(x, l) and a(x, ml) from one weyl_sums call."""
+    instances = [approx_sweep_instance(seed, i) for i in range(samples)]
+    sums = weyl_sums((theta, x, n) for theta, l, m, x in instances for n in (l, m * l)).tolist()
     worst = 0.0
     skipped = 0
-    for i in range(samples):
-        theta, l, m, x = approx_sweep_instance(seed, i)
+    for instance, a_l, a_ml in zip(instances, sums[::2], sums[1::2]):
         try:
-            worst = max(worst, approx_ratio(theta, l, m, x))
+            worst = max(worst, approx_ratio(*instance, (a_l, a_ml)))
         except ValueError:
             skipped += 1
     return {

@@ -49,6 +49,7 @@ from .weylsum import (
     skew_shift_n,
     weyl_sum,
     weyl_sum_over_x,
+    weyl_sums,
     weyl_sums_over_x,
 )
 
@@ -171,25 +172,30 @@ def _find_mn_from_modulus(a_mod: float, alpha: Angle, q: int, eps: float) -> Fin
 def product_error(theta: Angle, x: Angle, l: int, m: int, a_l: complex) -> float:
     """|a(x,ml) - a_l b(2lx,m)|, the error of the product approximation
     a(x,ml) ~ a(x,l) b(2lx,m), given a_l = a(x,l)."""
-    a_ml = weyl_sum(theta, x, ZERO, m * l)
+    return _product_gap(x, l, m, a_l, weyl_sum(theta, x, ZERO, m * l))
+
+
+def _product_gap(x: Angle, l: int, m: int, a_l: complex, a_ml: complex) -> float:
+    # |a_ml - a_l b(2lx, m)|, given a_l = a(x, l) and a_ml = a(x, ml)
     return float(np.abs(a_ml - a_l * dirichlet_b_closed(scale_mod1(x, 2 * l), m)))
 
 
-def approx_ratio(theta: Angle, l: int, m: int, x: Angle) -> float:
+def approx_ratio(theta: Angle, l: int, m: int, x: Angle, sums: tuple | None = None) -> float:
     """Empirical constant |a(x,ml) - a(x,l) b(2lx,m)| / (|a(x,l)| m^3 l ||l theta||).
 
-    The denominator is the product-form error budget; a vanishing
-    denominator marks a degenerate instance and raises so sweeps can
-    exclude it from statistics.
+    sums is (a(x, l), a(x, ml)), as a sweep's one weyl_sums call over all
+    its instances gives them; without it they come from a weyl_sums call
+    of their own, so either way the same bits.  The denominator is the
+    product-form error budget; a vanishing denominator marks a degenerate
+    instance and raises so sweeps can exclude it from statistics.
     """
     if l < 1 or m < 1:
         raise ValueError("l and m must be >= 1")
-    a_l = weyl_sum(theta, x, Angle(0), l)
-    nl = dist_to_int(scale_mod1(theta, l))
-    den = float(np.abs(a_l)) * (m ** 3) * l * nl
+    a_l, a_ml = sums if sums is not None else weyl_sums([(theta, x, l), (theta, x, m * l)]).tolist()
+    den = float(np.abs(a_l)) * (m ** 3) * l * dist_to_int(scale_mod1(theta, l))
     if den == 0.0:
         raise ValueError("degenerate instance: zero denominator")
-    return product_error(theta, x, l, m, a_l) / den
+    return _product_gap(x, l, m, a_l, a_ml) / den
 
 
 @dataclass(frozen=True)
@@ -607,15 +613,25 @@ def density_probe(
     n_disk = int(np.sum(in_disk))
     if n_disk == 0:
         raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
-    # first[ix, iy] is the cell's first-hit n; n_terms + 1 marks it unvisited
-    first = np.full((width, width), n_terms + 1, dtype=np.int64)
+    # cells by flat index ix * width + iy, and one spare slot last for the
+    # points off the table; first[c] is cell c's first-hit n (n_terms + 1
+    # while unvisited), and open_[c] whether it is still unvisited
+    spare = width * width
+    first = np.full(spare + 1, n_terms + 1, dtype=np.int64)
+    open_ = np.ones(spare + 1, dtype=bool)
+    open_[spare] = False
     reach = radius + cell / math.sqrt(2)
     for k0, z in _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, reach):
         sx = np.floor(z.real / cell).astype(np.int64) + span
         sy = np.floor(z.imag / cell).astype(np.int64) + span
-        j = np.flatnonzero((sx >= 0) & (sx < width) & (sy >= 0) & (sy < width))
-        j = j[first[sx[j], sy[j]] > n_terms]
-        np.minimum.at(first, (sx[j], sy[j]), k0 + 1 + j)
+        flat = sx * width + sy
+        # a negative index reads as a uint64 past the table
+        flat[(sx.view(np.uint64) >= width) | (sy.view(np.uint64) >= width)] = spare
+        j = np.flatnonzero(open_[flat])
+        np.minimum.at(first, flat[j], k0 + 1 + j)
+        open_[flat[j]] = False
+    del open_  # 1 byte per cell, not held while the hits are listed
+    first = first[:spare].reshape(width, width)
     ix, iy = np.nonzero(in_disk & (first <= n_terms))
     hits = tuple(zip((ix - span).tolist(), (iy - span).tolist(), first[ix, iy].tolist()))
     return DensityReport(

@@ -27,7 +27,7 @@ import numpy as np
 from ._rng import counter_numerators
 from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, snap_numerator
 from .reporting import FLATTEN
-from .weylsum import _sin_ratios, psi
+from .weylsum import _sin_ratios, psis
 
 
 @dataclass(frozen=True)
@@ -124,42 +124,54 @@ def fe_residual(theta: Angle, x: Angle, k: int) -> float:
 
 
 def renorm_chain(theta: Angle, x: Angle, k: int, m: int) -> RenormChain:
-    """Iterate renorm_step m times, recording per-level residuals.
+    """Iterate renorm_step m times, recording per-level residuals; the
+    one-start case of renorm_chains.
 
     On grid rationals the Gauss orbit hits 0 in finitely many steps; a
     request past that point returns the truncated chain flagged rather
     than failing, since every experiment uses finite depth anyway.
     """
+    return renorm_chains([(theta, x, k)], m)[0]
+
+
+def renorm_chains(starts, m: int) -> list[RenormChain]:
+    """renorm_chain(theta, x, k, m) for each (theta, x, k) of starts: every
+    chain's levels first, by renorm_step, then every level's psi from one
+    psis call."""
     if m < 0:
         raise ValueError("depth must be >= 0")
-    base = psi(theta, x, k)
-    thetas = [theta]
-    xs = [x]
-    ks = [k]
-    sigmas = [1.0]
-    residuals = [0.0]
-    truncated = False
+    levels = [_chain_levels(theta, x, k, m) for theta, x, k in starts]
+    values = iter(psis(level for thetas, xs, ks, _, _ in levels for level in zip(thetas, xs, ks)))
+    chains = []
+    for thetas, xs, ks, sigmas, truncated in levels:
+        # residuals[l] = |sigma_l psi(theta, x, k) - psi(theta_l, x_l, k_l)|, 0 at l = 0
+        psi_l = [next(values) for _ in thetas]
+        chains.append(RenormChain(
+            depth=len(thetas) - 1,
+            thetas=tuple(thetas),
+            xs=tuple(xs),
+            k_levels=tuple(ks),
+            sigma=sigmas[-1],
+            sigmas=tuple(sigmas),
+            residuals=tuple(abs(sigma * psi_l[0] - p) for sigma, p in zip(sigmas, psi_l)),
+            truncated=truncated,
+        ))
+    return chains
+
+
+def _chain_levels(theta: Angle, x: Angle, k: int, m: int) -> tuple:
+    # (thetas, xs, ks, sigmas, truncated) of the chain from (theta, x, k),
+    # at most m steps, stopping where the Gauss orbit hits 0
+    thetas, xs, ks, sigmas = [theta], [x], [k], [1.0]
     for _ in range(m):
-        cur = thetas[-1]
-        if cur.numerator == 0:
-            truncated = True
-            break
-        step = renorm_step(cur, xs[-1], ks[-1])
+        if thetas[-1].numerator == 0:
+            return thetas, xs, ks, sigmas, True
+        step = renorm_step(thetas[-1], xs[-1], ks[-1])
         thetas.append(step.theta_next)
         xs.append(step.x_next)
         ks.append(step.k_next)
         sigmas.append(sigmas[-1] * step.sigma_factor)
-        residuals.append(abs(sigmas[-1] * base - psi(step.theta_next, step.x_next, step.k_next)))
-    return RenormChain(
-        depth=len(thetas) - 1,
-        thetas=tuple(thetas),
-        xs=tuple(xs),
-        k_levels=tuple(ks),
-        sigma=sigmas[-1],
-        sigmas=tuple(sigmas),
-        residuals=tuple(residuals),
-        truncated=truncated,
-    )
+    return thetas, xs, ks, sigmas, False
 
 
 def _gauss_chain(theta: Angle, m: int) -> list[Angle]:

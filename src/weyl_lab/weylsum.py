@@ -26,7 +26,6 @@ from . import _engine
 from ._rng import _check_fits, counter_words
 from .exactangle import (
     MODULUS,
-    ZERO,
     Angle,
     scale_mod1,
     wrap_add,
@@ -97,6 +96,18 @@ def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _engine.qsum_blocks(theta.numerator, 2 * x.numerator, y.numerator, n)
+
+
+def weyl_sums(requests) -> np.ndarray:
+    """weyl_sum(theta, x, ZERO, n) for each (theta, x, n) of requests, bit
+    for bit, in one batched call (_engine.qsums_blocks): the direct sums
+    share packed passes, and each longer one goes by blocks alone."""
+    reqs = []
+    for theta, x, n in requests:
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        reqs.append((theta.numerator, 2 * x.numerator, n))
+    return _engine.qsums_blocks(reqs)
 
 
 def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:
@@ -210,23 +221,39 @@ def dirichlet_bs_closed(nums: list[int], ms: list[int]) -> np.ndarray:
 
 
 def psi(theta: Angle, x: Angle, k: int) -> float:
-    """psi(theta, x, k) = |sum_{j<k} e(j^2*theta/2 + jx)|.
+    """psi(theta, x, k) = |sum_{j<k} e(j^2*theta/2 + jx)|, the one-request
+    case of psis."""
+    return psis([(theta, x, k)])[0]
+
+
+def psis(requests) -> list[float]:
+    """psi(theta, x, k) = |sum_{j<k} e(j^2*theta/2 + jx)| for each
+    (theta, x, k) of requests.
 
     The half-angle theta/2 is off the 2**-256 grid when the numerator is
-    odd, so the sum is split exactly by the parity of j into two cocycle
+    odd, so each sum is split exactly by the parity of j into two cocycle
     sums a2 at 2*theta mod 1 and one constant, from its exact 2**-257 word:
         psi = |a2(x, 0, ceil(k/2)) + e(theta/2 + x) * a2(theta + x, 0, floor(k/2))|
+    Every request's two cocycle sums come from one weyl_sums call; each
+    constant is one e_phase call on its one word, whose rounding (see
+    _engine.e_phase) the pinned E5 and E7 reports hold.
 
     For theta < 1/2, psi(2*theta, 2x, k) = |a(x, y, k)| for every y; the
     doubling must be taken without reduction mod 1 (for theta >= 1/2 the
     wrapped double 2*theta - 1 flips odd-j terms by a half turn).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    twice = scale_mod1(theta, 2)
-    even = weyl_sum(twice, x, ZERO, -(-k // 2))
-    odd = weyl_sum(twice, wrap_add(theta, x), ZERO, k // 2)
-    return float(np.abs(even + complex(_e_half_grid([theta.numerator + 2 * x.numerator])[0]) * odd))
+    requests = list(requests)
+    sums = []
+    for theta, x, k in requests:
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        twice = scale_mod1(theta, 2)
+        sums += [(twice, x, -(-k // 2)), (twice, wrap_add(theta, x), k // 2)]
+    pairs = weyl_sums(sums).tolist()
+    return [
+        float(np.abs(even + complex(_e_half_grid([theta.numerator + 2 * x.numerator])[0]) * odd))
+        for (theta, x, _), even, odd in zip(requests, pairs[::2], pairs[1::2])
+    ]
 
 
 def skew_shift_n(theta: Angle, p: SkewPoint, n: int) -> SkewPoint:

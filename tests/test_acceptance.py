@@ -4,12 +4,13 @@ Each test runs its gate at the stated tolerance and prints the one-line
 verdict; run with -s (or look at captured output) for the summary lines.
 Gate results are shared across the session.  One `verify-all` run, with
 its first pass reusing them, starts the second interpreter (hash seed 1)
-that runs E4 and reruns the seeded gates, as verify-all always does: E10
-compares the reruns against the first pass, and E4's report from the
-child must equal an in-process run_e4's.  The tests of the child's
-failures replace its command (`acceptance._RERUN_ARGS`) with a program
-that crashes, hangs, writes an entry of the wrong shape or alters a
-report; each fails E10, and all but the altered report fail E4 too.
+that runs the unseeded gates E2, E4 and E6 and reruns the seeded gates,
+as verify-all always does: E10 compares the reruns against the first
+pass, and each unseeded gate's report from the child must equal an
+in-process run's.  The tests of the child's failures replace its command
+(`acceptance._RERUN_ARGS`) with a program that crashes, hangs, writes an
+entry of the wrong shape or alters a report; each fails E10, and all but
+the altered report fail E2, E4 and E6 too.
 """
 
 import contextlib
@@ -24,9 +25,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl_lab import acceptance, cli
 from weyl_lab.calibration import load_calibration
+from weyl_lab.exactangle import MODULUS, Angle
+from weyl_lab.weylsum import SkewPoint
 
 SEED = 7
 
@@ -92,6 +97,30 @@ def test_e4_exact_skew_dynamics(gate):
     assert res.runtime_s < 10.0
 
 
+def _iterate_skew_masked(theta, p, n):
+    # the map step by step, each step's numerators reduced mod 2**256
+    xn, yn, mask = p.x.numerator, p.y.numerator, MODULUS - 1
+    for _ in range(n):
+        yn = (yn + 2 * xn + theta.numerator) & mask
+        xn = (xn + theta.numerator) & mask
+    return SkewPoint(Angle(xn), Angle(yn))
+
+
+# uniform numerators besides hypothesis's own integers, which favour the edges
+_NUMERATORS = st.one_of(
+    st.randoms(use_true_random=True).map(lambda r: r.randrange(MODULUS)),
+    st.integers(0, MODULUS - 1),
+    st.sampled_from([0, 1, MODULUS - 1]),
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(t=_NUMERATORS, x=_NUMERATORS, y=_NUMERATORS, n=st.one_of(st.integers(0, 3), st.integers(0, 10_000)))
+def test_iterate_skew_is_the_masked_step_by_step_loop(t, x, y, n):
+    theta, p = Angle(t), SkewPoint(Angle(x), Angle(y))
+    assert acceptance._iterate_skew(theta, p, n) == _iterate_skew_masked(theta, p, n)
+
+
 def test_e5_functional_equation_residual(gate):
     res = _check(gate("E5"))
     assert res.details["sweep"]["max_residual"] <= res.details["calibrated_max"] * (1 + 1e-12)
@@ -148,7 +177,8 @@ def _first_pass(gate):
 def verify_all(gate, tmp_path_factory):
     """`weyl-lab verify-all --out-dir` at SEED: (exit code, printed lines,
     report directory, the child).  The first pass reuses the session's
-    gate results; E4 and the reruns come from the child, run in full."""
+    gate results; E2, E4, E6 and the reruns come from the child, run in
+    full."""
     out_dir = tmp_path_factory.mktemp("reports")
     children = []
     start = acceptance._start_reruns
@@ -161,7 +191,7 @@ def verify_all(gate, tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(acceptance, "_start_reruns", start_and_keep)
         for cid in acceptance.RUNNERS:
-            if cid != "E4":
+            if cid not in acceptance.CHILD_ONLY:
                 patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
         code = cli.main(["verify-all", "--seed", str(SEED), "--out-dir", str(out_dir)])
     [child] = children
@@ -184,10 +214,12 @@ def test_verify_all_writes_the_pinned_bytes_with_e4_from_the_child(gate, verify_
     assert all(line.startswith("[PASS]") for line in lines), lines
     for cid in cids:
         assert hashlib.sha256((out_dir / f"{cid}.json").read_bytes()).hexdigest() == REPORT_SHA256[cid], cid
-    # E4 ran in the child only, and its report is an in-process run_e4's
-    in_process = gate("E4")
-    assert (out_dir / "E4.json").read_bytes() == in_process.report_bytes
-    assert lines[3].startswith(in_process.summary_line().rsplit("(", 1)[0])
+    # E2, E4 and E6 ran in the child only, each report an in-process run's
+    assert acceptance.CHILD_ONLY == ("E2", "E4", "E6")
+    for cid in acceptance.CHILD_ONLY:
+        in_process = gate(cid)
+        assert (out_dir / f"{cid}.json").read_bytes() == in_process.report_bytes
+        assert lines[int(cid[1:]) - 1].startswith(in_process.summary_line().rsplit("(", 1)[0])
 
 
 # the child's own program, with E7's report altered by one trailing byte
@@ -204,11 +236,14 @@ acceptance._rerun_seeded(int(sys.argv[1]))
 
 def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _ALTER_E7))
-    e4, res = acceptance._from_child(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
+    results = acceptance._from_child(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
+    assert list(results) == [*acceptance.CHILD_ONLY, "E10"]
+    res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == ["E7"]
     assert "error" not in res.details
-    assert e4.passed and e4.report_bytes == gate("E4").report_bytes
+    for cid in acceptance.CHILD_ONLY:
+        assert results[cid].passed and results[cid].report_bytes == gate(cid).report_bytes
 
 
 # a child whose every entry matches its first pass, but E4's is one item short
@@ -237,16 +272,24 @@ def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, 
     first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
     t0 = time.perf_counter()
     child = acceptance._start_reruns(SEED)
-    e4, res = acceptance._from_child(SEED, first_pass, child)
+    results = acceptance._from_child(SEED, first_pass, child)
     assert time.perf_counter() - t0 < 30.0
+    res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == list(acceptance.SEEDED)
     assert res.details["error"] == error
-    # E4 ran only in the child, so it fails too, saying why
-    assert not e4.passed
-    assert e4.details == {"seed": SEED, "error": error}
-    assert json.loads(e4.report_bytes) == {"criterion": "E4", "passed": False, "seed": SEED, "error": error}
-    assert e4.summary_line().startswith("[FAIL] E4: skew-shift closed form")
+    # E2, E4 and E6 ran only in the child, so they fail too, saying why
+    assert list(results) == ["E2", "E4", "E6", "E10"]
+    for cid, description in [
+        ("E2", "cocycle composition law"),
+        ("E4", "skew-shift closed form"),
+        ("E6", "growth statistics"),
+    ]:
+        failed = results[cid]
+        assert not failed.passed
+        assert failed.details == {"seed": SEED, "error": error}
+        assert json.loads(failed.report_bytes) == {"criterion": cid, "passed": False, "seed": SEED, "error": error}
+        assert failed.summary_line().startswith(f"[FAIL] {cid}: {description}")
     # reaped: the exit status is collected, and a hung child was killed
     assert child.returncode is not None and child.stdout.closed
     if timeout_s is not None:
@@ -266,8 +309,9 @@ def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", "import time; time.sleep(60)"))
     monkeypatch.setattr(acceptance, "_start_reruns", start_and_keep)
+    # E3 is a gate of the parent's own: its first pass runs there
     monkeypatch.setitem(acceptance.RUNNERS, "E1", lambda seed: None)
-    monkeypatch.setitem(acceptance.RUNNERS, "E2", broken)
+    monkeypatch.setitem(acceptance.RUNNERS, "E3", broken)
     with pytest.raises(RuntimeError, match="gate body failed"):
         acceptance.run_all(SEED)
     [child] = children

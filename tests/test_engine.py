@@ -205,41 +205,53 @@ def test_qsum_empty_and_single():
 
 @st.composite
 def _packed_sums(draw):
-    # (a, bs, ns): 2-30 sums sharing a, with n mixed below BLOCKS_FROM,
-    # so any two neighbours share a pass; coefficients past the modulus
+    # (a, b, n) triples: 2-30 sums, their quadratic coefficients all one (as
+    # E1's) or each its own (as the sweeps'), with n mixed below
+    # BLOCKS_FROM, so any two neighbours share a pass; coefficients past
+    # the modulus
     uniform = st.randoms(use_true_random=True).map(lambda r: r.randrange(1 << 264))
     big = st.one_of(st.integers(0, 1 << 264), uniform)
     n = st.one_of(st.integers(0, 3), st.integers(0, 300), st.integers(0, _engine.BLOCKS_FROM - 1))
     k = draw(st.integers(2, 30))
-    return draw(big), draw(st.lists(big, min_size=k, max_size=k)), draw(st.lists(n, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        a_s = [draw(big)] * k
+    else:
+        a_s = draw(st.lists(big, min_size=k, max_size=k))
+    return list(zip(a_s, draw(st.lists(big, min_size=k, max_size=k)), draw(st.lists(n, min_size=k, max_size=k))))
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
-@given(args=_packed_sums())
-@example(args=(0, [3, 5, 7], [0, 1, 2]))
-def test_qsums_is_qsum_bit_for_bit(args):
-    a, bs, ns = args
+@given(requests=_packed_sums())
+@example(requests=[(0, 3, 0), (0, 5, 1), (0, 7, 2)])
+@example(requests=[(5, 3, 1), (1 << 255, 5, 1), (7, 7, 0), (3, 1, 2)])
+def test_qsums_is_qsum_bit_for_bit(requests):
     e_phase = _engine.e_phase
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_engine, "e_phase", lambda words: calls.append(words.size) or e_phase(words))
-        got = _engine.qsums(a, bs, ns)
+        got = _engine.qsums(iter(requests))
     # several sums to each pass: one e_phase call per pass
-    assert len(calls) <= max(1, (len(ns) + 1) // 2) and max(calls) <= CHUNK
-    for z, b, n in zip(got, bs, ns):
+    assert len(calls) <= max(1, (len(requests) + 1) // 2) and max(calls) <= CHUNK
+    assert got.shape == (len(requests),)
+    # at every n, n = 1 included: a one-term sum at C = 0 is e(0) = 1
+    for z, (a, b, n) in zip(got, requests):
         want = _engine.qsum(a, b, 0, n)
-        if n == 1:
-            # e_phase rounds a one-word array's table product without the
-            # fused multiply-add of longer arrays (see its docstring), and
-            # qsum's one term is such an array: at most 1 ulp of |e| = 1
-            assert abs(z.real - want.real) <= 2.0**-52 and abs(z.imag - want.imag) <= 2.0**-52
-        else:
-            assert z == want, (n, z - want)
+        assert z == want, (n, z - want)
 
 
 def test_qsums_takes_only_one_block_sums():
     with pytest.raises(ValueError):
-        _engine.qsums(0, [1], [_engine.BLOCKS_FROM])
+        _engine.qsums([(0, 1, _engine.BLOCKS_FROM)])
+
+
+def test_qsums_blocks_is_qsum_blocks_bit_for_bit():
+    # sums on both sides of the crossover, each at its own coefficients
+    rng = random.Random(12)
+    ns = [0, 1, 2, 3, 300, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM, 2 * _engine.BLOCKS_FROM + 5, 40_000]
+    requests = [(rng.randrange(MODULUS), rng.randrange(MODULUS), n) for n in ns * 2]
+    got = _engine.qsums_blocks(iter(requests))
+    for z, (a, b, n) in zip(got, requests, strict=True):
+        assert z == _engine.qsum_blocks(a, b, 0, n), n
 
 
 def test_qsum_partials_consistent_with_qsum():

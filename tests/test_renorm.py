@@ -27,6 +27,7 @@ from weyl_lab.renorm import (
     fe_residual,
     k_renorm,
     renorm_chain,
+    renorm_chains,
     renorm_step,
     u_measure_lower,
 )
@@ -126,6 +127,32 @@ def test_renorm_chain_identity_at_depth_zero():
     assert ch.sigma == 1.0
     assert ch.residuals == (0.0,)
     assert not ch.truncated
+
+
+# renorm_chain's residuals at depth 3, as float.hex, as they were while
+# each level's psi was its own call: every level's psi from one psis call
+# gives the same bits
+_DEPTH3_RESIDUALS = [
+    ((GOLDEN, Angle(999), 10**4), ["0x1.a181aeef46b00p-2", "0x1.a89a72626e700p-3", "0x1.76fc66fb01180p-2"]),
+    (
+        (angle_from_decimal("0.3137"), Angle(123456), 10**5),
+        ["0x1.0000000000000p-42", "0x1.5625782bb5200p-1", "0x1.fee95f9b4aa00p-1"],
+    ),
+    (
+        (angle_from_decimal("0.7251"), angle_from_decimal("0.41"), 40_000),
+        ["0x1.0000000000000p-43", "0x1.e177fc64d9800p-1", "0x1.daad332add000p-1"],
+    ),
+    ((angle_from_rational(3, 8), Angle(0), 100), ["0x1.af1866ed422a0p-1", "0x1.6a09e667f3ba0p-1", "0x1.8000000000000p+0"]),
+]
+
+
+@pytest.mark.parametrize("start, residuals", _DEPTH3_RESIDUALS, ids=["golden", "0.3137", "0.7251", "3/8"])
+def test_renorm_chain_residuals_unchanged_at_depth_3(start, residuals):
+    ch = renorm_chain(*start, 3)
+    assert ch.depth == 3 and not ch.truncated
+    assert [r.hex() for r in ch.residuals] == ["0x0.0p+0", *residuals]
+    # the batched chains give each start's chain alone
+    assert renorm_chains([start, start], 3) == [ch, ch]
 
 
 def test_renorm_chain_golden_sigma_powers():

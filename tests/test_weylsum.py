@@ -11,6 +11,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajectory_oracle import block_bounds, stream_points, weyl_sum_bound
 
@@ -26,6 +28,7 @@ from weyl_lab.exactangle import (
     angle_from_rational,
     dist_to_int,
     scale_mod1,
+    wrap_add,
 )
 from weyl_lab.weylsum import (
     PARSEVAL_SAMPLE_BYTES,
@@ -38,10 +41,12 @@ from weyl_lab.weylsum import (
     parseval_estimate,
     parseval_estimates,
     psi,
+    psis,
     skew_shift_n,
     trajectory,
     weyl_sum,
     weyl_sum_over_x,
+    weyl_sums,
     weyl_sums_over_x,
 )
 
@@ -419,6 +424,51 @@ def test_psi_matches_bigint_oracle():
         assert abs(psi(Angle(tn), Angle(xn), k) - _oracle_psi(tn, xn, k)) < 1e-10
 
 
+def _psi_by_weyl_sum(theta: Angle, x: Angle, k: int) -> float:
+    # psi's split into two cocycle sums, each its own weyl_sum call, and
+    # its constant's one e_phase call
+    twice = scale_mod1(theta, 2)
+    even = weyl_sum(twice, x, ZERO, -(-k // 2))
+    odd = weyl_sum(twice, wrap_add(theta, x), ZERO, k // 2)
+    turn = complex(weylsum._e_half_grid([theta.numerator + 2 * x.numerator])[0])
+    return float(np.abs(even + turn * odd))
+
+
+# uniform numerators, whose sums have no symmetry to hide a swapped term,
+# besides hypothesis's own integers, which favour the edges, and 0 and 1/2
+_ANGLES = st.one_of(
+    st.randoms(use_true_random=True).map(lambda r: r.randrange(MODULUS)),
+    st.integers(0, MODULUS - 1),
+    st.sampled_from([0, MODULUS >> 1]),
+).map(Angle)
+# k at 0-3, where a half sum has no term or one, about 2 BLOCKS_FROM,
+# where the half sums cross from packed passes to blocks, and in between
+_KS = st.one_of(
+    st.integers(0, 3),
+    st.integers(2 * _engine.BLOCKS_FROM - 3, 2 * _engine.BLOCKS_FROM + 3),
+    st.integers(0, 3 * _engine.BLOCKS_FROM),
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=40)
+@given(requests=st.lists(st.tuples(_ANGLES, _ANGLES, _KS), min_size=1, max_size=8))
+def test_psis_is_psi_one_by_one_bit_for_bit(requests):
+    got = psis(iter(requests))
+    assert got == [psi(*request) for request in requests]
+    assert got == [_psi_by_weyl_sum(*request) for request in requests]
+
+
+def test_weyl_sums_is_weyl_sum_bit_for_bit():
+    rng = random.Random(54)
+    ns = [0, 1, 2, 999, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM, 30_000]
+    requests = [(Angle(rng.randrange(MODULUS)), Angle(rng.randrange(MODULUS)), n) for n in ns]
+    assert weyl_sums(requests).tolist() == [weyl_sum(theta, x, ZERO, n) for theta, x, n in requests]
+    with pytest.raises(ValueError):
+        weyl_sums([(GOLDEN, ZERO, -1)])
+    with pytest.raises(ValueError):
+        psis([(GOLDEN, ZERO, 5), (GOLDEN, ZERO, -1)])
+
+
 def _dyadic_psi_error(a: int, s: int, c: int) -> float:
     # psi(a/2^s, 0, k) sums e(j^2 a / 2^(s+1)), of period 2^(s+1) in j for
     # odd a, and a dyadic Gauss sum of period 2^(s+1) has modulus
@@ -534,6 +584,30 @@ def test_parseval_peak_per_sample_is_its_charge(qs):
     grown = (peaks[1] - peaks[0]) / (2 * 10**4)
     charge = PARSEVAL_SAMPLE_BYTES + 16 * len(qs)
     assert charge - 2 < grown <= charge
+
+
+def test_parseval_peak_per_sample_does_not_depend_on_the_dict_free_list():
+    # the growth per sample is the same with CPython's free list of small
+    # dict keys emptied first: the evaluator's per-block calls make no
+    # keyword dicts.  Through np.take's wrapper they made three per block,
+    # and with the list empty each stayed in the traced peak (80.09 bytes
+    # per sample against 80), so the test above passed or failed with
+    # what ran before it
+    def grown(drain):
+        parseval_estimates(GOLDEN, [10], 10, seed=1)
+        peaks = []
+        for samples in (10**4, 3 * 10**4):
+            held = [dict(a=i, b=i, c=i) for i in range(200)] if drain else []
+            tracemalloc.start()
+            try:
+                parseval_estimates(GOLDEN, [10], samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del held
+        return (peaks[1] - peaks[0]) / (2 * 10**4)
+
+    assert abs(grown(drain=True) - grown(drain=False)) < 0.01
 
 
 def test_weyl_sum_over_x_bytes_do_not_depend_on_blas_threads():
