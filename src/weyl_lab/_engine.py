@@ -25,18 +25,17 @@ order follows the BLAS thread count) in the calling thread, as the engine
 starts no thread; then one pairwise pass runs over the block partials laid
 out contiguously, in the order of one contiguous 1-D array (_block_total).
 qsum_moments reduces each order's block partials the same way, so its S_0
-is qsum bit for bit.  qsums takes many one-block sums (n < BLOCKS_FROM)
-with C = 0, each at its own A and B, as E1's direct sums and the short
-sums of the E5 and E7 sweeps are: it writes each sum's _phase_block
-words into a pass of at most CHUNK words, makes one e_phase call per
-pass and reduces each sum by np.sum over its own contiguous slice,
-unpadded, so each is qsum's sum bit for bit at every n (e_phase rounds a
-one-word array otherwise, but a one-term sum at C = 0 is e(0) = 1
-exactly under either rounding).  A pass spreads e_phase's fixed cost over
-its sums: at n = 1, 11 us per sum against 30 us per qsum call (best of 7
-on a 2-core Xeon VM).  qsums_blocks is qsum_blocks over many sums at
-C = 0: the ones qsum_blocks sums directly go through qsums, the rest
-through qsum_blocks.
+is qsum bit for bit.  qsums is qsum_blocks over many sums with C = 0,
+each at its own A, B and n, as E1's direct sums and the sums of the E5
+and E7 sweeps are.  It writes the _phase_block words of each direct sum
+(n < BLOCKS_FROM) into a pass of at most CHUNK words, makes one e_phase
+call per pass and reduces each sum by np.sum over its own contiguous
+slice, unpadded, so each is qsum's sum bit for bit at every n (e_phase
+rounds a one-word array otherwise, but a one-term sum at C = 0 is
+e(0) = 1 exactly under either rounding); each longer sum goes through
+qsum_blocks alone.  A pass spreads e_phase's fixed cost over its sums:
+at n = 1, 11 us per sum against 30 us per qsum call (best of 7 on a
+2-core Xeon VM).
 
 Sums at many points: poly_eval_unit_circle gives sum_{k<n} c_k e(k u) at
 many u by a type-2 non-uniform FFT (Dutt-Rokhlin), with the exponential-
@@ -221,29 +220,37 @@ BLOCKS_FROM = 1 << 14
 
 
 def qsums(requests) -> np.ndarray:
-    """[qsum(a, b, 0, n) for each (a, b, n) of requests], each
-    n < BLOCKS_FROM, in packed passes (see the module doc): qsum's bits."""
+    """[qsum_blocks(a, b, 0, n) for each (a, b, n) of requests], bit for
+    bit: the direct sums in packed passes (see the module doc), each with
+    qsum's bits, and the rest by qsum_blocks."""
     out: list = []
     words = np.empty(CHUNK, dtype=np.uint64)
     ends: list[int] = []  # the end of each sum's words in the pass
+    slots: list[int] = []  # the index in out of each sum in the pass
     for a, b, n in requests:
-        if not 0 <= n < BLOCKS_FROM:
-            raise ValueError(f"qsums takes 0 <= n < {BLOCKS_FROM}, not {n}")
+        if n < 0:
+            raise ValueError(f"qsums takes n >= 0, not {n}")
+        if not _direct(n):
+            out.append(qsum_blocks(a, b, 0, n))
+            continue
         start = ends[-1] if ends else 0
         if start + n > CHUNK:
-            _reduce_pass(words, ends, out)
-            ends, start = [], 0
+            _reduce_pass(words, ends, slots, out)
+            ends, slots, start = [], [], 0
         words[start : start + n] = _phase_block(a, b, 0, 0, n)
         ends.append(start + n)
-    _reduce_pass(words, ends, out)
+        slots.append(len(out))
+        out.append(None)
+    _reduce_pass(words, ends, slots, out)
     return np.array(out, dtype=np.complex128)
 
 
-def _reduce_pass(words: np.ndarray, ends: list, out: list) -> None:
+def _reduce_pass(words: np.ndarray, ends: list, slots: list, out: list) -> None:
     # one e_phase call over the pass, then each sum's np.sum over its slice
     if ends:
         z = e_phase(words[: ends[-1]])
-        out.extend(np.sum(z[start:end]) for start, end in zip([0, *ends], ends))
+        for i, start, end in zip(slots, [0, *ends], ends):
+            out[i] = np.sum(z[start:end])
 
 
 def _terms(a: int, b: int, c: int, n: int) -> np.ndarray:
@@ -324,19 +331,6 @@ def qsum_blocks(a: int, b: int, c: int, n: int) -> complex:
     block_sums(a, b, c, size, sums)
     k = blocks * size
     return complex(np.sum(sums) + qsum(*shifted(a, b, c, k), n - k))
-
-
-def qsums_blocks(requests) -> np.ndarray:
-    """[qsum_blocks(a, b, 0, n) for each (a, b, n) of requests], bit for
-    bit: the direct sums in packed passes (qsums), the rest by qsum_blocks."""
-    requests = list(requests)
-    direct = [_direct(n) for _, _, n in requests]
-    out = np.empty(len(requests), dtype=np.complex128)
-    out[direct] = qsums(r for r, d in zip(requests, direct) if d)
-    for i, (a, b, n) in enumerate(requests):
-        if not direct[i]:
-            out[i] = qsum_blocks(a, b, 0, n)
-    return out
 
 
 def _walk(a: int, b: int, c: int, k: int, n: int, carry: complex) -> Iterator[tuple[int, np.ndarray]]:

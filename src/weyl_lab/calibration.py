@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import counter_unit
+from ._rng import counter_units
 from .exactangle import GOLDEN, Angle, angle_from_float
 from .experiments import approx_ratio, growth_report
 from .renorm import renorm_chains
@@ -35,13 +35,14 @@ GROWTH_SCHEDULE = (100, 1000, 10000, 100000)
 GROWTH_GRID = 512
 
 
-def fe_sweep_instance(seed: int, i: int) -> tuple[Angle, Angle, int]:
-    """The i-th (theta, x, k) of the rescaling-residual sweep."""
+def _fe_starts(seed: int) -> list[tuple[Angle, Angle, int]]:
+    """The (theta, x, k) of the rescaling-residual sweep, one per sample."""
     lo, hi = FE_K_DECADES
-    theta = angle_from_float(0.05 + 0.9 * counter_unit(seed, i, "fe-theta"))
-    x = angle_from_float(counter_unit(seed, i, "fe-x"))
-    k = max(2, round(10 ** (lo + (hi - lo) * counter_unit(seed, i, "fe-k"))))
-    return theta, x, k
+    draws = (counter_units(seed, FE_SWEEP_SAMPLES, s).tolist() for s in ("fe-theta", "fe-x", "fe-k"))
+    return [
+        (angle_from_float(0.05 + 0.9 * t), angle_from_float(x), max(2, round(10 ** (lo + (hi - lo) * u))))
+        for t, x, u in zip(*draws)
+    ]
 
 
 def run_fe_sweep(seed: int = FE_SWEEP_SEED) -> dict:
@@ -49,7 +50,7 @@ def run_fe_sweep(seed: int = FE_SWEEP_SEED) -> dict:
     Each residual is fe_residual's, the level-1 residual of a one-step
     chain; every instance's two levels take their psi from one psis call
     (renorm_chains)."""
-    starts = [fe_sweep_instance(seed, i) for i in range(FE_SWEEP_SAMPLES)]
+    starts = _fe_starts(seed)
     resids = np.array([chain.residuals[1] for chain in renorm_chains(starts, 1)])
     ks = np.array([k for _, _, k in starts], dtype=np.int64)
     lo, hi = FE_K_DECADES
@@ -69,13 +70,13 @@ def run_fe_sweep(seed: int = FE_SWEEP_SEED) -> dict:
     }
 
 
-def approx_sweep_instance(seed: int, i: int) -> tuple[Angle, int, int, Angle]:
-    """The i-th (theta, l, m, x) of the product-approximation sweep."""
-    theta = angle_from_float(counter_unit(seed, i, "ap-theta"))
-    x = angle_from_float(counter_unit(seed, i, "ap-x"))
-    l = 1 + int(counter_unit(seed, i, "ap-l") * 1000)
-    m = 1 + int(counter_unit(seed, i, "ap-m") * 30)
-    return theta, l, m, x
+def _approx_instances(seed: int, samples: int) -> list[tuple[Angle, int, int, Angle]]:
+    """The (theta, l, m, x) of the product-approximation sweep, one per sample."""
+    draws = (counter_units(seed, samples, s).tolist() for s in ("ap-theta", "ap-x", "ap-l", "ap-m"))
+    return [
+        (angle_from_float(t), 1 + int(l * 1000), 1 + int(m * 30), angle_from_float(x))
+        for t, x, l, m in zip(*draws)
+    ]
 
 
 def run_approx_sweep(
@@ -83,7 +84,7 @@ def run_approx_sweep(
 ) -> dict:
     """Max empirical constant of the product-approximation inequality;
     every instance's a(x, l) and a(x, ml) from one weyl_sums call."""
-    instances = [approx_sweep_instance(seed, i) for i in range(samples)]
+    instances = _approx_instances(seed, samples)
     sums = weyl_sums((theta, x, n) for theta, l, m, x in instances for n in (l, m * l)).tolist()
     worst = 0.0
     skipped = 0

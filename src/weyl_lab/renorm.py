@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import counter_numerators
-from .exactangle import HALF, MODULUS, Angle, angle_from_rational, dist_to_int, snap_numerator
+from .exactangle import HALF, MODULUS, ZERO, Angle, angle_from_rational, dist_to_int, snap_numerator
 from .reporting import FLATTEN
 from .weylsum import _sin_ratios, psis
 
@@ -174,17 +174,6 @@ def _chain_levels(theta: Angle, x: Angle, k: int, m: int) -> tuple:
     return thetas, xs, ks, sigmas, False
 
 
-def _gauss_chain(theta: Angle, m: int) -> list[Angle]:
-    """theta_0 .. theta_{m-1} of the Gauss orbit of theta, all nonzero."""
-    thetas = []
-    for _ in range(m):
-        if theta.numerator == 0:
-            raise ValueError(f"Gauss chain terminates before depth {m} (rational theta)")
-        thetas.append(theta)
-        theta = gauss_map(theta)
-    return thetas
-
-
 @dataclass(frozen=True)
 class MeasureEstimate:
     estimate: float
@@ -208,8 +197,11 @@ def _level_set_fraction(
     # list of all their numerators to one flag per slot
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    thetas, _, _, _, truncated = _chain_levels(theta, ZERO, 0, m)
+    if truncated:
+        raise ValueError(f"Gauss chain terminates before depth {m} (rational theta)")
     xs = counter_numerators(seed, samples, label)
-    for t in _gauss_chain(theta, m):
+    for t in thetas[:m]:
         xs = [_x_step(t.numerator, x) for x in xs]
     p = int(np.count_nonzero(hits(xs))) / samples
     return p, math.sqrt(max(p * (1 - p), 1e-12) / samples)

@@ -100,14 +100,14 @@ def weyl_sum(theta: Angle, x: Angle, y: Angle, n: int) -> complex:
 
 def weyl_sums(requests) -> np.ndarray:
     """weyl_sum(theta, x, ZERO, n) for each (theta, x, n) of requests, bit
-    for bit, in one batched call (_engine.qsums_blocks): the direct sums
+    for bit, in one batched call (_engine.qsums): the direct sums
     share packed passes, and each longer one goes by blocks alone."""
     reqs = []
     for theta, x, n in requests:
         if n < 0:
             raise ValueError("n must be >= 0")
         reqs.append((theta.numerator, 2 * x.numerator, n))
-    return _engine.qsums_blocks(reqs)
+    return _engine.qsums(reqs)
 
 
 def weyl_sum_over_x(theta: Angle, xs: list[Angle], n: int) -> np.ndarray:

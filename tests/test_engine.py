@@ -239,19 +239,17 @@ def test_qsums_is_qsum_bit_for_bit(requests):
         assert z == want, (n, z - want)
 
 
-def test_qsums_takes_only_one_block_sums():
-    with pytest.raises(ValueError):
-        _engine.qsums([(0, 1, _engine.BLOCKS_FROM)])
-
-
 def test_qsums_blocks_is_qsum_blocks_bit_for_bit():
-    # sums on both sides of the crossover, each at its own coefficients
+    # qsums takes every n: sums on both sides of the crossover, long ones
+    # between short ones, each at its own coefficients
     rng = random.Random(12)
     ns = [0, 1, 2, 3, 300, _engine.BLOCKS_FROM - 1, _engine.BLOCKS_FROM, 2 * _engine.BLOCKS_FROM + 5, 40_000]
     requests = [(rng.randrange(MODULUS), rng.randrange(MODULUS), n) for n in ns * 2]
-    got = _engine.qsums_blocks(iter(requests))
+    got = _engine.qsums(iter(requests))
     for z, (a, b, n) in zip(got, requests, strict=True):
         assert z == _engine.qsum_blocks(a, b, 0, n), n
+    with pytest.raises(ValueError):
+        _engine.qsums([(0, 1, 2), (0, 1, -1)])
 
 
 def test_qsum_partials_consistent_with_qsum():

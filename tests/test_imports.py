@@ -3,7 +3,8 @@ private top-level helper of the package is used somewhere, every
 public top-level name is read by the package or by perfbench, not only by
 tests, every defaulted parameter of a public function is set by some call
 there too, every record of data/calibration.json is read by the
-package, and every name or path the README quotes still exists.
+package, no module but _rng reads a single draw, and every name or path
+the README quotes still exists.
 
 No lint tool is a dependency, so the checks parse each module with the
 standard library's ast.  The package's __init__ is left out of the first
@@ -120,6 +121,32 @@ def test_guard_sees_a_dead_helper():
     }
     dead = ["m.py: _Dead", "m.py: _gone", "m.py: _UNREAD", "m.py: _PAIR"]
     assert _dead_helpers(sources, ["m.py"]) == dead
+
+
+def _single_draw_readers(sources: dict[str, str]) -> list[str]:
+    """The package modules other than _rng that read a single draw,
+    counter_angle or counter_unit, by a Name, an attribute or an import:
+    every gate and sweep draws whole streams."""
+    return [
+        f"{path}: {name}"
+        for path, source in sources.items()
+        if not path.endswith("/_rng.py")
+        for name in sorted(_reads(ast.parse(source)) & {"counter_angle", "counter_unit"})
+    ]
+
+
+def test_only_rng_reads_the_single_draws():
+    assert _single_draw_readers(_sources(PACKAGE)) == []
+
+
+def test_guard_sees_a_single_draw_outside_rng():
+    sources = {
+        "pkg/_rng.py": "def counter_unit():\n    pass\n\n\ndef counter_angle():\n    return counter_unit()\n",
+        "pkg/a.py": "from ._rng import counter_angle, counter_units\n",
+        "pkg/b.py": "from . import _rng\nu = _rng.counter_unit(1, 2, 's')\n",
+        "pkg/c.py": "from ._rng import counter_numerators\ndoc = 'counter_unit'\n",
+    }
+    assert _single_draw_readers(sources) == ["pkg/a.py: counter_angle", "pkg/b.py: counter_unit"]
 
 
 def _spec_strings(tree: ast.Module) -> set[str]:
