@@ -122,8 +122,13 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 # a point's nodes j0 + 1 - w/2 .. j0 + w/2, as a column
 _NODES = np.arange(1 - _HALF_TAPS, _HALF_TAPS + 1)[:, None]
 
-_J_FULL = np.arange(CHUNK, dtype=np.uint64)
-_JJ_FULL = _J_FULL * (_J_FULL - np.uint64(1))
+
+@functools.cache
+def _steps() -> tuple[np.ndarray, np.ndarray]:
+    """(j, j (j - 1)) for j < CHUNK, as uint64: 512 KB, built on first use,
+    not at import."""
+    j = np.arange(CHUNK, dtype=np.uint64)
+    return j, j * (j - np.uint64(1))
 
 
 def _words(value: int) -> tuple:
@@ -139,11 +144,21 @@ def _phase_block(a: int, b: int, c: int, k0: int, blen: int) -> np.ndarray:
     n_lo, n_hi = _words((a * k0 * k0 + b * k0 + c) % MODULUS >> 160)
     d_lo, d_hi = _words((a * (2 * k0 + 1) + b) % MODULUS >> 160)
     a_lo, a_hi = _words(a >> 160)
-    j = _J_FULL[:blen]
-    jj = _JJ_FULL[:blen]
-    carry = n_lo + j * d_lo + jj * a_lo
+    j_full, jj_full = _steps()
+    j = j_full[:blen]
+    carry = j * d_lo
+    carry += n_lo
+    words = j * d_hi
+    words += n_hi
+    if a >> 160:
+        # the jj a products are all 0 at A = 0 (E1's sums): skipped, the
+        # same words, since the sums are exact mod 2**64
+        jj = jj_full[:blen]
+        carry += jj * a_lo
+        words += jj * a_hi
     carry >>= _SH32
-    return n_hi + j * d_hi + jj * a_hi + carry
+    words += carry
+    return words
 
 
 def phase_chunks(a: int, b: int, c: int, n: int) -> Iterator[tuple[int, np.ndarray]]:

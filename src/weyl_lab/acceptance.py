@@ -10,17 +10,20 @@ Gates at the reference construction read it from experiments.
 The determinism gate (E10) compares the seeded gates' report bytes with
 those of a rerun in a second interpreter, with hash seed 1, so no body
 may put wall-clock values into its details.  `run_all` starts that child
-before E1, and the child also runs the unseeded gates E2, E4 and E6
-once (CHILD_ONLY); the parent does not run them.  So the parent runs E1
-and the seeded gates' first passes, the child the unseeded gates and
-the reruns, and the two overlap on two CPUs (under a one-CPU affinity
-mask they share the one, and nothing overlaps); E10's runtime_s times
-only the wait for the child.  The child writes one JSON object, an entry
-[description, passed, runtime_s, details, report text] per gate of
-IN_CHILD, which the parent rebuilds as results; output that does not
-read so fails E2, E4, E6 and E10.  The child's resident memory, about
-57 MB at its peak, counts in RUSAGE_CHILDREN, not in the parent's
-RUSAGE_SELF peak.
+first.  The child runs E1's first E1_IN_CHILD instances, then the
+unseeded gates E2, E4 and E6 once (CHILD_ONLY), which the parent does
+not run, then the reruns.  The parent runs the rest of E1 and the seeded
+gates' first passes, and the two overlap on two CPUs (under a one-CPU
+affinity mask they share the one, and nothing overlaps).  E1's report
+takes the larger of the two shares' largest errors, which is the largest
+over all instances, so its bytes are one interpreter's; its runtime_s
+times the parent's share.  E10's runtime_s times only the wait for the
+child.  The child writes one JSON object: its share's largest error
+under "E1", and an entry [description, passed, runtime_s, details,
+report text] per gate of IN_CHILD, which the parent rebuilds as results;
+output that does not read so fails E1, E2, E4, E6 and E10.  The child's
+resident memory, about 57 MB at its peak, counts in RUSAGE_CHILDREN, not
+in the parent's RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _engine
-from ._rng import counter_numerators, counter_units
+from ._rng import _numerators, _units, counter_numerators, counter_units
 from .calibration import (
     load_calibration,
     run_approx_sweep,
@@ -127,30 +130,53 @@ _E1_SINGULAR_OFFSETS = [
 ]
 
 
+E1_INSTANCES = 10_000
+# E1's instances 0 .. E1_IN_CHILD - 1 run in the rerun child, before its
+# other gates, and the rest in the parent, whose work after the child's
+# start set verify-all's wall time while E10's wait read 0.0 s.  Each side
+# alone at seed 7 (2-core Xeon VM, medians of 8 runs taken in turn): at
+# 3000 the parent's share and first passes took 2.13 s and the child 2.16 s,
+# start-up included; at 2000 the child ended 0.07 s sooner, at 3500 0.30 s
+# later
+E1_IN_CHILD = 3000
+
+
+def _e1_worst(seed: int, lo: int, hi: int) -> float:
+    """The largest |direct - closed form| over E1's instances lo .. hi - 1
+    (lo < hi).  The draws are those of each index, and each instance's
+    error does not depend on which others share its passes, so the
+    largest over the whole is the larger of two shares'."""
+    indices = range(lo, hi)
+    xs = _numerators(seed, indices, "e1-x")
+    # every 20th x sits near 0, at the offsets in turn, on alternate sides
+    for i in range(lo + (19 - lo) % 20, hi, 20):
+        off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
+        xs[i - lo] = angle_from_fraction(-off if (i // 20) % 2 == 0 else off).numerator
+    ms = (_units(seed, indices, "e1-m") * 10_001).astype(np.int64).tolist()
+    errors = np.abs(_engine.qsums(zip(itertools.repeat(0), xs, ms)) - dirichlet_bs_closed(xs, ms))
+    return float(np.max(errors))
+
+
+def _e1_verdict(seed: int, worst: float) -> tuple[bool, dict]:
+    # E1's verdict and details from its largest error over all instances
+    return worst < 1e-9, {
+        "seed": seed,
+        "instances": E1_INSTANCES,
+        "near_singular_instances": len(range(19, E1_INSTANCES, 20)),
+        "max_abs_error": worst,
+        "tolerance": 1e-9,
+    }
+
+
 @_gate("E1", "closed form of b matches direct summation to 1e-9")
 def run_e1(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
     """Direct and closed-form geometric sums agree to 1e-9 for 10^4
     random (x, m <= 10^4), near-singular x included.  Each stream is
     drawn for every instance at once; the direct sums go through the
     engine in packed passes (_engine.qsums), and the closed forms' half
-    phases through one e_phase call (dirichlet_bs_closed)."""
-    count = 10_000
-    xs = counter_numerators(seed, count, "e1-x")
-    # every 20th x sits near 0, at the offsets in turn, on alternate sides
-    singular = range(19, count, 20)
-    for i in singular:
-        off = _E1_SINGULAR_OFFSETS[(i // 20) % len(_E1_SINGULAR_OFFSETS)]
-        xs[i] = angle_from_fraction(-off if (i // 20) % 2 == 0 else off).numerator
-    ms = (counter_units(seed, count, "e1-m") * 10_001).astype(np.int64).tolist()
-    errors = np.abs(_engine.qsums(zip(itertools.repeat(0), xs, ms)) - dirichlet_bs_closed(xs, ms))
-    worst = float(np.max(errors))
-    return worst < 1e-9, {
-        "seed": seed,
-        "instances": count,
-        "near_singular_instances": len(singular),
-        "max_abs_error": worst,
-        "tolerance": 1e-9,
-    }
+    phases through one e_phase call (dirichlet_bs_closed).  verify-all
+    runs it in two shares (E1_IN_CHILD) with the same bytes."""
+    return _e1_verdict(seed, _e1_worst(seed, 0, E1_INSTANCES))
 
 
 # E2 ---------------------------------------------------------------------
@@ -398,17 +424,19 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # the child's arguments to the interpreter, before the seed: this module's
 # __main__ block, which runs _rerun_seeded
 _RERUN_ARGS = ("-m", "weyl_lab.acceptance")
-# the parent's wait for the child's output; the child's start-up, E2, E4,
-# E6 and the five reruns take 1.8-2.1 s on an idle core of a 2-core Xeon VM
+# the parent's wait for the child's output; the child's start-up, its share
+# of E1, E2, E4, E6 and the five reruns take about 2.2 s on an idle core of
+# a 2-core Xeon VM (median of 8)
 _RERUN_TIMEOUT_S = 600.0
 
 
 def _rerun_seeded(seed: int) -> None:
-    """The child's work: the gates of CHILD_ONLY, run here once, and the
-    seeded gates' reruns, written to stdout once, at the end, as one JSON
-    object that maps each gate to its description, verdict, runtime,
-    details and report text."""
-    output = {}
+    """The child's work: its share of E1, the gates of CHILD_ONLY, run here
+    once, and the seeded gates' reruns, written to stdout once, at the end,
+    as one JSON object that maps E1 to its share's largest error and each
+    other gate to its description, verdict, runtime, details and report
+    text."""
+    output = {"E1": _e1_worst(seed, 0, E1_IN_CHILD)}
     for cid in IN_CHILD:
         res = RUNNERS[cid](seed)
         output[cid] = [res.description, res.passed, res.runtime_s, res.details, res.report_bytes.decode()]
@@ -438,9 +466,10 @@ def _stop(child: subprocess.Popen) -> None:
     child.stdout.close()
 
 
-def _child_output(child: subprocess.Popen) -> tuple[dict[str, CriterionResult] | None, str]:
-    """The child's results by gate of IN_CHILD, or None and why there are
-    none; the child is reaped either way."""
+def _child_output(child: subprocess.Popen) -> tuple[tuple[float, dict[str, CriterionResult]] | None, str]:
+    """The largest error of the child's share of E1 and its results by gate
+    of IN_CHILD, or None and why there are none; the child is reaped
+    either way."""
     try:
         out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -450,11 +479,13 @@ def _child_output(child: subprocess.Popen) -> tuple[dict[str, CriterionResult] |
         return None, f"rerun exited with code {child.returncode}"
     try:
         output = json.loads(out)
-        return {
+        if type(output["E1"]) is not float:
+            raise TypeError("E1's share is not a number")
+        return (output["E1"], {
             cid: CriterionResult(cid, description, bool(passed), float(runtime_s), dict(details), report.encode())
             for cid in IN_CHILD
             for description, passed, runtime_s, details, report in [output[cid]]
-        }, ""
+        }), ""
     except (ValueError, TypeError, KeyError, AttributeError):
         return None, "rerun output unreadable"
 
@@ -471,10 +502,14 @@ def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | N
     return not mismatches, {**details, "mismatches": mismatches}
 
 
-def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen) -> dict[str, CriterionResult]:
-    """The results of CHILD_ONLY's gates and E10 from the output of `child`
-    (from `_start_reruns`), by gate: each of CHILD_ONLY as the child
-    rendered it, with its verdict and runtime, and E10 against the
+def _from_child(
+    seed: int, e1_share: tuple[float, float], first_pass: dict[str, bytes], child: subprocess.Popen
+) -> dict[str, CriterionResult]:
+    """The results of E1, CHILD_ONLY's gates and E10 from the output of
+    `child` (from `_start_reruns`), by gate: E1 from the larger of the two
+    shares' largest errors, the parent's share e1_share = (largest error,
+    runtime_s) giving E1's runtime; each of CHILD_ONLY as the child
+    rendered it, with its verdict and runtime; and E10 against the
     first-pass bytes.  A child that crashes, writes output that does not
     parse or outlasts _RERUN_TIMEOUT_S fails all of them, each with an
     error key.  E10's runtime_s, and a failed gate's, is the wait for the
@@ -485,12 +520,16 @@ def _from_child(seed: int, first_pass: dict[str, bytes], child: subprocess.Popen
     if output is None:
         results = {
             cid: _result(cid, _DESCRIPTIONS[cid], False, wait, {"seed": seed, "error": error})
-            for cid in CHILD_ONLY
+            for cid in ("E1", *CHILD_ONLY)
         }
         rerun = None
     else:
-        results = {cid: output[cid] for cid in CHILD_ONLY}
-        rerun = {cid: output[cid].report_bytes for cid in SEEDED}
+        (worst, e1_s), (child_worst, gates) = e1_share, output
+        # np.maximum, as np.max over all instances, keeps a nan of either
+        passed, details = _e1_verdict(seed, float(np.maximum(worst, child_worst)))
+        results = {"E1": _result("E1", _DESCRIPTIONS["E1"], passed, e1_s, details)}
+        results.update((cid, gates[cid]) for cid in CHILD_ONLY)
+        rerun = {cid: gates[cid].report_bytes for cid in SEEDED}
     return {**results, "E10": replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)}
 
 
@@ -521,15 +560,18 @@ def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[Criter
     bytes, and return the results in gate order; optionally write each
     report to out_dir.
 
-    The child starts first and runs the gates of CHILD_ONLY and the seeded
-    gates' reruns while E1 and the seeded gates' first passes run here; it
-    is killed and reaped on every path out.
+    The child starts first and runs its share of E1, the gates of
+    CHILD_ONLY and the seeded gates' reruns while the rest of E1 and the
+    seeded gates' first passes run here; it is killed and reaped on every
+    path out.
     """
     child = _start_reruns(seed)
     try:
-        results = {cid: fn(seed) for cid, fn in RUNNERS.items() if cid not in CHILD_ONLY}
+        t0 = time.perf_counter()
+        e1_share = (_e1_worst(seed, E1_IN_CHILD, E1_INSTANCES), time.perf_counter() - t0)
+        results = {cid: RUNNERS[cid](seed) for cid in SEEDED}
         first_pass = {cid: results[cid].report_bytes for cid in SEEDED}
-        results.update(_from_child(seed, first_pass, child))
+        results.update(_from_child(seed, e1_share, first_pass, child))
     finally:
         _stop(child)
     results = [results[cid] for cid in (*RUNNERS, "E10")]

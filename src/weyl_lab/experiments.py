@@ -14,6 +14,7 @@ are bit-identical across runs and independent of evaluation order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -578,6 +579,114 @@ class DensityReport:
             yield ix, iy, n
 
 
+def first_entry(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least k >= 0 with lo <= a k mod m <= hi (0 <= lo <= hi < m), or
+    None when there is none.
+
+    Euclid's steps on (a, m), in a loop: when no multiple of a lies in
+    [lo, hi], a k - m y hits it first at the least y >= 0 with m y mod a
+    in [-hi mod a, -lo mod a], the same problem at (m mod a, a); then
+    k = ceil((lo + m y) / a).  Each step is one of Euclid's, so at most
+    about 370 of them at m = 2**256, and fewer the wider [lo, hi] is."""
+    a %= m
+    steps = []
+    while lo:
+        if a == 0:
+            return None
+        k = -(-lo // a)
+        if a * k <= hi:
+            break
+        steps.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    else:
+        k = 0
+    for a, m, lo in reversed(steps):
+        k = -(-(lo + m * k) // a)
+    return k
+
+
+def _circle_cuts(xs: float, s: float, span: int, cell: float) -> list[int]:
+    # the turns on the 2**-256 grid, rounded up, where the circle of the
+    # theta = 0 partial sums meets a grid line of the table: with s =
+    # sin(pi x), x = xs in (-1/2, 1/2], and phi = pi (2t - x) at turn t,
+    # Re z = 1/2 + sin(phi) / (2s) and Im z = (cos(pi x) - cos(phi)) / (2s);
+    # phi by atan2 of its sine and cosine, with 1 -+ cos(phi) from their
+    # half-angle forms, so that the turns near z = 0 keep their precision
+    below0, above0 = 2 * math.sin(math.pi * xs / 2) ** 2, 2 * math.cos(math.pi * xs / 2) ** 2
+    phis = []
+    for i in range(-span, span + 2):
+        line = i * cell
+        w = s * (2 * line - 1)  # sin(phi) on the line Re z = i cell
+        if abs(w) <= 1:
+            root = math.sqrt((1 - w) * (1 + w))
+            phis += [math.atan2(w, root), math.atan2(w, -root)]
+        below, above = below0 + 2 * s * line, above0 - 2 * s * line  # 1 -+ cos(phi) on Im z = i cell
+        if below >= 0 and above >= 0:
+            root, v = math.sqrt(below * above), (above - below) / 2
+            phis += [math.atan2(root, v), math.atan2(-root, v)]
+    return [math.ceil(Fraction((phi / math.pi + xs) / 2) * MODULUS) % MODULUS for phi in phis]
+
+
+def _signed_turn(num: int) -> float:
+    # num 2**-256 as the nearest double in (-1/2, 1/2]
+    return (num - MODULUS if 2 * num > MODULUS else num) / MODULUS
+
+
+def _circle_first_hits(num: int, n_terms: int, span: int, cell: float, in_disk: np.ndarray) -> np.ndarray:
+    # the first-hit table at theta = 0 and x = num 2**-256 != 0, n_terms + 1
+    # where unvisited: z_n = c - c e(n x), c = 1 / (1 - e(x)), lies on a
+    # circle, cut into arcs at its grid crossings and at z = 0, its turn 0;
+    # an arc's cell is its midpoint's, and a cell's first hit the least
+    # n >= 2 with n x on one of its arcs, or n = 1, z_1 = 1 taken from the
+    # float as the walk takes it (it lies on the edge Re z = 1 exactly)
+    width = 2 * span + 1
+    first = np.full((width, width), n_terms + 1, dtype=np.int64)
+
+    def disk_cell(z: complex) -> tuple[int, int] | None:
+        ix, iy = math.floor(z.real / cell) + span, math.floor(z.imag / cell) + span
+        return (ix, iy) if 0 <= ix < width and 0 <= iy < width and in_disk[ix, iy] else None
+
+    if n_terms >= 1 and (at := disk_cell(1.0)):
+        first[at] = 1
+    xs = _signed_turn(num)
+    s = math.sin(math.pi * xs)
+    cuts = sorted({0, 1, *_circle_cuts(xs, s, span, cell)})
+    shift = 2 * num % MODULUS  # n = 2 + k: k x on the arc less 2 x
+    for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [MODULUS - 1]):
+        t = _signed_turn((lo + hi) // 2)
+        # z at turn t: sin(pi t) / sin(pi x) e((t - x) / 2)
+        at = disk_cell(math.sin(math.pi * t) / s * cmath.exp(1j * math.pi * (t - xs)))
+        if at is None:
+            continue
+        k_lo, k_hi = (lo - shift) % MODULUS, (hi - shift) % MODULUS
+        # an arc that wraps past turn 0 less 2 x holds k = 0
+        k = first_entry(num, MODULUS, k_lo, k_hi) if k_lo <= k_hi else 0
+        if k is not None and k + 2 < first[at]:
+            first[at] = k + 2
+    return first
+
+
+def _walk_first_hits(theta: Angle, x: Angle, n_terms: int, span: int, cell: float, reach: float) -> np.ndarray:
+    # the first-hit table of the pruned walk, n_terms + 1 where unvisited:
+    # cells by flat index ix * width + iy, and one spare slot last for the
+    # points off the table; open_[c] is whether cell c is still unvisited
+    width = 2 * span + 1
+    spare = width * width
+    first = np.full(spare + 1, n_terms + 1, dtype=np.int64)
+    open_ = np.ones(spare + 1, dtype=bool)
+    open_[spare] = False
+    for k0, z in _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, reach):
+        sx = np.floor(z.real / cell).astype(np.int64) + span
+        sy = np.floor(z.imag / cell).astype(np.int64) + span
+        flat = sx * width + sy
+        # a negative index reads as a uint64 past the table
+        flat[(sx.view(np.uint64) >= width) | (sy.view(np.uint64) >= width)] = spare
+        j = np.flatnonzero(open_[flat])
+        np.minimum.at(first, flat[j], k0 + 1 + j)
+        open_[flat[j]] = False
+    return first[:spare].reshape(width, width)
+
+
 def density_probe(
     theta: Angle, x: Angle, n_terms: int, radius: float = DEFAULT_RADIUS, cell: float = DEFAULT_CELL
 ) -> DensityReport:
@@ -595,6 +704,15 @@ def density_probe(
     2 reach + s + pad, pad bounding their error and the stream's rounding.
     A first hit can differ from the stream's only at a point within a
     start's error of a cell edge.  Memory: the table and one block chunk.
+
+    At theta = 0 and x != 0 nothing is walked: z_n = c - c e(n x), c =
+    1/(1 - e(x)), lies on one circle, which the grid lines cut into arcs,
+    each in one cell (its midpoint's).  A cell's first hit is the least
+    n >= 2 whose exact turn n x mod 1 lies on one of its arcs, each arc
+    taken to the 2**-256 grid (first_entry), or n = 1 for the cell of
+    z_1 = 1.  A first hit can differ from the stream's only at a point on
+    a cell edge or within the rounding of the stream or of the arcs' ends
+    of one.  Its cost is a few Euclid steps per arc, at any N.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
@@ -605,7 +723,6 @@ def density_probe(
     need = 10 * side * side + _engine._blocks_bytes(_engine.NEAR_SIZE, _engine.NEAR_CHUNK)
     _check_fits(need, 1, f"a radius-{radius} disk in cells of {cell}")
     span = int(math.ceil(radius / cell)) + 2
-    width = 2 * span + 1
     idx = np.arange(-span, span + 1)
     cx = (idx[:, None] + 0.5) * cell
     cy = (idx[None, :] + 0.5) * cell
@@ -613,25 +730,11 @@ def density_probe(
     n_disk = int(np.sum(in_disk))
     if n_disk == 0:
         raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
-    # cells by flat index ix * width + iy, and one spare slot last for the
-    # points off the table; first[c] is cell c's first-hit n (n_terms + 1
-    # while unvisited), and open_[c] whether it is still unvisited
-    spare = width * width
-    first = np.full(spare + 1, n_terms + 1, dtype=np.int64)
-    open_ = np.ones(spare + 1, dtype=bool)
-    open_[spare] = False
-    reach = radius + cell / math.sqrt(2)
-    for k0, z in _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, reach):
-        sx = np.floor(z.real / cell).astype(np.int64) + span
-        sy = np.floor(z.imag / cell).astype(np.int64) + span
-        flat = sx * width + sy
-        # a negative index reads as a uint64 past the table
-        flat[(sx.view(np.uint64) >= width) | (sy.view(np.uint64) >= width)] = spare
-        j = np.flatnonzero(open_[flat])
-        np.minimum.at(first, flat[j], k0 + 1 + j)
-        open_[flat[j]] = False
-    del open_  # 1 byte per cell, not held while the hits are listed
-    first = first[:spare].reshape(width, width)
+    # first[ix, iy] is the cell's first-hit n, n_terms + 1 while unvisited
+    if theta.numerator == 0 and x.numerator != 0:
+        first = _circle_first_hits(x.numerator, n_terms, span, cell, in_disk)
+    else:
+        first = _walk_first_hits(theta, x, n_terms, span, cell, radius + cell / math.sqrt(2))
     ix, iy = np.nonzero(in_disk & (first <= n_terms))
     hits = tuple(zip((ix - span).tolist(), (iy - span).tolist(), first[ix, iy].tolist()))
     return DensityReport(

@@ -4,13 +4,14 @@ Each test runs its gate at the stated tolerance and prints the one-line
 verdict; run with -s (or look at captured output) for the summary lines.
 Gate results are shared across the session.  One `verify-all` run, with
 its first pass reusing them, starts the second interpreter (hash seed 1)
-that runs the unseeded gates E2, E4 and E6 and reruns the seeded gates,
-as verify-all always does: E10 compares the reruns against the first
-pass, and each unseeded gate's report from the child must equal an
-in-process run's.  The tests of the child's failures replace its command
+that runs a share of E1 and the unseeded gates E2, E4 and E6 and reruns
+the seeded gates, as verify-all always does: E10 compares the reruns
+against the first pass, and E1's report from its two shares and each
+unseeded gate's report from the child must equal an in-process run's.
+The tests of the child's failures replace its command
 (`acceptance._RERUN_ARGS`) with a program that crashes, hangs, writes an
 entry of the wrong shape or alters a report; each fails E10, and all but
-the altered report fail E2, E4 and E6 too.
+the altered report fail E1, E2, E4 and E6 too.
 """
 
 import contextlib
@@ -176,9 +177,9 @@ def _first_pass(gate):
 @pytest.fixture(scope="session")
 def verify_all(gate, tmp_path_factory):
     """`weyl-lab verify-all --out-dir` at SEED: (exit code, printed lines,
-    report directory, the child).  The first pass reuses the session's
-    gate results; E2, E4, E6 and the reruns come from the child, run in
-    full."""
+    report directory, the child).  The seeded gates' first pass reuses the
+    session's gate results; E1 runs in its two shares, and E2, E4, E6 and
+    the reruns come from the child, run in full."""
     out_dir = tmp_path_factory.mktemp("reports")
     children = []
     start = acceptance._start_reruns
@@ -190,9 +191,8 @@ def verify_all(gate, tmp_path_factory):
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(acceptance, "_start_reruns", start_and_keep)
-        for cid in acceptance.RUNNERS:
-            if cid not in acceptance.CHILD_ONLY:
-                patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
+        for cid in acceptance.SEEDED:
+            patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
         code = cli.main(["verify-all", "--seed", str(SEED), "--out-dir", str(out_dir)])
     [child] = children
     return code, out.getvalue().splitlines(), out_dir, child
@@ -214,9 +214,11 @@ def test_verify_all_writes_the_pinned_bytes_with_e4_from_the_child(gate, verify_
     assert all(line.startswith("[PASS]") for line in lines), lines
     for cid in cids:
         assert hashlib.sha256((out_dir / f"{cid}.json").read_bytes()).hexdigest() == REPORT_SHA256[cid], cid
-    # E2, E4 and E6 ran in the child only, each report an in-process run's
+    # E1 ran in two shares, E2, E4 and E6 in the child only, each report
+    # an in-process run's
     assert acceptance.CHILD_ONLY == ("E2", "E4", "E6")
-    for cid in acceptance.CHILD_ONLY:
+    assert 0 < acceptance.E1_IN_CHILD < acceptance.E1_INSTANCES
+    for cid in ("E1", *acceptance.CHILD_ONLY):
         in_process = gate(cid)
         assert (out_dir / f"{cid}.json").read_bytes() == in_process.report_bytes
         assert lines[int(cid[1:]) - 1].startswith(in_process.summary_line().rsplit("(", 1)[0])
@@ -236,8 +238,8 @@ acceptance._rerun_seeded(int(sys.argv[1]))
 
 def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _ALTER_E7))
-    results = acceptance._from_child(SEED, _first_pass(gate), acceptance._start_reruns(SEED))
-    assert list(results) == [*acceptance.CHILD_ONLY, "E10"]
+    results = acceptance._from_child(SEED, (0.0, 0.0), _first_pass(gate), acceptance._start_reruns(SEED))
+    assert list(results) == ["E1", *acceptance.CHILD_ONLY, "E10"]
     res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == ["E7"]
@@ -246,11 +248,12 @@ def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
         assert results[cid].passed and results[cid].report_bytes == gate(cid).report_bytes
 
 
-# a child whose every entry matches its first pass, but E4's is one item short
-_BAD_ENTRY = """import json
+# a child with a stand-in entry for every gate, each matching its first
+# pass, E1's share `e1` and E4's entry cut to `e4` of its 5 items
+_STAND_INS = """import json, sys
 from weyl_lab import acceptance
-entry = ["a gate", True, 0.0, {}, "{}\\n"]
-print(json.dumps({**{cid: entry for cid in acceptance.IN_CHILD}, "E4": entry[:4]}))
+entry = ["a gate", True, 0.0, {{}}, "{{}}\\n"]
+print(json.dumps({{"E1": {e1}, **{{cid: entry for cid in acceptance.IN_CHILD}}, "E4": entry[:{e4}]}}))
 """
 
 
@@ -260,10 +263,12 @@ print(json.dumps({**{cid: entry for cid in acceptance.IN_CHILD}, "E4": entry[:4]
         ("import sys; sys.exit(3)", None, "rerun exited with code 3"),
         ("print('not json')", None, "rerun output unreadable"),
         ("print('{}')", None, "rerun output unreadable"),
-        (_BAD_ENTRY, None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="0.0", e4=4), None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="[]", e4=5), None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="'1e-20'", e4=5), None, "rerun output unreadable"),
         ("import time; time.sleep(60)", 0.5, "no reports within 0.5 s"),
     ],
-    ids=["exit-3", "not-json", "no-gates", "bad-entry", "timeout"],
+    ids=["exit-3", "not-json", "no-gates", "bad-entry", "e1-not-a-number", "e1-a-string", "timeout"],
 )
 def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, timeout_s, error):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", source))
@@ -272,15 +277,17 @@ def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, 
     first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
     t0 = time.perf_counter()
     child = acceptance._start_reruns(SEED)
-    results = acceptance._from_child(SEED, first_pass, child)
+    results = acceptance._from_child(SEED, (0.0, 0.0), first_pass, child)
     assert time.perf_counter() - t0 < 30.0
     res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == list(acceptance.SEEDED)
     assert res.details["error"] == error
-    # E2, E4 and E6 ran only in the child, so they fail too, saying why
-    assert list(results) == ["E2", "E4", "E6", "E10"]
+    # E1 ran in part, E2, E4 and E6 only in the child, so they fail too,
+    # saying why
+    assert list(results) == ["E1", "E2", "E4", "E6", "E10"]
     for cid, description in [
+        ("E1", "closed form of b"),
         ("E2", "cocycle composition law"),
         ("E4", "skew-shift closed form"),
         ("E6", "growth statistics"),
@@ -296,6 +303,17 @@ def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, 
         assert child.returncode == -signal.SIGKILL
 
 
+def test_e1_keeps_a_nan_in_the_childs_share(monkeypatch):
+    # a nan among all 10**4 instances is E1's largest error in one
+    # interpreter, and no report renders it; so too from the child's share
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1="float('nan')", e4=5)))
+    first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
+    child = acceptance._start_reruns(SEED)
+    with pytest.raises(ValueError, match="non-finite"):
+        acceptance._from_child(SEED, (1e-12, 0.0), first_pass, child)
+    assert child.returncode == 0
+
+
 def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
     children = []
     start = acceptance._start_reruns
@@ -309,13 +327,30 @@ def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", "import time; time.sleep(60)"))
     monkeypatch.setattr(acceptance, "_start_reruns", start_and_keep)
-    # E3 is a gate of the parent's own: its first pass runs there
-    monkeypatch.setitem(acceptance.RUNNERS, "E1", lambda seed: None)
+    # E3 is a gate of the parent's own: its first pass runs there, after
+    # the parent's share of E1
+    monkeypatch.setattr(acceptance, "_e1_worst", lambda seed, lo, hi: 0.0)
     monkeypatch.setitem(acceptance.RUNNERS, "E3", broken)
     with pytest.raises(RuntimeError, match="gate body failed"):
         acceptance.run_all(SEED)
     [child] = children
     assert child.returncode == -signal.SIGKILL and child.stdout.closed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_e1_from_two_shares_is_one_interpreters_run(monkeypatch, seed):
+    # the child's share in the second interpreter, the parent's here, and
+    # E1's bytes those of one run over all 10**4 instances
+    # a child that runs only its share of E1, beside stand-ins for its gates
+    share = "acceptance._e1_worst(int(sys.argv[1]), 0, acceptance.E1_IN_CHILD)"
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1=share, e4=5)))
+    child = acceptance._start_reruns(seed)
+    t0 = time.perf_counter()
+    parents = (acceptance._e1_worst(seed, acceptance.E1_IN_CHILD, acceptance.E1_INSTANCES), time.perf_counter() - t0)
+    first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
+    res = acceptance._from_child(seed, parents, first_pass, child)["E1"]
+    assert res.report_bytes == acceptance.run_e1(seed).report_bytes
+    assert res.passed and res.runtime_s == parents[1]
 
 
 @pytest.mark.parametrize("safe_path", [{}, {"PYTHONSAFEPATH": "1"}], ids=["cwd-on-path", "safe-path"])

@@ -130,6 +130,36 @@ def test_phase_block_equals_three_limb_oracle(blen, args, drawn):
         assert np.array_equal(phases.view(np.uint64), want.view(np.uint64))
 
 
+def _words_with_every_product(a, b, c, k0, blen):
+    # the two-word kernel with its jj a products taken at every a
+    a %= MODULUS
+    n_lo, n_hi = _engine._words((a * k0 * k0 + b * k0 + c) % MODULUS >> 160)
+    d_lo, d_hi = _engine._words((a * (2 * k0 + 1) + b) % MODULUS >> 160)
+    a_lo, a_hi = _engine._words(a >> 160)
+    j = np.arange(blen, dtype=np.uint64)
+    jj = j * (j - np.uint64(1))
+    carry = (n_lo + j * d_lo + jj * a_lo) >> np.uint64(32)
+    return n_hi + j * d_hi + jj * a_hi + carry
+
+
+_UNIFORM = st.randoms(use_true_random=True).map(lambda r: r.randrange(MODULUS))
+
+
+@pytest.mark.parametrize("blen", [1, 2, 5000, CHUNK], ids=str)
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
+# a = 0, E1's sums, and the a whose top words are 0: every jj a product is
+# 0, and _phase_block skips them
+@given(
+    a=st.sampled_from([0, MODULUS, (1 << 160) - 1]),
+    b=st.one_of(_UNIFORM, st.integers(0, MODULUS - 1)),
+    c=st.sampled_from([0, MODULUS - 1]),
+    k0=st.integers(0, 1 << 64),
+)
+def test_phase_block_without_the_zero_products_gives_the_same_words(blen, a, b, c, k0):
+    got = _engine._phase_block(a, b, c, k0, blen)
+    assert np.array_equal(got, _words_with_every_product(a, b, c, k0, blen))
+
+
 def _mp_error(z, word):
     # |z - e(word * 2**-64)| in mpmath, the exact value to 80 bits
     exact = mpmath.expjpi(mpmath.mpf(int(word)) / 2**63)

@@ -438,11 +438,15 @@ def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
 
 
 def _stream_density(theta, x, n, radius, cell):
-    # the density probe on the direct stream, every partial sum walked
+    # the density probe on the direct stream, every partial sum walked,
+    # theta = 0 too
     def stream(a, b, c, n, reach):
         return _engine.qsum_partials(a, b, c, n)
 
-    with mock.patch.object(_engine, "near_partials", stream):
+    def walk(num, n, span, cell, in_disk):
+        return experiments._walk_first_hits(Angle(0), Angle(num), n, span, cell, math.inf)
+
+    with mock.patch.object(_engine, "near_partials", stream), mock.patch.object(experiments, "_circle_first_hits", walk):
         return density_probe(theta, x, n, radius, cell)
 
 
@@ -486,18 +490,79 @@ def test_density_pruned_first_hits_at_1e9_terms():
     _assert_same_hits(pruned, 8 * n * 2.0**-51)
 
 
+_SEED_X = st.builds(lambda seed: counter_angle(seed, 0, "density"), st.integers(1, 100))
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=st.one_of(_ANGLE, _SEED_X), n=st.integers(0, 2 * 10**6), shape=st.sampled_from([(2.0, 0.25), (0.5, 0.125)]))
+# x = 1/2, 1/4 and 1/3, whose partial sums meet cell edges and corners;
+# x = 2**-20, a circle of radius about 1.7e5 crossing the disk twice; and
+# the walks of no term, one and two
+@example(x=Angle(MODULUS // 2), n=10**4, shape=(2.0, 0.25))
+@example(x=Angle(MODULUS // 4), n=10**4, shape=(2.0, 0.25))
+@example(x=Angle(MODULUS // 4), n=10**4, shape=(0.5, 0.125))
+@example(x=angle_from_rational(1, 3), n=10**4, shape=(2.0, 0.25))
+@example(x=Angle(MODULUS >> 20), n=2 * 10**6, shape=(2.0, 0.25))
+@example(x=counter_angle(7, 0, "density"), n=0, shape=(2.0, 0.25))
+@example(x=counter_angle(7, 0, "density"), n=1, shape=(2.0, 0.25))
+@example(x=counter_angle(7, 0, "density"), n=2, shape=(0.5, 0.125))
+def test_density_control_first_hits_are_the_streams(x, n, shape):
+    _assert_same_hits(density_probe(Angle(0), x, n, *shape), 1e-9)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_density_control_at_e9s_x_is_the_streams(seed):
+    # E9's control at its 10**7 terms, against the stream walked in full
+    n = 10**7
+    _assert_same_hits(density_probe(Angle(0), counter_angle(seed, 0, "density"), n), 8 * n * 2.0**-51)
+
+
+def test_density_control_takes_no_walk():
+    x = counter_angle(7, 0, "density")
+    t = time.perf_counter()
+    rep = density_probe(Angle(0), x, 10**12)
+    assert time.perf_counter() - t < 0.5
+    assert rep.covered_fraction < 0.2
+
+
+def test_first_entry_is_the_least_k_of_a_scan():
+    # every a and every lo <= hi at each modulus up to 64, gcd(a, m) > 1 and
+    # the intervals no multiple reaches included
+    for m in range(1, 65):
+        for a in range(m):
+            least = {}
+            for k in range(m):
+                least.setdefault(a * k % m, k)
+            for lo in range(m):
+                want = None
+                for hi in range(lo, m):
+                    if hi in least and (want is None or least[hi] < want):
+                        want = least[hi]
+                    assert experiments.first_entry(a, m, lo, hi) == want, (a, m, lo, hi)
+    # a >= m is taken mod m; and a 256-bit case deep in Euclid's steps
+    assert experiments.first_entry(7 + 64, 64, 5, 5) == experiments.first_entry(7, 64, 5, 5)
+    fib = [1, 2]  # consecutive Fibonacci numbers: the most steps
+    while fib[-1] < MODULUS:
+        fib.append(fib[-1] + fib[-2])
+    a, m = fib[-2], fib[-1]
+    assert experiments.first_entry(a, m, m - 1, m - 1) == (m - 1) * pow(a, -1, m) % m
+
+
 def _density_peak(n):
     tracemalloc.start()
     try:
-        density_probe(Angle(0), counter_angle(7, 0, "density"), n)
+        density_probe(Angle(1), counter_angle(7, 0, "density"), n)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_density_memory_does_not_grow_with_n():
-    # at theta = 0 every block is walked, so only n differs; the walk holds
-    # the table, one chunk of blocks and one CHUNK of terms
+    # at theta = 2**-256, k**2 theta < 2**-209 of a turn for k <= 10**7, so
+    # the sums stay on theta = 0's small circle and every block is walked:
+    # only n differs, and the walk holds the table, one chunk of blocks and
+    # one CHUNK of terms
     _density_peak(1000)
     assert _density_peak(10**7) <= _density_peak(10**6) + 2**16
 
