@@ -11,19 +11,16 @@ The determinism gate (E10) compares the seeded gates' report bytes with
 those of a rerun in a second interpreter, with hash seed 1, so no body
 may put wall-clock values into its details.  `run_all` starts that child
 first.  The child runs E1's first E1_IN_CHILD instances, then the
-unseeded gates E2, E4 and E6 once (CHILD_ONLY), which the parent does
-not run, then the reruns.  The parent runs the rest of E1 and the seeded
-gates' first passes, and the two overlap on two CPUs (under a one-CPU
-affinity mask they share the one, and nothing overlaps).  E1's report
-takes the larger of the two shares' largest errors, which is the largest
-over all instances, so its bytes are one interpreter's; its runtime_s
-times the parent's share.  E10's runtime_s times only the wait for the
-child.  The child writes one JSON object: its share's largest error
-under "E1", and an entry [description, passed, runtime_s, details,
-report text] per gate of IN_CHILD, which the parent rebuilds as results;
-output that does not read so fails E1, E2, E4, E6 and E10.  The child's
-resident memory, about 57 MB at its peak, counts in RUSAGE_CHILDREN, not
-in the parent's RUSAGE_SELF peak.
+reruns.  The parent runs the rest of E1 and every other gate, and the
+two overlap on two CPUs (under a one-CPU affinity mask they share the
+one, and nothing overlaps).  E1's report takes the larger of the two
+shares' largest errors, which is the largest over all instances, so its
+bytes are one interpreter's; its runtime_s times the parent's share.
+E10's runtime_s times only the wait for the child.  The child writes one
+JSON object: its share's largest error under "E1" and each rerun's
+report text under its gate; output that does not read so fails E1 and
+E10.  The child's resident memory, about 57 MB at its peak, counts in
+RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF peak.
 """
 
 from __future__ import annotations
@@ -132,13 +129,14 @@ _E1_SINGULAR_OFFSETS = [
 
 E1_INSTANCES = 10_000
 # E1's instances 0 .. E1_IN_CHILD - 1 run in the rerun child, before its
-# other gates, and the rest in the parent, whose work after the child's
-# start set verify-all's wall time while E10's wait read 0.0 s.  Each side
-# alone at seed 7 (2-core Xeon VM, medians of 8 runs taken in turn): at
-# 3000 the parent's share and first passes took 2.13 s and the child 2.16 s,
-# start-up included; at 2000 the child ended 0.07 s sooner, at 3500 0.30 s
-# later
-E1_IN_CHILD = 3000
+# reruns, and the rest in the parent, beside its other gates, which is how
+# the two interpreters are balanced.  Each side alone in a cold verify-all
+# at seed 7 (2-core Xeon VM, medians of 8 runs taken in turn): at 6000 the
+# parent's work after the child's start and the child, start-up included,
+# both took 1.95 s; at 5500 the child ended 0.12 s sooner, at 6500 0.12 s
+# later.  In warm gates passes of perfbench (medians of 5 runs), E10's
+# wait for the child read 0.0 s up to 6000 and 0.12 s at 6500 and 7000
+E1_IN_CHILD = 6000
 
 
 def _e1_worst(seed: int, lo: int, hi: int) -> float:
@@ -425,29 +423,26 @@ def run_e9(seed: int = DEFAULT_SEED) -> tuple[bool, dict]:
 # __main__ block, which runs _rerun_seeded
 _RERUN_ARGS = ("-m", "weyl_lab.acceptance")
 # the parent's wait for the child's output; the child's start-up, its share
-# of E1, E2, E4, E6 and the five reruns take about 2.2 s on an idle core of
-# a 2-core Xeon VM (median of 8)
+# of E1 and the five reruns take about 2.2 s on an idle core of a 2-core
+# Xeon VM (median of 8)
 _RERUN_TIMEOUT_S = 600.0
 
 
 def _rerun_seeded(seed: int) -> None:
-    """The child's work: its share of E1, the gates of CHILD_ONLY, run here
-    once, and the seeded gates' reruns, written to stdout once, at the end,
-    as one JSON object that maps E1 to its share's largest error and each
-    other gate to its description, verdict, runtime, details and report
-    text."""
+    """The child's work: its share of E1 and the seeded gates' reruns,
+    written to stdout once, at the end, as one JSON object that maps E1 to
+    its share's largest error and each seeded gate to its report text."""
     output = {"E1": _e1_worst(seed, 0, E1_IN_CHILD)}
-    for cid in IN_CHILD:
-        res = RUNNERS[cid](seed)
-        output[cid] = [res.description, res.passed, res.runtime_s, res.details, res.report_bytes.decode()]
+    output.update((cid, RUNNERS[cid](seed).report_bytes.decode()) for cid in SEEDED)
     sys.stdout.write(json.dumps(output))
 
 
 def _start_reruns(seed: int) -> subprocess.Popen:
-    """A second interpreter running the gates of IN_CHILD at `seed`, with
-    hash seed 1 and stdin closed, on this weyl_lab's source tree: its
-    directory goes first on PYTHONPATH, and is the child's working directory
-    too, since `-m` puts that directory first on sys.path."""
+    """A second interpreter running its share of E1 and the seeded gates'
+    reruns at `seed` (_rerun_seeded), with hash seed 1 and stdin closed, on
+    this weyl_lab's source tree: its directory goes first on PYTHONPATH,
+    and is the child's working directory too, since `-m` puts that
+    directory first on sys.path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
@@ -466,10 +461,10 @@ def _stop(child: subprocess.Popen) -> None:
     child.stdout.close()
 
 
-def _child_output(child: subprocess.Popen) -> tuple[tuple[float, dict[str, CriterionResult]] | None, str]:
-    """The largest error of the child's share of E1 and its results by gate
-    of IN_CHILD, or None and why there are none; the child is reaped
-    either way."""
+def _child_output(child: subprocess.Popen) -> tuple[tuple[float, dict[str, bytes]] | None, str]:
+    """The largest error of the child's share of E1 and its reruns' report
+    bytes by seeded gate, or None and why there are none; the child is
+    reaped either way."""
     try:
         out, _ = child.communicate(timeout=_RERUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -481,17 +476,13 @@ def _child_output(child: subprocess.Popen) -> tuple[tuple[float, dict[str, Crite
         output = json.loads(out)
         if type(output["E1"]) is not float:
             raise TypeError("E1's share is not a number")
-        return (output["E1"], {
-            cid: CriterionResult(cid, description, bool(passed), float(runtime_s), dict(details), report.encode())
-            for cid in IN_CHILD
-            for description, passed, runtime_s, details, report in [output[cid]]
-        }), ""
+        return (output["E1"], {cid: output[cid].encode() for cid in SEEDED}), ""
     except (ValueError, TypeError, KeyError, AttributeError):
         return None, "rerun output unreadable"
 
 
 @_gate("E10", "reports are byte-identical across reruns with the same seed")
-def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | None, error: str = "") -> tuple[bool, dict]:
+def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | None, error: str) -> tuple[bool, dict]:
     """The seeded gates' reruns (None when the child gave none, and
     `error` says why) reproduce the first-pass report bytes; without
     reruns every seeded gate is a mismatch."""
@@ -505,32 +496,25 @@ def run_e10(seed: int, first_pass: dict[str, bytes], rerun: dict[str, bytes] | N
 def _from_child(
     seed: int, e1_share: tuple[float, float], first_pass: dict[str, bytes], child: subprocess.Popen
 ) -> dict[str, CriterionResult]:
-    """The results of E1, CHILD_ONLY's gates and E10 from the output of
-    `child` (from `_start_reruns`), by gate: E1 from the larger of the two
-    shares' largest errors, the parent's share e1_share = (largest error,
-    runtime_s) giving E1's runtime; each of CHILD_ONLY as the child
-    rendered it, with its verdict and runtime; and E10 against the
+    """The results of E1 and E10 from the output of `child` (from
+    `_start_reruns`), by gate: E1 from the larger of the two shares'
+    largest errors, the parent's share e1_share = (largest error,
+    runtime_s) giving E1's runtime, and E10 from the reruns against the
     first-pass bytes.  A child that crashes, writes output that does not
-    parse or outlasts _RERUN_TIMEOUT_S fails all of them, each with an
-    error key.  E10's runtime_s, and a failed gate's, is the wait for the
-    child."""
+    parse or outlasts _RERUN_TIMEOUT_S fails both, each with an error key.
+    E10's runtime_s, and a failed E1's, is the wait for the child."""
     t0 = time.perf_counter()
     output, error = _child_output(child)
     wait = time.perf_counter() - t0
     if output is None:
-        results = {
-            cid: _result(cid, _DESCRIPTIONS[cid], False, wait, {"seed": seed, "error": error})
-            for cid in ("E1", *CHILD_ONLY)
-        }
+        e1 = _result("E1", run_e1.description, False, wait, {"seed": seed, "error": error})
         rerun = None
     else:
-        (worst, e1_s), (child_worst, gates) = e1_share, output
+        (worst, e1_s), (child_worst, rerun) = e1_share, output
         # np.maximum, as np.max over all instances, keeps a nan of either
         passed, details = _e1_verdict(seed, float(np.maximum(worst, child_worst)))
-        results = {"E1": _result("E1", _DESCRIPTIONS["E1"], passed, e1_s, details)}
-        results.update((cid, gates[cid]) for cid in CHILD_ONLY)
-        rerun = {cid: gates[cid].report_bytes for cid in SEEDED}
-    return {**results, "E10": replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)}
+        e1 = _result("E1", run_e1.description, passed, e1_s, details)
+    return {"E1": e1, "E10": replace(run_e10(seed, first_pass, rerun, error), runtime_s=wait)}
 
 
 RUNNERS = {
@@ -545,14 +529,8 @@ RUNNERS = {
     "E9": run_e9,
 }
 
-# each gate's description, as the runners carry it
-_DESCRIPTIONS = {cid: fn.description for cid, fn in RUNNERS.items()}
-
-# the seeded gates whose reports E10 reproduces; the unseeded gates that
-# only the child runs; and the gates the child runs
+# the seeded gates whose reports E10 reproduces
 SEEDED = ("E3", "E5", "E7", "E8", "E9")
-CHILD_ONLY = ("E2", "E4", "E6")
-IN_CHILD = (*CHILD_ONLY, *SEEDED)
 
 
 def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[CriterionResult]:
@@ -560,16 +538,15 @@ def run_all(seed: int = DEFAULT_SEED, out_dir: str | None = None) -> list[Criter
     bytes, and return the results in gate order; optionally write each
     report to out_dir.
 
-    The child starts first and runs its share of E1, the gates of
-    CHILD_ONLY and the seeded gates' reruns while the rest of E1 and the
-    seeded gates' first passes run here; it is killed and reaped on every
-    path out.
+    The child starts first and runs its share of E1 and the seeded gates'
+    reruns while the rest of E1 and the other gates run here; it is killed
+    and reaped on every path out.
     """
     child = _start_reruns(seed)
     try:
         t0 = time.perf_counter()
         e1_share = (_e1_worst(seed, E1_IN_CHILD, E1_INSTANCES), time.perf_counter() - t0)
-        results = {cid: RUNNERS[cid](seed) for cid in SEEDED}
+        results = {cid: run(seed) for cid, run in RUNNERS.items() if cid != "E1"}
         first_pass = {cid: results[cid].report_bytes for cid in SEEDED}
         results.update(_from_child(seed, e1_share, first_pass, child))
     finally:

@@ -50,7 +50,6 @@ from .weylsum import (
     skew_shift_n,
     weyl_sum,
     weyl_sum_over_x,
-    weyl_sums,
     weyl_sums_over_x,
 )
 
@@ -181,18 +180,17 @@ def _product_gap(x: Angle, l: int, m: int, a_l: complex, a_ml: complex) -> float
     return float(np.abs(a_ml - a_l * dirichlet_b_closed(scale_mod1(x, 2 * l), m)))
 
 
-def approx_ratio(theta: Angle, l: int, m: int, x: Angle, sums: tuple | None = None) -> float:
+def approx_ratio(theta: Angle, l: int, m: int, x: Angle, sums: tuple) -> float:
     """Empirical constant |a(x,ml) - a(x,l) b(2lx,m)| / (|a(x,l)| m^3 l ||l theta||).
 
     sums is (a(x, l), a(x, ml)), as a sweep's one weyl_sums call over all
-    its instances gives them; without it they come from a weyl_sums call
-    of their own, so either way the same bits.  The denominator is the
-    product-form error budget; a vanishing denominator marks a degenerate
-    instance and raises so sweeps can exclude it from statistics.
+    its instances gives them.  The denominator is the product-form error
+    budget; a vanishing denominator marks a degenerate instance and raises
+    so sweeps can exclude it from statistics.
     """
     if l < 1 or m < 1:
         raise ValueError("l and m must be >= 1")
-    a_l, a_ml = sums if sums is not None else weyl_sums([(theta, x, l), (theta, x, m * l)]).tolist()
+    a_l, a_ml = sums
     den = float(np.abs(a_l)) * (m ** 3) * l * dist_to_int(scale_mod1(theta, l))
     if den == 0.0:
         raise ValueError("degenerate instance: zero denominator")

@@ -3,15 +3,14 @@
 Each test runs its gate at the stated tolerance and prints the one-line
 verdict; run with -s (or look at captured output) for the summary lines.
 Gate results are shared across the session.  One `verify-all` run, with
-its first pass reusing them, starts the second interpreter (hash seed 1)
-that runs a share of E1 and the unseeded gates E2, E4 and E6 and reruns
-the seeded gates, as verify-all always does: E10 compares the reruns
-against the first pass, and E1's report from its two shares and each
-unseeded gate's report from the child must equal an in-process run's.
-The tests of the child's failures replace its command
-(`acceptance._RERUN_ARGS`) with a program that crashes, hangs, writes an
-entry of the wrong shape or alters a report; each fails E10, and all but
-the altered report fail E1, E2, E4 and E6 too.
+its gates reusing them, starts the second interpreter (hash seed 1) that
+runs a share of E1 and reruns the seeded gates, as verify-all always
+does: E10 compares the reruns against the first pass, and E1's report
+from its two shares must equal an in-process run's.  The tests of the
+child's failures replace its command (`acceptance._RERUN_ARGS`) with a
+program that crashes, hangs, writes output of the wrong shape or alters
+a report; each fails E10, and all but the altered report fail E1 too,
+while the gates the parent runs alone keep their verdicts and bytes.
 """
 
 import contextlib
@@ -174,13 +173,8 @@ def _first_pass(gate):
     return {cid: gate(cid).report_bytes for cid in acceptance.SEEDED}
 
 
-@pytest.fixture(scope="session")
-def verify_all(gate, tmp_path_factory):
-    """`weyl-lab verify-all --out-dir` at SEED: (exit code, printed lines,
-    report directory, the child).  The seeded gates' first pass reuses the
-    session's gate results; E1 runs in its two shares, and E2, E4, E6 and
-    the reruns come from the child, run in full."""
-    out_dir = tmp_path_factory.mktemp("reports")
+def _keep_children(patch):
+    # the children run_all starts, kept for the test to look at
     children = []
     start = acceptance._start_reruns
 
@@ -188,11 +182,27 @@ def verify_all(gate, tmp_path_factory):
         children.append(start(seed))
         return children[-1]
 
+    patch.setattr(acceptance, "_start_reruns", start_and_keep)
+    return children
+
+
+def _parents_gates_from_session(gate, patch):
+    # the gates the parent runs (all but E1), from the session's results
+    for cid in list(acceptance.RUNNERS)[1:]:
+        patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
+
+
+@pytest.fixture(scope="session")
+def verify_all(gate, tmp_path_factory):
+    """`weyl-lab verify-all --out-dir` at SEED: (exit code, printed lines,
+    report directory, the child).  The parent's gates reuse the session's
+    gate results; E1 runs in its two shares, and the reruns come from the
+    child, run in full."""
+    out_dir = tmp_path_factory.mktemp("reports")
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(acceptance, "_start_reruns", start_and_keep)
-        for cid in acceptance.SEEDED:
-            patch.setitem(acceptance.RUNNERS, cid, lambda seed, cid=cid: gate(cid))
+        children = _keep_children(patch)
+        _parents_gates_from_session(gate, patch)
         code = cli.main(["verify-all", "--seed", str(SEED), "--out-dir", str(out_dir)])
     [child] = children
     return code, out.getvalue().splitlines(), out_dir, child
@@ -206,7 +216,7 @@ def test_e10_deterministic_reports(verify_all):
     assert child.returncode == 0 and child.stdout.closed
 
 
-def test_verify_all_writes_the_pinned_bytes_with_e4_from_the_child(gate, verify_all):
+def test_verify_all_writes_the_pinned_bytes_with_e1_from_two_shares(gate, verify_all):
     code, lines, out_dir, child = verify_all
     assert code == 0
     cids = [f"E{i}" for i in range(1, 11)]
@@ -214,14 +224,11 @@ def test_verify_all_writes_the_pinned_bytes_with_e4_from_the_child(gate, verify_
     assert all(line.startswith("[PASS]") for line in lines), lines
     for cid in cids:
         assert hashlib.sha256((out_dir / f"{cid}.json").read_bytes()).hexdigest() == REPORT_SHA256[cid], cid
-    # E1 ran in two shares, E2, E4 and E6 in the child only, each report
-    # an in-process run's
-    assert acceptance.CHILD_ONLY == ("E2", "E4", "E6")
+    # E1 ran in two shares, its report an in-process run's
     assert 0 < acceptance.E1_IN_CHILD < acceptance.E1_INSTANCES
-    for cid in ("E1", *acceptance.CHILD_ONLY):
-        in_process = gate(cid)
-        assert (out_dir / f"{cid}.json").read_bytes() == in_process.report_bytes
-        assert lines[int(cid[1:]) - 1].startswith(in_process.summary_line().rsplit("(", 1)[0])
+    in_process = gate("E1")
+    assert (out_dir / "E1.json").read_bytes() == in_process.report_bytes
+    assert lines[0].startswith(in_process.summary_line().rsplit("(", 1)[0])
 
 
 # the child's own program, with E7's report altered by one trailing byte
@@ -239,21 +246,20 @@ acceptance._rerun_seeded(int(sys.argv[1]))
 def test_e10_names_the_one_rerun_that_differs(gate, monkeypatch):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _ALTER_E7))
     results = acceptance._from_child(SEED, (0.0, 0.0), _first_pass(gate), acceptance._start_reruns(SEED))
-    assert list(results) == ["E1", *acceptance.CHILD_ONLY, "E10"]
+    assert list(results) == ["E1", "E10"]
+    assert results["E1"].passed
     res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == ["E7"]
     assert "error" not in res.details
-    for cid in acceptance.CHILD_ONLY:
-        assert results[cid].passed and results[cid].report_bytes == gate(cid).report_bytes
 
 
-# a child with a stand-in entry for every gate, each matching its first
-# pass, E1's share `e1` and E4's entry cut to `e4` of its 5 items
+# a child with E1's share `e1` and a stand-in report text `e7` for E7 and
+# "{}\n" for the other seeded gates, each matching its first pass
 _STAND_INS = """import json, sys
 from weyl_lab import acceptance
-entry = ["a gate", True, 0.0, {{}}, "{{}}\\n"]
-print(json.dumps({{"E1": {e1}, **{{cid: entry for cid in acceptance.IN_CHILD}}, "E4": entry[:{e4}]}}))
+output = {{"E1": {e1}, **dict.fromkeys(acceptance.SEEDED, "{{}}\\n")}}
+print(json.dumps({{**output, "E7": {e7}}}))
 """
 
 
@@ -263,40 +269,42 @@ print(json.dumps({{"E1": {e1}, **{{cid: entry for cid in acceptance.IN_CHILD}}, 
         ("import sys; sys.exit(3)", None, "rerun exited with code 3"),
         ("print('not json')", None, "rerun output unreadable"),
         ("print('{}')", None, "rerun output unreadable"),
-        (_STAND_INS.format(e1="0.0", e4=4), None, "rerun output unreadable"),
-        (_STAND_INS.format(e1="[]", e4=5), None, "rerun output unreadable"),
-        (_STAND_INS.format(e1="'1e-20'", e4=5), None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="0.0", e7="['{}\\n']"), None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="[]", e7="'{}\\n'"), None, "rerun output unreadable"),
+        (_STAND_INS.format(e1="'1e-20'", e7="'{}\\n'"), None, "rerun output unreadable"),
         ("import time; time.sleep(60)", 0.5, "no reports within 0.5 s"),
     ],
     ids=["exit-3", "not-json", "no-gates", "bad-entry", "e1-not-a-number", "e1-a-string", "timeout"],
 )
-def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, timeout_s, error):
+def test_e10_fails_and_reaps_a_child_that_gives_no_reports(gate, monkeypatch, source, timeout_s, error):
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", source))
     if timeout_s is not None:
         monkeypatch.setattr(acceptance, "_RERUN_TIMEOUT_S", timeout_s)
-    first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
+    children = _keep_children(monkeypatch)
+    _parents_gates_from_session(gate, monkeypatch)
+    # the parent's share of E1 is a stand-in, as E1 fails without the child's
+    monkeypatch.setattr(acceptance, "_e1_worst", lambda seed, lo, hi: 0.0)
+    in_process = {cid: gate(cid) for cid in list(acceptance.RUNNERS)[1:]}
     t0 = time.perf_counter()
-    child = acceptance._start_reruns(SEED)
-    results = acceptance._from_child(SEED, (0.0, 0.0), first_pass, child)
+    results = {res.cid: res for res in acceptance.run_all(SEED)}
     assert time.perf_counter() - t0 < 30.0
+    [child] = children
     res = results["E10"]
     assert not res.passed
     assert res.details["mismatches"] == list(acceptance.SEEDED)
     assert res.details["error"] == error
-    # E1 ran in part, E2, E4 and E6 only in the child, so they fail too,
-    # saying why
-    assert list(results) == ["E1", "E2", "E4", "E6", "E10"]
-    for cid, description in [
-        ("E1", "closed form of b"),
-        ("E2", "cocycle composition law"),
-        ("E4", "skew-shift closed form"),
-        ("E6", "growth statistics"),
-    ]:
-        failed = results[cid]
-        assert not failed.passed
-        assert failed.details == {"seed": SEED, "error": error}
-        assert json.loads(failed.report_bytes) == {"criterion": cid, "passed": False, "seed": SEED, "error": error}
-        assert failed.summary_line().startswith(f"[FAIL] {cid}: {description}")
+    # E1 ran in part in the child, so it fails too, saying why
+    failed = results["E1"]
+    assert not failed.passed
+    assert failed.details == {"seed": SEED, "error": error}
+    assert json.loads(failed.report_bytes) == {"criterion": "E1", "passed": False, "seed": SEED, "error": error}
+    assert failed.summary_line().startswith("[FAIL] E1: closed form of b")
+    # the gates the parent runs alone keep an in-process run's verdict and
+    # bytes, E2, E4 and E6 among them
+    assert list(results) == ["E1", *in_process, "E10"]
+    for cid, own in in_process.items():
+        assert results[cid].passed and results[cid].report_bytes == own.report_bytes
+        assert "error" not in results[cid].details
     # reaped: the exit status is collected, and a hung child was killed
     assert child.returncode is not None and child.stdout.closed
     if timeout_s is not None:
@@ -306,7 +314,7 @@ def test_e10_fails_and_reaps_a_child_that_gives_no_reports(monkeypatch, source, 
 def test_e1_keeps_a_nan_in_the_childs_share(monkeypatch):
     # a nan among all 10**4 instances is E1's largest error in one
     # interpreter, and no report renders it; so too from the child's share
-    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1="float('nan')", e4=5)))
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1="float('nan')", e7="'{}\\n'")))
     first_pass = {cid: b"{}\n" for cid in acceptance.SEEDED}
     child = acceptance._start_reruns(SEED)
     with pytest.raises(ValueError, match="non-finite"):
@@ -315,22 +323,14 @@ def test_e1_keeps_a_nan_in_the_childs_share(monkeypatch):
 
 
 def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
-    children = []
-    start = acceptance._start_reruns
-
-    def start_and_keep(seed):
-        children.append(start(seed))
-        return children[-1]
-
     def broken(seed):
         raise RuntimeError("gate body failed")
 
     monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", "import time; time.sleep(60)"))
-    monkeypatch.setattr(acceptance, "_start_reruns", start_and_keep)
-    # E3 is a gate of the parent's own: its first pass runs there, after
-    # the parent's share of E1
+    children = _keep_children(monkeypatch)
+    # E2 is the parent's first gate, after its share of E1
     monkeypatch.setattr(acceptance, "_e1_worst", lambda seed, lo, hi: 0.0)
-    monkeypatch.setitem(acceptance.RUNNERS, "E3", broken)
+    monkeypatch.setitem(acceptance.RUNNERS, "E2", broken)
     with pytest.raises(RuntimeError, match="gate body failed"):
         acceptance.run_all(SEED)
     [child] = children
@@ -341,9 +341,9 @@ def test_run_all_kills_and_reaps_the_child_when_a_gate_raises(monkeypatch):
 def test_e1_from_two_shares_is_one_interpreters_run(monkeypatch, seed):
     # the child's share in the second interpreter, the parent's here, and
     # E1's bytes those of one run over all 10**4 instances
-    # a child that runs only its share of E1, beside stand-ins for its gates
+    # a child that runs only its share of E1, beside stand-ins for its reruns
     share = "acceptance._e1_worst(int(sys.argv[1]), 0, acceptance.E1_IN_CHILD)"
-    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1=share, e4=5)))
+    monkeypatch.setattr(acceptance, "_RERUN_ARGS", ("-c", _STAND_INS.format(e1=share, e7="'{}\\n'")))
     child = acceptance._start_reruns(seed)
     t0 = time.perf_counter()
     parents = (acceptance._e1_worst(seed, acceptance.E1_IN_CHILD, acceptance.E1_INSTANCES), time.perf_counter() - t0)

@@ -36,7 +36,7 @@ from weyl_lab.experiments import (
     resume_witness,
     select_qn,
 )
-from weyl_lab.weylsum import weyl_sum
+from weyl_lab.weylsum import weyl_sum, weyl_sums
 
 
 @pytest.fixture(scope="module")
@@ -111,21 +111,27 @@ def test_deep_witness_product_hits_half(deep_witness):
     assert abs(deep_witness.product_value - 0.5) <= 0.05
 
 
+def _approx_ratio(theta, l, m, x):
+    # the ratio with a(x, l) and a(x, ml) from one weyl_sums call, as a sweep
+    # passes them
+    return approx_ratio(theta, l, m, x, weyl_sums([(theta, x, l), (theta, x, m * l)]).tolist())
+
+
 def test_approx_ratio_m1_is_zero(constructed):
     _, theta, _ = constructed
-    assert approx_ratio(theta, 100, 1, angle_from_decimal("0.3")) == 0.0
+    assert _approx_ratio(theta, 100, 1, angle_from_decimal("0.3")) == 0.0
 
 
 def test_approx_ratio_l1_bounded():
     calib = load_calibration()["approx_ratio"]
-    r = approx_ratio(GOLDEN, 1, 17, angle_from_decimal("0.29"))
+    r = _approx_ratio(GOLDEN, 1, 17, angle_from_decimal("0.29"))
     assert r <= 1.5 * calib["max_ratio"]
 
 
 def test_approx_ratio_degenerate_raises():
     # theta dyadic: l can be chosen so that ||l theta|| = 0 exactly
     with pytest.raises(ValueError):
-        approx_ratio(angle_from_rational(1, 4), 4, 3, angle_from_decimal("0.3"))
+        _approx_ratio(angle_from_rational(1, 4), 4, 3, angle_from_decimal("0.3"))
 
 
 def test_resume_witness_full_run(deep_witness):
