@@ -443,26 +443,34 @@ def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
         assert any(m > _engine.CHUNK for _, _, m in hits)
 
 
-def _stream_density(theta, x, n, radius, cell):
-    # the density probe on the direct stream, every partial sum walked,
-    # theta = 0 too
-    def stream(a, b, c, n, reach):
-        return _engine.qsum_partials(a, b, c, n)
-
-    def walk(num, n, span, cell, in_disk):
-        return experiments._walk_first_hits(Angle(0), Angle(num), n, span, cell, math.inf)
-
-    with mock.patch.object(_engine, "near_partials", stream), mock.patch.object(experiments, "_circle_first_hits", walk):
-        return density_probe(theta, x, n, radius, cell)
+def _stream_first_hits(theta, x, n, radius, cell):
+    # the report's first hits and disk size from the direct stream: every
+    # partial sum of qsum_partials walked to n, theta = 0 too, with no
+    # pruning and no early exit
+    span = math.ceil(radius / cell) + 2
+    width = 2 * span + 1
+    centre = (np.arange(-span, span + 1) + 0.5) * cell
+    in_disk = (centre[:, None] * centre[:, None] + centre[None, :] * centre[None, :]) <= radius * radius
+    first = np.zeros((width, width), dtype=np.int64)
+    for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, n):
+        ix = np.floor(z.real / cell).astype(np.int64) + span
+        iy = np.floor(z.imag / cell).astype(np.int64) + span
+        on = np.flatnonzero((ix >= 0) & (ix < width) & (iy >= 0) & (iy < width))
+        on = on[in_disk[ix[on], iy[on]]]
+        flat, at = np.unique(ix[on] * width + iy[on], return_index=True)
+        new = first.flat[flat] == 0
+        first.flat[flat[new]] = k0 + 1 + on[at[new]]
+    ix, iy = np.nonzero(first)
+    return set(zip((ix - span).tolist(), (iy - span).tolist(), first[ix, iy].tolist())), int(np.sum(in_disk))
 
 
 def _assert_same_hits(pruned, tol):
     # the pruned walk's report is the stream's, but for cells whose first
     # hit, in either, is a stream point within tol of a cell edge
     theta, x, cell = pruned.theta, pruned.x, pruned.cell
-    direct = _stream_density(theta, x, pruned.N, pruned.radius, cell)
-    assert pruned.n_disk_cells == direct.n_disk_cells
-    for ix, iy, m in set(pruned.first_hits) ^ set(direct.first_hits):
+    hits, n_disk = _stream_first_hits(theta, x, pruned.N, pruned.radius, cell)
+    assert pruned.n_disk_cells == n_disk
+    for ix, iy, m in set(pruned.first_hits) ^ hits:
         k0, z = next((k0, z) for k0, z in _engine.qsum_partials(theta.numerator, x.numerator, 0, m) if k0 + z.size >= m)
         edge = np.array([z[m - 1 - k0].real, z[m - 1 - k0].imag]) / cell
         assert np.min(np.abs(edge - np.round(edge))) * cell <= tol, (ix, iy, m)
@@ -474,12 +482,18 @@ _ANGLE = st.builds(Angle, st.integers(0, MODULUS - 1))
 @settings(max_examples=10, deadline=None)
 @given(theta=_ANGLE, x=_ANGLE, n=st.integers(0, 2 * 10**6), shape=st.sampled_from([(2.0, 0.25), (0.5, 0.125)]))
 # below one block, not a multiple of the block, theta = 0, and a disk
-# wider than a block, past every partial sum at random theta
+# wider than a block, past every partial sum at random theta; the last
+# disk cell first hit at n = 176,814, inside a walked run of 8448 terms
+# from 172,544; a coverage that stays below 0.3, so the walk reaches n;
+# and a disk with 415 first hits after the walk's first CHUNK of terms
 @example(theta=GOLDEN, x=Angle(12), n=_engine.NEAR_SIZE - 1, shape=(2.0, 0.25))
 @example(theta=GOLDEN, x=angle_from_decimal("0.3"), n=300 * _engine.NEAR_SIZE + 77, shape=(2.0, 0.25))
 @example(theta=Angle(0), x=counter_angle(7, 0, "density"), n=10**6 + 3, shape=(2.0, 0.25))
 @example(theta=counter_angle(11, 0, "scan-theta"), x=Angle(12), n=2 * 10**6, shape=(4096.0, 64.0))
 @example(theta=REFERENCE_THETA, x=counter_angle(7, 0, "density"), n=2 * 10**6, shape=(2.0, 0.25))
+@example(theta=REFERENCE_THETA, x=counter_angle(40, 0, "density"), n=10**6, shape=(2.0, 0.25))
+@example(theta=REFERENCE_THETA, x=counter_angle(2, 0, "density"), n=2 * 10**6, shape=(2.0, 0.25))
+@example(theta=GOLDEN, x=angle_from_decimal("0.3"), n=10**6, shape=(256.0, 8.0))
 def test_density_pruned_first_hits_are_the_streams(theta, x, n, shape):
     _assert_same_hits(density_probe(theta, x, n, *shape), 1e-9)
 
@@ -494,6 +508,25 @@ def test_density_pruned_first_hits_at_1e9_terms():
     took = time.perf_counter() - t
     print(f"pruned density at n = 1e9: {took:.1f} s")
     _assert_same_hits(pruned, 8 * n * 2.0**-51)
+
+
+def test_density_walk_stops_at_the_last_first_hit():
+    # E9's reference x covers the disk at n = 9,739,895: a walk of 10**9
+    # terms yields no more than that and the rest of its run, and reports
+    # the first hits of 10**7 terms
+    pruned, walked = _engine.near_partials, []
+
+    def counted(*args):
+        for k0, z in pruned(*args):
+            walked.append(z.size)
+            yield k0, z
+
+    x = counter_angle(7, 0, "density")
+    with mock.patch.object(_engine, "near_partials", counted):
+        rep = density_probe(REFERENCE_THETA, x, 10**9)
+    assert sum(walked) <= 9_739_895 + _engine.NEAR_SIZE * _engine.NEAR_CHUNK
+    assert rep.covered_fraction == 1.0
+    assert rep.first_hits == density_probe(REFERENCE_THETA, x, 10**7).first_hits
 
 
 _SEED_X = st.builds(lambda seed: counter_angle(seed, 0, "density"), st.integers(1, 100))
