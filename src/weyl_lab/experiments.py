@@ -630,66 +630,54 @@ def _signed_turn(num: int) -> float:
     return (num - MODULUS if 2 * num > MODULUS else num) / MODULUS
 
 
-def _circle_first_hits(num: int, n_terms: int, span: int, cell: float, in_disk: np.ndarray) -> np.ndarray:
-    # the first-hit table at theta = 0 and x = num 2**-256 != 0, n_terms + 1
-    # where unvisited: z_n = c - c e(n x), c = 1 / (1 - e(x)), lies on a
+def _circle_runs(num: int, n_terms: int, span: int, cell: float):
+    # the runs (n - 1, [z_n]) at theta = 0 and x = num 2**-256 != 0, one per
+    # arc, sorted by n: z_n = c - c e(n x), c = 1 / (1 - e(x)), lies on a
     # circle, cut into arcs at its grid crossings and at z = 0, its turn 0;
-    # an arc's cell is its midpoint's, and a cell's first hit the least
-    # n >= 2 with n x on one of its arcs, or n = 1, z_1 = 1 taken from the
-    # float as the walk takes it (it lies on the edge Re z = 1 exactly)
-    width = 2 * span + 1
-    first = np.full((width, width), n_terms + 1, dtype=np.int64)
-
-    def disk_cell(z: complex) -> tuple[int, int] | None:
-        ix, iy = math.floor(z.real / cell) + span, math.floor(z.imag / cell) + span
-        return (ix, iy) if 0 <= ix < width and 0 <= iy < width and in_disk[ix, iy] else None
-
-    if n_terms >= 1 and (at := disk_cell(1.0)):
-        first[at] = 1
+    # an arc's point is its midpoint, and its n the least n >= 2 with n x on
+    # it; z_1 = 1 comes from the float, as the walk takes it, at n = 1
     xs = _signed_turn(num)
     s = math.sin(math.pi * xs)
     cuts = sorted({0, 1, *_circle_cuts(xs, s, span, cell)})
     shift = 2 * num % MODULUS  # n = 2 + k: k x on the arc less 2 x
+    hits = [(1, 1 + 0j)]
     for lo, hi in zip(cuts, [c - 1 for c in cuts[1:]] + [MODULUS - 1]):
-        t = _signed_turn((lo + hi) // 2)
-        # z at turn t: sin(pi t) / sin(pi x) e((t - x) / 2)
-        at = disk_cell(math.sin(math.pi * t) / s * cmath.exp(1j * math.pi * (t - xs)))
-        if at is None:
-            continue
         k_lo, k_hi = (lo - shift) % MODULUS, (hi - shift) % MODULUS
         # an arc that wraps past turn 0 less 2 x holds k = 0
         k = first_entry(num, MODULUS, k_lo, k_hi) if k_lo <= k_hi else 0
-        if k is not None and k + 2 < first[at]:
-            first[at] = k + 2
-    return first
+        if k is not None:
+            t = _signed_turn((lo + hi) // 2)
+            # z at turn t: sin(pi t) / sin(pi x) e((t - x) / 2)
+            hits.append((k + 2, math.sin(math.pi * t) / s * cmath.exp(1j * math.pi * (t - xs))))
+    for n, z in sorted(hits, key=lambda hit: hit[0]):
+        if n > n_terms:
+            break
+        yield n - 1, np.array([z])
 
 
-def _walk_first_hits(
-    theta: Angle, x: Angle, n_terms: int, span: int, cell: float, reach: float, in_disk: np.ndarray
-) -> np.ndarray:
-    # the first-hit table of the pruned walk, n_terms + 1 where unvisited:
-    # cells by flat index ix * width + iy, and one spare slot last for the
-    # points off the table; open_[c] is whether disk cell c is still
-    # unvisited, and the walk ends when none is
+def _first_hits(runs, n_terms: int, span: int, cell: float, in_disk: np.ndarray) -> np.ndarray:
+    # the first-hit table, n_terms + 1 where unvisited, of runs (k0, z) of
+    # the points z_{k0+1}, z_{k0+2}, ..., in order of n: cells by flat index
+    # ix * width + iy; open_[c] is whether disk cell c is still unvisited,
+    # and the runs end when none is.  Every disk cell lies inside |Re z|,
+    # |Im z| < edge, and every point inside indexes the table, so the points
+    # outside are dropped before their cell is looked up
     width = 2 * span + 1
-    spare = width * width
-    first = np.full(spare + 1, n_terms + 1, dtype=np.int64)
-    open_ = np.append(in_disk.ravel(), False)
-    edge = (span + 1) * cell  # table cells have |Re z|, |Im z| < edge
-    for k0, z in _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, reach):
+    first = np.full(width * width, n_terms + 1, dtype=np.int64)
+    open_ = in_disk.flatten()
+    edge = (span - 1) * cell
+    for k0, z in runs:
         j = np.flatnonzero((np.abs(z.real) < edge) & (np.abs(z.imag) < edge))
         z = z[j]
         sx = np.floor(z.real / cell).astype(np.int64) + span
         sy = np.floor(z.imag / cell).astype(np.int64) + span
         flat = sx * width + sy
-        # a negative index reads as a uint64 past the table
-        flat[(sx.view(np.uint64) >= width) | (sy.view(np.uint64) >= width)] = spare
         i = np.flatnonzero(open_[flat])
         np.minimum.at(first, flat[i], k0 + 1 + j[i])
         open_[flat[i]] = False
         if not open_.any():
             break
-    return first[:spare].reshape(width, width)
+    return first.reshape(width, width)
 
 
 def density_probe(
@@ -703,25 +691,29 @@ def density_probe(
     here by using the numerator of x directly as the linear coefficient,
     avoiding any half-angle snapping.
 
-    Only partial sums that can reach a reported cell are walked:
-    _engine.near_partials at reach R + cell/sqrt(2), a cell's farthest
-    point, skips a block of s terms whose starts have |z_q| + |z_q+1| >
-    2 reach + s + pad, pad bounding their error and the stream's rounding.
-    A first hit can differ from the stream's only at a point within a
-    start's error of a cell edge.  Only the disk's cells are tracked, and
-    the walk ends at their last first hit: at E9's seed-7 x, 10**9 terms
-    stop at n = 9,739,895, in 0.06 s (a 2-core Xeon).  Points off the
-    table are dropped before their cell is looked up.  Memory: the table
-    and one block chunk.
+    One recorder (_first_hits) keeps each disk cell's first hit.  It reads
+    runs (k0, z) of the points z_{k0+1}, z_{k0+2}, ... in order of n, drops
+    the points with |Re z| or |Im z| >= (span - 1) cell, a square holding
+    every disk cell, and ends at the disk's last first hit.  Memory: the
+    table and one block chunk.
+
+    The walk's runs are _engine.near_partials at reach R + cell/sqrt(2), a
+    cell's farthest point: a block of s terms is skipped when its starts
+    have |z_q| + |z_q+1| > 2 reach + s + pad, pad bounding their error and
+    the stream's rounding.  A first hit can differ from the stream's only
+    at a point within a start's error of a cell edge.  At E9's seed-7 x,
+    10**9 terms stop at n = 9,739,895, in 0.06 s (a 2-core Xeon).
 
     At theta = 0 and x != 0 nothing is walked: z_n = c - c e(n x), c =
     1/(1 - e(x)), lies on one circle, which the grid lines cut into arcs,
-    each in one cell (its midpoint's).  A cell's first hit is the least
-    n >= 2 whose exact turn n x mod 1 lies on one of its arcs, each arc
-    taken to the 2**-256 grid (first_entry), or n = 1 for the cell of
-    z_1 = 1.  A first hit can differ from the stream's only at a point on
-    a cell edge or within the rounding of the stream or of the arcs' ends
-    of one.  Its cost is a few Euclid steps per arc, at any N.
+    each in one cell (its midpoint's).  Each arc is a run of one point,
+    its midpoint at the least n >= 2 with n x mod 1 on the arc, taken to
+    the 2**-256 grid (first_entry); z_1 = 1 is the run at n = 1.  So z_n,
+    n >= 2, on a grid line goes to the cell the circle enters there: at x
+    = 1/2 and cell 0.25, z_3 = 1 to cell (3, 0), z_1 = 1 to (4, 0).  A
+    first hit can differ from the stream's only at a point on a cell edge
+    or within the rounding of the stream or of the arcs' ends of one.  Its
+    cost is a few Euclid steps per arc, at any N.
     """
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
@@ -741,9 +733,10 @@ def density_probe(
         raise ValueError(f"cell {cell} leaves no cell centre in the radius-{radius} disk")
     # first[ix, iy] is the cell's first-hit n, n_terms + 1 while unvisited
     if theta.numerator == 0 and x.numerator != 0:
-        first = _circle_first_hits(x.numerator, n_terms, span, cell, in_disk)
+        runs = _circle_runs(x.numerator, n_terms, span, cell)
     else:
-        first = _walk_first_hits(theta, x, n_terms, span, cell, radius + cell / math.sqrt(2), in_disk)
+        runs = _engine.near_partials(theta.numerator, x.numerator, 0, n_terms, radius + cell / math.sqrt(2))
+    first = _first_hits(runs, n_terms, span, cell, in_disk)
     ix, iy = np.nonzero(in_disk & (first <= n_terms))
     hits = tuple(zip((ix - span).tolist(), (iy - span).tolist(), first[ix, iy].tolist()))
     return DensityReport(

@@ -417,6 +417,9 @@ def _density_scan(theta, x, n, radius, cell):
 
 
 _SCAN_N = _engine.CHUNK + 1000
+# disks whose radius is a whole number of cells, in dyadic and non-dyadic
+# cells: their outer cells touch the square the recorder keeps most closely
+_DISK_SHAPES = [(2.0, 0.25), (0.75, 0.25), (1.0, 0.1), (3.0, 0.3), (256.0, 8.0)]
 
 
 @pytest.mark.parametrize(
@@ -428,8 +431,12 @@ _SCAN_N = _engine.CHUNK + 1000
         (GOLDEN, angle_from_decimal("0.3"), _SCAN_N, 0.5, 0.125),
         (GOLDEN, angle_from_decimal("0.3"), _SCAN_N, 256.0, 8.0),
         (GOLDEN, angle_from_decimal("0.3"), 0, 2.0, 0.25),
-    ],
-    ids=["theta-zero", "golden", "random", "small-disk", "second-block", "empty"],
+    ]
+    + [(Angle(0), counter_angle(7, 0, "density"), _SCAN_N, *shape) for shape in _DISK_SHAPES[1:]]
+    + [(GOLDEN, angle_from_decimal("0.3"), _SCAN_N, *shape) for shape in _DISK_SHAPES[1:4]],
+    ids=["theta-zero", "golden", "random", "small-disk", "second-block", "empty"]
+    + [f"theta-zero-{r}-{c}" for r, c in _DISK_SHAPES[1:]]
+    + [f"golden-{r}-{c}" for r, c in _DISK_SHAPES[1:4]],
 )
 def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
     hits, n_disk = _density_scan(theta, x, n, radius, cell)
@@ -438,9 +445,29 @@ def test_density_first_hits_match_a_scan(theta, x, n, radius, cell):
     assert rep.n_disk_cells == n_disk
     assert rep.n_visited == len(hits)
     assert rep.covered_fraction == len(hits) / n_disk
-    if radius == 256.0:
+    if radius == 256.0 and theta == GOLDEN:
         # the walk reaches new cells after the first block
         assert any(m > _engine.CHUNK for _, _, m in hits)
+
+
+@pytest.mark.parametrize("radius, cell", _DISK_SHAPES)
+def test_density_square_holds_the_disk_and_indexes_the_table(radius, cell):
+    # every corner of every disk cell lies strictly inside the square the
+    # recorder keeps; a point one ulp inside each of its corners is recorded
+    # in its own cell of the table, and a point on each corner is dropped
+    with mock.patch.object(experiments, "_first_hits", wraps=experiments._first_hits) as recorder:
+        density_probe(GOLDEN, Angle(0), 1, radius, cell)
+    _, _, span, _, in_disk = recorder.call_args.args
+    edge = (span - 1) * cell
+    for i in np.nonzero(in_disk):
+        corners = np.concatenate([(i - span) * cell, (i - span + 1) * cell])
+        assert np.all(np.abs(corners) < edge)
+    z = np.array([complex(sx * at, sy * at) for at in (np.nextafter(edge, 0), edge) for sx in (-1, 1) for sy in (-1, 1)])
+    width = 2 * span + 1
+    first = experiments._first_hits([(0, z)], z.size, span, cell, np.ones((width, width), dtype=bool))
+    cells = [(math.floor(w.real / cell) + span, math.floor(w.imag / cell) + span, n) for n, w in enumerate(z[:4], 1)]
+    assert [(ix, iy, first[ix, iy]) for ix, iy, _ in cells] == cells
+    assert np.sum(first <= z.size) == 4
 
 
 def _stream_first_hits(theta, x, n, radius, cell):
